@@ -61,6 +61,31 @@ def rank(a, p: int) -> int:
     return len(rref(a, p)[1])
 
 
+def batch_rank(stack, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack of matrices of shape (n, rows, cols).
+
+    One forward elimination runs on the whole stack at once, over
+    min(rows, cols) columns (the stack is transposed when cols > rows).
+    """
+    m = np.asarray(stack, dtype=np.int64) % p
+    if m.shape[2] > m.shape[1]:
+        m = m.transpose(0, 2, 1).copy()
+    n, _, n_cols = m.shape
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    ranks = np.zeros(n, dtype=np.int64)
+    idx = np.arange(n)
+    for c in range(n_cols):
+        col = m[:, :, c]
+        piv = (col != 0).argmax(axis=1)
+        ranks += col.any(axis=1)
+        # the pivot row clears column c from every row, itself included, so
+        # a used row turns zero and is never picked again; columns up to c
+        # are not read again
+        prow = m[idx, piv, c + 1:] * inverse[col[idx, piv]][:, None]
+        m[:, :, c + 1:] = (m[:, :, c + 1:] - col[:, :, None] * prow[:, None, :]) % p
+    return ranks
+
+
 def solve(a, b, p: int) -> np.ndarray | None:
     """One solution x of a @ x = b over F_p, or None when inconsistent."""
     a = np.asarray(a, dtype=np.int64) % p

@@ -3,36 +3,52 @@
 An augmented map is a pairing A_1 x A_1 -> A_2 of F_p-spaces together
 with a distinguished degree-one element eps (2*eps = 0, so eps = 0 for
 odd p).  A nonzero a is rigid when every b pairing to zero with a is
-linearly dependent with eps + a.  Everything here is decided by
-exhaustive enumeration of A_1, which the bounded dimensions make exact.
+linearly dependent with u = eps + a.
+
+Rigidity is decided by rank.  Write W_a = a.T, the d x e matrix with
+B(a, b) = b W_a.  The b pairing to zero with a form the left null space
+of W_a, of dimension d - rank W_a, so a is rigid exactly when u = 0, or
+rank W_a = d, or rank W_a = d - 1 and u W_a = 0.  A scan computes these
+ranks for every nonzero a in one batched elimination, chunked so that its
+working memory stays fixed, and caches the flags on the map.  The
+brute-force test ``_rigid_one``, which enumerates every b, is kept as the
+oracle for the rank test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
 
 from .cohomology import GradedAlgebra, build_cohomology
 from .errors import DimensionTooLarge, NotAnExtension, ValidationError
-from .fplinear import kernel_basis, rank, row_space_basis, solve
+from .fplinear import batch_rank, kernel_basis, rank, row_space_basis, solve
 from .pairs import Ext, PairExpr, normalize
 from .units import DEFAULT_PRECISION
 
-DEFAULT_ENUM_BOUND = 4096
+# A scan lists all p^d vectors of A_1 in its output, so the bound is set by
+# output size; working memory is fixed by _CHUNK_CELLS whatever the bound.
+DEFAULT_ENUM_BOUND = 2**16
 DEFAULT_PAIR_CAP = 2_000_000
+_CHUNK_CELLS = 2**14  # entries per batched elimination; larger chunks ran slower
 
 
 @dataclass(frozen=True, eq=False)
 class AugBilinearMap:
-    """Pairing tensor of shape (d, d, e) with a distinguished eps in A_1."""
+    """Pairing tensor of shape (d, d, e) with a distinguished eps in A_1.
+
+    ``tensor`` and ``eps`` are read-only copies, so the rigidity scan
+    cached on the instance cannot go stale.
+    """
 
     p: int
     tensor: np.ndarray
     eps: np.ndarray
     labels: tuple[str, ...] = ()
     multiplicative: bool = False
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.tensor, dtype=np.int64) % self.p
@@ -43,6 +59,8 @@ class AugBilinearMap:
             raise ValidationError("eps must be a degree-one vector of length d")
         if self.p != 2 and ep.any():
             raise ValidationError("eps must vanish when p is odd")
+        t.flags.writeable = False
+        ep.flags.writeable = False
         object.__setattr__(self, "tensor", t)
         object.__setattr__(self, "eps", ep)
         if not self.labels:
@@ -78,12 +96,13 @@ def from_cohomology(ga: GradedAlgebra) -> AugBilinearMap:
 
 
 def _all_vectors(p: int, d: int) -> np.ndarray:
-    if d == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(list(iter_product(range(p), repeat=d)), dtype=np.int64)
+    """All p^d vectors of F_p^d, in lexicographic order."""
+    place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    return np.arange(p**d, dtype=np.int64)[:, None] // place % p
 
 
 def _rigid_one(bmap: AugBilinearMap, a: np.ndarray, vecs: np.ndarray) -> bool:
+    """Oracle: test rigidity of a against every b in ``vecs``."""
     p = bmap.p
     u = (bmap.eps + a) % p
     if not u.any():
@@ -97,28 +116,65 @@ def _rigid_one(bmap: AugBilinearMap, a: np.ndarray, vecs: np.ndarray) -> bool:
     return bool(((lam[:, None] * u[None, :]) % p == cand).all())
 
 
+def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
+    """Rigidity flags of the nonzero rows of ``vecs`` by the rank test."""
+    p, d, e = bmap.p, bmap.d, bmap.e
+    flat = bmap.tensor.reshape(d, d * e)
+    flags = np.empty(len(vecs), dtype=bool)
+    step = max(1, _CHUNK_CELLS // max(1, d * e))
+    for s in range(0, len(vecs), step):
+        a = vecs[s : s + step]
+        w = (a @ flat % p).reshape(len(a), d, e)
+        u = (bmap.eps + a) % p
+        r = batch_rank(w, p)
+        u_kills = ~(np.einsum("cj,cjk->ck", u, w) % p).any(axis=1)
+        flags[s : s + step] = (
+            ~u.any(axis=1) | (r == d) | ((r == d - 1) & u_kills)
+        )
+    return flags
+
+
+def _check_bound(bmap: AugBilinearMap, bound: int) -> None:
+    if bmap.p**bmap.d > bound:
+        raise DimensionTooLarge(
+            f"p^d = {bmap.p**bmap.d} exceeds the enumeration bound {bound}"
+        )
+
+
 def is_rigid(bmap: AugBilinearMap, a, bound: int = DEFAULT_ENUM_BOUND) -> bool:
-    """Exhaustively test rigidity of the nonzero vector a."""
+    """Rigidity of the nonzero vector a, by the rank test.
+
+    Raises ``DimensionTooLarge`` when p^d exceeds ``bound``, as a scan does.
+    """
     p, d = bmap.p, bmap.d
-    if p**d > bound:
-        raise DimensionTooLarge(f"p^d = {p**d} exceeds the enumeration bound {bound}")
+    _check_bound(bmap, bound)
     av = np.asarray(a, dtype=np.int64) % p
     if av.shape != (d,):
         raise ValidationError(f"expected a vector of length {d}")
     if not av.any():
         raise ValidationError("rigidity is defined for nonzero vectors")
-    return _rigid_one(bmap, av, _all_vectors(p, d))
+    return bool(_rank_flags(bmap, av[None, :])[0])
 
 
 def _scan(bmap: AugBilinearMap, bound: int):
-    """All nonzero vectors of A_1 with their rigidity flags."""
-    p, d = bmap.p, bmap.d
-    if p**d > bound:
-        raise DimensionTooLarge(f"p^d = {p**d} exceeds the enumeration bound {bound}")
-    vecs = _all_vectors(p, d)
-    nonzero = vecs[1:]
-    flags = [_rigid_one(bmap, a, vecs) for a in nonzero]
-    return nonzero, flags
+    """All nonzero vectors of A_1 with their rigidity flags, computed once
+    per map."""
+    _check_bound(bmap, bound)
+    if "scan" not in bmap._cache:
+        vecs = _all_vectors(bmap.p, bmap.d)[1:]
+        flags = _rank_flags(bmap, vecs)
+        vecs.flags.writeable = flags.flags.writeable = False
+        bmap._cache["scan"] = (vecs, flags)
+    return bmap._cache["scan"]
+
+
+def _n_basis(bmap: AugBilinearMap, bound: int) -> np.ndarray:
+    """The cached N-subspace basis, shared by n_subspace and the report."""
+    vecs, flags = _scan(bmap, bound)
+    if "n" not in bmap._cache:
+        rows = np.vstack([bmap.eps[None, :], vecs[~flags]])
+        bmap._cache["n"] = row_space_basis(rows, bmap.p)
+    return bmap._cache["n"]
 
 
 def vector_label(bmap: AugBilinearMap, v) -> str:
@@ -141,20 +197,15 @@ def vector_label(bmap: AugBilinearMap, v) -> str:
 
 def n_subspace(bmap: AugBilinearMap, bound: int = DEFAULT_ENUM_BOUND) -> np.ndarray:
     """Basis of the span of eps and all non-rigid nonzero vectors."""
-    vecs, flags = _scan(bmap, bound)
-    rows = [bmap.eps[None, :]]
-    rows.extend(v[None, :] for v, f in zip(vecs, flags) if not f)
-    return row_space_basis(np.vstack(rows), bmap.p)
+    return _n_basis(bmap, bound).copy()
 
 
 def rigidity_report(bmap: AugBilinearMap, bound: int = DEFAULT_ENUM_BOUND) -> dict:
     vecs, flags = _scan(bmap, bound)
     rigid = [vector_label(bmap, v) for v, f in zip(vecs, flags) if f]
     non = [vector_label(bmap, v) for v, f in zip(vecs, flags) if not f]
-    rows = [bmap.eps[None, :]]
-    rows.extend(v[None, :] for v, f in zip(vecs, flags) if not f)
-    nsub = row_space_basis(np.vstack(rows), bmap.p)
-    return {"rigid": rigid, "nonRigid": non, "nSubspaceDim": int(len(nsub))}
+    return {"rigid": rigid, "nonRigid": non,
+            "nSubspaceDim": int(len(_n_basis(bmap, bound)))}
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,16 @@ def test_rigid_subcommand(capsys):
     assert data["nonRigid"] == [] and data["nSubspaceDim"] == 0
 
 
+def test_rigid_subcommand_at_dimension_13(capsys):
+    # p^d = 8192, well inside the enumeration bound of 2^16
+    code, out = run(capsys, "rigid", "--p", "2", "padic(n=13,case=II,f=2)")
+    assert code == 0
+    data = json.loads(out)
+    assert data["rigid"] == ["x1"]
+    assert len(data["nonRigid"]) == 2**13 - 2
+    assert data["nSubspaceDim"] == 13
+
+
 def test_field_classgroup(capsys):
     code, out = run(capsys, "field", "classgroup", "--p", "2",
                     "--model", DYADIC)

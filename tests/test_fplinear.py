@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from etkit.fplinear import (
     FpMatrix,
+    batch_rank,
     in_span,
     is_prime,
     kernel_basis,
@@ -81,6 +82,23 @@ def test_row_space_membership(data):
     combo = (x[: a.shape[0]] @ a[: len(x)]) % p if len(x) else None
     for row in a:
         assert in_span(basis, row, p)
+
+
+@st.composite
+def matrix_stacks(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5))
+    cells = draw(st.lists(st.integers(0, p - 1), min_size=n * rows * cols,
+                          max_size=n * rows * cols))
+    return p, np.array(cells, dtype=np.int64).reshape(n, rows, cols)
+
+
+@given(matrix_stacks())
+def test_batch_rank_matches_rank(data):
+    p, stack = data
+    assert batch_rank(stack, p).tolist() == [rank(m, p) for m in stack]
 
 
 def test_solve_reports_inconsistency():

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from etkit.cohomology import build_cohomology
 from etkit.errors import (
@@ -12,7 +14,11 @@ from etkit.errors import (
 from etkit.pairs import parse
 from etkit.randexpr import random_ext_rooted
 from etkit.rigidity import (
+    DEFAULT_ENUM_BOUND,
     AugBilinearMap,
+    _all_vectors,
+    _rigid_one,
+    _scan,
     check_rigidity_criterion,
     find_equivalence,
     from_cohomology,
@@ -56,7 +62,61 @@ def test_validation():
     with pytest.raises(ValidationError):
         is_rigid(m, [0, 0])
     with pytest.raises(DimensionTooLarge):
-        is_rigid(_random_map(random.Random(0), 3, 9, 1), [1] + [0] * 8)
+        # 3^11 lies above the enumeration bound 2^16
+        is_rigid(_random_map(random.Random(0), 3, 11, 1), [1] + [0] * 10)
+
+
+def test_map_arrays_are_read_only():
+    m = _random_map(random.Random(5), 2, 3, 2)
+    with pytest.raises(ValueError):
+        m.tensor[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        m.eps[0] = 1
+
+
+def _map(p, tensor, eps):
+    tensor = np.array(tensor, dtype=np.int64)
+    return AugBilinearMap(p=p, tensor=tensor, eps=np.array(eps, dtype=np.int64))
+
+
+@st.composite
+def aug_maps(draw):
+    """Arbitrary tensors, symmetric or not, with any eps at p = 2."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, {2: 5, 3: 3, 5: 2}[p]))
+    e = draw(st.integers(0, d + 1))
+    cells = draw(st.lists(st.integers(0, p - 1), min_size=d * d * e,
+                          max_size=d * d * e))
+    eps = [0] * d
+    if p == 2:
+        eps = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    return _map(p, np.reshape(cells, (d, d, e)), eps)
+
+
+@given(aug_maps())
+@example(_map(2, np.zeros((3, 3, 2)), [1, 0, 1]))  # zero tensor, eps != 0
+@example(_map(3, np.zeros((2, 2, 1)), [0, 0]))  # zero tensor, odd p
+@example(_map(5, np.arange(27).reshape(3, 3, 3) % 5, [0] * 3))  # non-symmetric
+@example(_map(2, np.arange(16).reshape(4, 4, 1) % 2, [0, 1, 1, 0]))  # e < d - 1
+@example(_map(3, np.ones((4, 4, 0)), [0] * 4))  # e = 0
+@example(_map(5, [[[2, 3]]], [0]))  # d = 1
+@example(_map(2, [[[1]]], [1]))  # d = 1, eps != 0
+def test_rank_test_matches_enumeration(m):
+    vecs, flags = _scan(m, DEFAULT_ENUM_BOUND)
+    every_b = _all_vectors(m.p, m.d)
+    assert len(vecs) == m.p**m.d - 1
+    assert flags.tolist() == [_rigid_one(m, a, every_b) for a in vecs]
+    assert [is_rigid(m, a) for a in vecs] == flags.tolist()
+
+
+def test_report_reuses_the_scan():
+    m = _random_map(random.Random(6), 3, 3, 2)
+    basis = n_subspace(m)
+    rep = rigidity_report(m)
+    assert rep["nSubspaceDim"] == len(basis)
+    assert len(rep["rigid"]) + len(rep["nonRigid"]) == 3**3 - 1
+    basis[:] = 0  # the caller's copy, not the cached basis
+    assert np.array_equal(n_subspace(m), n_subspace(_map(3, m.tensor, m.eps)))
 
 
 def test_scalar_invariance_odd_p():
