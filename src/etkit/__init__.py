@@ -44,7 +44,6 @@ from .errors import (
     ParseError,
     PrecisionExhausted,
     ValidationError,
-    WrongPrime,
 )
 from .field_models import (
     ComplexField,

@@ -1,8 +1,10 @@
 """Command-line front end with deterministic JSON output.
 
-Exit codes: 0 on success, 1 on validation errors, 2 on internal failures
-or usage errors.  All output goes to standard output as compact JSON
-with sorted keys, so identical invocations are byte-identical.
+Exit codes: 0 on success, 1 on validation errors (bad JSON inputs and a
+closed stdout included), 2 on internal failures or usage errors.  Results
+go to standard output as compact JSON with sorted keys, so identical
+invocations are byte-identical; errors go to standard error as one JSON
+object, with a "where" entry for internal failures.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,18 +35,14 @@ from .cohomology import (
 )
 from .errors import EtkitError, ValidationError
 from .field_models import (
-    class_dim,
     class_group,
     class_of,
-    domain_for,
-    element_from_json,
     from_field_model,
     is_totally_rigid_bounded,
     model_from_json,
     o_membership,
     predict_galois_pair,
     check_pairing_match,
-    symbol_dim,
     symbol_vector,
     trichotomic_search,
 )
@@ -138,7 +138,7 @@ def _element(args, name: str, model, cfg: RunConfig):
     raw = getattr(args, name, None)
     if raw is None:
         raise ValidationError(f"--{name} is required")
-    return element_from_json(model, _load_structured(raw, name))
+    return model.decode(_load_structured(raw, name))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +192,12 @@ def _cmd_field(args, cfg):
     model = _model_of(args, cfg)
     verb = args.verb
     if verb == "classgroup":
-        ops = domain_for(model)
+        labels = class_group(model, cfg.p)
         return {
-            "labels": class_group(model, cfg.p),
-            "dim": class_dim(model, cfg.p),
-            "symbolDim": symbol_dim(model, cfg.p),
-            "eps": list(class_of(model, cfg.p, ops.minus_one)),
+            "labels": labels,
+            "dim": len(labels),
+            "symbolDim": model.symbol_dim(cfg.p),
+            "eps": list(class_of(model, cfg.p, model.domain().minus_one)),
         }
     if verb == "symbol":
         a = _element(args, "a", model, cfg)
@@ -320,20 +320,32 @@ def main(argv=None) -> int:
         _emit(out, cfg)
         return 0
     except EtkitError as exc:
-        print(
-            json.dumps(
-                {"error": str(exc), "kind": type(exc).__name__},
-                sort_keys=True,
-                separators=(",", ":"),
-            ),
-            file=sys.stderr,
-        )
+        _report(exc)
         return 1
     except SystemExit:
         raise
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except BrokenPipeError as exc:
+        # the reader closed stdout (e.g. `| head`): point the descriptor at
+        # devnull so the interpreter's final flush does not fail again
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):
+            pass
+        _report(exc)
+        return 1
+    except Exception as exc:  # a bug: report where it happened
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
+        _report(exc, where=where)
         return 2
+
+
+def _report(exc: BaseException, **extra) -> None:
+    """One JSON object on stderr describing a failed run."""
+    body = {"error": str(exc), "kind": type(exc).__name__, **extra}
+    print(json.dumps(body, sort_keys=True, separators=(",", ":")), file=sys.stderr)
 
 
 if __name__ == "__main__":

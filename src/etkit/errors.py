@@ -44,11 +44,6 @@ class DegreeTooSmall(ValidationError):
     """Cohomology was requested below the minimal usable degree (2)."""
 
 
-class WrongPrime(ValidationError):
-    """Reserved: the logarithmic-level contract answers 1 for odd p
-    instead of raising, so this is never raised by library code."""
-
-
 class DimensionTooLarge(EtkitError):
     """An exhaustive search was requested above its configured bound."""
 

@@ -1,19 +1,22 @@
 """Concrete fields with computable p-th-power class groups and symbols.
 
 Six backends: finite fields, Q_ell for odd ell (tame), Q_2, R, C, and
-truncated Laurent extensions of the finite/Laurent backends.  Each gets a
-labeled basis of F^x/(F^x)^p, a degree-2 symbol into an F_p-vector
-target, a predicted Galois pair, and the bounded search routines (the
-trichotomy probe, O(S,H) membership, total rigidity).
+truncated Laurent extensions of the finite/Laurent backends.  Each is a
+frozen dataclass subclassing :class:`FieldModel` and answers for itself:
+a labeled basis of F^x/(F^x)^p, a degree-2 symbol into an F_p-vector
+target, a predicted Galois pair, an element codec and a candidate pool.
+The module-level functions check their arguments once and call those
+methods; the bounded searches (the trichotomy probe, O(S,H) membership,
+total rigidity) are written once on top of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice
 from itertools import product as iter_product
-from typing import Union
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .fplinear import in_span, is_prime, rank, row_space_basis
-from .laurent import LaurentRing, Series
+from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
 from .smallfields import GF, gf
@@ -36,155 +39,14 @@ DEFAULT_SERIES_PRECISION = 16
 
 
 # ---------------------------------------------------------------------------
-# model descriptions
-
-
-@dataclass(frozen=True)
-class FiniteField:
-    q: int
-
-
-@dataclass(frozen=True)
-class LocalRational:
-    ell: int
-
-
-@dataclass(frozen=True)
-class DyadicRational:
-    pass
-
-
-@dataclass(frozen=True)
-class RealField:
-    pass
-
-
-@dataclass(frozen=True)
-class ComplexField:
-    pass
-
-
-@dataclass(frozen=True)
-class Laurent:
-    base: "FieldModel"
-    var: str = "t"
-    precision: int = DEFAULT_SERIES_PRECISION
-
-
-FieldModel = Union[FiniteField, LocalRational, DyadicRational, RealField,
-                   ComplexField, Laurent]
-
-
-def _vars_of(model: FieldModel) -> list[str]:
-    if isinstance(model, Laurent):
-        return _vars_of(model.base) + [model.var]
-    return []
-
-
-def validate_model(model: FieldModel, p: int) -> None:
-    """mu_p must live in the field and the backend must be tame for p."""
-    if not is_prime(p):
-        raise InvalidModel(f"{p} is not prime")
-    if isinstance(model, FiniteField):
-        gf(model.q)
-        if (model.q - 1) % p:
-            raise InvalidModel(
-                f"F_{model.q} has no p-th roots of unity for p={p}"
-            )
-        return
-    if isinstance(model, LocalRational):
-        if not is_prime(model.ell) or model.ell == 2:
-            raise InvalidModel("the residue prime must be an odd prime")
-        if p != 2 and (model.ell - 1) % p:
-            raise InvalidModel(f"need ell = 1 mod {p} for mu_{p} in Q_ell")
-        return
-    if isinstance(model, (DyadicRational, RealField)):
-        if p != 2:
-            raise InvalidModel(f"{type(model).__name__} requires p=2")
-        return
-    if isinstance(model, ComplexField):
-        return
-    if isinstance(model, Laurent):
-        if not isinstance(model.base, (FiniteField, Laurent)):
-            raise InvalidModel(
-                "Laurent models are supported over finite fields and "
-                "Laurent models only"
-            )
-        if model.precision < 2:
-            raise InvalidModel("series precision must be >= 2")
-        if model.var in _vars_of(model.base):
-            raise InvalidModel(f"variable {model.var!r} reused in the tower")
-        validate_model(model.base, p)
-        return
-    raise ModelUnsupported(f"unknown model {model!r}")
-
-
-def model_from_json(data, p: int) -> FieldModel:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise InvalidModel("model JSON needs a 'kind' key")
-    kind = data["kind"]
-    params = data.get("params", {})
-    if kind == "FiniteField":
-        model: FieldModel = FiniteField(int(params["q"]))
-    elif kind == "LocalRational":
-        model = LocalRational(int(params["ell"]))
-    elif kind == "DyadicRational":
-        model = DyadicRational()
-    elif kind == "RealField":
-        model = RealField()
-    elif kind == "ComplexField":
-        model = ComplexField()
-    elif kind == "Laurent":
-        base = model_from_json(params["base"], p)
-        model = Laurent(
-            base,
-            str(params.get("var", "t")),
-            int(data.get("precision", DEFAULT_SERIES_PRECISION)),
-        )
-    else:
-        raise InvalidModel(f"unknown model kind {kind!r}")
-    validate_model(model, p)
-    return model
-
-
-def model_to_json(model: FieldModel) -> dict:
-    if isinstance(model, FiniteField):
-        return {"kind": "FiniteField", "params": {"q": model.q}}
-    if isinstance(model, LocalRational):
-        return {"kind": "LocalRational", "params": {"ell": model.ell}}
-    if isinstance(model, DyadicRational):
-        return {"kind": "DyadicRational", "params": {}}
-    if isinstance(model, RealField):
-        return {"kind": "RealField", "params": {}}
-    if isinstance(model, ComplexField):
-        return {"kind": "ComplexField", "params": {}}
-    if isinstance(model, Laurent):
-        return {
-            "kind": "Laurent",
-            "params": {"base": model_to_json(model.base), "var": model.var},
-            "precision": model.precision,
-        }
-    raise ModelUnsupported(f"unknown model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# element operations per backend
+# exact rationals and their 2-adic / ell-adic helpers
 
 
 class _FracOps:
     """Exact rationals; shared by the local, real, and complex backends."""
 
-    zero = Fraction(0)
     one = Fraction(1)
     minus_one = Fraction(-1)
-
-    @staticmethod
-    def from_int(n: int) -> Fraction:
-        return Fraction(n)
-
-    @staticmethod
-    def add(x, y):
-        return x + y
 
     @staticmethod
     def sub(x, y):
@@ -213,48 +75,6 @@ class _FracOps:
     @staticmethod
     def render(x) -> str:
         return str(Fraction(x))
-
-
-def domain_for(model: FieldModel):
-    """Element operations: a GF, a LaurentRing, or rational ops."""
-    if isinstance(model, FiniteField):
-        return gf(model.q)
-    if isinstance(model, Laurent):
-        return LaurentRing(domain_for(model.base), model.var, model.precision)
-    return _FracOps()
-
-
-def element_from_json(model: FieldModel, data):
-    """Decode a field element: integers and {"num","den"} for the rational
-    backends, residue encodings for finite fields, {"v","coeffs"} for
-    Laurent series."""
-    if isinstance(model, FiniteField):
-        if not isinstance(data, int):
-            raise ValidationError("finite-field elements are integer encodings")
-        if not 0 <= data < model.q:
-            raise ValidationError(f"element {data} outside [0, {model.q})")
-        return data
-    if isinstance(model, Laurent):
-        if not isinstance(data, dict) or "v" not in data or "coeffs" not in data:
-            raise ValidationError('series elements look like {"v":0,"coeffs":[...]}')
-        ring = domain_for(model)
-        coeffs = [element_from_json(model.base, c) for c in data["coeffs"]]
-        return ring.from_coeffs(int(data["v"]), coeffs)
-    if isinstance(data, bool) or not isinstance(data, (int, dict)):
-        raise ValidationError("rational elements are ints or {\"num\",\"den\"}")
-    if isinstance(data, int):
-        return Fraction(data)
-    if "num" not in data:
-        raise ValidationError('rational elements need a "num" key')
-    return Fraction(int(data["num"]), int(data.get("den", 1)))
-
-
-def render_element(model: FieldModel, x) -> str:
-    return domain_for(model).render(x)
-
-
-# ---------------------------------------------------------------------------
-# rational 2-adic / ell-adic helpers
 
 
 def _val_unit(x: Fraction, ell: int) -> tuple[int, Fraction]:
@@ -316,147 +136,477 @@ def norm_oracle_solvable(a: Fraction, b: Fraction, bits: int = 9) -> bool:
     return bool(((t % 8 == 1) & ~xy_odd).any())
 
 
+def _tame_residue(ops, va: int, ua, vb: int, ub):
+    """(-1)^(va*vb) * ua^vb * ub^(-va) in the residue domain ``ops``: the
+    tame symbol of a = ua*pi^va and b = ub*pi^vb."""
+    return ops.mul(
+        ops.mul(ops.pow_(ops.minus_one, va * vb), ops.pow_(ua, vb)),
+        ops.pow_(ub, -va),
+    )
+
+
 # ---------------------------------------------------------------------------
-# class groups
+# candidate pools for the bounded searches
 
 
-def class_dim(model: FieldModel, p: int) -> int:
-    if isinstance(model, FiniteField):
+def _rational_pool():
+    seen = {Fraction(0), Fraction(1)}
+    h = 2
+    while True:
+        for den in range(1, h):
+            num_abs = h - den
+            for num in (num_abs, -num_abs):
+                f = Fraction(num, den)
+                if f.denominator == den and f not in seen:
+                    seen.add(f)
+                    yield f
+        h += 1
+
+
+def _seeded_pool(seed: list):
+    """The seed, then the rational pool without the seed's elements."""
+    yield from seed
+    for f in _rational_pool():
+        if f not in seed:
+            yield f
+
+
+def _coeff_pool(domain, limit: int = 8) -> list:
+    """Small nonzero coefficients of a series domain."""
+    if isinstance(domain, GF):
+        return list(domain.units())[:limit]
+    out = [domain.one, domain.add(domain.one, domain.gen()), domain.gen()]
+    for c in _coeff_pool(domain.base, 3):
+        out.append(domain.from_const(c))
+    return out[:limit]
+
+
+# ---------------------------------------------------------------------------
+# JSON parameters
+
+
+def _int_param(params, name: str) -> int:
+    try:
+        return int(params[name])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidModel(f"model parameter {name!r} must be an integer") from exc
+
+
+# ---------------------------------------------------------------------------
+# the backends
+
+
+class FieldModel(ABC):
+    """A field backend.  Subclasses are frozen dataclasses whose fields
+    are the model's parameters; the defaults here serve the rational
+    backends (local, dyadic, real, complex)."""
+
+    @abstractmethod
+    def check(self, p: int) -> None:
+        """Raise InvalidModel unless mu_p lives in the field and the
+        backend is tame for p."""
+
+    @classmethod
+    def from_json(cls, data: dict, p: int) -> FieldModel:
+        """Decode ``{"kind", "params"}``; every field is an integer param."""
+        params = data.get("params", {})
+        return cls(**{f.name: _int_param(params, f.name) for f in fields(cls)})
+
+    def to_json(self) -> dict:
+        return {"kind": type(self).__name__,
+                "params": {f.name: getattr(self, f.name) for f in fields(self)}}
+
+    def domain(self):
+        """Element operations: a GF, a LaurentRing, or rational ops."""
+        return _FracOps()
+
+    def decode(self, data):
+        """A field element from JSON: an int or {"num","den"} here."""
+        if isinstance(data, bool) or not isinstance(data, (int, dict)):
+            raise ValidationError("rational elements are ints or {\"num\",\"den\"}")
+        if isinstance(data, int):
+            return Fraction(data)
+        if "num" not in data:
+            raise ValidationError('rational elements need a "num" key')
+        try:
+            return Fraction(int(data["num"]), int(data.get("den", 1)))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ValidationError(
+                'rational elements need integer "num" and nonzero integer "den"'
+            ) from exc
+
+    @abstractmethod
+    def basis(self, p: int) -> list[tuple[str, object]]:
+        """(label, representative) pairs of a basis of F^x/(F^x)^p."""
+
+    @abstractmethod
+    def class_of(self, p: int, a) -> tuple[int, ...]:
+        """Coordinates of a nonzero a in the basis."""
+
+    def symbol_dim(self, p: int) -> int:
         return 1
-    if isinstance(model, LocalRational):
-        return 2
-    if isinstance(model, DyadicRational):
-        return 3
-    if isinstance(model, RealField):
-        return 1
-    if isinstance(model, ComplexField):
+
+    @abstractmethod
+    def symbol(self, p: int, a, b) -> np.ndarray:
+        """Degree-2 symbol of nonzero a, b in F_p^symbol_dim."""
+
+    @abstractmethod
+    def predict(self, p: int, K: int) -> PairExpr:
+        """The predicted elementary-type Galois pair."""
+
+    def pool(self, p: int):
+        """Deterministic stream of nonzero candidates, excluding 1."""
+        return _rational_pool()
+
+    def one_in_sum(self, p: int, a, b, bound: int) -> bool | None:
+        """Does 1 lie in aS + bS?  True/False when decidable, else None.
+
+        Tame local fields: at p = 2, <a,b> represents 1 iff the symbol
+        splits; at odd p only a bounded positive search."""
+        if p == 2:
+            try:
+                return not symbol_vector(self, 2, a, b).any()
+            except PrecisionExhausted:
+                return None
+        ops = self.domain()
+        for sigma in islice(self.pool(p), bound):
+            try:
+                s = ops.mul(a, ops.pow_(sigma, p))
+                t = ops.sub(ops.one, s)
+                if ops.is_zero(t):
+                    continue
+                if class_of(self, p, t) == class_of(self, p, b):
+                    return True
+            except PrecisionExhausted:
+                continue
+        return None
+
+
+@dataclass(frozen=True)
+class FiniteField(FieldModel):
+    q: int
+
+    def check(self, p):
+        gf(self.q)
+        if (self.q - 1) % p:
+            raise InvalidModel(
+                f"F_{self.q} has no p-th roots of unity for p={p}"
+            )
+
+    def domain(self):
+        return gf(self.q)
+
+    def decode(self, data):
+        """Integer encodings in [0, q)."""
+        if isinstance(data, bool) or not isinstance(data, int):
+            raise ValidationError("finite-field elements are integer encodings")
+        if not 0 <= data < self.q:
+            raise ValidationError(f"element {data} outside [0, {self.q})")
+        return data
+
+    def basis(self, p):
+        f = gf(self.q)
+        return [(f.render(f.generator), f.generator)]
+
+    def class_of(self, p, a):
+        return gf(self.q).class_of(a, p)
+
+    def symbol_dim(self, p):
         return 0
-    if isinstance(model, Laurent):
-        return class_dim(model.base, p) + 1
-    raise ModelUnsupported(f"unknown model {model!r}")
+
+    def symbol(self, p, a, b):
+        return np.zeros(0, dtype=np.int64)
+
+    def predict(self, p, K):
+        return ZBlock(make_unit(p, self.q, 1, K))
+
+    def pool(self, p):
+        return iter(range(2, self.q))
+
+    def one_in_sum(self, p, a, b, bound):
+        f = gf(self.q)
+        powers = {f.pow_(x, p) for x in f.units()}
+        return any(f.add(f.mul(a, s1), f.mul(b, s2)) == 1
+                   for s1 in powers for s2 in powers)
 
 
-def class_group(model: FieldModel, p: int) -> list[str]:
-    """Labels of a basis of F^x/(F^x)^p."""
-    validate_model(model, p)
-    if isinstance(model, FiniteField):
-        f = gf(model.q)
-        return [f.render(f.generator)]
-    if isinstance(model, LocalRational):
-        return [str(gf(model.ell).generator), str(model.ell)]
-    if isinstance(model, DyadicRational):
-        return ["-1", "2", "5"]
-    if isinstance(model, RealField):
-        return ["-1"]
-    if isinstance(model, ComplexField):
-        return []
-    if isinstance(model, Laurent):
-        return class_group(model.base, p) + [model.var]
-    raise ModelUnsupported(f"unknown model {model!r}")
+@dataclass(frozen=True)
+class LocalRational(FieldModel):
+    ell: int
+
+    def check(self, p):
+        if not is_prime(self.ell) or self.ell == 2:
+            raise InvalidModel("the residue prime must be an odd prime")
+        if p != 2 and (self.ell - 1) % p:
+            raise InvalidModel(f"need ell = 1 mod {p} for mu_{p} in Q_ell")
+
+    def basis(self, p):
+        g = gf(self.ell).generator
+        return [(str(g), Fraction(g)), (str(self.ell), Fraction(self.ell))]
+
+    def class_of(self, p, a):
+        v, u = _val_unit(a, self.ell)
+        f = gf(self.ell)
+        return (f.class_of(_residue(u, self.ell), p)[0], v % p)
+
+    def symbol(self, p, a, b):
+        ell = self.ell
+        f = gf(ell)
+        va, ua = _val_unit(a, ell)
+        vb, ub = _val_unit(b, ell)
+        d = _tame_residue(f, va, _residue(ua, ell), vb, _residue(ub, ell))
+        return np.array(f.class_of(d, p), dtype=np.int64)
+
+    def predict(self, p, K):
+        return Ext(1, ZBlock(make_unit(p, self.ell, 1, K)))
+
+    def pool(self, p):
+        ell = self.ell
+        seed = [Fraction(r) for r in range(2, min(ell, 12))]
+        seed += [Fraction(ell), Fraction(ell + 1), Fraction(1, ell),
+                 Fraction(1 - ell)]
+        return _seeded_pool(seed)
 
 
-def class_reps(model: FieldModel, p: int) -> list:
-    """Basis representatives as backend elements, aligned with class_group."""
-    if isinstance(model, FiniteField):
-        return [gf(model.q).generator]
-    if isinstance(model, LocalRational):
-        return [Fraction(gf(model.ell).generator), Fraction(model.ell)]
-    if isinstance(model, DyadicRational):
-        return [Fraction(-1), Fraction(2), Fraction(5)]
-    if isinstance(model, RealField):
-        return [Fraction(-1)]
-    if isinstance(model, ComplexField):
-        return []
-    if isinstance(model, Laurent):
-        ring = domain_for(model)
-        lifted = [_laurent_lift(ring, r) for r in class_reps(model.base, p)]
-        return lifted + [ring.gen()]
-    raise ModelUnsupported(f"unknown model {model!r}")
+@dataclass(frozen=True)
+class DyadicRational(FieldModel):
+    def check(self, p):
+        if p != 2:
+            raise InvalidModel(f"{type(self).__name__} requires p=2")
 
+    def basis(self, p):
+        return [(str(r), Fraction(r)) for r in (-1, 2, 5)]
 
-def _laurent_lift(ring: LaurentRing, base_elem) -> Series:
-    return ring.from_const(base_elem)
-
-
-def class_of(model: FieldModel, p: int, a) -> tuple[int, ...]:
-    """Coordinates of a in the class_group basis."""
-    ops = domain_for(model)
-    if ops.is_zero(a):
-        raise ValidationError("0 has no power class")
-    if isinstance(model, FiniteField):
-        return gf(model.q).class_of(a, p)
-    if isinstance(model, LocalRational):
-        v, u = _val_unit(a, model.ell)
-        f = gf(model.ell)
-        return (f.class_of(_residue(u, model.ell), p)[0], v % p)
-    if isinstance(model, DyadicRational):
+    def class_of(self, p, a):
         v, u = _val_unit(Fraction(a), 2)
         s = 1 if u < 0 else 0
         m8 = (abs(u.numerator) * pow(u.denominator, -1, 8)) % 8
         return ((s + (1 if m8 in (3, 7) else 0)) % 2, v % 2,
                 1 if m8 in (3, 5) else 0)
-    if isinstance(model, RealField):
+
+    def symbol(self, p, a, b):
+        return np.array([hilbert2(a, b)], dtype=np.int64)
+
+    def predict(self, p, K):
+        return PAdicBlock(n=3, q=2, case="II", f=2, s=4)
+
+    def pool(self, p):
+        return _seeded_pool([Fraction(-1), Fraction(2), Fraction(5), Fraction(-2),
+                             Fraction(10), Fraction(-5), Fraction(-10)])
+
+    def one_in_sum(self, p, a, b, bound):
+        return hilbert2(a, b) == 0
+
+
+@dataclass(frozen=True)
+class RealField(FieldModel):
+    def check(self, p):
+        if p != 2:
+            raise InvalidModel(f"{type(self).__name__} requires p=2")
+
+    def basis(self, p):
+        return [("-1", Fraction(-1))]
+
+    def class_of(self, p, a):
         return (1 if a < 0 else 0,)
-    if isinstance(model, ComplexField):
+
+    def symbol(self, p, a, b):
+        return np.array([1 if a < 0 and b < 0 else 0], dtype=np.int64)
+
+    def predict(self, p, K):
+        return EBlock()
+
+    def one_in_sum(self, p, a, b, bound):
+        return a > 0 or b > 0
+
+
+@dataclass(frozen=True)
+class ComplexField(FieldModel):
+    def check(self, p):
+        pass
+
+    def basis(self, p):
+        return []
+
+    def class_of(self, p, a):
         return ()
-    if isinstance(model, Laurent):
-        return domain_for(model).class_of(a, p)
-    raise ModelUnsupported(f"unknown model {model!r}")
+
+    def symbol_dim(self, p):
+        return 0
+
+    def symbol(self, p, a, b):
+        return np.zeros(0, dtype=np.int64)
+
+    def predict(self, p, K):
+        return Trivial()
+
+    def one_in_sum(self, p, a, b, bound):
+        return True
+
+
+@dataclass(frozen=True)
+class Laurent(FieldModel):
+    """F((var)) over a finite or Laurent base, with series kept to
+    ``precision`` coefficients."""
+
+    base: FieldModel
+    var: str = "t"
+    precision: int = DEFAULT_SERIES_PRECISION
+
+    def check(self, p):
+        if not isinstance(self.base, (FiniteField, Laurent)):
+            raise InvalidModel(
+                "Laurent models are supported over finite fields and "
+                "Laurent models only"
+            )
+        if self.precision < 2:
+            raise InvalidModel("series precision must be >= 2")
+        inner = self.base
+        while isinstance(inner, Laurent):
+            if inner.var == self.var:
+                raise InvalidModel(f"variable {self.var!r} reused in the tower")
+            inner = inner.base
+        self.base.check(p)
+
+    @classmethod
+    def from_json(cls, data, p):
+        """``{"kind": "Laurent", "params": {"base", "var"}, "precision"}``."""
+        params = data.get("params", {})
+        if not isinstance(params, dict) or "base" not in params:
+            raise InvalidModel("a Laurent model needs a 'base' param")
+        base = model_from_json(params["base"], p)
+        precision = (_int_param(data, "precision") if "precision" in data
+                     else DEFAULT_SERIES_PRECISION)
+        return cls(base, str(params.get("var", "t")), precision)
+
+    def to_json(self):
+        return {
+            "kind": "Laurent",
+            "params": {"base": self.base.to_json(), "var": self.var},
+            "precision": self.precision,
+        }
+
+    def domain(self):
+        return LaurentRing(self.base.domain(), self.var, self.precision)
+
+    def decode(self, data):
+        """{"v": valuation, "coeffs": [...]}, coefficients in the base."""
+        if not isinstance(data, dict) or "v" not in data or "coeffs" not in data:
+            raise ValidationError('series elements look like {"v":0,"coeffs":[...]}')
+        if not isinstance(data["coeffs"], list):
+            raise ValidationError('series "coeffs" must be a list')
+        coeffs = [self.base.decode(c) for c in data["coeffs"]]
+        try:
+            v = int(data["v"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError('series "v" must be an integer') from exc
+        return self.domain().from_coeffs(v, coeffs)
+
+    def basis(self, p):
+        ring = self.domain()
+        lifted = [(label, ring.from_const(r)) for label, r in self.base.basis(p)]
+        return lifted + [(self.var, ring.gen())]
+
+    def class_of(self, p, a):
+        """Residue-field class of the unit part, then valuation mod p."""
+        ring = self.domain()
+        v = ring.val(a)
+        return self.base.class_of(p, ring.lead(a)) + (v % p,)
+
+    def symbol_dim(self, p):
+        return self.base.symbol_dim(p) + len(self.base.basis(p))
+
+    def symbol(self, p, a, b):
+        """The base symbol of the leading coefficients, then the class of
+        the tame residue."""
+        ring = self.domain()
+        va, vb = ring.val(a), ring.val(b)
+        ua, ub = ring.lead(a), ring.lead(b)
+        head = symbol_vector(self.base, p, ua, ub)
+        d = _tame_residue(ring.base, va, ua, vb, ub)
+        tail = np.array(class_of(self.base, p, d), dtype=np.int64)
+        return np.concatenate([head, tail])
+
+    def predict(self, p, K):
+        return Ext(1, self.base.predict(p, K))
+
+    def pool(self, p):
+        ring = self.domain()
+        units = _coeff_pool(ring.base)
+        yield ring.add(ring.one, ring.gen())
+        yield ring.gen()
+        for c in units:
+            # value equality here, exact subtraction of equal series
+            # would exhaust the precision window
+            if c != ring.base.one:
+                yield ring.from_const(c)
+        for v in (0, 1, -1, 2):
+            for c0 in units:
+                for c1 in [ring.base.zero] + units:
+                    if v == 0 and c1 == ring.base.zero and c0 == ring.base.one:
+                        continue
+                    s = ring.from_coeffs(v, [c0, c1])
+                    if s.zero:
+                        continue
+                    yield s
+
+
+_KINDS = {cls.__name__: cls for cls in (FiniteField, LocalRational, DyadicRational,
+                                        RealField, ComplexField, Laurent)}
+
+
+def validate_model(model: FieldModel, p: int) -> None:
+    """mu_p must live in the field and the backend must be tame for p."""
+    if not is_prime(p):
+        raise InvalidModel(f"{p} is not prime")
+    if not isinstance(model, FieldModel):
+        raise ModelUnsupported(f"unknown model {model!r}")
+    model.check(p)
+
+
+def model_from_json(data, p: int) -> FieldModel:
+    if not isinstance(data, dict) or "kind" not in data:
+        raise InvalidModel("model JSON needs a 'kind' key")
+    kind = data["kind"]
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidModel(f"unknown model kind {kind!r}")
+    model = cls.from_json(data, p)
+    validate_model(model, p)
+    return model
+
+
+def model_to_json(model: FieldModel) -> dict:
+    return model.to_json()
+
+
+# ---------------------------------------------------------------------------
+# class groups and symbols
+
+
+def class_group(model: FieldModel, p: int) -> list[str]:
+    """Labels of a basis of F^x/(F^x)^p."""
+    validate_model(model, p)
+    return [label for label, _ in model.basis(p)]
+
+
+def class_of(model: FieldModel, p: int, a) -> tuple[int, ...]:
+    """Coordinates of a in the class_group basis."""
+    if model.domain().is_zero(a):
+        raise ValidationError("0 has no power class")
+    return model.class_of(p, a)
 
 
 def is_pth_power(model: FieldModel, p: int, a) -> bool:
     return not any(class_of(model, p, a))
 
 
-# ---------------------------------------------------------------------------
-# symbols
-
-
-def symbol_dim(model: FieldModel, p: int) -> int:
-    if isinstance(model, (FiniteField, ComplexField)):
-        return 0
-    if isinstance(model, (LocalRational, DyadicRational, RealField)):
-        return 1
-    if isinstance(model, Laurent):
-        return symbol_dim(model.base, p) + class_dim(model.base, p)
-    raise ModelUnsupported(f"unknown model {model!r}")
-
-
 def symbol_vector(model: FieldModel, p: int, a, b) -> np.ndarray:
     """Degree-2 symbol of {a, b} in the model's F_p^e target."""
-    ops = domain_for(model)
+    ops = model.domain()
     if ops.is_zero(a) or ops.is_zero(b):
         raise ValidationError("symbols take nonzero arguments")
-    if isinstance(model, (FiniteField, ComplexField)):
-        return np.zeros(0, dtype=np.int64)
-    if isinstance(model, RealField):
-        return np.array([1 if a < 0 and b < 0 else 0], dtype=np.int64)
-    if isinstance(model, DyadicRational):
-        return np.array([hilbert2(a, b)], dtype=np.int64)
-    if isinstance(model, LocalRational):
-        ell = model.ell
-        f = gf(ell)
-        va, ua = _val_unit(a, ell)
-        vb, ub = _val_unit(b, ell)
-        ra, rb = _residue(ua, ell), _residue(ub, ell)
-        d = f.mul(
-            f.mul(f.pow_(f.minus_one, va * vb), f.pow_(ra, vb)),
-            f.pow_(rb, -va),
-        )
-        return np.array(f.class_of(d, p), dtype=np.int64)
-    if isinstance(model, Laurent):
-        ring = domain_for(model)
-        base = ring.base
-        va, vb = ring.val(a), ring.val(b)
-        ua, ub = ring.lead(a), ring.lead(b)
-        head = symbol_vector(model.base, p, ua, ub)
-        d = base.mul(
-            base.mul(base.pow_(base.minus_one, va * vb), base.pow_(ua, vb)),
-            base.pow_(ub, -va),
-        )
-        tail = np.array(class_of(model.base, p, d), dtype=np.int64)
-        return np.concatenate([head, tail])
-    raise ModelUnsupported(f"unknown model {model!r}")
+    return model.symbol(p, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -466,36 +616,23 @@ def symbol_vector(model: FieldModel, p: int, a, b) -> np.ndarray:
 def predict_galois_pair(model: FieldModel, p: int,
                         K: int = DEFAULT_PRECISION) -> PairExpr:
     validate_model(model, p)
-    if isinstance(model, ComplexField):
-        return Trivial()
-    if isinstance(model, RealField):
-        return EBlock()
-    if isinstance(model, FiniteField):
-        return ZBlock(make_unit(p, model.q, 1, K))
-    if isinstance(model, LocalRational):
-        return Ext(1, ZBlock(make_unit(p, model.ell, 1, K)))
-    if isinstance(model, DyadicRational):
-        return PAdicBlock(n=3, q=2, case="II", f=2, s=4)
-    if isinstance(model, Laurent):
-        return Ext(1, predict_galois_pair(model.base, p, K))
-    raise ModelUnsupported(f"unknown model {model!r}")
+    return model.predict(p, K)
 
 
 def from_field_model(model: FieldModel, p: int) -> AugBilinearMap:
     """The symbol pairing on F^x/(F^x)^p with eps = class of -1."""
     validate_model(model, p)
-    reps = class_reps(model, p)
-    labels = class_group(model, p)
-    d = len(reps)
-    e = symbol_dim(model, p)
+    basis = model.basis(p)
+    d = len(basis)
+    e = model.symbol_dim(p)
     tensor = np.zeros((d, d, e), dtype=np.int64)
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
+    for i, (_, ri) in enumerate(basis):
+        for j, (_, rj) in enumerate(basis):
             tensor[i, j] = symbol_vector(model, p, ri, rj)
-    ops = domain_for(model)
-    eps = np.array(class_of(model, p, ops.minus_one), dtype=np.int64)
+    eps = np.array(class_of(model, p, model.domain().minus_one), dtype=np.int64)
     return AugBilinearMap(
-        p=p, tensor=tensor, eps=eps, labels=tuple(labels), multiplicative=True
+        p=p, tensor=tensor, eps=eps, labels=tuple(label for label, _ in basis),
+        multiplicative=True,
     )
 
 
@@ -518,83 +655,6 @@ def check_pairing_match(model: FieldModel, e: PairExpr, p: int,
     if rank(flat1, p) != rank(flat2, p):
         return False
     return find_equivalence(m1, m2) is not None
-
-
-# ---------------------------------------------------------------------------
-# candidate pools for the bounded searches
-
-
-def _rational_pool():
-    seen = {Fraction(0), Fraction(1)}
-    h = 2
-    while True:
-        for den in range(1, h):
-            num_abs = h - den
-            for num in (num_abs, -num_abs):
-                f = Fraction(num, den)
-                if f.denominator == den and f not in seen:
-                    seen.add(f)
-                    yield f
-        h += 1
-
-
-def _coeff_pool(domain, limit: int = 8) -> list:
-    """Small nonzero coefficients of a series domain."""
-    if isinstance(domain, GF):
-        return list(domain.units())[:limit]
-    out = [domain.one, domain.add(domain.one, domain.gen()), domain.gen()]
-    for c in _coeff_pool(domain.base, 3):
-        out.append(domain.from_const(c))
-    return out[:limit]
-
-
-def element_pool(model: FieldModel, p: int):
-    """Deterministic stream of nonzero elements excluding 1."""
-    if isinstance(model, FiniteField):
-        yield from range(2, model.q)
-        return
-    if isinstance(model, DyadicRational):
-        seed = [Fraction(-1), Fraction(2), Fraction(5), Fraction(-2),
-                Fraction(10), Fraction(-5), Fraction(-10)]
-        yield from seed
-        for f in _rational_pool():
-            if f not in seed:
-                yield f
-        return
-    if isinstance(model, LocalRational):
-        ell = model.ell
-        seed = [Fraction(r) for r in range(2, min(ell, 12))]
-        seed += [Fraction(ell), Fraction(ell + 1), Fraction(1, ell),
-                 Fraction(1 - ell)]
-        yield from seed
-        for f in _rational_pool():
-            if f not in seed:
-                yield f
-        return
-    if isinstance(model, (RealField, ComplexField)):
-        yield from _rational_pool()
-        return
-    if isinstance(model, Laurent):
-        ring = domain_for(model)
-        units = _coeff_pool(ring.base)
-        yield ring.add(ring.one, ring.gen())
-        yield ring.gen()
-        for c in units:
-            # value equality here, exact subtraction of equal series
-            # would exhaust the precision window
-            if c != ring.base.one:
-                yield ring.from_const(c)
-        for v in (0, 1, -1, 2):
-            for c0 in units:
-                for c1 in [ring.base.zero] + units:
-                    if v == 0 and c1 == ring.base.zero and c0 == ring.base.one:
-                        continue
-                    s = ring.from_coeffs(v, [c0, c1])
-                    if s.zero:
-                        continue
-                    yield s
-        return
-    raise ModelUnsupported(f"unknown model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +683,9 @@ def trichotomic_search(model: FieldModel, p: int, a,
     validate_model(model, p)
     if is_pth_power(model, p, a):
         raise ValidationError("a must not be a p-th power")
-    ops = domain_for(model)
+    ops = model.domain()
     searched = 0
-    for b in islice(element_pool(model, p), bound):
+    for b in islice(model.pool(p), bound):
         searched += 1
         try:
             one_minus_b = ops.sub(ops.one, b)
@@ -695,11 +755,10 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     validate_model(model, p)
     if target not in ("OMinus", "OPlus", "ORing"):
         raise ValidationError(f"unknown target {target!r}")
-    ops = domain_for(model)
+    ops = model.domain()
     if ops.is_zero(a):
         raise ValidationError("membership is about nonzero elements")
-    d = class_dim(model, p)
-    h = _parse_h(h_spec, d, p)
+    h = _parse_h(h_spec, len(model.basis(p)), p)
 
     def in_h(x) -> bool:
         return class_of(model, p, x) in h
@@ -722,15 +781,14 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
         return OVerdict(target, "NonMember", bound, ops.render(a))
 
     if isinstance(model, FiniteField):
-        f = gf(model.q)
-        o_minus = [c for c in f.units() if in_o_minus(c)]
+        o_minus = [c for c in ops.units() if in_o_minus(c)]
         for c in o_minus:
-            if not in_o_minus(f.mul(a, c)):
+            if not in_o_minus(ops.mul(a, c)):
                 return OVerdict(target, "NonMember", bound, ops.render(c))
         return OVerdict(target, "Member", bound)
 
     tried = 0
-    for sigma in element_pool(model, p):
+    for sigma in model.pool(p):
         if tried >= bound:
             break
         tried += 1
@@ -771,57 +829,20 @@ class TotalRigidityVerdict:
         }
 
 
-def _one_in_sum(model: FieldModel, p: int, a, b, inner_bound: int) -> bool | None:
-    """Does 1 lie in aS + bS?  True/False when decidable, None otherwise."""
-    ops = domain_for(model)
-    if isinstance(model, FiniteField):
-        f = gf(model.q)
-        powers = {f.pow_(x, p) for x in f.units()}
-        for s1 in powers:
-            for s2 in powers:
-                if f.add(f.mul(a, s1), f.mul(b, s2)) == 1:
-                    return True
-        return False
-    if isinstance(model, ComplexField):
-        return True
-    if isinstance(model, RealField):
-        return a > 0 or b > 0
-    if isinstance(model, DyadicRational):
-        return hilbert2(a, b) == 0
-    if p == 2 and isinstance(model, (LocalRational, Laurent)):
-        # over a tame local field, <a,b> represents 1 iff the symbol splits
-        try:
-            return not symbol_vector(model, 2, a, b).any()
-        except PrecisionExhausted:
-            return None
-    # odd p over Q_ell / Laurent: bounded positive search only
-    for sigma in islice(element_pool(model, p), inner_bound):
-        try:
-            s = ops.mul(a, ops.pow_(sigma, p))
-            t = ops.sub(ops.one, s)
-            if ops.is_zero(t):
-                continue
-            if class_of(model, p, t) == class_of(model, p, b):
-                return True
-        except PrecisionExhausted:
-            continue
-    return None
-
-
 def is_totally_rigid_bounded(model: FieldModel, p: int,
                              bound: int = 4096) -> TotalRigidityVerdict:
     """Compare the Steinberg subgroup St_2(S), generated by witnesses of
     1 in aS + bS, with the subgroup generated by the tensors a (x) (-a)."""
     validate_model(model, p)
-    d = class_dim(model, p)
+    reps = [r for _, r in model.basis(p)]
+    d = len(reps)
     total = p ** (2 * d)
     if total > bound:
         raise DimensionTooLarge(
             f"{total} coset pairs exceed the search bound {bound}"
         )
-    ops = domain_for(model)
+    ops = model.domain()
     vecs = list(iter_product(range(p), repeat=d))
-    reps = class_reps(model, p)
 
     def rep_of(vec):
         acc = ops.one
@@ -842,7 +863,7 @@ def is_totally_rigid_bounded(model: FieldModel, p: int,
     witness = None
     for va in vecs:
         for vb in vecs:
-            res = _one_in_sum(model, p, rep_of(va), rep_of(vb), 60)
+            res = model.one_in_sum(p, rep_of(va), rep_of(vb), 60)
             if res is None:
                 continue
             decided += 1

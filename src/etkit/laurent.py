@@ -163,29 +163,6 @@ class LaurentRing:
             n >>= 1
         return acc
 
-    def shift(self, x: Series, k: int) -> Series:
-        """Multiplication by t^k."""
-        if x.zero:
-            return x
-        return Series(x.v + k, x.coeffs, False)
-
-    # -- p-th power classes ------------------------------------------------------
-
-    def is_pth_power(self, x: Series, p: int) -> bool:
-        # tame Hensel: a unit is a p-th power iff its residue is
-        v = self.val(x)
-        if v % p:
-            return False
-        return self.base.is_pth_power(self.lead(x), p)
-
-    def class_of(self, x: Series, p: int) -> tuple[int, ...]:
-        """Residue-field class of the unit part, then valuation mod p."""
-        v = self.val(x)
-        return self.base.class_of(self.lead(x), p) + (v % p,)
-
-    def class_dim(self, p: int) -> int:
-        return self.base.class_dim(p) + 1
-
     # -- presentation ---------------------------------------------------------
 
     def _term(self, c, k: int) -> str:

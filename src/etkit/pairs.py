@@ -190,7 +190,7 @@ def _validate_block(e: PAdicBlock, p: int) -> None:
 # grammar
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>-?\d+)|(?P<name>[A-Za-z]+)|(?P<punct>[*(),=/]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>-?[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[*(),=/]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -323,10 +323,11 @@ class _Parser:
         if case_tok is None:
             raise ValidationError("padic block requires case")
         case = case_tok[1]
-        f_tok = fields.pop("f", None)
-        f = None
-        if f_tok is not None:
-            f = INF if f_tok[1] == "inf" else int(f_tok[1])
+        if "f" in fields and fields["f"][1] == "inf":
+            del fields["f"]
+            f = INF
+        else:
+            f = intval("f")
         q = intval("q")
         if q is None:
             if case == "I":
@@ -410,9 +411,6 @@ def to_json(e: PairExpr) -> dict:
 
 # ---------------------------------------------------------------------------
 # normalization
-
-
-_TAGS = {Trivial: 0, ZBlock: 1, EBlock: 2, PAdicBlock: 3, FreeProd: 4, Ext: 5}
 
 
 def sort_key(e: PairExpr):

@@ -9,7 +9,6 @@ tests and class-group coordinates one table lookup away.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .errors import InvalidModel, ValidationError
 from .fplinear import is_prime
@@ -190,11 +189,6 @@ class GF:
 
     # -- p-th power classes --------------------------------------------------
 
-    def is_pth_power(self, x: int, p: int) -> bool:
-        if x == 0:
-            raise ValidationError("0 has no power class")
-        return self.dlog[x] % gcd(p, self.q - 1) == 0
-
     def class_of(self, x: int, p: int) -> tuple[int, ...]:
         """Coordinates of x in F^x/(F^x)^p w.r.t. the generator basis."""
         if x == 0:
@@ -202,9 +196,6 @@ class GF:
         if (self.q - 1) % p:
             return ()
         return (self.dlog[x] % p,)
-
-    def class_dim(self, p: int) -> int:
-        return 0 if (self.q - 1) % p else 1
 
     # -- presentation --------------------------------------------------------
 

@@ -24,7 +24,6 @@ from etkit.field_models import (
     LocalRational,
     RealField,
     check_pairing_match,
-    domain_for,
     from_field_model,
     hilbert2,
     is_totally_rigid_bounded,
@@ -81,7 +80,7 @@ def test_criterion_02_hilbert_and_tame_symbols():
         sampled = 0
         for q in (3, 5, 7, 9, 13):
             model = Laurent(FiniteField(q), "t", 8)
-            ring = domain_for(model)
+            ring = model.domain()
             f = gf(q)
             rng = random.Random(200 + q)
             for _ in range(110):
@@ -305,10 +304,10 @@ def test_criterion_09_field_predictions():
 def test_criterion_10_valuation_probes():
     def body():
         tower = Laurent(Laurent(FiniteField(3), "t", 8), "u", 8)
-        ring = domain_for(tower)
+        ring = tower.domain()
         u = ring.gen()
         assert o_membership(tower, 2, u, "all", "OMinus").verdict == "Member"
-        tu = ring.mul(ring.from_const(domain_for(tower.base).gen()), u)
+        tu = ring.mul(ring.from_const(tower.base.domain().gen()), u)
         even = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
         assert o_membership(tower, 2, tu, even, "OMinus").verdict == \
             "NonMember"

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
+from etkit import cli
 from etkit.cli import main
 
 DYADIC = '{"kind":"DyadicRational","params":{}}'
 FF5 = '{"kind":"FiniteField","params":{"q":5}}'
+F5T = '{"kind":"Laurent","params":{"base":%s},"precision":8}' % FF5
 
 
 def run(capsys, *argv):
@@ -203,3 +205,57 @@ def test_oracle_errors_exit_one(capsys):
                     "--kernel", "[0,4]")
     assert code == 1
     assert json.loads(out)["kind"] == "KernelNotCentral"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "--model", '{"kind":"FiniteField","params":{}}'],
+    ["classgroup", "--model", '{"kind":"FiniteField","params":[]}'],
+    ["classgroup", "--model", '{"kind":"FiniteField","params":{"q":"x"}}'],
+    ["classgroup", "--model", '{"kind":["FiniteField"],"params":{"q":5}}'],
+    ["classgroup", "--model", '{"kind":"Laurent","params":{"var":"t"}}'],
+    ["classgroup", "--model",
+     '{"kind":"Laurent","params":{"base":%s},"precision":"x"}' % FF5],
+    ["symbol", "--model", DYADIC, "--a", '{"num":1,"den":0}', "--b", "2"],
+    ["symbol", "--model", DYADIC, "--a", '{"num":"x"}', "--b", "2"],
+    ["symbol", "--model", F5T, "--a", '{"v":"x","coeffs":[1]}', "--b", "2"],
+    ["symbol", "--model", F5T, "--a", '{"v":0,"coeffs":5}', "--b", "2"],
+    ["symbol", "--model", FF5, "--a", "true", "--b", "2"],
+], ids=["no-q", "list-params", "q-not-int", "list-kind", "no-base",
+        "precision-not-int", "zero-den", "num-not-int", "v-not-int",
+        "coeffs-not-list", "bool-element"])
+def test_bad_field_json_exits_one(capsys, argv):
+    code = main(["field", *argv[:1], "--p", "2", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert isinstance(json.loads(captured.err), dict)
+
+
+def test_closed_stdout_exits_one():
+    # the report is about 192 KB, more than a pipe buffer holds, so the
+    # CLI is still writing when the reader closes its end
+    with subprocess.Popen(
+        [sys.executable, "-m", "etkit.cli", "rigid", "--p", "2",
+         "padic(n=13,case=II,f=2)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    # one JSON object and nothing else, so no error at interpreter exit
+    assert json.loads(err)["kind"] == "BrokenPipeError"
+
+
+def test_internal_error_is_json(capsys, monkeypatch):
+    def broken(args, cfg):
+        raise KeyError("q")
+
+    monkeypatch.setitem(cli._HANDLERS, "parse", broken)
+    assert main(["parse", "--p", "2", "E"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert set(report) == {"error", "kind", "where"}
+    assert report["kind"] == "KeyError"
+    assert report["where"].startswith("test_cli.py:")

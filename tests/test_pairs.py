@@ -57,6 +57,11 @@ def test_parse_compound():
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         parse("ext(1,", 2)
+    # non-ASCII digits and a non-integer f are grammar errors
+    for text in ("Z(\u0663)", "padic(n=3,case=II,f=abc)"):
+        with pytest.raises(ParseError) as info:
+            parse(text, 2)
+        assert info.value.position is not None
     with pytest.raises(ValidationError):
         parse("padic(n=3)", 2)  # missing case
     with pytest.raises(ValidationError):
