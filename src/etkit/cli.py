@@ -106,7 +106,10 @@ def _expr_text(args) -> str:
     if inline is not None and path is not None:
         raise ValidationError("give the expression inline or via --file, not both")
     if path is not None:
-        return Path(path).read_text()
+        try:
+            return Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"could not read --file: {exc}") from exc
     if inline is None:
         raise ValidationError("an expression is required")
     return inline
@@ -120,6 +123,8 @@ def _load_structured(value: str, what: str):
     try:
         if candidate.is_file():
             text = candidate.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"could not read --{what}: {exc}") from exc
     except OSError:
         pass
     try:

@@ -13,6 +13,11 @@ ranks for every nonzero a in one batched elimination, chunked so that its
 working memory stays fixed, and caches the flags on the map.  The
 brute-force test ``_rigid_one``, which enumerates every b, is kept as the
 oracle for the rank test.
+
+Equivalence of two maps is decided by a search over the columns of the
+change of basis, restricted and pruned by rank invariants of every vector
+(see ``find_equivalence``); the enumeration of all p^(d^2) matrices,
+``_find_equivalence_brute``, is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -258,32 +263,46 @@ def restrict(bmap: AugBilinearMap, rows) -> AugBilinearMap:
     )
 
 
-def find_equivalence(
-    m1: AugBilinearMap,
-    m2: AugBilinearMap,
-    cap: int = DEFAULT_PAIR_CAP,
-    q_cap: int = 10_000,
-):
-    """Invertible P, Q with Q B1(a,b) = B2(Pa, Pb) and P eps1 = eps2.
+def _keys(bmap: AugBilinearMap, bound: int) -> np.ndarray:
+    """Invariant key of every vector a of A_1, indexed like ``_all_vectors``.
 
-    Returns the pair (P, Q) or None.  P is found by enumeration of all
-    d x d matrices (capped), Q by solving the induced linear system.
+    The key packs rank(b -> B(a, b)), rank(b -> B(b, a)), the rank of the
+    two together, whether B(a, a) = 0 and whether a = eps.  The three ranks
+    of a chunk come from one batched elimination; computed once per map.
     """
-    if m1.p != m2.p:
-        raise ValidationError("maps live over different primes")
-    p = m1.p
-    if m1.d != m2.d or m1.e != m2.e:
-        return None
-    d, e = m1.d, m1.e
-    if d == 0:
-        return np.zeros((0, 0), dtype=np.int64), np.eye(e, dtype=np.int64)
-    if p ** (d * d) > cap:
-        raise DimensionTooLarge(
-            f"p^(d^2) = {p ** (d * d)} exceeds the search cap {cap}"
-        )
+    _check_bound(bmap, bound)
+    if "keys" not in bmap._cache:
+        p, d, e = bmap.p, bmap.d, bmap.e
+        vecs = _all_vectors(p, d)
+        keys = np.empty(len(vecs), dtype=np.int64)
+        left_flat = bmap.tensor.reshape(d, d * e)
+        right_flat = bmap.tensor.transpose(1, 0, 2).reshape(d, d * e)
+        step = max(1, _CHUNK_CELLS // max(1, 6 * d * e))
+        for s in range(0, len(vecs), step):
+            a = vecs[s : s + step]
+            left = (a @ left_flat % p).reshape(len(a), d, e)
+            stack = np.zeros((3, len(a), d, 2 * e), dtype=np.int64)
+            stack[0, ..., :e] = stack[2, ..., :e] = left
+            stack[1, ..., :e] = stack[2, ..., e:] = (a @ right_flat % p).reshape(
+                len(a), d, e
+            )
+            r = batch_rank(stack.reshape(3 * len(a), d, 2 * e), p).reshape(3, len(a))
+            iso = ~(np.einsum("cj,cjk->ck", a, left) % p).any(axis=1)
+            is_eps = (a == bmap.eps).all(axis=1)
+            keys[s : s + step] = (
+                ((r[0] * (d + 1) + r[1]) * (d + 1) + r[2]) * 2 + iso
+            ) * 2 + is_eps
+        keys.flags.writeable = False
+        bmap._cache["keys"] = keys
+    return bmap._cache["keys"]
+
+
+def _q_finder(m1: AugBilinearMap, m2: AugBilinearMap, q_cap: int):
+    """For a candidate P: an invertible Q with Q B1(a,b) = B2(Pa, Pb), or
+    None.  Q is solved row by row; when the solution is singular, the
+    coset of the kernel is searched (at most ``q_cap`` members)."""
+    p, d, e = m1.p, m1.d, m1.e
     v_t = m1.tensor.reshape(d * d, e)
-    ker = kernel_basis(v_t, p)
-    k = len(ker)
 
     def try_p(pm: np.ndarray):
         if ((pm @ m1.eps) % p != m2.eps).any():
@@ -300,6 +319,8 @@ def find_equivalence(
         q0 = np.array(q_rows, dtype=np.int64).reshape(e, e) % p
         if rank(q0, p) == e:
             return q0
+        ker = kernel_basis(v_t, p)
+        k = len(ker)
         if k == 0:
             return None
         if p ** (k * e) > q_cap:
@@ -316,6 +337,139 @@ def find_equivalence(
                 return q
         return None
 
+    return try_p
+
+
+def _same_shape(m1: AugBilinearMap, m2: AugBilinearMap) -> bool:
+    if m1.p != m2.p:
+        raise ValidationError("maps live over different primes")
+    return (m1.d, m1.e) == (m2.d, m2.e)
+
+
+def find_equivalence(
+    m1: AugBilinearMap,
+    m2: AugBilinearMap,
+    cap: int = DEFAULT_PAIR_CAP,
+    q_cap: int = 10_000,
+    bound: int = DEFAULT_ENUM_BOUND,
+):
+    """Invertible P, Q with Q B1(a,b) = B2(Pa, Pb) and P eps1 = eps2.
+
+    Returns the pair (P, Q) or None.
+
+    Such a P maps every vector a of m1 to a vector Pa of m2 with the same
+    key (see ``_keys``).  Indeed b -> B2(Pa, b) is b -> Q B1(a, P^-1 b),
+    whose rank is that of b -> B1(a, b) because P and Q are invertible;
+    the same holds for b -> B2(b, Pa) and for the two together.
+    B2(Pa, Pa) = Q B1(a, a) vanishes exactly when B1(a, a) does, and
+    Pa = eps2 exactly when a = eps1.  So a -> Pa is a key-preserving
+    bijection of A_1 that fixes 0: when the key counts of the two maps
+    differ, or the keys of their zero vectors do, the answer is None.
+
+    Otherwise the columns of P are chosen one basis vector at a time, the
+    basis vectors with the fewest candidates first.  The image of e_j
+    ranges over the vectors of m2 with the key of e_j in m1.  A branch is
+    pruned when a nonzero combination of the chosen columns is zero or has
+    another key than the same combination of basis vectors in m1, or when
+    no invertible Q fits the pairs of chosen basis vectors: with columns
+    X1 = B1(e_a, e_b) and X2 = B2(Pe_a, Pe_b), an invertible Q with
+    Q X1 = X2 exists exactly when rank X1 = rank X2 = rank [X1; X2].  At a
+    leaf, P eps1 = eps2 is checked and Q is solved for.
+
+    Raises ``DimensionTooLarge`` when p^d exceeds ``bound`` (the keys
+    enumerate A_1), when the search tries more than ``cap`` candidate
+    columns, or when the coset search for a singular Q exceeds ``q_cap``.
+    The brute-force ``_find_equivalence_brute`` is kept as its oracle.
+    """
+    if not _same_shape(m1, m2):
+        return None
+    p, d, e = m1.p, m1.d, m1.e
+    if d == 0:
+        return np.zeros((0, 0), dtype=np.int64), np.eye(e, dtype=np.int64)
+    k1, k2 = _keys(m1, bound), _keys(m2, bound)
+    if k1[0] != k2[0] or not np.array_equal(np.bincount(k1), np.bincount(k2)):
+        return None
+    vecs = _all_vectors(p, d)
+    place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    cands = [vecs[np.flatnonzero(k2[1:] == k1[place[j]]) + 1] for j in range(d)]
+    order = sorted(range(d), key=lambda j: len(cands[j]))
+    levels = []
+    for j in range(d):
+        s = order[: j + 1]
+        lam = vecs[: p ** (j + 1), d - j - 1 :]  # all of F_p^(j+1)
+        lam = lam[lam[:, -1] != 0]  # the combinations that use the new column
+        x1 = m1.tensor[s][:, s].reshape((j + 1) ** 2, e)
+        cells = max(len(lam) * d, 4 * len(x1) * e, 1)
+        levels.append((lam, k1[lam @ place[s]], x1,
+                       max(1, _CHUNK_CELLS // cells)))
+    flat2 = m2.tensor.reshape(d, d * e)
+    try_p = _q_finder(m1, m2, q_cap)
+    nodes = 0
+
+    def extend(chosen: np.ndarray):
+        nonlocal nodes
+        j = len(chosen)
+        lam, target, x1, step = levels[j]
+        base = lam[:, :j] @ chosen
+        for s in range(0, len(cands[order[j]]), step):
+            c = cands[order[j]][s : s + step]
+            nodes += len(c)
+            if nodes > cap:
+                raise DimensionTooLarge(
+                    f"equivalence search tried more than {cap} candidate columns"
+                )
+            img = (base[None] + lam[None, :, j, None] * c[:, None, :]) % p @ place
+            c = c[(k2[img] == target).all(axis=1) & (img != 0).all(axis=1)]
+            if not len(c):
+                continue
+            n = len(c)
+            full = np.empty((n, j + 1, d), dtype=np.int64)
+            full[:, :j] = chosen
+            full[:, j] = c
+            if j:  # for one column, the B(a, a) = 0 part of the key decides
+                # ranks of X1, of each X2 and of each [X1; X2], as rows
+                half = (full @ flat2 % p).reshape(n, j + 1, d, e)
+                stack = np.zeros((2 * n + 1, len(x1), 2 * e), dtype=np.int64)
+                stack[0, :, :e] = stack[n + 1 :, :, :e] = x1
+                stack[1 : n + 1, :, :e] = stack[n + 1 :, :, e:] = (
+                    full[:, None] @ half % p
+                ).reshape(n, len(x1), e)
+                r = batch_rank(stack, p)
+                full = full[(r[1 : n + 1] == r[0]) & (r[n + 1 :] == r[0])]
+            for cols in full:
+                if j + 1 < d:
+                    got = extend(cols)
+                    if got is not None:
+                        return got
+                    continue
+                pm = np.empty((d, d), dtype=np.int64)
+                pm[:, order] = cols.T
+                q = try_p(pm)
+                if q is not None:
+                    return pm, q
+        return None
+
+    return extend(np.zeros((0, d), dtype=np.int64))
+
+
+def _find_equivalence_brute(
+    m1: AugBilinearMap,
+    m2: AugBilinearMap,
+    cap: int = DEFAULT_PAIR_CAP,
+    q_cap: int = 10_000,
+):
+    """Oracle for ``find_equivalence``: tries the identity, then every
+    d x d matrix P (at most ``cap`` of them)."""
+    if not _same_shape(m1, m2):
+        return None
+    p, d, e = m1.p, m1.d, m1.e
+    if d == 0:
+        return np.zeros((0, 0), dtype=np.int64), np.eye(e, dtype=np.int64)
+    if p ** (d * d) > cap:
+        raise DimensionTooLarge(
+            f"p^(d^2) = {p ** (d * d)} exceeds the search cap {cap}"
+        )
+    try_p = _q_finder(m1, m2, q_cap)
     ident = np.eye(d, dtype=np.int64)
     q = try_p(ident)
     if q is not None:

@@ -91,11 +91,12 @@ class GF:
     """GF(q); see the module docstring for the element encoding."""
 
     def __init__(self, q: int):
+        # checked first: factoring is trial division up to sqrt(q)
+        if q > MAX_FIELD_SIZE:
+            raise InvalidModel(f"field size {q} exceeds {MAX_FIELD_SIZE}")
         fac = factor_prime_power(q)
         if fac is None or not is_prime(fac[0]):
             raise InvalidModel(f"{q} is not a prime power")
-        if q > MAX_FIELD_SIZE:
-            raise InvalidModel(f"field size {q} exceeds {MAX_FIELD_SIZE}")
         self.q = q
         self.char, self.deg = fac
         self.modulus = None if self.deg == 1 else _find_irreducible(self.char, self.deg)

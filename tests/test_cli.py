@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,6 +153,42 @@ def test_field_pairing_match(capsys):
     assert code == 0 and json.loads(out) == {"match": False}
 
 
+TOWER3 = '{"kind":"FiniteField","params":{"q":3}}'
+for var in "tuv":
+    TOWER3 = '{"kind":"Laurent","params":{"base":%s,"var":"%s"}}' % (TOWER3, var)
+
+
+@pytest.mark.parametrize("q, match", [(3, True), (5, False)])
+def test_field_pairing_depth_three_tower(capsys, q, match):
+    # d = 4, e = 6 at p = 2: above the old d, e <= 4 limit
+    code, out = run(capsys, "field", "pairing",
+                    f"ext(1, ext(1, ext(1, Z({q}))))", "--p", "2",
+                    "--model", TOWER3)
+    assert code == 0 and json.loads(out) == {"match": match}
+
+
+def test_unreadable_files_exit_one(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for argv in (["parse", "--p", "2", "--file", "/nonexistent.txt"],
+                 ["parse", "--p", "2", "--file", str(binary)],
+                 ["field", "classgroup", "--p", "2", "--model", str(binary)]):
+        code, err = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(err)["kind"] == "ValidationError"
+
+
+def test_huge_field_size_exits_one_fast(capsys):
+    huge = 10**18 + 3
+    for model in ('{"kind":"FiniteField","params":{"q":%d}}' % huge,
+                  '{"kind":"LocalRational","params":{"ell":%d}}' % huge):
+        start = time.perf_counter()
+        code, err = run(capsys, "field", "classgroup", "--p", "2",
+                        "--model", model)
+        assert time.perf_counter() - start < 2
+        assert code == 1 and json.loads(err)["kind"] == "InvalidModel"
+
+
 def test_field_trichotomic_and_omember(capsys):
     code, out = run(capsys, "field", "trichotomic", "--p", "2",
                     "--model", DYADIC, "--a", "2")
@@ -220,9 +257,12 @@ def test_oracle_errors_exit_one(capsys):
     ["symbol", "--model", F5T, "--a", '{"v":"x","coeffs":[1]}', "--b", "2"],
     ["symbol", "--model", F5T, "--a", '{"v":0,"coeffs":5}', "--b", "2"],
     ["symbol", "--model", FF5, "--a", "true", "--b", "2"],
+    *(["omember", "--model", FF5, "--a", "2", "--h", h, "--target", "OMinus"]
+      for h in ("5", '[[0],[1],"x"]', "[[0],[true]]", '{"a":1}')),
 ], ids=["no-q", "list-params", "q-not-int", "list-kind", "no-base",
         "precision-not-int", "zero-den", "num-not-int", "v-not-int",
-        "coeffs-not-list", "bool-element"])
+        "coeffs-not-list", "bool-element", "h-int", "h-row-not-list",
+        "h-bool-entry", "h-object"])
 def test_bad_field_json_exits_one(capsys, argv):
     code = main(["field", *argv[:1], "--p", "2", *argv[1:]])
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,14 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-2, 32):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(10**5))
+    assert is_prime(10**18 + 3) and not is_prime((10**9 + 7) * (10**9 + 9))
 
 
 def test_rref_known():

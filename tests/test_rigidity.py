@@ -11,12 +11,15 @@ from etkit.errors import (
     NotAnExtension,
     ValidationError,
 )
+from etkit.fplinear import rank, solve
 from etkit.pairs import parse
 from etkit.randexpr import random_ext_rooted
 from etkit.rigidity import (
     DEFAULT_ENUM_BOUND,
     AugBilinearMap,
     _all_vectors,
+    _find_equivalence_brute,
+    _keys,
     _rigid_one,
     _scan,
     check_rigidity_criterion,
@@ -230,3 +233,127 @@ def test_find_equivalence_mismatches():
         find_equivalence(m1, m2)
     m3 = _random_map(random.Random(4), 2, 3, 1)
     assert find_equivalence(m1, m3) is None
+
+
+def _assert_equivalence(m1, m2, got):
+    """Q B1(a, b) = B2(Pa, Pb) on every basis pair, P eps1 = eps2, and P
+    and Q are invertible."""
+    p = m1.p
+    pm, qm = got
+    assert rank(pm, p) == m1.d and rank(qm, p) == m1.e
+    assert np.array_equal(pm @ m1.eps % p, m2.eps)
+    lhs = np.einsum("lk,abk->abl", qm, m1.tensor) % p
+    rhs = np.einsum("ia,jb,ijk->abk", pm, pm, m2.tensor) % p
+    assert np.array_equal(lhs, rhs)
+
+
+def _transformed(m, pm, qm):
+    """The map B2(a, b) = Q B1(Pa, Pb) with eps2 = P^-1 eps1, so that
+    (P, Q) is an equivalence from m2 to m."""
+    p = m.p
+    t = np.einsum("ai,bj,abk,lk->ijl", pm, pm, m.tensor, qm) % p
+    return _map(p, t, solve(pm, m.eps, p))
+
+
+@st.composite
+def equivalence_cases(draw):
+    """Pairs of equal (p, d, e): zero, symmetric or arbitrary tensors whose
+    flattening may have rank below e, eps zero or not; the second map is
+    either a random change of basis of the first or drawn on its own."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 3 if p == 2 else 2))
+    e = draw(st.integers(0, 2))
+
+    def ints(n):
+        return draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+
+    def aug_map():
+        shape = draw(st.sampled_from(["zero", "symmetric", "any"]))
+        free = draw(st.integers(0, e))  # the flattening has rank <= free
+        t = np.reshape(ints(d * d * free), (d, d, free)) @ np.reshape(
+            ints(free * e), (free, e))
+        if shape == "symmetric":
+            t = t + t.transpose(1, 0, 2)
+        elif shape == "zero":
+            t = 0 * t
+        eps = ints(d) if p == 2 and draw(st.booleans()) else [0] * d
+        return _map(p, t % p, eps)
+
+    def invertible(n):
+        m = np.reshape(ints(n * n), (n, n))
+        return m if rank(m, p) == n else np.eye(n, dtype=np.int64)
+
+    m1 = aug_map()
+    if draw(st.booleans()):
+        return _transformed(m1, invertible(d), invertible(e)), m1
+    return m1, aug_map()
+
+
+@given(equivalence_cases())
+@example((_map(2, np.zeros((3, 3, 2)), [1, 0, 0]),
+          _map(2, np.zeros((3, 3, 2)), [0, 0, 0])))  # eps zero in one map only
+# flattening of rank 1 < e, so Q comes from the kernel coset
+@example((_map(3, [[[1, 2], [0, 0]], [[2, 1], [0, 0]]], [0, 0]),
+          _map(3, [[[0, 0], [1, 2]], [[0, 0], [2, 1]]], [0, 0])))
+def test_search_matches_brute_force(case):
+    m1, m2 = case
+    got = find_equivalence(m1, m2)
+    want = _find_equivalence_brute(m1, m2)
+    assert (got is None) == (want is None)
+    for found in (got, want):
+        if found is not None:
+            _assert_equivalence(m1, m2, found)
+
+
+# Inequivalent pairs at p = 2, d = 3, e = 1 whose key multisets agree, so
+# only the search can tell them apart.
+SAME_KEYS = [
+    ([[0, 0, 1], [0, 1, 0], [0, 1, 1]], [0, 1, 1],
+     [[0, 0, 0], [1, 1, 0], [1, 0, 0]], [1, 1, 1]),
+    ([[1, 0, 0], [0, 0, 0], [0, 1, 0]], [1, 1, 0],
+     [[0, 1, 0], [0, 0, 0], [1, 1, 0]], [1, 1, 0]),
+    ([[0, 0, 1], [0, 1, 0], [0, 0, 0]], [1, 1, 0],
+     [[1, 0, 0], [1, 0, 1], [1, 0, 1]], [0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("t1, eps1, t2, eps2", SAME_KEYS)
+def test_equal_keys_inequivalent(t1, eps1, t2, eps2):
+    m1 = _map(2, np.reshape(t1, (3, 3, 1)), eps1)
+    m2 = _map(2, np.reshape(t2, (3, 3, 1)), eps2)
+    k1, k2 = _keys(m1, DEFAULT_ENUM_BOUND), _keys(m2, DEFAULT_ENUM_BOUND)
+    assert k1[0] == k2[0] and sorted(k1) == sorted(k2)
+    assert _find_equivalence_brute(m1, m2) is None
+    assert find_equivalence(m1, m2) is None
+
+
+def test_search_at_dimension_four():
+    # equal keys and inequivalent (brute force, 2^16 matrices, agrees)
+    m1 = _map(2, np.reshape([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0],
+                             [0, 0, 0, 0]], (4, 4, 1)), [0] * 4)
+    m2 = _map(2, np.reshape([[0, 1, 0, 0], [0, 1, 0, 1], [0, 1, 1, 1],
+                             [0, 0, 1, 1]], (4, 4, 1)), [0] * 4)
+    assert sorted(_keys(m1, DEFAULT_ENUM_BOUND)) == sorted(
+        _keys(m2, DEFAULT_ENUM_BOUND))
+    assert find_equivalence(m1, m2) is None
+    # p^(d^2) = 3^16 lies far above the brute-force cap
+    rng = random.Random(28)
+    for e in (1, 2):
+        m = _random_map(rng, 3, 4, e)
+        pm = np.array([[1, 2, 0, 1], [0, 1, 1, 0], [0, 0, 1, 2], [1, 0, 0, 1]])
+        qm = np.array([[2, 1], [1, 1]])[:e, :e]
+        m2 = _transformed(m, pm, qm)
+        _assert_equivalence(m2, m, find_equivalence(m2, m))
+        other = _random_map(rng, 3, 4, e)
+        got = find_equivalence(m, other)
+        if got is not None:
+            _assert_equivalence(m, other, got)
+
+
+def test_search_bounds_raise():
+    m1 = _map(2, np.reshape(SAME_KEYS[0][0], (3, 3, 1)), SAME_KEYS[0][1])
+    m2 = _map(2, np.reshape(SAME_KEYS[0][2], (3, 3, 1)), SAME_KEYS[0][3])
+    with pytest.raises(DimensionTooLarge):
+        find_equivalence(m1, m2, cap=1)  # the search never gives up silently
+    with pytest.raises(DimensionTooLarge):
+        find_equivalence(m1, m1, bound=7)  # the keys enumerate 2^3 vectors
