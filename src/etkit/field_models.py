@@ -32,7 +32,7 @@ from .fplinear import in_span, is_prime, row_space_basis
 from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
-from .smallfields import GF, MAX_FIELD_SIZE, gf
+from .smallfields import GF, gf
 from .units import DEFAULT_PRECISION, make_unit
 
 DEFAULT_SERIES_PRECISION = 16
@@ -335,8 +335,6 @@ class LocalRational(FieldModel):
     ell: int
 
     def check(self, p):
-        if self.ell > MAX_FIELD_SIZE:
-            raise InvalidModel(f"residue prime {self.ell} exceeds {MAX_FIELD_SIZE}")
         if not is_prime(self.ell) or self.ell == 2:
             raise InvalidModel("the residue prime must be an odd prime")
         if p != 2 and (self.ell - 1) % p:

@@ -263,14 +263,14 @@ def restrict(bmap: AugBilinearMap, rows) -> AugBilinearMap:
     )
 
 
-def _keys(bmap: AugBilinearMap, bound: int) -> np.ndarray:
+def _keys(bmap: AugBilinearMap) -> np.ndarray:
     """Invariant key of every vector a of A_1, indexed like ``_all_vectors``.
 
     The key packs rank(b -> B(a, b)), rank(b -> B(b, a)), the rank of the
     two together, whether B(a, a) = 0 and whether a = eps.  The three ranks
     of a chunk come from one batched elimination; computed once per map.
     """
-    _check_bound(bmap, bound)
+    _check_bound(bmap, DEFAULT_ENUM_BOUND)
     if "keys" not in bmap._cache:
         p, d, e = bmap.p, bmap.d, bmap.e
         vecs = _all_vectors(p, d)
@@ -351,7 +351,6 @@ def find_equivalence(
     m2: AugBilinearMap,
     cap: int = DEFAULT_PAIR_CAP,
     q_cap: int = 10_000,
-    bound: int = DEFAULT_ENUM_BOUND,
 ):
     """Invertible P, Q with Q B1(a,b) = B2(Pa, Pb) and P eps1 = eps2.
 
@@ -376,9 +375,10 @@ def find_equivalence(
     Q X1 = X2 exists exactly when rank X1 = rank X2 = rank [X1; X2].  At a
     leaf, P eps1 = eps2 is checked and Q is solved for.
 
-    Raises ``DimensionTooLarge`` when p^d exceeds ``bound`` (the keys
-    enumerate A_1), when the search tries more than ``cap`` candidate
-    columns, or when the coset search for a singular Q exceeds ``q_cap``.
+    Raises ``DimensionTooLarge`` when p^d exceeds ``DEFAULT_ENUM_BOUND``
+    (the keys enumerate A_1), when the search tries more than ``cap``
+    candidate columns, or when the coset search for a singular Q exceeds
+    ``q_cap``.
     The brute-force ``_find_equivalence_brute`` is kept as its oracle.
     """
     if not _same_shape(m1, m2):
@@ -386,7 +386,7 @@ def find_equivalence(
     p, d, e = m1.p, m1.d, m1.e
     if d == 0:
         return np.zeros((0, 0), dtype=np.int64), np.eye(e, dtype=np.int64)
-    k1, k2 = _keys(m1, bound), _keys(m2, bound)
+    k1, k2 = _keys(m1), _keys(m2)
     if k1[0] != k2[0] or not np.array_equal(np.bincount(k1), np.bincount(k2)):
         return None
     vecs = _all_vectors(p, d)

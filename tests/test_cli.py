@@ -189,6 +189,17 @@ def test_huge_field_size_exits_one_fast(capsys):
         assert code == 1 and json.loads(err)["kind"] == "InvalidModel"
 
 
+def test_field_predict_large_residue_prime(capsys):
+    # predict never builds the residue field, so ell is not capped there
+    for ell in (65537, 10**18 + 3):
+        start = time.perf_counter()
+        code, out = run(capsys, "field", "predict", "--p", "2", "--model",
+                        '{"kind":"LocalRational","params":{"ell":%d}}' % ell)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert json.loads(out) == {"expr": f"ext(1, Z({ell}))"}
+
+
 def test_field_trichotomic_and_omember(capsys):
     code, out = run(capsys, "field", "trichotomic", "--p", "2",
                     "--model", DYADIC, "--a", "2")

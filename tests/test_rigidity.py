@@ -321,7 +321,7 @@ SAME_KEYS = [
 def test_equal_keys_inequivalent(t1, eps1, t2, eps2):
     m1 = _map(2, np.reshape(t1, (3, 3, 1)), eps1)
     m2 = _map(2, np.reshape(t2, (3, 3, 1)), eps2)
-    k1, k2 = _keys(m1, DEFAULT_ENUM_BOUND), _keys(m2, DEFAULT_ENUM_BOUND)
+    k1, k2 = _keys(m1), _keys(m2)
     assert k1[0] == k2[0] and sorted(k1) == sorted(k2)
     assert _find_equivalence_brute(m1, m2) is None
     assert find_equivalence(m1, m2) is None
@@ -333,8 +333,7 @@ def test_search_at_dimension_four():
                              [0, 0, 0, 0]], (4, 4, 1)), [0] * 4)
     m2 = _map(2, np.reshape([[0, 1, 0, 0], [0, 1, 0, 1], [0, 1, 1, 1],
                              [0, 0, 1, 1]], (4, 4, 1)), [0] * 4)
-    assert sorted(_keys(m1, DEFAULT_ENUM_BOUND)) == sorted(
-        _keys(m2, DEFAULT_ENUM_BOUND))
+    assert sorted(_keys(m1)) == sorted(_keys(m2))
     assert find_equivalence(m1, m2) is None
     # p^(d^2) = 3^16 lies far above the brute-force cap
     rng = random.Random(28)
@@ -355,5 +354,6 @@ def test_search_bounds_raise():
     m2 = _map(2, np.reshape(SAME_KEYS[0][2], (3, 3, 1)), SAME_KEYS[0][3])
     with pytest.raises(DimensionTooLarge):
         find_equivalence(m1, m2, cap=1)  # the search never gives up silently
+    big = _map(2, np.zeros((17, 17, 1), dtype=np.int64), np.zeros(17))
     with pytest.raises(DimensionTooLarge):
-        find_equivalence(m1, m1, bound=7)  # the keys enumerate 2^3 vectors
+        find_equivalence(big, big)  # the keys would enumerate 2^17 vectors
