@@ -129,7 +129,7 @@ def _load_structured(value: str, what: str):
         pass
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"could not parse --{what}: {exc}") from exc
 
 

@@ -73,6 +73,8 @@ class FiniteGroup:
 
 
 def _table_group(fn, n: int, name: str) -> FiniteGroup:
+    if n > MAX_ORDER:  # checked before the n x n table is built
+        raise OrderBound(f"order {n} exceeds the bound {MAX_ORDER}")
     t = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
@@ -104,8 +106,6 @@ def dihedral(order: int) -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     na, nb = a.order, b.order
-    if na * nb > MAX_ORDER:
-        raise OrderBound(f"order {na * nb} exceeds the bound {MAX_ORDER}")
 
     def mul(x: int, y: int) -> int:
         xa, xb = divmod(x, nb)
@@ -120,26 +120,46 @@ def klein4() -> FiniteGroup:
     return FiniteGroup(g.table, "V4")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_param(data: dict, key: str) -> int:
+    if not _is_int(data.get(key)):
+        raise ValidationError(f"group JSON needs an integer {key!r}")
+    return data[key]
+
+
 def group_from_json(data) -> FiniteGroup:
+    """Decode group JSON; any malformed input raises ``ValidationError``."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationError("group JSON needs a 'kind' key")
     kind = data["kind"]
     if kind == "cyclic":
-        return cyclic(int(data["n"]))
+        return cyclic(_int_param(data, "n"))
     if kind == "dihedral":
-        return dihedral(int(data["order"]))
+        return dihedral(_int_param(data, "order"))
     if kind == "klein4":
         return klein4()
     if kind == "product":
+        if not isinstance(data.get("factors"), list) or not data["factors"]:
+            raise ValidationError("a product needs a nonempty 'factors' list")
         factors = [group_from_json(f) for f in data["factors"]]
-        if not factors:
-            raise ValidationError("empty product")
         g = factors[0]
         for h in factors[1:]:
             g = direct_product(g, h)
         return g
     if kind == "table":
-        return FiniteGroup(np.array(data["table"], dtype=np.int64))
+        t = data.get("table")
+        if not isinstance(t, list) or not all(
+            isinstance(row, list) and len(row) == len(t)
+            and all(_is_int(c) and 0 <= c < len(t) for c in row)
+            for row in t
+        ):
+            raise ValidationError(
+                "a group table must be a square list of lists of element indices"
+            )
+        return FiniteGroup(np.array(t, dtype=np.int64).reshape(len(t), len(t)))
     raise ValidationError(f"unknown group kind {kind!r}")
 
 

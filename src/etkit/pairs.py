@@ -35,6 +35,11 @@ INF = math.inf
 
 CASES = ("I", "II", "III", "IV")
 
+# Deepest nesting of parentheses and ext(...) the parser accepts.  Every
+# tree walk recurses once per level, so this keeps parsing, validation,
+# normalization and rendering well inside Python's recursion limit.
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Trivial:
@@ -212,6 +217,7 @@ class _Parser:
     def __init__(self, text: str, p: int, K: int):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.p = p
         self.K = K
         self.length = len(text)
@@ -233,10 +239,16 @@ class _Parser:
         return tok
 
     def expr(self) -> PairExpr:
+        if self.depth > MAX_DEPTH:
+            tok = self.peek()
+            raise ParseError(f"expression nested more than {MAX_DEPTH} deep",
+                             tok[2] if tok else self.length)
+        self.depth += 1
         factors = [self.term()]
         while self.peek() and self.peek()[1] == "*":
             self.next()
             factors.append(self.term())
+        self.depth -= 1
         if len(factors) == 1:
             return factors[0]
         return FreeProd(tuple(factors))

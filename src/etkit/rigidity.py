@@ -29,7 +29,7 @@ import numpy as np
 
 from .cohomology import GradedAlgebra, build_cohomology
 from .errors import DimensionTooLarge, NotAnExtension, ValidationError
-from .fplinear import batch_rank, kernel_basis, rank, row_space_basis, solve
+from .fplinear import batch_rank, rank, row_space_basis, rref, solve
 from .pairs import Ext, PairExpr, normalize
 from .units import DEFAULT_PRECISION
 
@@ -297,45 +297,37 @@ def _keys(bmap: AugBilinearMap) -> np.ndarray:
     return bmap._cache["keys"]
 
 
-def _q_finder(m1: AugBilinearMap, m2: AugBilinearMap, q_cap: int):
+def _basis(rows: np.ndarray, p: int):
+    """The first maximal independent set of ``rows``, extended by unit
+    vectors to a basis B of F_p^e: (indices of the rows used, B, B^-1).
+
+    Reducing [rows^T | I] turns the columns of B^T into the identity, so
+    the last block becomes (B^T)^-1."""
+    n, e = rows.shape
+    eye = np.eye(e, dtype=np.int64)
+    red, sel = rref(np.hstack([rows.T, eye]), p)
+    return [i for i in sel if i < n], np.vstack([rows, eye])[sel], red[:, n:].T
+
+
+def _q_finder(m1: AugBilinearMap, m2: AugBilinearMap):
     """For a candidate P: an invertible Q with Q B1(a,b) = B2(Pa, Pb), or
-    None.  Q is solved row by row; when the solution is singular, the
-    coset of the kernel is searched (at most ``q_cap`` members)."""
+    None.  With V the rows B1(e_i, e_j) and W the rows B2(Pe_i, Pe_j), any
+    such Q maps the rows of V that ``_basis`` picks, a basis of V's row
+    span, onto the same rows of W, which are then independent.  So it
+    agrees on that span with the Q mapping the two extended bases onto each
+    other, and that Q answers exactly when V Q^T = W."""
     p, d, e = m1.p, m1.d, m1.e
-    v_t = m1.tensor.reshape(d * d, e)
+    v = m1.tensor.reshape(d * d, e)
+    piv, _, b1_inv = _basis(v, p)
 
     def try_p(pm: np.ndarray):
         if ((pm @ m1.eps) % p != m2.eps).any():
             return None
         if rank(pm, p) < d:
             return None
-        w = np.einsum("ia,jb,ijk->abk", pm, pm, m2.tensor).reshape(d * d, e).T % p
-        q_rows = []
-        for row in range(e):
-            x = solve(v_t, w[row], p)
-            if x is None:
-                return None
-            q_rows.append(x)
-        q0 = np.array(q_rows, dtype=np.int64).reshape(e, e) % p
-        if rank(q0, p) == e:
-            return q0
-        ker = kernel_basis(v_t, p)
-        k = len(ker)
-        if k == 0:
-            return None
-        if p ** (k * e) > q_cap:
-            raise DimensionTooLarge(
-                f"kernel coset search size p^(k*e) = {p ** (k * e)} exceeds {q_cap}"
-            )
-        for combo in iter_product(range(p), repeat=k * e):
-            q = q0.copy()
-            for row in range(e):
-                for c in range(k):
-                    q[row] += combo[row * k + c] * ker[c]
-            q %= p
-            if rank(q, p) == e:
-                return q
-        return None
+        w = np.einsum("ia,jb,ijk->abk", pm, pm, m2.tensor).reshape(d * d, e) % p
+        q_t = b1_inv @ _basis(w[piv], p)[1] % p  # Q^T = B1^-1 B2
+        return q_t.T if np.array_equal(v @ q_t % p, w) else None
 
     return try_p
 
@@ -350,7 +342,6 @@ def find_equivalence(
     m1: AugBilinearMap,
     m2: AugBilinearMap,
     cap: int = DEFAULT_PAIR_CAP,
-    q_cap: int = 10_000,
 ):
     """Invertible P, Q with Q B1(a,b) = B2(Pa, Pb) and P eps1 = eps2.
 
@@ -373,12 +364,11 @@ def find_equivalence(
     no invertible Q fits the pairs of chosen basis vectors: with columns
     X1 = B1(e_a, e_b) and X2 = B2(Pe_a, Pe_b), an invertible Q with
     Q X1 = X2 exists exactly when rank X1 = rank X2 = rank [X1; X2].  At a
-    leaf, P eps1 = eps2 is checked and Q is solved for.
+    leaf, P eps1 = eps2 is checked and Q is built (see ``_q_finder``).
 
     Raises ``DimensionTooLarge`` when p^d exceeds ``DEFAULT_ENUM_BOUND``
-    (the keys enumerate A_1), when the search tries more than ``cap``
-    candidate columns, or when the coset search for a singular Q exceeds
-    ``q_cap``.
+    (the keys enumerate A_1) or when the search tries more than ``cap``
+    candidate columns.
     The brute-force ``_find_equivalence_brute`` is kept as its oracle.
     """
     if not _same_shape(m1, m2):
@@ -403,7 +393,7 @@ def find_equivalence(
         levels.append((lam, k1[lam @ place[s]], x1,
                        max(1, _CHUNK_CELLS // cells)))
     flat2 = m2.tensor.reshape(d, d * e)
-    try_p = _q_finder(m1, m2, q_cap)
+    try_p = _q_finder(m1, m2)
     nodes = 0
 
     def extend(chosen: np.ndarray):
@@ -456,7 +446,6 @@ def _find_equivalence_brute(
     m1: AugBilinearMap,
     m2: AugBilinearMap,
     cap: int = DEFAULT_PAIR_CAP,
-    q_cap: int = 10_000,
 ):
     """Oracle for ``find_equivalence``: tries the identity, then every
     d x d matrix P (at most ``cap`` of them)."""
@@ -469,7 +458,7 @@ def _find_equivalence_brute(
         raise DimensionTooLarge(
             f"p^(d^2) = {p ** (d * d)} exceeds the search cap {cap}"
         )
-    try_p = _q_finder(m1, m2, q_cap)
+    try_p = _q_finder(m1, m2)
     ident = np.eye(d, dtype=np.int64)
     q = try_p(ident)
     if q is not None:

@@ -2,8 +2,10 @@
 
 Elements are integers in [0, q) encoding coefficient vectors base the
 characteristic (low digit = constant term).  Multiplication goes through
-exp/log tables built from a brute-force generator, which keeps p-th-power
-tests and class-group coordinates one table lookup away.
+exp/log tables built from a brute-force generator g, which keeps p-th-power
+tests and class-group coordinates one table lookup away.  Addition goes
+through Zech logarithms, zech[k] = log(1 + g^k), so x + y is
+g^(log x + zech[log y - log x]) and no operation decodes digits.
 """
 
 from __future__ import annotations
@@ -125,11 +127,16 @@ class GF:
     # -- ring structure ----------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        dx, dy = self._digits(x), self._digits(y)
-        return self._undigits((a + b) % self.char for a, b in zip(dx, dy))
+        if x == 0 or y == 0:
+            return x or y
+        lx = self.dlog[x]
+        z = self.zech[(self.dlog[y] - lx) % (self.q - 1)]
+        return 0 if z is None else self.exp[(lx + z) % (self.q - 1)]
 
     def neg(self, x: int) -> int:
-        return self._undigits((-a) % self.char for a in self._digits(x))
+        if x == 0:
+            return 0
+        return self.exp[(self.dlog[x] + self._log_minus_one) % (self.q - 1)]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -162,6 +169,13 @@ class GF:
         for _ in range(target - 1):
             self.exp.append(self._raw_mul(self.exp[-1], self.generator))
         self.dlog = {v: i for i, v in enumerate(self.exp)}
+        # zech[k] = log(1 + g^k), None where 1 + g^k = 0; adding 1 changes
+        # only the constant (low) digit of the encoding
+        c = self.char
+        self.zech = [
+            self.dlog.get(x + 1 if x % c != c - 1 else x + 1 - c) for x in self.exp
+        ]
+        self._log_minus_one = self.dlog[c - 1]
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -201,8 +215,6 @@ class GF:
     # -- presentation --------------------------------------------------------
 
     def render(self, x: int) -> str:
-        if self.deg == 1:
-            return str(x)
         parts = []
         for i in reversed(range(self.deg)):
             c = self._digits(x)[i]
@@ -214,9 +226,6 @@ class GF:
                 var = "w" if i == 1 else f"w^{i}"
                 parts.append(var if c == 1 else f"{c}*{var}")
         return "+".join(parts) if parts else "0"
-
-    def elements(self):
-        return range(self.q)
 
     def units(self):
         return range(1, self.q)

@@ -282,6 +282,38 @@ def test_bad_field_json_exits_one(capsys, argv):
     assert isinstance(json.loads(captured.err), dict)
 
 
+@pytest.mark.parametrize("group", [
+    '{"kind":"table","table":[[0,1],[1]]}',
+    '{"kind":"cyclic"}',
+    '{"kind":"cyclic","n":"x"}',
+    '{"kind":"product","factors":5}',
+    '{"kind":"dihedral","order":[4]}',
+    '{"kind":"cyclic","n":true}',
+    '{"kind":"cyclic","n":1000000}',  # refused before its table is built
+    "[" * 100_000,  # deeper than the JSON decoder recurses
+], ids=["ragged-table", "no-n", "n-not-int", "factors-not-list",
+        "order-list", "bool-n", "huge-n", "deep-json"])
+def test_bad_group_json_exits_one(capsys, group):
+    code = main(["oracle", "h1", "--p", "2", "--group", group])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert isinstance(json.loads(captured.err), dict)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "triv" + ")" * 3000,
+    "ext(1, " * 1500 + "triv" + ")" * 1500,
+], ids=["parentheses", "ext"])
+def test_deep_nesting_exits_one(tmp_path, capsys, text):
+    f = tmp_path / "deep.txt"
+    f.write_text(text)
+    code = main(["parse", "--p", "2", "--file", str(f)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["kind"] == "ParseError"
+
+
 def test_closed_stdout_exits_one():
     # the report is about 192 KB, more than a pipe buffer holds, so the
     # CLI is still writing when the reader closes its end

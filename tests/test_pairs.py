@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from etkit.errors import ParseError, ValidationError
 from etkit.pairs import (
     EBlock,
+    MAX_DEPTH,
     Ext,
     FreeProd,
     PAdicBlock,
@@ -52,6 +53,16 @@ def test_parse_compound():
     assert isinstance(e, FreeProd) and len(e.factors) == 3
     e = parse("ext(1, (E * E))", 2)
     assert isinstance(e, Ext) and isinstance(e.base, FreeProd)
+
+
+def test_nesting_depth_limit():
+    e = parse("ext(1, " * MAX_DEPTH + "triv" + ")" * MAX_DEPTH, 2)
+    assert rank(normalize(e, 2)) == MAX_DEPTH
+    assert isinstance(parse("(" * MAX_DEPTH + "E" + ")" * MAX_DEPTH, 2), EBlock)
+    for opening in ("(", "ext(1, "):
+        with pytest.raises(ParseError) as info:
+            parse(opening * (MAX_DEPTH + 1) + "E" + ")" * (MAX_DEPTH + 1), 2)
+        assert info.value.position == len(opening) * (MAX_DEPTH + 1)
 
 
 def test_parse_errors_carry_position():

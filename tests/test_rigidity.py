@@ -292,7 +292,7 @@ def equivalence_cases(draw):
 @given(equivalence_cases())
 @example((_map(2, np.zeros((3, 3, 2)), [1, 0, 0]),
           _map(2, np.zeros((3, 3, 2)), [0, 0, 0])))  # eps zero in one map only
-# flattening of rank 1 < e, so Q comes from the kernel coset
+# flattening of rank 1 < e, so Q is not determined by the pairs
 @example((_map(3, [[[1, 2], [0, 0]], [[2, 1], [0, 0]]], [0, 0]),
           _map(3, [[[0, 0], [1, 2]], [[0, 0], [2, 1]]], [0, 0])))
 def test_search_matches_brute_force(case):
@@ -303,6 +303,17 @@ def test_search_matches_brute_force(case):
     for found in (got, want):
         if found is not None:
             _assert_equivalence(m1, m2, found)
+
+
+@pytest.mark.parametrize("m", [
+    # zero pairs: nothing fixes Q, which must still come out invertible
+    _map(3, np.zeros((1, 1, 3)), [0]),
+    # the pairs span one line of F_3^3, so they fix Q on that line only
+    _map(3, [[[1, 0, 0], [0, 0, 0]], [[2, 0, 0], [0, 0, 0]]], [0, 0]),
+])
+def test_q_built_when_pairs_do_not_fix_it(m):
+    _assert_equivalence(m, m, find_equivalence(m, m))
+    _assert_equivalence(m, m, _find_equivalence_brute(m, m))
 
 
 # Inequivalent pairs at p = 2, d = 3, e = 1 whose key multisets agree, so
