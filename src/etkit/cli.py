@@ -48,7 +48,12 @@ from .field_models import (
 )
 from .fplinear import is_prime
 from .pairs import abelianization, normalize, parse, rank, render, to_json
-from .rigidity import from_cohomology, rigidity_report
+from .rigidity import (
+    DEFAULT_ENUM_BOUND,
+    _check_bound,
+    from_cohomology,
+    rigidity_report,
+)
 from .units import DEFAULT_PRECISION
 
 
@@ -189,6 +194,8 @@ def _cmd_logl(args, cfg):
 
 def _cmd_rigid(args, cfg):
     e = parse(_expr_text(args), cfg.p, cfg.precision)
+    # normalization keeps the rank, so the scan's bound can be checked first
+    _check_bound(cfg.p, rank(e), DEFAULT_ENUM_BOUND)
     alg = build_cohomology(e, cfg.p, 2, cfg.precision)
     return rigidity_report(from_cohomology(alg))
 

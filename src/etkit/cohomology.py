@@ -2,14 +2,16 @@
 
 Each expression gets a finite-dimensional model of its mod-p cohomology
 ring up to a chosen degree: explicit bases, the cup product as structure
-constants, and the epsilon class in degree one.  Demuskin recognition and
-the two log-level computations (structural recursion vs. direct cup
-powers) sit on top.
+constants, and the epsilon class in degree one.  ``_build`` makes them,
+and is the module's one dispatch on the kind of node; the structural
+walks (closed-form Betti numbers, the recursive log level) are methods of
+the node classes in ``pairs``.  Demuskin recognition and the two
+log-level computations (structural recursion vs. direct cup powers) sit
+on top.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -88,6 +90,7 @@ def _demuskin_eps(n: int, case: str, p: int) -> np.ndarray:
 
 
 def _build(e: PairExpr, p: int, D: int) -> _Alg:
+    """Ring model of a validated node: the one dispatch on node kind."""
     if isinstance(e, Trivial):
         dims = [1] + [0] * D
         labels = [["1"]] + [[] for _ in range(D)]
@@ -158,76 +161,74 @@ def _build(e: PairExpr, p: int, D: int) -> _Alg:
 
         return _Alg(dims, labels, eps, _with_unit(dims, core))
 
-    if isinstance(e, Ext):
-        base = _build(e.base, p, D)
-        m = e.m
-        monos: list[list[tuple[tuple[int, ...], int]]] = []
-        index: list[dict[tuple[tuple[int, ...], int], int]] = []
-        labels = []
-        for d in range(D + 1):
-            row: list[tuple[tuple[int, ...], int]] = []
-            for j in range(min(m, d) + 1):
-                for S in combinations(range(1, m + 1), j):
-                    row.extend((S, b) for b in range(base.dims[d - j]))
-            monos.append(row)
-            index.append({mb: i for i, mb in enumerate(row)})
-            lab = []
-            for S, b in row:
-                parts = [f"b{k}" for k in S]
-                bl = base.labels[d - len(S)][b]
-                if bl != "1":
-                    parts.append(f"i({bl})")
-                lab.append("*".join(parts) if parts else "1")
-            labels.append(lab)
-        dims = [len(r) for r in monos]
-        eps = np.concatenate(
-            [base.eps % p, np.zeros(m, dtype=np.int64)]
-        ).astype(np.int64)
+    # the remaining kind: Ext
+    base = _build(e.base, p, D)
+    m = e.m
+    monos: list[list[tuple[tuple[int, ...], int]]] = []
+    index: list[dict[tuple[tuple[int, ...], int], int]] = []
+    labels = []
+    for d in range(D + 1):
+        row: list[tuple[tuple[int, ...], int]] = []
+        for j in range(min(m, d) + 1):
+            for S in combinations(range(1, m + 1), j):
+                row.extend((S, b) for b in range(base.dims[d - j]))
+        monos.append(row)
+        index.append({mb: i for i, mb in enumerate(row)})
+        lab = []
+        for S, b in row:
+            parts = [f"b{k}" for k in S]
+            bl = base.labels[d - len(S)][b]
+            if bl != "1":
+                parts.append(f"i({bl})")
+            lab.append("*".join(parts) if parts else "1")
+        labels.append(lab)
+    dims = [len(r) for r in monos]
+    eps = np.concatenate(
+        [base.eps % p, np.zeros(m, dtype=np.int64)]
+    ).astype(np.int64)
 
-        eps_mats: dict[int, np.ndarray] = {}
+    eps_mats: dict[int, np.ndarray] = {}
 
-        def eps_mat(t: int) -> np.ndarray:
-            if t not in eps_mats:
-                mat = np.zeros((base.dims[t + 1], base.dims[t]), dtype=np.int64)
-                for i0 in range(base.dims[t]):
-                    col = np.zeros(base.dims[t + 1], dtype=np.int64)
-                    for k, ec in enumerate(base.eps):
-                        if ec % p:
-                            col += int(ec) * base.mul(t, i0, 1, k)
-                    mat[:, i0] = col % p
-                eps_mats[t] = mat
-            return eps_mats[t]
+    def eps_mat(t: int) -> np.ndarray:
+        if t not in eps_mats:
+            mat = np.zeros((base.dims[t + 1], base.dims[t]), dtype=np.int64)
+            for i0 in range(base.dims[t]):
+                col = np.zeros(base.dims[t + 1], dtype=np.int64)
+                for k, ec in enumerate(base.eps):
+                    if ec % p:
+                        col += int(ec) * base.mul(t, i0, 1, k)
+                mat[:, i0] = col % p
+            eps_mats[t] = mat
+        return eps_mats[t]
 
-        def core(d1, i, d2, j):
-            S, b1 = monos[d1][i]
-            T, b2 = monos[d2][j]
-            bd1, bd2 = d1 - len(S), d2 - len(T)
-            out = np.zeros(dims[d1 + d2], dtype=np.int64)
-            if p == 2:
-                c = len(set(S) & set(T))
-                U = tuple(sorted(set(S) | set(T)))
-                v = base.mul(bd1, b1, bd2, b2) % 2
-                t = bd1 + bd2
-                for _ in range(c):
-                    v = (eps_mat(t) @ v) % 2
-                    t += 1
-                sign = 1
-            else:
-                if set(S) & set(T):
-                    return out
-                inversions = sum(1 for s in S for t2 in T if s > t2)
-                sign = (-1) ** (len(S) * bd2 + inversions)
-                U = tuple(sorted(S + T))
-                v = base.mul(bd1, b1, bd2, b2)
-            look = index[d1 + d2]
-            for bi, coef in enumerate(v):
-                if coef % p:
-                    out[look[(U, int(bi))]] = (sign * int(coef)) % p
-            return out
+    def core(d1, i, d2, j):
+        S, b1 = monos[d1][i]
+        T, b2 = monos[d2][j]
+        bd1, bd2 = d1 - len(S), d2 - len(T)
+        out = np.zeros(dims[d1 + d2], dtype=np.int64)
+        if p == 2:
+            c = len(set(S) & set(T))
+            U = tuple(sorted(set(S) | set(T)))
+            v = base.mul(bd1, b1, bd2, b2) % 2
+            t = bd1 + bd2
+            for _ in range(c):
+                v = (eps_mat(t) @ v) % 2
+                t += 1
+            sign = 1
+        else:
+            if set(S) & set(T):
+                return out
+            inversions = sum(1 for s in S for t2 in T if s > t2)
+            sign = (-1) ** (len(S) * bd2 + inversions)
+            U = tuple(sorted(S + T))
+            v = base.mul(bd1, b1, bd2, b2)
+        look = index[d1 + d2]
+        for bi, coef in enumerate(v):
+            if coef % p:
+                out[look[(U, int(bi))]] = (sign * int(coef)) % p
+        return out
 
-        return _Alg(dims, labels, eps, _with_unit(dims, core))
-
-    raise ValidationError(f"not a pair expression: {e!r}")
+    return _Alg(dims, labels, eps, _with_unit(dims, core))
 
 
 @dataclass
@@ -316,25 +317,7 @@ def dims_closed_form(e: PairExpr, p: int, max_degree: int) -> list[int]:
     with binomial coefficients.  Used as an independent check on the
     constructed bases.
     """
-    D = max_degree
-    if isinstance(e, Trivial):
-        return [1] + [0] * D
-    if isinstance(e, ZBlock):
-        return [1, 1] + [0] * (D - 1)
-    if isinstance(e, EBlock):
-        return [1] * (D + 1)
-    if isinstance(e, PAdicBlock):
-        return [1, e.n, 1] + [0] * (D - 2)
-    if isinstance(e, FreeProd):
-        rows = [dims_closed_form(f, p, D) for f in e.factors]
-        return [1] + [sum(r[d] for r in rows) for d in range(1, D + 1)]
-    if isinstance(e, Ext):
-        b = dims_closed_form(e.base, p, D)
-        return [
-            sum(math.comb(e.m, j) * b[d - j] for j in range(min(e.m, d) + 1))
-            for d in range(D + 1)
-        ]
-    raise ValidationError(f"not a pair expression: {e!r}")
+    return e.dims_closed_form(max_degree)
 
 
 def algebra_to_json(alg: GradedAlgebra) -> dict:
@@ -410,24 +393,7 @@ def log_level_recursive(e: PairExpr, p: int,
     ne = normalize(e, p, K)
     if p != 2:
         return 1
-    return _ll(ne)
-
-
-def _ll(e: PairExpr) -> float | int:
-    if isinstance(e, Trivial):
-        return 1
-    if isinstance(e, ZBlock):
-        return 2 if epsilon_of(e.alpha) else 1
-    if isinstance(e, EBlock):
-        return math.inf
-    if isinstance(e, PAdicBlock):
-        # s in {1,2,4} is filled by normalization at p=2
-        return int(math.log2(e.s or 1)) + 1
-    if isinstance(e, FreeProd):
-        return max(_ll(f) for f in e.factors)
-    if isinstance(e, Ext):
-        return _ll(e.base)
-    raise ValidationError(f"not a pair expression: {e!r}")
+    return ne.log_level_recursive()
 
 
 def log_level_direct(e: PairExpr, p: int, max_degree: int,

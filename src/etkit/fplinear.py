@@ -7,8 +7,6 @@ so ranks, solutions, and kernel bases are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -158,41 +156,3 @@ def in_span(rows, v, p: int) -> bool:
     if rows.size == 0:
         return bool(np.all(v % p == 0))
     return rank(rows, p) == rank(np.vstack([rows, v]), p)
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """Matrix over F_p; entries are stored reduced into [0, p)."""
-
-    p: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValidationError(f"modulus {self.p} is not prime")
-        arr = np.asarray(self.data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValidationError("matrix data must be two-dimensional")
-        object.__setattr__(self, "data", arr % self.p)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def rank(self) -> int:
-        return rank(self.data, self.p)
-
-    def solve(self, b) -> np.ndarray | None:
-        return solve(self.data, b, self.p)
-
-    def kernel_basis(self) -> list[np.ndarray]:
-        return kernel_basis(self.data, self.p)
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise ValidationError("mixed moduli")
-        return FpMatrix(self.p, (self.data @ other.data) % self.p)

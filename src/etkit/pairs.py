@@ -3,9 +3,12 @@
 The constructors mirror the closure operations of the elementary-type
 machinery: the trivial pair, Z-blocks Z^alpha, the order-two block E
 (p = 2 only), Demuskin blocks of p-adic type, free products, and
-semidirect extensions by Z_p^m.  A small textual grammar, a confluent
-normalizer, and the structural invariants (rank, abelianization,
-theta-image) live here too.
+semidirect extensions by Z_p^m.  Each of the six node classes carries
+its own version of every structural walk (validation, rendering, JSON,
+the sort key and normalize rewrite, rank, theta generators,
+abelianization, closed-form Betti numbers and the recursive log level);
+the module-level functions of the same names delegate to them.  A small
+textual grammar and the theta-image invariants live here too.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Union
 
 from .errors import (
     DenominatorNotInvertible,
@@ -41,23 +43,120 @@ CASES = ("I", "II", "III", "IV")
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Trivial:
-    pass
+class PairExpr:
+    """A node of an expression tree.
+
+    Subclasses are frozen dataclasses whose fields are the node's
+    parameters and children.  Each implements the walks named after the
+    module-level functions: ``render()``, ``to_json()``, ``sort_key()``,
+    ``rank()``, ``theta_generators(p, K)``, ``abelianization(p, K)``,
+    ``dims_closed_form(max_degree)`` and ``log_level_recursive()``, and
+    overrides the two defaults below where they do not fit.
+    """
+
+    def validate(self, p: int) -> None:
+        """Raise ValidationError unless the subtree is well formed at p."""
+
+    def normalize(self, p: int, K: int) -> PairExpr:
+        """The normal form of a validated subtree."""
+        return self
 
 
 @dataclass(frozen=True)
-class ZBlock:
+class Trivial(PairExpr):
+    def render(self) -> str:
+        return "triv"
+
+    def to_json(self) -> dict:
+        return {"type": "trivial"}
+
+    def sort_key(self) -> tuple:
+        return (0, (), ())
+
+    def rank(self) -> int:
+        return 0
+
+    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
+        return []
+
+    def abelianization(self, p: int, K: int) -> list[int]:
+        return []
+
+    def dims_closed_form(self, max_degree: int) -> list[int]:
+        return [1] + [0] * max_degree
+
+    def log_level_recursive(self) -> float | int:
+        return 1
+
+
+@dataclass(frozen=True)
+class ZBlock(PairExpr):
     alpha: PAdicUnit
 
+    def validate(self, p: int) -> None:
+        if self.alpha.p != p:
+            raise ValidationError(
+                f"ZBlock unit lives at p={self.alpha.p}, ambient prime is {p}"
+            )
+
+    def render(self) -> str:
+        return f"Z({_render_rational(self.alpha)})"
+
+    def to_json(self) -> dict:
+        return {"type": "Z", "alpha": self.alpha.to_json()}
+
+    def sort_key(self) -> tuple:
+        return (1, (self.alpha.value, self.alpha.K), ())
+
+    def rank(self) -> int:
+        return 1
+
+    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
+        return [self.alpha.reduce(min(K, self.alpha.K))]
+
+    def abelianization(self, p: int, K: int) -> list[int]:
+        return [0]
+
+    def dims_closed_form(self, max_degree: int) -> list[int]:
+        return [1, 1] + [0] * (max_degree - 1)
+
+    def log_level_recursive(self) -> float | int:
+        return 2 if epsilon_of(self.alpha) else 1
+
 
 @dataclass(frozen=True)
-class EBlock:
-    pass
+class EBlock(PairExpr):
+    def validate(self, p: int) -> None:
+        if p != 2:
+            raise ValidationError("EBlock requires p=2")
+
+    def render(self) -> str:
+        return "E"
+
+    def to_json(self) -> dict:
+        return {"type": "E"}
+
+    def sort_key(self) -> tuple:
+        return (2, (), ())
+
+    def rank(self) -> int:
+        return 1
+
+    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
+        return [make_unit(2, -1, 1, K)]
+
+    def abelianization(self, p: int, K: int) -> list[int]:
+        return [2]
+
+    def dims_closed_form(self, max_degree: int) -> list[int]:
+        return [1] * (max_degree + 1)
+
+    def log_level_recursive(self) -> float | int:
+        return math.inf
 
 
 @dataclass(frozen=True)
-class PAdicBlock:
+class PAdicBlock(PairExpr):
     """Demuskin block of p-adic type.
 
     ``f`` is the secondary exponent of Cases II-IV (math.inf allowed for
@@ -71,19 +170,206 @@ class PAdicBlock:
     f: float | int | None = None
     s: int | None = None
 
+    def validate(self, p: int) -> None:
+        if self.case not in CASES:
+            raise ValidationError(f"unknown case tag {self.case!r}")
+        if self.n < 3:
+            raise ValidationError("p-adic blocks have rank n >= 3")
+        if not _is_p_power(self.q, p):
+            raise ValidationError(f"q={self.q} is not a power of {p} (>1)")
+        if p != 2:
+            if self.case != "I":
+                raise ValidationError("cases II-IV force p=2")
+            if self.s is not None:
+                raise ValidationError("level s is p=2 metadata only")
+            if self.n % 2 or self.n < p + 1 or (self.n - 2) % (p - 1):
+                raise ValidationError(
+                    f"odd-p block needs n even, n >= {p + 1}, n-2 divisible by {p - 1}"
+                )
+            return
+        finite_f = self.f is not None and self.f != INF
+        if self.case == "I":
+            if self.q == 2:
+                raise ValidationError("case I requires q != 2")
+            if self.n % 2:
+                raise ValidationError("case I rank n is even")
+            if self.f is not None:
+                raise ValidationError("case I carries no exponent f")
+        else:
+            if self.q != 2:
+                raise ValidationError(f"case {self.case} requires q=2")
+            if self.f is None:
+                raise ValidationError(f"case {self.case} requires exponent f")
+            if (finite_f and int(self.f) < 2) or (self.f == INF and self.case == "IV"):
+                raise ValidationError(
+                    "f must be an integer >= 2, or inf for cases II/III only"
+                )
+            if self.case == "II":
+                if self.n % 2 == 0:
+                    raise ValidationError("case II rank n is odd")
+            elif self.n % 2:
+                raise ValidationError(f"case {self.case} rank n is even")
+        if self.s is not None:
+            if self.s not in (1, 2, 4):
+                raise ValidationError("level s lies in {1,2,4}")
+            if (self.s == 1) != (self.case == "I"):
+                raise ValidationError(
+                    "s=1 holds exactly when the theta-image avoids -1 (case I)"
+                )
+
+    def normalize(self, p: int, K: int) -> PairExpr:
+        if p == 2 and self.s is None:
+            return replace(self, s=default_level(self.case))
+        return self
+
+    def render(self) -> str:
+        parts = [f"n={self.n}", f"q={self.q}", f"case={self.case}"]
+        if self.f is not None:
+            parts.append("f=inf" if self.f == INF else f"f={int(self.f)}")
+        if self.s is not None:
+            parts.append(f"s={self.s}")
+        return f"padic({', '.join(parts)})"
+
+    def to_json(self) -> dict:
+        out = {"type": "padic", "n": self.n, "q": self.q, "case": self.case}
+        if self.f is not None:
+            out["f"] = "inf" if self.f == INF else int(self.f)
+        if self.s is not None:
+            out["s"] = self.s
+        return out
+
+    def sort_key(self) -> tuple:
+        f_enc = -1.0 if self.f is None else float(self.f)
+        return (3, (self.n, self.q, CASES.index(self.case), f_enc, self.s or 0), ())
+
+    def rank(self) -> int:
+        return self.n
+
+    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
+        if self.case == "I":
+            return [make_unit(p, 1, 1 - self.q, K)]
+        tf = two_to(self.f)
+        if self.case == "III":
+            return [make_unit(2, -1, 1 + tf, K)]
+        return [make_unit(2, -1, 1, K), make_unit(2, 1, 1 - tf, K)]  # II, IV
+
+    def abelianization(self, p: int, K: int) -> list[int]:
+        return [0] * (self.n - 1) + [self.q]
+
+    def dims_closed_form(self, max_degree: int) -> list[int]:
+        return [1, self.n, 1] + [0] * (max_degree - 2)
+
+    def log_level_recursive(self) -> float | int:
+        # s in {1,2,4} is filled by normalization at p=2
+        return int(math.log2(self.s or 1)) + 1
+
 
 @dataclass(frozen=True)
-class FreeProd:
-    factors: tuple["PairExpr", ...]
+class FreeProd(PairExpr):
+    factors: tuple[PairExpr, ...]
+
+    def validate(self, p: int) -> None:
+        if not self.factors:
+            raise ValidationError("free product needs at least one factor")
+        for f in self.factors:
+            _validate(f, p)
+
+    def normalize(self, p: int, K: int) -> PairExpr:
+        kids: list[PairExpr] = []
+        for f in self.factors:
+            nf = f.normalize(p, K)
+            if isinstance(nf, FreeProd):
+                kids.extend(nf.factors)
+            elif not isinstance(nf, Trivial):
+                kids.append(nf)
+        if not kids:
+            return Trivial()
+        kids.sort(key=sort_key)
+        if len(kids) == 1:
+            return kids[0]
+        return FreeProd(tuple(kids))
+
+    def render(self) -> str:
+        return " * ".join(
+            f"({f.render()})" if isinstance(f, FreeProd) else f.render()
+            for f in self.factors
+        )
+
+    def to_json(self) -> dict:
+        return {"type": "freeprod", "factors": [f.to_json() for f in self.factors]}
+
+    def sort_key(self) -> tuple:
+        return (4, (len(self.factors),), tuple(f.sort_key() for f in self.factors))
+
+    def rank(self) -> int:
+        return sum(f.rank() for f in self.factors)
+
+    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
+        return [u for f in self.factors for u in f.theta_generators(p, K)]
+
+    def abelianization(self, p: int, K: int) -> list[int]:
+        return [q for f in self.factors for q in f.abelianization(p, K)]
+
+    def dims_closed_form(self, max_degree: int) -> list[int]:
+        rows = [f.dims_closed_form(max_degree) for f in self.factors]
+        return [1] + [sum(r[d] for r in rows) for d in range(1, max_degree + 1)]
+
+    def log_level_recursive(self) -> float | int:
+        return max(f.log_level_recursive() for f in self.factors)
 
 
 @dataclass(frozen=True)
-class Ext:
+class Ext(PairExpr):
     m: int
-    base: "PairExpr"
+    base: PairExpr
 
+    def validate(self, p: int) -> None:
+        if self.m < 1:
+            raise ValidationError("extension rank m must be >= 1")
+        _validate(self.base, p)
 
-PairExpr = Union[Trivial, ZBlock, EBlock, PAdicBlock, FreeProd, Ext]
+    def normalize(self, p: int, K: int) -> PairExpr:
+        m, base = self.m, self.base.normalize(p, K)
+        if isinstance(base, Ext):
+            m, base = m + base.m, base.base
+        if isinstance(base, EBlock):
+            # Z_2 ⋊ E splits as E * E, peeling one extension layer
+            ee = FreeProd((EBlock(), EBlock()))
+            return ee if m == 1 else Ext(m - 1, ee)
+        if isinstance(base, Trivial) and m == 1:
+            return ZBlock(make_unit(p, 1, 1, K))
+        return Ext(m, base)
+
+    def render(self) -> str:
+        return f"ext({self.m}, {self.base.render()})"
+
+    def to_json(self) -> dict:
+        return {"type": "ext", "m": self.m, "base": self.base.to_json()}
+
+    def sort_key(self) -> tuple:
+        return (5, (self.m,), (self.base.sort_key(),))
+
+    def rank(self) -> int:
+        return self.m + self.base.rank()
+
+    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
+        return self.base.theta_generators(p, K)
+
+    def abelianization(self, p: int, K: int) -> list[int]:
+        gens = self.base.theta_generators(p, K)
+        q = subgroup_invariants(p, gens, K).q_invariant
+        return [q] * self.m + self.base.abelianization(p, K)
+
+    def dims_closed_form(self, max_degree: int) -> list[int]:
+        b = self.base.dims_closed_form(max_degree)
+        return [
+            sum(math.comb(self.m, j) * b[d - j] for j in range(min(self.m, d) + 1))
+            for d in range(max_degree + 1)
+        ]
+
+    def log_level_recursive(self) -> float | int:
+        return self.base.log_level_recursive()
+
 
 _DEFAULT_S = {"I": 1, "II": 4, "III": 2, "IV": 2}
 
@@ -114,81 +400,9 @@ def validate(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> None:
 
 
 def _validate(e: PairExpr, p: int) -> None:
-    if isinstance(e, Trivial):
-        return
-    if isinstance(e, ZBlock):
-        if e.alpha.p != p:
-            raise ValidationError(
-                f"ZBlock unit lives at p={e.alpha.p}, ambient prime is {p}"
-            )
-        return
-    if isinstance(e, EBlock):
-        if p != 2:
-            raise ValidationError("EBlock requires p=2")
-        return
-    if isinstance(e, PAdicBlock):
-        _validate_block(e, p)
-        return
-    if isinstance(e, FreeProd):
-        if not e.factors:
-            raise ValidationError("free product needs at least one factor")
-        for f in e.factors:
-            _validate(f, p)
-        return
-    if isinstance(e, Ext):
-        if e.m < 1:
-            raise ValidationError("extension rank m must be >= 1")
-        _validate(e.base, p)
-        return
-    raise ValidationError(f"not a pair expression: {e!r}")
-
-
-def _validate_block(e: PAdicBlock, p: int) -> None:
-    if e.case not in CASES:
-        raise ValidationError(f"unknown case tag {e.case!r}")
-    if e.n < 3:
-        raise ValidationError("p-adic blocks have rank n >= 3")
-    if not _is_p_power(e.q, p):
-        raise ValidationError(f"q={e.q} is not a power of {p} (>1)")
-    if p != 2:
-        if e.case != "I":
-            raise ValidationError("cases II-IV force p=2")
-        if e.s is not None:
-            raise ValidationError("level s is p=2 metadata only")
-        if e.n % 2 or e.n < p + 1 or (e.n - 2) % (p - 1):
-            raise ValidationError(
-                f"odd-p block needs n even, n >= {p + 1}, n-2 divisible by {p - 1}"
-            )
-        return
-    finite_f = e.f is not None and e.f != INF
-    if e.case == "I":
-        if e.q == 2:
-            raise ValidationError("case I requires q != 2")
-        if e.n % 2:
-            raise ValidationError("case I rank n is even")
-        if e.f is not None:
-            raise ValidationError("case I carries no exponent f")
-    else:
-        if e.q != 2:
-            raise ValidationError(f"case {e.case} requires q=2")
-        if e.f is None:
-            raise ValidationError(f"case {e.case} requires exponent f")
-        if (finite_f and int(e.f) < 2) or (e.f == INF and e.case == "IV"):
-            raise ValidationError(
-                "f must be an integer >= 2, or inf for cases II/III only"
-            )
-        if e.case == "II":
-            if e.n % 2 == 0:
-                raise ValidationError("case II rank n is odd")
-        elif e.n % 2:
-            raise ValidationError(f"case {e.case} rank n is even")
-    if e.s is not None:
-        if e.s not in (1, 2, 4):
-            raise ValidationError("level s lies in {1,2,4}")
-        if (e.s == 1) != (e.case == "I"):
-            raise ValidationError(
-                "s=1 holds exactly when the theta-image avoids -1 (case I)"
-            )
+    if not isinstance(e, PairExpr):
+        raise ValidationError(f"not a pair expression: {e!r}")
+    e.validate(p)
 
 
 # ---------------------------------------------------------------------------
@@ -375,50 +589,12 @@ def _render_rational(alpha: PAdicUnit) -> str:
 
 def render(e: PairExpr) -> str:
     """Textual form in the grammar; inverse of parse on normal forms."""
-    if isinstance(e, Trivial):
-        return "triv"
-    if isinstance(e, EBlock):
-        return "E"
-    if isinstance(e, ZBlock):
-        return f"Z({_render_rational(e.alpha)})"
-    if isinstance(e, PAdicBlock):
-        parts = [f"n={e.n}", f"q={e.q}", f"case={e.case}"]
-        if e.f is not None:
-            parts.append("f=inf" if e.f == INF else f"f={int(e.f)}")
-        if e.s is not None:
-            parts.append(f"s={e.s}")
-        return f"padic({', '.join(parts)})"
-    if isinstance(e, FreeProd):
-        rendered = [
-            f"({render(f)})" if isinstance(f, FreeProd) else render(f)
-            for f in e.factors
-        ]
-        return " * ".join(rendered)
-    if isinstance(e, Ext):
-        return f"ext({e.m}, {render(e.base)})"
-    raise ValidationError(f"not a pair expression: {e!r}")
+    return e.render()
 
 
 def to_json(e: PairExpr) -> dict:
     """Expression tree as plain JSON data (units per the unit contract)."""
-    if isinstance(e, Trivial):
-        return {"type": "trivial"}
-    if isinstance(e, EBlock):
-        return {"type": "E"}
-    if isinstance(e, ZBlock):
-        return {"type": "Z", "alpha": e.alpha.to_json()}
-    if isinstance(e, PAdicBlock):
-        out = {"type": "padic", "n": e.n, "q": e.q, "case": e.case}
-        if e.f is not None:
-            out["f"] = "inf" if e.f == INF else int(e.f)
-        if e.s is not None:
-            out["s"] = e.s
-        return out
-    if isinstance(e, FreeProd):
-        return {"type": "freeprod", "factors": [to_json(f) for f in e.factors]}
-    if isinstance(e, Ext):
-        return {"type": "ext", "m": e.m, "base": to_json(e.base)}
-    raise ValidationError(f"not a pair expression: {e!r}")
+    return e.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -427,56 +603,14 @@ def to_json(e: PairExpr) -> dict:
 
 def sort_key(e: PairExpr):
     """Total order on expressions: tag, numeric parameters, children."""
-    if isinstance(e, Trivial):
-        return (0, (), ())
-    if isinstance(e, ZBlock):
-        return (1, (e.alpha.value, e.alpha.K), ())
-    if isinstance(e, EBlock):
-        return (2, (), ())
-    if isinstance(e, PAdicBlock):
-        f_enc = -1.0 if e.f is None else float(e.f)
-        return (3, (e.n, e.q, CASES.index(e.case), f_enc, e.s or 0), ())
-    if isinstance(e, FreeProd):
-        return (4, (len(e.factors),), tuple(sort_key(f) for f in e.factors))
-    return (5, (e.m,), (sort_key(e.base),))
+    return e.sort_key()
 
 
 def normalize(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> PairExpr:
     """Canonical form: flatten and sort free products, drop trivial factors,
     merge nested extensions, rewrite Ext(1,Trivial) and Ext(m,E)."""
     validate(e, p, K)
-    return _norm(e, p, K)
-
-
-def _norm(e: PairExpr, p: int, K: int) -> PairExpr:
-    if isinstance(e, FreeProd):
-        kids: list[PairExpr] = []
-        for f in e.factors:
-            nf = _norm(f, p, K)
-            if isinstance(nf, FreeProd):
-                kids.extend(nf.factors)
-            elif not isinstance(nf, Trivial):
-                kids.append(nf)
-        if not kids:
-            return Trivial()
-        kids.sort(key=sort_key)
-        if len(kids) == 1:
-            return kids[0]
-        return FreeProd(tuple(kids))
-    if isinstance(e, Ext):
-        m, base = e.m, _norm(e.base, p, K)
-        if isinstance(base, Ext):
-            m, base = m + base.m, base.base
-        if isinstance(base, EBlock):
-            # Z_2 ⋊ E splits as E * E, peeling one extension layer
-            ee = FreeProd((EBlock(), EBlock()))
-            return ee if m == 1 else Ext(m - 1, ee)
-        if isinstance(base, Trivial) and m == 1:
-            return ZBlock(make_unit(p, 1, 1, K))
-        return Ext(m, base)
-    if isinstance(e, PAdicBlock) and p == 2 and e.s is None:
-        return replace(e, s=default_level(e.case))
-    return e
+    return e.normalize(p, K)
 
 
 def structurally_isomorphic(e1: PairExpr, e2: PairExpr, p: int,
@@ -495,45 +629,12 @@ def structurally_isomorphic(e1: PairExpr, e2: PairExpr, p: int,
 
 def rank(e: PairExpr) -> int:
     """dim H^1: generator rank of the pair."""
-    if isinstance(e, Trivial):
-        return 0
-    if isinstance(e, (ZBlock, EBlock)):
-        return 1
-    if isinstance(e, PAdicBlock):
-        return e.n
-    if isinstance(e, FreeProd):
-        return sum(rank(f) for f in e.factors)
-    if isinstance(e, Ext):
-        return e.m + rank(e.base)
-    raise ValidationError(f"not a pair expression: {e!r}")
+    return e.rank()
 
 
 def theta_generators(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> list[PAdicUnit]:
     """Generators of the theta-image, read off the blocks."""
-    if isinstance(e, Trivial):
-        return []
-    if isinstance(e, ZBlock):
-        return [e.alpha.reduce(min(K, e.alpha.K))]
-    if isinstance(e, EBlock):
-        return [make_unit(2, -1, 1, K)]
-    if isinstance(e, PAdicBlock):
-        if e.case == "I":
-            return [make_unit(p, 1, 1 - e.q, K)]
-        tf = two_to(e.f)
-        minus_one = make_unit(2, -1, 1, K)
-        if e.case == "II":
-            return [minus_one, make_unit(2, 1, 1 - tf, K)]
-        if e.case == "III":
-            return [make_unit(2, -1, 1 + tf, K)]
-        return [minus_one, make_unit(2, 1, 1 - tf, K)]  # case IV
-    if isinstance(e, FreeProd):
-        out: list[PAdicUnit] = []
-        for f in e.factors:
-            out.extend(theta_generators(f, p, K))
-        return out
-    if isinstance(e, Ext):
-        return theta_generators(e.base, p, K)
-    raise ValidationError(f"not a pair expression: {e!r}")
+    return e.theta_generators(p, K)
 
 
 def theta_image(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> UnitSubgroupInvariants:
@@ -544,27 +645,4 @@ def theta_image(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> UnitSubgroup
 
 def abelianization(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> list[int]:
     """Divisor sequence of G/[G,G]: 0 per Z_p factor, q per Z_p/q factor."""
-    if isinstance(e, Trivial):
-        return []
-    if isinstance(e, ZBlock):
-        return [0]
-    if isinstance(e, EBlock):
-        return [2]
-    if isinstance(e, PAdicBlock):
-        return [0] * (e.n - 1) + [e.q]
-    if isinstance(e, FreeProd):
-        out: list[int] = []
-        for f in e.factors:
-            out.extend(abelianization(f, p, K))
-        return out
-    if isinstance(e, Ext):
-        q = subgroup_invariants(p, theta_generators(e.base, p, K), K).q_invariant
-        return [q] * e.m + abelianization(e.base, p, K)
-    raise ValidationError(f"not a pair expression: {e!r}")
-
-
-def eps_of_expr(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> int:
-    """Whether the pair's epsilon-character is nonzero (p=2), as 0/1."""
-    if p != 2:
-        return 0
-    return 1 if any(epsilon_of(u) for u in theta_generators(e, p, K)) else 0
+    return e.abelianization(p, K)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .cohomology import GradedAlgebra, build_cohomology
 from .errors import DimensionTooLarge, NotAnExtension, ValidationError
-from .fplinear import batch_rank, rank, row_space_basis, rref, solve
+from .fplinear import batch_rank, rank, row_space_basis, rref
 from .pairs import Ext, PairExpr, normalize
 from .units import DEFAULT_PRECISION
 
@@ -139,10 +139,12 @@ def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _check_bound(bmap: AugBilinearMap, bound: int) -> None:
-    if bmap.p**bmap.d > bound:
+def _check_bound(p: int, d: int, bound: int) -> None:
+    """Refuse to enumerate F_p^d when p^d exceeds ``bound``.  The message
+    gives p^d as a power: the integer can pass Python's int-to-str limit."""
+    if p**d > bound:
         raise DimensionTooLarge(
-            f"p^d = {bmap.p**bmap.d} exceeds the enumeration bound {bound}"
+            f"p^d = {p}^{d} exceeds the enumeration bound {bound}"
         )
 
 
@@ -152,7 +154,7 @@ def is_rigid(bmap: AugBilinearMap, a, bound: int = DEFAULT_ENUM_BOUND) -> bool:
     Raises ``DimensionTooLarge`` when p^d exceeds ``bound``, as a scan does.
     """
     p, d = bmap.p, bmap.d
-    _check_bound(bmap, bound)
+    _check_bound(p, d, bound)
     av = np.asarray(a, dtype=np.int64) % p
     if av.shape != (d,):
         raise ValidationError(f"expected a vector of length {d}")
@@ -164,7 +166,7 @@ def is_rigid(bmap: AugBilinearMap, a, bound: int = DEFAULT_ENUM_BOUND) -> bool:
 def _scan(bmap: AugBilinearMap, bound: int):
     """All nonzero vectors of A_1 with their rigidity flags, computed once
     per map."""
-    _check_bound(bmap, bound)
+    _check_bound(bmap.p, bmap.d, bound)
     if "scan" not in bmap._cache:
         vecs = _all_vectors(bmap.p, bmap.d)[1:]
         flags = _rank_flags(bmap, vecs)
@@ -231,6 +233,7 @@ def check_rigidity_criterion(
     ne = normalize(e, p, K)
     if not isinstance(ne, Ext):
         raise NotAnExtension(f"normal form {type(ne).__name__} has no extension root")
+    _check_bound(p, ne.rank(), bound)  # before building the ring and its gram
     alg = build_cohomology(ne, p, 2, K)
     bmap = from_cohomology(alg)
     t = alg.meta["ext_inflation_dim"]
@@ -242,27 +245,6 @@ def check_rigidity_criterion(
     return RigidityCriterionReport(not counter, len(outside), counter)
 
 
-def restrict(bmap: AugBilinearMap, rows) -> AugBilinearMap:
-    """Sub-map on the row span of ``rows``; eps must lie in that span."""
-    p = bmap.p
-    r = np.asarray(rows, dtype=np.int64) % p
-    if r.ndim != 2 or r.shape[1] != bmap.d:
-        raise ValidationError("subspace rows must have length d")
-    if rank(r, p) != r.shape[0]:
-        raise ValidationError("subspace rows must be independent")
-    eps_coords = solve(r.T, bmap.eps, p)
-    if eps_coords is None:
-        raise ValidationError("eps does not lie in the subspace")
-    t = np.einsum("ai,bj,ijk->abk", r, r, bmap.tensor) % p
-    return AugBilinearMap(
-        p=p,
-        tensor=t,
-        eps=eps_coords,
-        labels=tuple(f"v{i + 1}" for i in range(r.shape[0])),
-        multiplicative=bmap.multiplicative,
-    )
-
-
 def _keys(bmap: AugBilinearMap) -> np.ndarray:
     """Invariant key of every vector a of A_1, indexed like ``_all_vectors``.
 
@@ -270,7 +252,7 @@ def _keys(bmap: AugBilinearMap) -> np.ndarray:
     two together, whether B(a, a) = 0 and whether a = eps.  The three ranks
     of a chunk come from one batched elimination; computed once per map.
     """
-    _check_bound(bmap, DEFAULT_ENUM_BOUND)
+    _check_bound(bmap.p, bmap.d, DEFAULT_ENUM_BOUND)
     if "keys" not in bmap._cache:
         p, d, e = bmap.p, bmap.d, bmap.e
         vecs = _all_vectors(p, d)

@@ -32,6 +32,8 @@ def test_zblock_and_eblock():
     assert alg.eps.tolist() == [1]
     alg = build_cohomology(parse("Z(5)", 2), 2, 4)
     assert alg.eps.tolist() == [0]
+    alg = build_cohomology(parse("Z(7)", 3), 3, 4)
+    assert alg.eps.tolist() == [0]
     alg = build_cohomology(parse("E", 2), 2, 5)
     assert alg.dims == [1] * 6
     v = alg.eps

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from etkit.fplinear import (
-    FpMatrix,
     batch_rank,
     in_span,
     is_prime,
@@ -115,9 +114,3 @@ def test_solve_reports_inconsistency():
     a = np.array([[1, 0], [1, 0]])
     b = np.array([1, 0])
     assert solve(a, b, 2) is None
-
-
-def test_fpmatrix_wrapper():
-    m = FpMatrix(2, np.array([[1, 1], [0, 1]]))
-    assert m.rank() == 2
-    assert m.rows == 2 and m.cols == 2

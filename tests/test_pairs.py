@@ -15,7 +15,6 @@ from etkit.pairs import (
     Trivial,
     ZBlock,
     abelianization,
-    eps_of_expr,
     normalize,
     parse,
     rank,
@@ -96,6 +95,10 @@ def test_validation_rules():
         validate(PAdicBlock(n=5, q=3, case="I"), 3)  # odd p needs even n
     validate(PAdicBlock(n=4, q=3, case="I"), 3)
     validate(PAdicBlock(n=6, q=2, case="III", f=math.inf), 2)
+    # the one check for input that is not a node also covers children
+    for bad in ("E", FreeProd((EBlock(), "E")), Ext(1, FreeProd((None,)))):
+        with pytest.raises(ValidationError, match="not a pair expression"):
+            validate(bad, 2)
 
 
 def test_normalize_sorts_and_flattens():
@@ -160,13 +163,6 @@ def test_abelianization():
     assert abelianization(parse("padic(n=3,case=II,f=2)", 2), 2) == [0, 0, 2]
     # extension twists the fibre by the base theta image
     assert abelianization(parse("ext(2, Z(5))", 2), 2) == [4, 4, 0]
-
-
-def test_eps_of_expr():
-    assert eps_of_expr(parse("Z(5)", 2), 2) == 0
-    assert eps_of_expr(parse("Z(3)", 2), 2) == 1
-    assert eps_of_expr(parse("E", 2), 2) == 1
-    assert eps_of_expr(parse("Z(7)", 3), 3) == 0
 
 
 def test_structural_isomorphism_on_sorted_forms():

@@ -1,10 +1,15 @@
+import contextlib
+import io
+import json
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from etkit.cli import main
 from etkit.cohomology import build_cohomology
 from etkit.errors import (
     DimensionTooLarge,
@@ -27,7 +32,6 @@ from etkit.rigidity import (
     from_cohomology,
     is_rigid,
     n_subspace,
-    restrict,
     rigidity_report,
     vector_label,
 )
@@ -132,24 +136,6 @@ def test_scalar_invariance_odd_p():
         assert is_rigid(m, a) == is_rigid(m, (2 * a) % 3)
 
 
-def test_restriction_preserves_rigidity():
-    rng = random.Random(22)
-    for _ in range(30):
-        m = _random_map(rng, 2, 4, 2)
-        rows = np.array([[1, 0, 0, 0], [0, 1, 0, 0], m.eps], dtype=np.int64)
-        rows = rows % 2
-        try:
-            sub = restrict(m, rows)
-        except ValidationError:
-            continue  # eps made the rows dependent
-        for coords in ([1, 0, 0], [0, 1, 0], [1, 1, 0]):
-            big = (np.array(coords) @ rows) % 2
-            if not big.any():
-                continue
-            if is_rigid(m, big):
-                assert is_rigid(sub, coords)
-
-
 def test_beta_class_is_rigid_in_small_extension():
     alg = build_cohomology(parse("ext(1, Z(1))", 3), 3, 2)
     m = from_cohomology(alg)
@@ -165,6 +151,21 @@ def test_criterion_on_random_ext_rooted():
         rep = check_rigidity_criterion(e, p)
         assert rep.holds, (e, rep.counterexamples)
         assert rep.checked > 0
+
+
+def test_oversized_scan_refused_before_building():
+    # building the ring and its d x d gram first would take seconds on both
+    start = time.perf_counter()
+    for n in (1001, 20001):  # 2^20001 has more digits than str(int) allows
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["rigid", "--p", "2", f"padic(n={n},case=II,f=2)"])
+        assert code == 1
+        assert json.loads(err.getvalue())["error"] == \
+            f"p^d = 2^{n} exceeds the enumeration bound 65536"
+    with pytest.raises(DimensionTooLarge, match=r"2\^502 exceeds"):
+        check_rigidity_criterion(parse("ext(1, padic(n=501,case=II,f=2))", 2), 2)
+    assert time.perf_counter() - start < 1
 
 
 def test_n_subspace_inside_inflation():
