@@ -3,12 +3,17 @@
 Groups are multiplication tables with identity at index 0.  Cochains are
 normalized and inhomogeneous; everything reduces to F_p linear algebra,
 so dimensions and explicit classes come out of rank computations that
-are independent of the pro-p machinery elsewhere in the package.
+are independent of the pro-p machinery elsewhere in the package.  The
+2-cocycle conditions are sparse rows with at most four nonzeros; they go
+one at a time into an ``fplinear`` echelon basis, and dim B^2 is
+(n - 1) - dim H^1, the dimension of the normalized 1-cochains less that
+of the homomorphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product as iter_product
 
 import numpy as np
@@ -19,7 +24,14 @@ from .errors import (
     OrderBound,
     ValidationError,
 )
-from .fplinear import in_span, kernel_basis, row_space_basis, solve
+from .fplinear import (
+    dense_row,
+    echelon_insert,
+    echelon_kernel,
+    echelon_reduce,
+    kernel_basis,
+    sparse_row,
+)
 
 MAX_ORDER = 32
 
@@ -43,16 +55,12 @@ class FiniteGroup:
             raise OrderBound(f"order {n} exceeds the bound {MAX_ORDER}")
         if t.min() < 0 or t.max() >= n:
             raise ValidationError("table entries must be element indices")
-        if not (np.array_equal(t[0], np.arange(n))
-                and np.array_equal(t[:, 0], np.arange(n))):
+        ident = np.arange(n)
+        if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)):
             raise ValidationError("index 0 must be the identity")
-        for i in range(n):
-            if len(set(t[i].tolist())) != n or len(set(t[:, i].tolist())) != n:
-                raise ValidationError("rows and columns must be permutations")
-        # left[i,j,k] = t[t[i,j],k]; right[i,j,k] = t[i,t[j,k]]
-        left = t[t]
-        right = t[:, t]
-        if not np.array_equal(left, right):
+        if (np.sort(t, axis=0).T != ident).any() or (np.sort(t, axis=1) != ident).any():
+            raise ValidationError("rows and columns must be permutations")
+        if not np.array_equal(t[t], t[:, t]):  # t[t[i,j],k] against t[i,t[j,k]]
             raise ValidationError("the table is not associative")
 
     @property
@@ -75,11 +83,7 @@ class FiniteGroup:
 def _table_group(fn, n: int, name: str) -> FiniteGroup:
     if n > MAX_ORDER:  # checked before the n x n table is built
         raise OrderBound(f"order {n} exceeds the bound {MAX_ORDER}")
-    t = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            t[i, j] = fn(i, j)
-    return FiniteGroup(t, name)
+    return FiniteGroup(np.array([[fn(i, j) for j in range(n)] for i in range(n)]), name)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -144,11 +148,7 @@ def group_from_json(data) -> FiniteGroup:
     if kind == "product":
         if not isinstance(data.get("factors"), list) or not data["factors"]:
             raise ValidationError("a product needs a nonempty 'factors' list")
-        factors = [group_from_json(f) for f in data["factors"]]
-        g = factors[0]
-        for h in factors[1:]:
-            g = direct_product(g, h)
-        return g
+        return reduce(direct_product, [group_from_json(f) for f in data["factors"]])
     if kind == "table":
         t = data.get("table")
         if not isinstance(t, list) or not all(
@@ -184,14 +184,9 @@ def subgroup_closure(g: FiniteGroup, gens: list[int]) -> list[int]:
 
 
 def commutator_subgroup(g: FiniteGroup) -> list[int]:
-    n = g.order
-    comms = set()
-    for a in range(n):
-        ia = g.inverse(a)
-        for b in range(n):
-            c = g.table[g.table[a, b], g.table[ia, g.inverse(b)]]
-            comms.add(int(c))
-    return subgroup_closure(g, sorted(comms))
+    t, inv = g.table, np.array([g.inverse(a) for a in range(g.order)])
+    comms = t[t, t[inv[:, None], inv[None, :]]]  # [a, b] = ab a^-1 b^-1
+    return subgroup_closure(g, sorted(set(comms.ravel().tolist())))
 
 
 def quotient(g: FiniteGroup, normal: list[int]) -> tuple[FiniteGroup, np.ndarray]:
@@ -199,15 +194,12 @@ def quotient(g: FiniteGroup, normal: list[int]) -> tuple[FiniteGroup, np.ndarray
     nset = set(int(x) for x in normal)
     if 0 not in nset:
         raise ValidationError("the subgroup must contain the identity")
-    for x in nset:
-        for y in nset:
-            if int(g.table[x, y]) not in nset:
-                raise ValidationError("not closed under multiplication")
-    for x in range(g.order):
-        ix = g.inverse(x)
-        for k in nset:
-            if int(g.table[g.table[x, k], ix]) not in nset:
-                raise ValidationError("the subgroup is not normal")
+    nl = sorted(nset)
+    if not np.isin(g.table[np.ix_(nl, nl)], nl).all():
+        raise ValidationError("not closed under multiplication")
+    inv = np.array([g.inverse(x) for x in range(g.order)])
+    if not np.isin(g.table[g.table[:, nl], inv[:, None]], nl).all():
+        raise ValidationError("the subgroup is not normal")
     proj = -np.ones(g.order, dtype=np.int64)
     rep_of = []
     for x in range(g.order):
@@ -217,11 +209,7 @@ def quotient(g: FiniteGroup, normal: list[int]) -> tuple[FiniteGroup, np.ndarray
         rep_of.append(x)
         for k in nset:
             proj[int(g.table[x, k])] = cid
-    m = len(rep_of)
-    qt = np.zeros((m, m), dtype=np.int64)
-    for i, ri in enumerate(rep_of):
-        for j, rj in enumerate(rep_of):
-            qt[i, j] = proj[int(g.table[ri, rj])]
+    qt = proj[g.table[np.ix_(rep_of, rep_of)]]
     return FiniteGroup(qt, f"{g.name}/N"), proj
 
 
@@ -232,14 +220,8 @@ def quotient(g: FiniteGroup, normal: list[int]) -> tuple[FiniteGroup, np.ndarray
 def h1_basis(g: FiniteGroup, p: int) -> np.ndarray:
     """Basis of Hom(G, F_p) as rows of values over the elements."""
     n = g.order
-    rows = np.zeros((n * n, n), dtype=np.int64)
-    r = 0
-    for i in range(n):
-        for j in range(n):
-            rows[r, i] += 1
-            rows[r, j] += 1
-            rows[r, int(g.table[i, j])] -= 1
-            r += 1
+    eye = np.eye(n, dtype=np.int64)  # row (i, j): f(i) + f(j) - f(ij) = 0
+    rows = (eye[:, None, :] + eye[None, :, :] - eye[g.table]).reshape(n * n, n)
     return kernel_basis(rows % p, p)
 
 
@@ -263,102 +245,81 @@ def h1_dim_structural(g: FiniteGroup, p: int) -> int:
 # degree two
 
 
-def _rank_mod(m: np.ndarray, p: int) -> int:
-    """Row-echelon rank over F_p, in place on an int32 copy."""
-    m = (np.asarray(m, dtype=np.int64) % p).astype(np.int32)
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
-        r += 1
-    return r
-
-
 def _pair_index(n: int, x: int, y: int) -> int:
     return (x - 1) * (n - 1) + (y - 1)
 
 
-def _cocycle_matrix(g: FiniteGroup, p: int) -> np.ndarray:
-    """Constraint rows of the normalized 2-cocycle condition on variables
-    c(x, y) indexed over nonidentity pairs."""
+def _cocycle_rows(g: FiniteGroup, p: int):
+    """Sparse rows of the normalized 2-cocycle condition
+    c(a,b) + c(ab,c) - c(b,c) - c(a,bc) = 0, one per nonidentity (a, b, c),
+    on variables c(x, y) over nonidentity pairs."""
     n = g.order
-    nv = (n - 1) * (n - 1)
-    rows = []
-    t = g.table
+    t = g.table.tolist()
     for a, b, c in iter_product(range(1, n), repeat=3):
-        row = np.zeros(nv, dtype=np.int64)
-        ab, bc = int(t[a, b]), int(t[b, c])
-        row[_pair_index(n, a, b)] += 1
-        if ab:
-            row[_pair_index(n, ab, c)] += 1
-        row[_pair_index(n, b, c)] -= 1
-        if bc:
-            row[_pair_index(n, a, bc)] -= 1
-        rows.append(row % p)
-    return np.array(rows, dtype=np.int64)
+        ab, bc = t[a][b], t[b][c]
+        row: dict = {}
+        for x, y, v in ((a, b, 1), (ab, c, 1), (b, c, -1), (a, bc, -1)):
+            if x and y:  # normalized: c vanishes on pairs with an identity
+                k = _pair_index(n, x, y)
+                row[k] = row.get(k, 0) + v
+        yield sparse_row(row, p)
 
 
-def _coboundary_rows(g: FiniteGroup, p: int) -> np.ndarray:
+def _coboundary_rows(g: FiniteGroup, p: int):
+    """Sparse rows spanning B^2: the coboundary of each delta function
+    on a nonidentity element, c(x, y) = [x = g] + [y = g] - [xy = g]."""
     n = g.order
-    nv = (n - 1) * (n - 1)
-    rows = np.zeros((n - 1, nv), dtype=np.int64)
-    for gidx in range(1, n):
-        for x in range(1, n):
-            for y in range(1, n):
-                val = (x == gidx) + (y == gidx) - (int(g.table[x, y]) == gidx)
-                rows[gidx - 1, _pair_index(n, x, y)] = val % p
-    return rows % p
+    t = g.table.tolist()
+    rows = [{} for _ in range(n)]
+    for x, y in iter_product(range(1, n), repeat=2):
+        k = _pair_index(n, x, y)
+        for gidx, v in ((x, 1), (y, 1), (t[x][y], -1)):
+            rows[gidx][k] = rows[gidx].get(k, 0) + v
+    return [sparse_row(row, p) for row in rows[1:]]
 
 
 def h2_dim(g: FiniteGroup, p: int) -> int:
-    """dim H^2(G, F_p) with trivial action, by rank counting."""
-    nv = (g.order - 1) ** 2
-    z2 = nv - _rank_mod(_cocycle_matrix(g, p), p)
-    b2 = _rank_mod(_coboundary_rows(g, p), p)
-    return z2 - b2
+    """dim H^2(G, F_p) with trivial action: dim Z^2 from the rank of the
+    cocycle rows, less dim B^2 = (n - 1) - dim H^1 in closed form."""
+    n = g.order
+    basis: dict = {}
+    for row in _cocycle_rows(g, p):
+        echelon_insert(basis, row, p)
+    return (n - 1) ** 2 - len(basis) - (n - 1 - h1_dim(g, p))
 
 
 @dataclass
 class H2Space:
-    """Explicit H^2(G, F_p): coboundary basis plus chosen representatives."""
+    """Explicit H^2(G, F_p): B^2 and chosen representatives in one
+    echelon basis.
+
+    The representatives are picked in order from the RREF kernel basis of
+    the cocycle rows, the one ``fplinear.kernel_basis`` gives: each vector
+    outside the span of B^2 and of those picked before it.  Each is
+    inserted with its index as a tag, so reducing a cocycle reads off its
+    coordinates.
+    """
 
     group: FiniteGroup
     p: int
-    b_basis: np.ndarray = field(init=False)
     reps: np.ndarray = field(init=False)
+    _echelon: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g, p = self.group, self.p
-        z = kernel_basis(_cocycle_matrix(g, p), p)
-        self.b_basis = row_space_basis(_coboundary_rows(g, p), p)
-        picked = []
-        current = self.b_basis
-        for v in z:
-            if not in_span(current, v, p):
-                picked.append(v)
-                current = row_space_basis(
-                    np.vstack([current, v[None, :]]) if len(current) else v[None, :],
-                    p,
-                )
         nv = (g.order - 1) ** 2
-        self.reps = (
-            np.array(picked, dtype=np.int64)
-            if picked else np.zeros((0, nv), dtype=np.int64)
-        )
+        cocycles: dict = {}
+        for row in _cocycle_rows(g, p):
+            echelon_insert(cocycles, row, p)
+        self._echelon = {}
+        for row in _coboundary_rows(g, p):
+            echelon_insert(self._echelon, row, p)
+        picked = []
+        for z in echelon_kernel(cocycles, nv, p):
+            tag = sparse_row({len(picked): 1}, p)
+            if echelon_insert(self._echelon, sparse_row(z, p), p, tag):
+                picked.append(z)
+        self.reps = np.array(picked, dtype=np.int64).reshape(len(picked), nv)
 
     @property
     def dim(self) -> int:
@@ -375,12 +336,12 @@ class H2Space:
 
     def coords(self, cvec: np.ndarray) -> np.ndarray:
         """Coordinates of a cocycle in the chosen H^2 basis."""
-        stacked = np.vstack([self.b_basis, self.reps]) if self.dim or len(self.b_basis) \
-            else np.zeros((0, len(cvec)), dtype=np.int64)
-        x = solve(stacked.T % self.p, np.asarray(cvec) % self.p, self.p)
-        if x is None:
+        p = self.p
+        rest, tag = echelon_reduce(self._echelon, sparse_row(cvec, p), p)
+        if rest:
             raise ValidationError("the cochain is not a cocycle")
-        return x[len(self.b_basis):] % self.p
+        # the reduction subtracted the basis rows that sum to the cochain
+        return (-dense_row(tag, self.dim, p)) % p
 
 
 def cup_h1_h1(g: FiniteGroup, p: int, f, h,
@@ -394,10 +355,8 @@ def cup_h1_h1(g: FiniteGroup, p: int, f, h,
     for a in (f, h):
         if a[0] % p:
             raise NotAHomomorphism("value at the identity must vanish")
-        for i in range(n):
-            for j in range(n):
-                if (a[int(g.table[i, j])] - a[i] - a[j]) % p:
-                    raise NotAHomomorphism("not additive on some pair")
+        if ((a[g.table] - a[:, None] - a[None, :]) % p).any():
+            raise NotAHomomorphism("not additive on some pair")
     if space is None:
         space = H2Space(g, p)
     cvec = space.cochain_of_pairs(lambda x, y: int(f[x]) * int(h[y]))
@@ -414,16 +373,12 @@ def _validate_kernel(e: FiniteGroup, kernel: list[int], p: int) -> int:
         raise ValidationError("the kernel must be a subgroup containing 0")
     if len(kset) != p:
         raise ValidationError(f"the kernel must have order {p}")
-    for x in kset:
-        for y in kset:
-            if int(e.table[x, y]) not in kset:
-                raise ValidationError("the kernel is not closed")
-    for k in kset:
-        for x in range(e.order):
-            if int(e.table[k, x]) != int(e.table[x, k]):
-                raise KernelNotCentral(
-                    f"element {k} does not commute with {x}"
-                )
+    if not np.isin(e.table[np.ix_(kset, kset)], kset).all():
+        raise ValidationError("the kernel is not closed")
+    bad = np.argwhere(e.table[kset] != e.table[:, kset].T)
+    if len(bad):
+        k, x = kset[bad[0, 0]], bad[0, 1]
+        raise KernelNotCentral(f"element {k} does not commute with {x}")
     gen = next(x for x in kset if x)
     if p > 2:
         # must be cyclic of order p; any nonidentity element generates
@@ -437,11 +392,7 @@ def _validate_kernel(e: FiniteGroup, kernel: list[int], p: int) -> int:
 
 
 def default_section(e: FiniteGroup, proj: np.ndarray) -> np.ndarray:
-    m = int(proj.max()) + 1
-    sec = np.zeros(m, dtype=np.int64)
-    for c in range(m):
-        sec[c] = int(np.nonzero(proj == c)[0][0])
-    return sec
+    return np.unique(proj, return_index=True)[1].astype(np.int64)  # first lifts
 
 
 def extension_class(e: FiniteGroup, kernel: list[int], p: int,
@@ -465,9 +416,8 @@ def extension_class(e: FiniteGroup, kernel: list[int], p: int,
         sec = np.asarray(section, dtype=np.int64)
         if sec.shape != (q.order,):
             raise ValidationError("the section must list one lift per coset")
-        for c in range(q.order):
-            if int(proj[sec[c]]) != c:
-                raise ValidationError("the section does not split the projection")
+        if not np.array_equal(proj[sec], np.arange(q.order)):
+            raise ValidationError("the section does not split the projection")
         if sec[0] != 0:
             raise ValidationError("the section must lift the identity to 0")
     if space is None:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fplinear import in_span, is_prime, row_space_basis
 from .laurent import LaurentRing
-from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock
+from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
 from .smallfields import GF, gf
 from .units import DEFAULT_PRECISION, make_unit
@@ -641,7 +641,10 @@ def check_pairing_match(model: FieldModel, e: PairExpr, p: int,
     """Are the field's symbol map and the expression's cup map isomorphic
     as augmented bilinear maps?  Bounded as ``find_equivalence`` is."""
     m1 = from_field_model(model, p)
-    m2 = from_cohomology(build_cohomology(e, p, 2, K))
+    ne = normalize(e, p, K)
+    if rank(ne) != m1.d:  # H^1 dimensions differ: refused before the ring
+        return False
+    m2 = from_cohomology(build_cohomology(ne, p, 2, K))
     return find_equivalence(m1, m2) is not None
 
 

@@ -1,8 +1,9 @@
-"""Dense exact linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p.
 
-Everything here works on small/medium integer matrices with entries reduced
-mod p; elimination uses a fixed pivot order (leftmost column, topmost row)
-so ranks, solutions, and kernel bases are deterministic.
+Dense matrices are small/medium integer arrays reduced mod p; elimination
+uses a fixed pivot order (leftmost column, topmost row) so ranks,
+solutions, and kernel bases are deterministic.  Large sparse systems go
+row by row into an echelon basis instead (see ``echelon_insert``).
 """
 
 from __future__ import annotations
@@ -125,17 +126,15 @@ def solve(a, b, p: int) -> np.ndarray | None:
 def kernel_basis(a, p: int) -> list[np.ndarray]:
     """Deterministic basis of the null space, one vector per free column."""
     a = np.asarray(a, dtype=np.int64) % p
-    n_cols = a.shape[1]
-    red, pivots = rref(a, p)
-    pivot_set = set(pivots)
+    return _rref_kernel(*rref(a, p), a.shape[1], p)
+
+
+def _rref_kernel(red, pivots: list[int], n_cols: int, p: int) -> list[np.ndarray]:
     basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(n_cols)) - set(pivots)):
         v = np.zeros(n_cols, dtype=np.int64)
         v[free] = 1
-        for row, c in enumerate(pivots):
-            v[c] = (-red[row, free]) % p
+        v[pivots] = -red[: len(pivots), free] % p
         basis.append(v)
     return basis
 
@@ -156,3 +155,100 @@ def in_span(rows, v, p: int) -> bool:
     if rows.size == 0:
         return bool(np.all(v % p == 0))
     return rank(rows, p) == rank(np.vstack([rows, v]), p)
+
+
+# ---------------------------------------------------------------------------
+# incremental echelon of sparse rows
+#
+# A basis maps each pivot column to (row, tag).  Rows are ints read as bit
+# vectors at p = 2, reduced by XOR as in M4RI (Albrecht-Bard), and dicts
+# {column: coefficient} at odd p.  The basis stays fully reduced: each row
+# is 1 at its pivot, its lowest column, and 0 at the other pivots, so its
+# rows are those of ``rref``.  A tag (0 for none) has the form of a row and
+# is reduced alongside it, recording which inserted rows a row combines.
+
+
+def sparse_row(entries, p: int):
+    """The row of {column: coefficient} or of a dense vector."""
+    if not isinstance(entries, dict):
+        v = np.asarray(entries, dtype=np.int64) % p
+        entries = {int(c): int(v[c]) for c in np.flatnonzero(v)}
+    if p == 2:
+        return sum(1 << c for c, v in entries.items() if v % 2)
+    return {c: v % p for c, v in entries.items() if v % p}
+
+
+def dense_row(row, n_cols: int, p: int) -> np.ndarray:
+    if p == 2:
+        packed = np.frombuffer(row.to_bytes(n_cols // 8 + 1, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, bitorder="little")[:n_cols].astype(np.int64)
+    out = np.zeros(n_cols, dtype=np.int64)
+    out[list(row)] = list(row.values())
+    return out
+
+
+def _axpy(x: dict, c: int, y: dict, p: int) -> None:
+    """x -= c * y in place."""
+    for col, v in y.items():
+        s = (x.get(col, 0) - c * v) % p
+        if s:
+            x[col] = s
+        else:
+            x.pop(col, None)
+
+
+def echelon_reduce(basis: dict, row, p: int, tag=0):
+    """(row, tag) with every pivot column of ``basis`` cleared.  The row
+    comes back empty exactly when it lies in the span of the basis."""
+    if p == 2:
+        bits = row
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            hit = basis.get(low.bit_length() - 1)
+            if hit is not None:
+                row ^= hit[0]
+                tag ^= hit[1]
+        return row, tag
+    row, tag = dict(row), dict(tag or {})
+    for c in [c for c in row if c in basis]:
+        v = row[c]  # untouched so far: other basis rows are 0 at c
+        _axpy(row, v, basis[c][0], p)
+        _axpy(tag, v, basis[c][1], p)
+    return row, tag
+
+
+def echelon_insert(basis: dict, row, p: int, tag=0):
+    """Reduce (row, tag) against ``basis`` and insert what is left.
+
+    Returns the reduced row; it is empty, and nothing is inserted, when
+    the row lies in the span of the basis.
+    """
+    row, tag = echelon_reduce(basis, row, p, tag)
+    if not row:
+        return row
+    if p == 2:
+        lead = (row & -row).bit_length() - 1
+        for c, (other, other_tag) in basis.items():
+            if other >> lead & 1:
+                basis[c] = (other ^ row, other_tag ^ tag)
+    else:
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        row = {c: v * inv % p for c, v in row.items()}
+        tag = {c: v * inv % p for c, v in tag.items()}
+        for other, other_tag in basis.values():
+            v = other.get(lead)
+            if v:
+                _axpy(other, v, row, p)
+                _axpy(other_tag, v, tag, p)
+    basis[lead] = (row, tag)
+    return row
+
+
+def echelon_kernel(basis: dict, n_cols: int, p: int) -> list[np.ndarray]:
+    """Null space of the rows of ``basis``, as ``kernel_basis`` gives it."""
+    pivots = sorted(basis)
+    red = np.array([dense_row(basis[c][0], n_cols, p) for c in pivots],
+                   dtype=np.int64).reshape(len(pivots), n_cols)
+    return _rref_kernel(red, pivots, n_cols, p)

@@ -11,19 +11,18 @@ of W_a, of dimension d - rank W_a, so a is rigid exactly when u = 0, or
 rank W_a = d, or rank W_a = d - 1 and u W_a = 0.  A scan computes these
 ranks for every nonzero a in one batched elimination, chunked so that its
 working memory stays fixed, and caches the flags on the map.  The
-brute-force test ``_rigid_one``, which enumerates every b, is kept as the
-oracle for the rank test.
+brute-force test ``_rigid_one``, which enumerates every b, is kept in
+``tests/test_rigidity.py`` as the oracle for the rank test.
 
 Equivalence of two maps is decided by a search over the columns of the
 change of basis, restricted and pruned by rank invariants of every vector
 (see ``find_equivalence``); the enumeration of all p^(d^2) matrices,
-``_find_equivalence_brute``, is kept as its oracle.
+``_find_equivalence_brute``, is kept there as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -104,21 +103,6 @@ def _all_vectors(p: int, d: int) -> np.ndarray:
     """All p^d vectors of F_p^d, in lexicographic order."""
     place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
     return np.arange(p**d, dtype=np.int64)[:, None] // place % p
-
-
-def _rigid_one(bmap: AugBilinearMap, a: np.ndarray, vecs: np.ndarray) -> bool:
-    """Oracle: test rigidity of a against every b in ``vecs``."""
-    p = bmap.p
-    u = (bmap.eps + a) % p
-    if not u.any():
-        # every pair {0, b} is linearly dependent
-        return True
-    w = np.einsum("i,ijk->jk", a, bmap.tensor) % p
-    cand = vecs[~((vecs @ w) % p).any(axis=1)]
-    j0 = int(np.flatnonzero(u)[0])
-    inv_u = pow(int(u[j0]), -1, p)
-    lam = (cand[:, j0] * inv_u) % p
-    return bool(((lam[:, None] * u[None, :]) % p == cand).all())
 
 
 def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
@@ -351,7 +335,6 @@ def find_equivalence(
     Raises ``DimensionTooLarge`` when p^d exceeds ``DEFAULT_ENUM_BOUND``
     (the keys enumerate A_1) or when the search tries more than ``cap``
     candidate columns.
-    The brute-force ``_find_equivalence_brute`` is kept as its oracle.
     """
     if not _same_shape(m1, m2):
         return None
@@ -422,32 +405,3 @@ def find_equivalence(
         return None
 
     return extend(np.zeros((0, d), dtype=np.int64))
-
-
-def _find_equivalence_brute(
-    m1: AugBilinearMap,
-    m2: AugBilinearMap,
-    cap: int = DEFAULT_PAIR_CAP,
-):
-    """Oracle for ``find_equivalence``: tries the identity, then every
-    d x d matrix P (at most ``cap`` of them)."""
-    if not _same_shape(m1, m2):
-        return None
-    p, d, e = m1.p, m1.d, m1.e
-    if d == 0:
-        return np.zeros((0, 0), dtype=np.int64), np.eye(e, dtype=np.int64)
-    if p ** (d * d) > cap:
-        raise DimensionTooLarge(
-            f"p^(d^2) = {p ** (d * d)} exceeds the search cap {cap}"
-        )
-    try_p = _q_finder(m1, m2)
-    ident = np.eye(d, dtype=np.int64)
-    q = try_p(ident)
-    if q is not None:
-        return ident, q
-    for bits in iter_product(range(p), repeat=d * d):
-        pm = np.array(bits, dtype=np.int64).reshape(d, d)
-        q = try_p(pm)
-        if q is not None:
-            return pm, q
-    return None

@@ -2,10 +2,10 @@
 
 Elements are integers in [0, q) encoding coefficient vectors base the
 characteristic (low digit = constant term).  Multiplication goes through
-exp/log tables built from a brute-force generator g, which keeps p-th-power
-tests and class-group coordinates one table lookup away.  Addition goes
-through Zech logarithms, zech[k] = log(1 + g^k), so x + y is
-g^(log x + zech[log y - log x]) and no operation decodes digits.
+exp/log tables built from the generator g of least encoding, which keeps
+p-th-power tests and class-group coordinates one table lookup away.
+Addition goes through Zech logarithms, zech[k] = log(1 + g^k), so x + y
+is g^(log x + zech[log y - log x]) and no operation decodes digits.
 """
 
 from __future__ import annotations
@@ -148,16 +148,21 @@ class GF:
             _poly_mulmod(self._digits(x), self._digits(y), self.modulus, self.char)
         )
 
+    def _raw_pow(self, x: int, k: int) -> int:
+        acc = 1
+        while k:
+            if k & 1:
+                acc = self._raw_mul(acc, x)
+            x = self._raw_mul(x, x)
+            k >>= 1
+        return acc
+
     def _build_tables(self):
         target = self.q - 1
+        # g generates exactly when g^(target/r) != 1 for each prime r | target
+        primes = [r for r in range(2, target + 1) if target % r == 0 and is_prime(r)]
         for g in range(2, self.q):
-            acc, seen = 1, 0
-            while True:
-                acc = self._raw_mul(acc, g)
-                seen += 1
-                if acc == 1:
-                    break
-            if seen == target:
+            if all(self._raw_pow(g, target // r) != 1 for r in primes):
                 self.generator = g
                 break
         else:

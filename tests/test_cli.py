@@ -153,6 +153,15 @@ def test_field_pairing_match(capsys):
     assert code == 0 and json.loads(out) == {"match": False}
 
 
+def test_field_pairing_refused_on_dimension_first(capsys):
+    # H^1 has dimension 601 against the model's 3; the ring is never built
+    start = time.perf_counter()
+    code, out = run(capsys, "field", "pairing", "padic(n=601,case=II,f=2)",
+                    "--p", "2", "--model", DYADIC)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == '{"match":false}\n'
+
+
 TOWER3 = '{"kind":"FiniteField","params":{"q":3}}'
 for var in "tuv":
     TOWER3 = '{"kind":"Laurent","params":{"base":%s,"var":"%s"}}' % (TOWER3, var)

@@ -1,11 +1,15 @@
 import random
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etkit.cocycles import (
     H2Space,
     FiniteGroup,
+    _cocycle_rows,
     commutator_subgroup,
     cup_h1_h1,
     cyclic,
@@ -28,6 +32,7 @@ from etkit.errors import (
     OrderBound,
     ValidationError,
 )
+from etkit.fplinear import echelon_insert, in_span, kernel_basis, rank, solve
 
 D4 = dihedral(8)
 # index i + 4j encodes r^i s^j
@@ -110,6 +115,11 @@ def test_h2_checkpoints():
     assert h2_dim(cyclic(5), 2) == 0
     assert h2_dim(cyclic(6), 3) == 1
     assert h2_dim(klein4(), 2) == 3
+
+
+def test_h2_at_the_order_limit():
+    assert h2_dim(dihedral(32), 2) == 3
+    assert h2_dim(cyclic(27), 3) == 1
 
 
 def test_kunneth():
@@ -214,3 +224,122 @@ def test_extension_class_rejections():
     with pytest.raises(ValidationError):
         sec = np.array([1, 0])
         extension_class(cyclic(4), [0, 2], 2, section=sec)
+
+
+# ---------------------------------------------------------------------------
+# the dense route, kept as the oracle of the echelon one
+
+
+def _pair_index(n, x, y):
+    return (x - 1) * (n - 1) + (y - 1)
+
+
+def _cocycle_matrix(g, p):
+    """Dense rows of the normalized 2-cocycle condition on c(x, y)."""
+    n = g.order
+    rows = []
+    t = g.table
+    for a, b, c in iter_product(range(1, n), repeat=3):
+        row = np.zeros((n - 1) ** 2, dtype=np.int64)
+        ab, bc = int(t[a, b]), int(t[b, c])
+        row[_pair_index(n, a, b)] += 1
+        if ab:
+            row[_pair_index(n, ab, c)] += 1
+        row[_pair_index(n, b, c)] -= 1
+        if bc:
+            row[_pair_index(n, a, bc)] -= 1
+        rows.append(row % p)
+    return np.array(rows, dtype=np.int64).reshape(-1, (n - 1) ** 2)
+
+
+def _coboundary_rows(g, p):
+    n = g.order
+    rows = np.zeros((n - 1, (n - 1) ** 2), dtype=np.int64)
+    for gidx in range(1, n):
+        for x in range(1, n):
+            for y in range(1, n):
+                val = (x == gidx) + (y == gidx) - (int(g.table[x, y]) == gidx)
+                rows[gidx - 1, _pair_index(n, x, y)] = val % p
+    return rows
+
+
+def _dense_reps(z, b_rows, p):
+    """The greedy pick: each Z^2 basis vector outside the span of B^2 and
+    of the vectors picked before it."""
+    picked, current = [], b_rows
+    for v in z:
+        if not in_span(current, v, p):
+            picked.append(v)
+            current = np.vstack([current, v[None, :]])
+    return np.array(picked, dtype=np.int64).reshape(-1, b_rows.shape[1])
+
+
+def _relabel(g, rng):
+    n = g.order
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    inv = [0] * n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    t = [[perm[int(g.table[inv[i], inv[j]])] for j in range(n)] for i in range(n)]
+    return group_from_json({"kind": "table", "table": t})
+
+
+@st.composite
+def oracle_groups(draw):
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "product"]))
+    if kind == "cyclic":
+        g = cyclic(draw(st.integers(2, 16)))
+    elif kind == "dihedral":
+        g = dihedral(2 * draw(st.integers(2, 8)))
+    else:
+        a = draw(st.integers(2, 4))
+        g = direct_product(cyclic(a), cyclic(draw(st.integers(2, 16 // a))))
+    if draw(st.booleans()):
+        g = _relabel(g, random.Random(draw(st.integers(0, 2**32))))
+    return g, draw(st.sampled_from([2, 3])), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=25)
+@given(oracle_groups())
+def test_echelon_route_matches_dense(data):
+    g, p, seed = data
+    n, rng = g.order, random.Random(seed)
+    cocycle_matrix = _cocycle_matrix(g, p)
+    b_rows = _coboundary_rows(g, p)
+    z_rank = rank(cocycle_matrix, p)
+    b_rank = rank(b_rows, p)
+
+    basis = {}
+    for row in _cocycle_rows(g, p):
+        echelon_insert(basis, row, p)
+    assert len(basis) == z_rank
+    assert b_rank == (n - 1) - h1_dim(g, p)
+    assert h2_dim(g, p) == (n - 1) ** 2 - z_rank - b_rank
+
+    space = H2Space(g, p)
+    z = kernel_basis(cocycle_matrix, p)
+    reps = _dense_reps(z, b_rows, p)
+    assert space.reps.dtype == reps.dtype and space.reps.shape == reps.shape
+    assert space.reps.tobytes() == reps.tobytes()
+
+    stacked = np.vstack([b_rows, reps])
+    homs = h1_basis(g, p)
+
+    def random_hom():
+        zero = np.zeros(n, dtype=np.int64)
+        return sum((rng.randrange(p) * v for v in homs), zero) % p
+
+    for _ in range(4):
+        f, h = random_hom(), random_hom()
+        cvec = space.cochain_of_pairs(lambda x, y: int(f[x]) * int(h[y]))
+        x = solve(stacked.T, cvec, p)
+        # B^2 is spanned by rows that may be dependent, so only the
+        # representatives' part of x is unique
+        assert cup_h1_h1(g, p, f, h, space).tolist() == (x[len(b_rows):] % p).tolist()
+    # a unit cochain is a cocycle exactly when its column of conditions is zero
+    outside = [i for i in range((n - 1) ** 2) if cocycle_matrix[:, i].any()]
+    if outside:
+        e = np.zeros((n - 1) ** 2, dtype=np.int64)
+        e[outside[0]] = 1
+        with pytest.raises(ValidationError, match="not a cocycle"):
+            space.coords(e)

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from etkit.fplinear import (
     batch_rank,
+    dense_row,
+    echelon_insert,
+    echelon_kernel,
+    echelon_reduce,
     in_span,
     is_prime,
     kernel_basis,
@@ -14,6 +18,7 @@ from etkit.fplinear import (
     row_space_basis,
     rref,
     solve,
+    sparse_row,
 )
 
 
@@ -114,3 +119,28 @@ def test_solve_reports_inconsistency():
     a = np.array([[1, 0], [1, 0]])
     b = np.array([1, 0])
     assert solve(a, b, 2) is None
+
+
+@given(matrix_and_vector(), st.data())
+def test_echelon_matches_dense(data, draw):
+    p, a, v = data
+    n_rows, n_cols = a.shape
+    basis = {}
+    for i, row in enumerate(a):
+        echelon_insert(basis, sparse_row(row, p), p, sparse_row({i: 1}, p))
+    red, pivots = rref(a, p)
+    assert sorted(basis) == pivots
+    assert [dense_row(basis[c][0], n_cols, p).tolist() for c in pivots] \
+        == red[: len(pivots)].tolist()
+    assert [k.tolist() for k in echelon_kernel(basis, n_cols, p)] \
+        == [k.tolist() for k in kernel_basis(a, p)]
+
+    # a tag reads off a combination of the inserted rows
+    coeffs = np.array(draw.draw(st.lists(st.integers(0, p - 1), min_size=n_rows,
+                                         max_size=n_rows)), dtype=np.int64)
+    combo = coeffs @ a % p
+    rest, tag = echelon_reduce(basis, sparse_row(combo, p), p)
+    assert not rest
+    assert np.array_equal(-dense_row(tag, n_rows, p) @ a % p, combo)
+    rest, _ = echelon_reduce(basis, sparse_row(v, p), p)
+    assert bool(rest) != in_span(a, v, p)

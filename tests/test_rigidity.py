@@ -3,6 +3,7 @@ import io
 import json
 import random
 import time
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from etkit.pairs import parse
 from etkit.randexpr import random_ext_rooted
 from etkit.rigidity import (
     DEFAULT_ENUM_BOUND,
+    DEFAULT_PAIR_CAP,
     AugBilinearMap,
     _all_vectors,
-    _find_equivalence_brute,
     _keys,
-    _rigid_one,
+    _q_finder,
+    _same_shape,
     _scan,
     check_rigidity_criterion,
     find_equivalence,
@@ -35,6 +37,53 @@ from etkit.rigidity import (
     rigidity_report,
     vector_label,
 )
+
+
+# the brute-force oracles of the rank scan and the key-guided search
+
+
+def _rigid_one(bmap: AugBilinearMap, a: np.ndarray, vecs: np.ndarray) -> bool:
+    """Oracle: test rigidity of a against every b in ``vecs``."""
+    p = bmap.p
+    u = (bmap.eps + a) % p
+    if not u.any():
+        # every pair {0, b} is linearly dependent
+        return True
+    w = np.einsum("i,ijk->jk", a, bmap.tensor) % p
+    cand = vecs[~((vecs @ w) % p).any(axis=1)]
+    j0 = int(np.flatnonzero(u)[0])
+    inv_u = pow(int(u[j0]), -1, p)
+    lam = (cand[:, j0] * inv_u) % p
+    return bool(((lam[:, None] * u[None, :]) % p == cand).all())
+
+
+def _find_equivalence_brute(
+    m1: AugBilinearMap,
+    m2: AugBilinearMap,
+    cap: int = DEFAULT_PAIR_CAP,
+):
+    """Oracle for ``find_equivalence``: tries the identity, then every
+    d x d matrix P (at most ``cap`` of them)."""
+    if not _same_shape(m1, m2):
+        return None
+    p, d, e = m1.p, m1.d, m1.e
+    if d == 0:
+        return np.zeros((0, 0), dtype=np.int64), np.eye(e, dtype=np.int64)
+    if p ** (d * d) > cap:
+        raise DimensionTooLarge(
+            f"p^(d^2) = {p ** (d * d)} exceeds the search cap {cap}"
+        )
+    try_p = _q_finder(m1, m2)
+    ident = np.eye(d, dtype=np.int64)
+    q = try_p(ident)
+    if q is not None:
+        return ident, q
+    for bits in iter_product(range(p), repeat=d * d):
+        pm = np.array(bits, dtype=np.int64).reshape(d, d)
+        q = try_p(pm)
+        if q is not None:
+            return pm, q
+    return None
 
 
 def _random_map(rng, p, d, e):

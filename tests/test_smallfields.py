@@ -50,3 +50,36 @@ def test_add_neg_sub_large_fields(q):
         assert F.sub(x, y) == _digitwise(F, x, _digitwise(F, y))
 
     check()
+
+
+def _full_order_generator(F: GF) -> int:
+    """Oracle: the least candidate whose multiplicative order, walked in
+    full, is q - 1."""
+    for g in range(2, F.q):
+        acc, order = F._raw_mul(1, g), 1
+        while acc != 1:
+            acc = F._raw_mul(acc, g)
+            order += 1
+        if order == F.q - 1:
+            return g
+    return 1
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_generator_matches_full_order_walk(q):
+    assert gf(q).generator == _full_order_generator(gf(q))
+
+
+class _CountingGF(GF):
+    def _raw_mul(self, x, y):
+        self.products = getattr(self, "products", 0) + 1
+        return super()._raw_mul(x, y)
+
+
+@pytest.mark.parametrize("q", [3**7, 2**12, 5**5, 7**4])
+def test_generator_search_is_cheaper_than_one_walk(q):
+    # the exp table walks the group once, q - 2 products; the full-order
+    # search walked it at least once more
+    F = _CountingGF(q)
+    search = F.products - (q - 2)
+    assert 0 < search < (q - 1) // 10
