@@ -57,6 +57,11 @@ from .rigidity import (
 from .units import DEFAULT_PRECISION
 
 
+# README "Limits" gives the time the slowest verb takes at each cap
+MAX_PRECISION = 4096
+MAX_BOUND = 100_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     p: int = 2
@@ -68,12 +73,12 @@ class RunConfig:
     def check(self) -> None:
         if not is_prime(self.p):
             raise ValidationError(f"--p must be prime, got {self.p}")
-        if self.precision < 8:
-            raise ValidationError("--precision must be at least 8")
+        if not 8 <= self.precision <= MAX_PRECISION:
+            raise ValidationError(f"--precision must be between 8 and {MAX_PRECISION}")
         if self.max_degree < 2:
             raise ValidationError("--max-degree must be at least 2")
-        if self.bound < 1:
-            raise ValidationError("--bound must be positive")
+        if not 1 <= self.bound <= MAX_BOUND:
+            raise ValidationError(f"--bound must be between 1 and {MAX_BOUND}")
         if self.fmt not in ("json", "table"):
             raise ValidationError(f"unknown format {self.fmt!r}")
 

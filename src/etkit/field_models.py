@@ -28,7 +28,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .fplinear import in_span, is_prime, row_space_basis
+from .fplinear import dense_row, echelon_insert, echelon_reduce, is_prime, sparse_row
 from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
@@ -849,13 +849,12 @@ def is_totally_rigid_bounded(model: FieldModel, p: int,
         return acc
 
     eps_vec = np.array(class_of(model, p, ops.minus_one), dtype=np.int64)
-    d_rows = np.zeros((len(vecs), d * d), dtype=np.int64)
-    for i, va in enumerate(vecs):
+    d_basis: dict = {}
+    for va in vecs:
         av = np.array(va, dtype=np.int64)
-        d_rows[i] = np.outer(av, (eps_vec + av) % p).reshape(-1)
-    d_span = row_space_basis(d_rows, p) if d else np.zeros((0, 0), dtype=np.int64)
+        echelon_insert(d_basis, sparse_row(np.outer(av, eps_vec + av).reshape(-1), p), p)
 
-    st_rows = []
+    st_basis: dict = {}
     decided = 0
     witness = None
     for va in vecs:
@@ -865,18 +864,11 @@ def is_totally_rigid_bounded(model: FieldModel, p: int,
                 continue
             decided += 1
             if res:
-                tens = np.outer(
-                    np.array(va, dtype=np.int64), np.array(vb, dtype=np.int64)
-                ).reshape(-1) % p
-                st_rows.append(tens)
-                if tens.any() and d and not in_span(d_span, tens, p):
-                    if witness is None:
-                        witness = f"[{_vec_label(va)}] (x) [{_vec_label(vb)}]"
-    st_span = (
-        row_space_basis(np.array(st_rows, dtype=np.int64), p)
-        if st_rows else np.zeros((0, d * d), dtype=np.int64)
-    )
-    st_dim, d_dim = len(st_span), len(d_span)
+                tens = sparse_row(np.outer(va, vb).reshape(-1), p)
+                echelon_insert(st_basis, tens, p)
+                if witness is None and echelon_reduce(d_basis, tens, p)[0]:
+                    witness = f"[{_vec_label(va)}] (x) [{_vec_label(vb)}]"
+    st_dim, d_dim = len(st_basis), len(d_basis)
 
     if witness is not None:
         return TotalRigidityVerdict(
@@ -887,10 +879,11 @@ def is_totally_rigid_bounded(model: FieldModel, p: int,
             "UnknownWithinBound", None, st_dim, d_dim, decided, total
         )
     # exhaustively decided; St subset of D certain, check the converse
-    for row in d_span:
-        if not in_span(st_span, row, p):
+    for c in sorted(d_basis):
+        row = d_basis[c][0]
+        if echelon_reduce(st_basis, row, p)[0]:
             return TotalRigidityVerdict(
-                "NotTotallyRigid", f"missing {row.tolist()}",
+                "NotTotallyRigid", f"missing {dense_row(row, d * d, p).tolist()}",
                 st_dim, d_dim, decided, total,
             )
     return TotalRigidityVerdict(

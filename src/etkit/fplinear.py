@@ -1,16 +1,16 @@
 """Exact linear algebra over prime fields F_p.
 
-Dense matrices are small/medium integer arrays reduced mod p; elimination
-uses a fixed pivot order (leftmost column, topmost row) so ranks,
-solutions, and kernel bases are deterministic.  Large sparse systems go
-row by row into an echelon basis instead (see ``echelon_insert``).
+One eliminator serves every single matrix: rows go one at a time into a
+fully reduced echelon basis (``echelon_insert``), as bit-packed ints at
+p = 2 and sparse dicts at odd p, in Python integers.  ``rref`` and the
+ranks, kernels and row spaces read off it are deterministic, since the
+reduced row echelon form is unique.  ``batch_rank`` ranks a stack of
+small matrices in one numpy pass instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ValidationError
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,30 +49,30 @@ def is_prime(n: int) -> bool:
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p.
 
-    Returns ``(R, pivots)`` where ``pivots`` lists the pivot columns in
-    increasing order.
+    Returns ``(R, pivots)``: R has the shape of ``a`` with its zero rows
+    last, and ``pivots`` lists the pivot columns in increasing order.  The
+    rows go one at a time into an echelon basis (``echelon_insert``), whose
+    arithmetic is in Python integers, so no product overflows at large p.
     """
-    m = np.array(a, dtype=np.int64, copy=True) % p
+    m = np.asarray(a, dtype=np.int64) % p
     n_rows, n_cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
+    if p == 2:
+        packed = np.packbits(m, axis=1, bitorder="little")
+        rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    else:
+        rows = [{} for _ in range(n_rows)]
+        i, j = np.nonzero(m)
+        for r, c, v in zip(i.tolist(), j.tolist(), m[i, j].tolist()):
+            rows[r][c] = v
+    basis: dict = {}
+    for row in rows:
+        if len(basis) == n_cols:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        echelon_insert(basis, row, p)
+    red, pivots = _basis_rows(basis, n_cols, p)
+    out = np.zeros_like(m)
+    out[: len(pivots)] = red
+    return out, pivots
 
 
 def rank(a, p: int) -> int:
@@ -107,22 +107,6 @@ def batch_rank(stack, p: int) -> np.ndarray:
     return ranks
 
 
-def solve(a, b, p: int) -> np.ndarray | None:
-    """One solution x of a @ x = b over F_p, or None when inconsistent."""
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % p
-    if a.shape[0] != b.shape[0]:
-        raise ValidationError("right-hand side length does not match row count")
-    aug = np.hstack([a, b[:, None]])
-    red, pivots = rref(aug, p)
-    if a.shape[1] in pivots:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for row, c in enumerate(pivots):
-        x[c] = red[row, -1]
-    return x
-
-
 def kernel_basis(a, p: int) -> list[np.ndarray]:
     """Deterministic basis of the null space, one vector per free column."""
     a = np.asarray(a, dtype=np.int64) % p
@@ -146,15 +130,6 @@ def row_space_basis(a, p: int) -> np.ndarray:
         return np.zeros((0, a.shape[1] if a.ndim == 2 else 0), dtype=np.int64)
     red, pivots = rref(a, p)
     return red[: len(pivots)]
-
-
-def in_span(rows, v, p: int) -> bool:
-    """Whether v lies in the row span of ``rows`` over F_p."""
-    rows = np.asarray(rows, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if rows.size == 0:
-        return bool(np.all(v % p == 0))
-    return rank(rows, p) == rank(np.vstack([rows, v]), p)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +223,12 @@ def echelon_insert(basis: dict, row, p: int, tag=0):
 
 def echelon_kernel(basis: dict, n_cols: int, p: int) -> list[np.ndarray]:
     """Null space of the rows of ``basis``, as ``kernel_basis`` gives it."""
+    return _rref_kernel(*_basis_rows(basis, n_cols, p), n_cols, p)
+
+
+def _basis_rows(basis: dict, n_cols: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """The rows of ``basis`` as a dense matrix in pivot order, and the pivots."""
     pivots = sorted(basis)
     red = np.array([dense_row(basis[c][0], n_cols, p) for c in pivots],
                    dtype=np.int64).reshape(len(pivots), n_cols)
-    return _rref_kernel(red, pivots, n_cols, p)
+    return red, pivots

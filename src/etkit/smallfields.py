@@ -170,9 +170,10 @@ class GF:
                 self.generator = 1
             else:
                 raise InvalidModel(f"no generator found for GF({self.q})")
+        # the generator goes first: _poly_mulmod skips its zero digits
         self.exp = [1]
         for _ in range(target - 1):
-            self.exp.append(self._raw_mul(self.exp[-1], self.generator))
+            self.exp.append(self._raw_mul(self.generator, self.exp[-1]))
         self.dlog = {v: i for i, v in enumerate(self.exp)}
         # zech[k] = log(1 + g^k), None where 1 + g^k = 0; adding 1 changes
         # only the constant (low) digit of the encoding

@@ -221,6 +221,22 @@ def test_field_trichotomic_and_omember(capsys):
     assert json.loads(out)["verdict"] == "NonMember"
 
 
+@pytest.mark.parametrize("flag,cap,argv", [
+    ("--precision", cli.MAX_PRECISION, ["invariants", "--p", "2", "ext(1,Z(5))"]),
+    ("--bound", cli.MAX_BOUND, ["field", "trichotomic", "--p", "2",
+                                "--model", DYADIC, "--a", "2"]),
+])
+def test_precision_and_bound_caps(capsys, flag, cap, argv):
+    code, out = run(capsys, *argv, flag, str(cap))
+    assert code == 0
+    json.loads(out)
+    start = time.perf_counter()
+    code, err = run(capsys, *argv, flag, str(cap + 1))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(err)["kind"] == "ValidationError"
+
+
 def test_field_rigidity_report(capsys):
     code, out = run(capsys, "field", "rigidity", "--p", "2", "--model", FF5)
     assert code == 0

@@ -32,7 +32,8 @@ from etkit.errors import (
     OrderBound,
     ValidationError,
 )
-from etkit.fplinear import echelon_insert, in_span, kernel_basis, rank, solve
+from dense_fp import in_span, kernel_basis, rank, solve
+from etkit.fplinear import echelon_insert
 
 D4 = dihedral(8)
 # index i + 4j encodes r^i s^j

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,23 @@ def test_total_rigidity_verdicts():
     j = v.to_json()
     assert set(j) == {"verdict", "witness", "stDim", "dDim",
                       "decidedPairs", "totalPairs"}
+
+
+@dataclass(frozen=True)
+class _SquaresOnly(DyadicRational):
+    """Q_2 where 1 lies in aS + bS only when a or b is a square: St_2(S)
+    is then 0, so only the converse check can refute total rigidity."""
+
+    def one_in_sum(self, p, a, b, bound):
+        return not any(class_of(self, p, a)) or not any(class_of(self, p, b))
+
+
+def test_total_rigidity_converse():
+    v = is_totally_rigid_bounded(_SquaresOnly(), 2)
+    assert v.verdict == "NotTotallyRigid"
+    assert v.witness == "missing [0, 1, 0, 0, 1, 0, 0, 0, 0]"
+    assert (v.st_dim, v.d_dim) == (0, 5)
+    assert v.decided_pairs == v.total_pairs == 64
 
 
 def test_element_pool_deterministic():

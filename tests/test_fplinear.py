@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dense_fp
+from dense_fp import in_span, solve
 from etkit.fplinear import (
     batch_rank,
     dense_row,
     echelon_insert,
     echelon_kernel,
     echelon_reduce,
-    in_span,
     is_prime,
     kernel_basis,
     rank,
     row_space_basis,
     rref,
-    solve,
     sparse_row,
 )
 
@@ -93,7 +93,8 @@ def test_row_space_membership(data):
     basis = row_space_basis(a, p)
     assert len(basis) == rank(a, p)
     # any row combination lies in the span
-    combo = (x[: a.shape[0]] @ a[: len(x)]) % p if len(x) else None
+    combo = (x[: a.shape[0]] @ a[: len(x)]) % p
+    assert in_span(basis, combo, p)
     for row in a:
         assert in_span(basis, row, p)
 
@@ -128,12 +129,12 @@ def test_echelon_matches_dense(data, draw):
     basis = {}
     for i, row in enumerate(a):
         echelon_insert(basis, sparse_row(row, p), p, sparse_row({i: 1}, p))
-    red, pivots = rref(a, p)
+    red, pivots = dense_fp.rref(a, p)
     assert sorted(basis) == pivots
     assert [dense_row(basis[c][0], n_cols, p).tolist() for c in pivots] \
         == red[: len(pivots)].tolist()
     assert [k.tolist() for k in echelon_kernel(basis, n_cols, p)] \
-        == [k.tolist() for k in kernel_basis(a, p)]
+        == [k.tolist() for k in dense_fp.kernel_basis(a, p)]
 
     # a tag reads off a combination of the inserted rows
     coeffs = np.array(draw.draw(st.lists(st.integers(0, p - 1), min_size=n_rows,
@@ -144,3 +145,62 @@ def test_echelon_matches_dense(data, draw):
     assert np.array_equal(-dense_row(tag, n_rows, p) @ a % p, combo)
     rest, _ = echelon_reduce(basis, sparse_row(v, p), p)
     assert bool(rest) != in_span(a, v, p)
+
+
+def _full_rank(rng, rows, cols, p):
+    """A rows x cols matrix of rank min(rows, cols): an invertible L U
+    block, further random columns, and the columns shuffled."""
+    k = min(rows, cols)
+    lower = np.tril(rng.integers(p, size=(k, k)), -1) + np.eye(k, dtype=np.int64)
+    upper = np.triu(rng.integers(p, size=(k, k)), 1) + np.eye(k, dtype=np.int64)
+    wide = np.hstack([lower @ upper, rng.integers(p, size=(k, max(rows, cols) - k))])
+    wide = wide[:, rng.permutation(wide.shape[1])] % p
+    return wide if rows <= cols else wide.T
+
+
+@st.composite
+def fp_matrices(draw):
+    """Matrices over F_p, p in {2, 3, 5, 7}: empty, tall like the p = 3,
+    d = 6 N-subspace rows, wide, of low rank, of full rank, or any."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["empty", "tall", "wide", "low", "full", "any"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "empty":
+        rows, cols = draw(st.sampled_from([(0, 0), (0, 4), (4, 0)]))
+    elif kind == "tall":
+        rows, cols = draw(st.sampled_from([243, 40])), 6
+    elif kind == "wide":
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(20, 70))
+    else:
+        rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    if kind == "full":
+        return p, kind, _full_rank(rng, rows, cols, p)
+    if kind == "low":
+        r = draw(st.integers(0, min(rows, cols) - 1))
+        return p, kind, rng.integers(p, size=(rows, r)) @ rng.integers(p, size=(r, cols)) % p
+    return p, kind, rng.integers(p, size=(rows, cols))
+
+
+@given(fp_matrices())
+def test_rref_matches_dense_oracle(data):
+    p, kind, a = data
+    want, want_pivots = dense_fp.rref(a, p)
+    red, pivots = rref(a, p)
+    assert pivots == want_pivots
+    assert red.dtype == want.dtype and red.shape == a.shape
+    assert red.tolist() == want.tolist()
+    assert rank(a, p) == len(want_pivots)
+    if kind == "full":
+        assert len(pivots) == min(a.shape)
+    basis = row_space_basis(a, p)
+    assert basis.shape == (len(pivots), a.shape[1])
+    assert basis.tolist() == dense_fp.row_space_basis(a, p).tolist()
+    assert [k.tolist() for k in kernel_basis(a, p)] \
+        == [k.tolist() for k in dense_fp.kernel_basis(a, p)]
+
+
+def test_rank_exact_at_large_p():
+    # int64 products of entries near p overflow; the echelon's do not
+    p = 10**12 + 39
+    assert is_prime(p)
+    assert rank([[2, p - 1], [1, (p - 1) // 2]], p) == 1

@@ -17,7 +17,8 @@ from etkit.errors import (
     NotAnExtension,
     ValidationError,
 )
-from etkit.fplinear import rank, solve
+from dense_fp import solve
+from etkit.fplinear import rank
 from etkit.pairs import parse
 from etkit.randexpr import random_ext_rooted
 from etkit.rigidity import (
