@@ -2,10 +2,11 @@
 """Cross-check the dyadic rationals against the rank-3 case II block.
 
 Runs the independent routes side by side: multiplicative invariants of
-the theta image, the Hilbert-symbol Gram matrix against the block's cup
-matrix, the norm-equation oracle on all 64 square-class pairs, and the
-pairing equivalence search.  Everything here is recomputed from scratch;
-nothing is read from the test suite.
+the theta image, whose [S : S^2] must equal the number of square classes
+of Z_2^x that the field backend sees, the Hilbert-symbol Gram matrix
+against the block's cup matrix, the norm-equation oracle on all 64
+square-class pairs, and the pairing equivalence search.  Everything here
+is recomputed from scratch; nothing is read from the test suite.
 """
 
 import argparse
@@ -46,6 +47,12 @@ def main() -> int:
           f"[S : S^2] = {inv.square_index}")
 
     model = DyadicRational()
+    unit_classes = {class_of(model, 2, Fraction(s * u))
+                    for s in (1, -1) for u in (1, 3, 5, 7)}
+    squares_agree = inv.square_index == len(unit_classes)
+    if not squares_agree:
+        print(f"  DISAGREE: [S : S^2] = {inv.square_index}, but Z_2^x has "
+              f"{len(unit_classes)} square classes")
     labels = class_group(model, 2)
     m = from_field_model(model, 2)
     print(f"square classes: {labels}, eps = class of -1 = "
@@ -83,7 +90,7 @@ def main() -> int:
     print(f"recognized as Demuskin: n = {v.n}, q = {v.q}, case {v.case}")
     print(f"log level, direct route at degree 6: "
           f"{log_level_direct(block, 2, 6)}")
-    return 0 if not bad and match else 1
+    return 0 if not bad and match and squares_agree else 1
 
 
 if __name__ == "__main__":

@@ -20,11 +20,13 @@ from pathlib import Path
 
 from .cocycles import (
     H2Space,
+    cochain_from_json,
     cup_h1_h1,
     extension_class,
     group_from_json,
     h1_dim,
     h2_dim,
+    kernel_from_json,
 )
 from .cohomology import (
     algebra_to_json,
@@ -48,12 +50,7 @@ from .field_models import (
 )
 from .fplinear import is_prime
 from .pairs import abelianization, normalize, parse, rank, render, to_json
-from .rigidity import (
-    DEFAULT_ENUM_BOUND,
-    _check_bound,
-    from_cohomology,
-    rigidity_report,
-)
+from .rigidity import _check_bound, from_cohomology, rigidity_report
 from .units import DEFAULT_PRECISION
 
 
@@ -200,7 +197,7 @@ def _cmd_logl(args, cfg):
 def _cmd_rigid(args, cfg):
     e = parse(_expr_text(args), cfg.p, cfg.precision)
     # normalization keeps the rank, so the scan's bound can be checked first
-    _check_bound(cfg.p, rank(e), DEFAULT_ENUM_BOUND)
+    _check_bound(cfg.p, rank(e))
     alg = build_cohomology(e, cfg.p, 2, cfg.precision)
     return rigidity_report(from_cohomology(alg))
 
@@ -250,13 +247,13 @@ def _cmd_oracle(args, cfg):
     if verb == "h2":
         return {"dim": h2_dim(group, cfg.p)}
     if verb == "cup":
-        phi = _load_structured(args.phi, "phi")
-        psi = _load_structured(args.psi, "psi")
+        phi = cochain_from_json(_load_structured(args.phi, "phi"), group, cfg.p)
+        psi = cochain_from_json(_load_structured(args.psi, "psi"), group, cfg.p)
         space = H2Space(group, cfg.p)
         coords = cup_h1_h1(group, cfg.p, phi, psi, space)
         return {"coords": coords.tolist(), "h2Dim": space.dim}
     if verb == "extclass":
-        kernel = _load_structured(args.kernel, "kernel")
+        kernel = kernel_from_json(_load_structured(args.kernel, "kernel"), group)
         quotient_group, coords = extension_class(group, kernel, cfg.p)
         return {
             "coords": coords.tolist(),

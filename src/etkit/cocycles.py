@@ -163,6 +163,24 @@ def group_from_json(data) -> FiniteGroup:
     raise ValidationError(f"unknown group kind {kind!r}")
 
 
+def cochain_from_json(data, g: FiniteGroup, p: int) -> list[int]:
+    """Decode a degree-one cochain, one integer per element, read mod p."""
+    if not (isinstance(data, list) and len(data) == g.order
+            and all(_is_int(x) for x in data)):
+        raise ValidationError(f"a cochain must be a list of {g.order} integers")
+    return [x % p for x in data]
+
+
+def kernel_from_json(data, g: FiniteGroup) -> list[int]:
+    """Decode a kernel given as a list of element indices."""
+    if not (isinstance(data, list)
+            and all(_is_int(x) and 0 <= x < g.order for x in data)):
+        raise ValidationError(
+            f"a kernel must be a list of element indices in [0, {g.order})"
+        )
+    return data
+
+
 # ---------------------------------------------------------------------------
 # subgroups and quotients
 

@@ -36,6 +36,10 @@ from .smallfields import GF, gf
 from .units import DEFAULT_PRECISION, make_unit
 
 DEFAULT_SERIES_PRECISION = 16
+# candidates tried by the odd-p search for 1 in aS + bS
+ONE_IN_SUM_SEARCH = 60
+# coset pairs that total rigidity decides one by one
+TOTAL_RIGIDITY_BOUND = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +262,19 @@ class FieldModel(ABC):
         """Deterministic stream of nonzero candidates, excluding 1."""
         return _rational_pool()
 
-    def one_in_sum(self, p: int, a, b, bound: int) -> bool | None:
+    def one_in_sum(self, p: int, a, b) -> bool | None:
         """Does 1 lie in aS + bS?  True/False when decidable, else None.
 
-        Tame local fields: at p = 2, <a,b> represents 1 iff the symbol
-        splits; at odd p only a bounded positive search."""
+        At p = 2, <a,b> represents 1 iff the symbol splits (for Q_2 the
+        Hilbert symbol, for R the sign of a and b, for C nothing); at odd
+        p only a bounded positive search."""
         if p == 2:
             try:
                 return not symbol_vector(self, 2, a, b).any()
             except PrecisionExhausted:
                 return None
         ops = self.domain()
-        for sigma in islice(self.pool(p), bound):
+        for sigma in islice(self.pool(p), ONE_IN_SUM_SEARCH):
             try:
                 s = ops.mul(a, ops.pow_(sigma, p))
                 t = ops.sub(ops.one, s)
@@ -323,7 +328,7 @@ class FiniteField(FieldModel):
     def pool(self, p):
         return iter(range(2, self.q))
 
-    def one_in_sum(self, p, a, b, bound):
+    def one_in_sum(self, p, a, b):
         f = gf(self.q)
         powers = {f.pow_(x, p) for x in f.units()}
         return any(f.add(f.mul(a, s1), f.mul(b, s2)) == 1
@@ -394,9 +399,6 @@ class DyadicRational(FieldModel):
         return _seeded_pool([Fraction(-1), Fraction(2), Fraction(5), Fraction(-2),
                              Fraction(10), Fraction(-5), Fraction(-10)])
 
-    def one_in_sum(self, p, a, b, bound):
-        return hilbert2(a, b) == 0
-
 
 @dataclass(frozen=True)
 class RealField(FieldModel):
@@ -415,9 +417,6 @@ class RealField(FieldModel):
 
     def predict(self, p, K):
         return EBlock()
-
-    def one_in_sum(self, p, a, b, bound):
-        return a > 0 or b > 0
 
 
 @dataclass(frozen=True)
@@ -439,9 +438,6 @@ class ComplexField(FieldModel):
 
     def predict(self, p, K):
         return Trivial()
-
-    def one_in_sum(self, p, a, b, bound):
-        return True
 
 
 @dataclass(frozen=True)
@@ -826,17 +822,16 @@ class TotalRigidityVerdict:
         }
 
 
-def is_totally_rigid_bounded(model: FieldModel, p: int,
-                             bound: int = 4096) -> TotalRigidityVerdict:
+def is_totally_rigid_bounded(model: FieldModel, p: int) -> TotalRigidityVerdict:
     """Compare the Steinberg subgroup St_2(S), generated by witnesses of
     1 in aS + bS, with the subgroup generated by the tensors a (x) (-a)."""
     validate_model(model, p)
     reps = [r for _, r in model.basis(p)]
     d = len(reps)
     total = p ** (2 * d)
-    if total > bound:
+    if total > TOTAL_RIGIDITY_BOUND:
         raise DimensionTooLarge(
-            f"{total} coset pairs exceed the search bound {bound}"
+            f"{total} coset pairs exceed the search bound {TOTAL_RIGIDITY_BOUND}"
         )
     ops = model.domain()
     vecs = list(iter_product(range(p), repeat=d))
@@ -859,7 +854,7 @@ def is_totally_rigid_bounded(model: FieldModel, p: int,
     witness = None
     for va in vecs:
         for vb in vecs:
-            res = model.one_in_sum(p, rep_of(va), rep_of(vb), 60)
+            res = model.one_in_sum(p, rep_of(va), rep_of(vb))
             if res is None:
                 continue
             decided += 1

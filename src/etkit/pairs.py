@@ -239,7 +239,7 @@ class PAdicBlock(PairExpr):
         return out
 
     def sort_key(self) -> tuple:
-        f_enc = -1.0 if self.f is None else float(self.f)
+        f_enc = -1 if self.f is None else self.f  # int against inf is exact
         return (3, (self.n, self.q, CASES.index(self.case), f_enc, self.s or 0), ())
 
     def rank(self) -> int:
@@ -248,7 +248,7 @@ class PAdicBlock(PairExpr):
     def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
         if self.case == "I":
             return [make_unit(p, 1, 1 - self.q, K)]
-        tf = two_to(self.f)
+        tf = two_to(self.f, K)
         if self.case == "III":
             return [make_unit(2, -1, 1 + tf, K)]
         return [make_unit(2, -1, 1, K), make_unit(2, 1, 1 - tf, K)]  # II, IV
@@ -379,9 +379,9 @@ def default_level(case: str) -> int:
     return _DEFAULT_S[case]
 
 
-def two_to(f) -> int:
-    """2^f with the convention 2^inf = 0."""
-    return 0 if f == INF else 2**int(f)
+def two_to(f, K: int) -> int:
+    """2^f mod 2^K, with the convention 2^inf = 0."""
+    return 0 if f == INF else pow(2, int(f), 2**K)
 
 
 def _is_p_power(q: int, p: int) -> bool:

@@ -123,22 +123,22 @@ def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _check_bound(p: int, d: int, bound: int) -> None:
-    """Refuse to enumerate F_p^d when p^d exceeds ``bound``.  The message
+def _check_bound(p: int, d: int) -> None:
+    """Refuse to enumerate F_p^d past ``DEFAULT_ENUM_BOUND``.  The message
     gives p^d as a power: the integer can pass Python's int-to-str limit."""
-    if p**d > bound:
+    if p**d > DEFAULT_ENUM_BOUND:
         raise DimensionTooLarge(
-            f"p^d = {p}^{d} exceeds the enumeration bound {bound}"
+            f"p^d = {p}^{d} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}"
         )
 
 
-def is_rigid(bmap: AugBilinearMap, a, bound: int = DEFAULT_ENUM_BOUND) -> bool:
+def is_rigid(bmap: AugBilinearMap, a) -> bool:
     """Rigidity of the nonzero vector a, by the rank test.
 
-    Raises ``DimensionTooLarge`` when p^d exceeds ``bound``, as a scan does.
+    Raises ``DimensionTooLarge`` past ``DEFAULT_ENUM_BOUND``, as a scan does.
     """
     p, d = bmap.p, bmap.d
-    _check_bound(p, d, bound)
+    _check_bound(p, d)
     av = np.asarray(a, dtype=np.int64) % p
     if av.shape != (d,):
         raise ValidationError(f"expected a vector of length {d}")
@@ -147,10 +147,10 @@ def is_rigid(bmap: AugBilinearMap, a, bound: int = DEFAULT_ENUM_BOUND) -> bool:
     return bool(_rank_flags(bmap, av[None, :])[0])
 
 
-def _scan(bmap: AugBilinearMap, bound: int):
+def _scan(bmap: AugBilinearMap):
     """All nonzero vectors of A_1 with their rigidity flags, computed once
     per map."""
-    _check_bound(bmap.p, bmap.d, bound)
+    _check_bound(bmap.p, bmap.d)
     if "scan" not in bmap._cache:
         vecs = _all_vectors(bmap.p, bmap.d)[1:]
         flags = _rank_flags(bmap, vecs)
@@ -159,9 +159,9 @@ def _scan(bmap: AugBilinearMap, bound: int):
     return bmap._cache["scan"]
 
 
-def _n_basis(bmap: AugBilinearMap, bound: int) -> np.ndarray:
+def _n_basis(bmap: AugBilinearMap) -> np.ndarray:
     """The cached N-subspace basis, shared by n_subspace and the report."""
-    vecs, flags = _scan(bmap, bound)
+    vecs, flags = _scan(bmap)
     if "n" not in bmap._cache:
         rows = np.vstack([bmap.eps[None, :], vecs[~flags]])
         bmap._cache["n"] = row_space_basis(rows, bmap.p)
@@ -186,17 +186,17 @@ def vector_label(bmap: AugBilinearMap, v) -> str:
     return ("*" if bmap.multiplicative else "+").join(parts)
 
 
-def n_subspace(bmap: AugBilinearMap, bound: int = DEFAULT_ENUM_BOUND) -> np.ndarray:
+def n_subspace(bmap: AugBilinearMap) -> np.ndarray:
     """Basis of the span of eps and all non-rigid nonzero vectors."""
-    return _n_basis(bmap, bound).copy()
+    return _n_basis(bmap).copy()
 
 
-def rigidity_report(bmap: AugBilinearMap, bound: int = DEFAULT_ENUM_BOUND) -> dict:
-    vecs, flags = _scan(bmap, bound)
+def rigidity_report(bmap: AugBilinearMap) -> dict:
+    vecs, flags = _scan(bmap)
     rigid = [vector_label(bmap, v) for v, f in zip(vecs, flags) if f]
     non = [vector_label(bmap, v) for v, f in zip(vecs, flags) if not f]
     return {"rigid": rigid, "nonRigid": non,
-            "nSubspaceDim": int(len(_n_basis(bmap, bound)))}
+            "nSubspaceDim": int(len(_n_basis(bmap)))}
 
 
 @dataclass(frozen=True)
@@ -210,18 +210,17 @@ def check_rigidity_criterion(
     e: PairExpr,
     p: int,
     K: int = DEFAULT_PRECISION,
-    bound: int = DEFAULT_ENUM_BOUND,
 ) -> RigidityCriterionReport:
     """Every degree-one class outside the inflation subspace of an
     extension must be rigid; scan them all and report violations."""
     ne = normalize(e, p, K)
     if not isinstance(ne, Ext):
         raise NotAnExtension(f"normal form {type(ne).__name__} has no extension root")
-    _check_bound(p, ne.rank(), bound)  # before building the ring and its gram
+    _check_bound(p, ne.rank())  # before building the ring and its gram
     alg = build_cohomology(ne, p, 2, K)
     bmap = from_cohomology(alg)
     t = alg.meta["ext_inflation_dim"]
-    vecs, flags = _scan(bmap, bound)
+    vecs, flags = _scan(bmap)
     outside = [i for i, v in enumerate(vecs) if v[t:].any()]
     counter = tuple(
         vector_label(bmap, vecs[i]) for i in outside if not flags[i]
@@ -236,7 +235,7 @@ def _keys(bmap: AugBilinearMap) -> np.ndarray:
     two together, whether B(a, a) = 0 and whether a = eps.  The three ranks
     of a chunk come from one batched elimination; computed once per map.
     """
-    _check_bound(bmap.p, bmap.d, DEFAULT_ENUM_BOUND)
+    _check_bound(bmap.p, bmap.d)
     if "keys" not in bmap._cache:
         p, d, e = bmap.p, bmap.d, bmap.e
         vecs = _all_vectors(p, d)

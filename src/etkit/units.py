@@ -3,12 +3,13 @@
 Units are residues mod p^K that are congruent to 1 mod p (for p = 2 that
 means every odd residue, since Z_2^x = {+-1} x (1+4 Z_2) and -1 = 1 mod 2).
 The subgroup invariants computed here are the ones that classify theta-images:
-the q-invariant, the epsilon component, and the index of squares.
+the q-invariant, the epsilon component, and the index of squares.  The
+q-invariant and the index of squares are read off p-adic valuations of the
+generators; the literal closure ``enumerate_subgroup`` is the test oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -124,62 +125,33 @@ class UnitSubgroupInvariants:
         return out
 
 
-def _extgcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return abs(a), (1 if a >= 0 else -1), 0
-    g, s, t = _extgcd(b, a % b)
-    return g, t, s - (a // b) * t
+def _square_index(values: list[int], K: int) -> int:
+    """[G : G^2] for the subgroup G of (Z/2^K)^x generated by ``values``.
 
-
-def _dlog_two(value: int, K: int) -> tuple[int, int]:
-    """Coordinates (a, b) with value = (-1)^a 5^b mod 2^K (K >= 3)."""
-    mod = 1 << K
-    a = 0 if value % 4 == 1 else 1
-    x = (-value) % mod if a else value
-    # bitwise discrete log: 5^(2^i) = 1 + 2^(i+2) mod 2^(i+3)
-    b = 0
-    pw = 5 % mod
-    for i in range(K - 2):
-        if x % (1 << min(i + 3, K)) != 1:
-            b |= 1 << i
-            x = (x * pow(pw, -1, mod)) % mod
-        pw = (pw * pw) % mod
-    return a, b
-
-
-def _square_index_from_rows(rows: list[tuple[int, int]], M: int) -> int:
-    """Index of squares in the subgroup of Z/2 x Z/2^M spanned by ``rows``.
-
-    Works through the lattice L spanned by the rows together with the
-    kernel lattice (2,0),(0,2^M); the subgroup is L/kernel and its
-    invariant factors come from a 2x2 Smith normal form.
+    Write u = (-1)^a(u) 5^b(u) with a(u) = [u = 3 mod 4] (K >= 3).  The
+    depth k(u) of u is v_2(5^b - 1) = v_2(b) + 2, or K when 5^b = 1
+    mod 2^K, so G sits in Z/2 x Z/2^(K-2) through (a, b) and depth
+    orders the b's by valuation.  Let g have the least depth k0.  When
+    k0 < K, every generator is c (a(g), b(g)) + (e, 0), with c odd exactly
+    when its depth is k0; so e(u) = 1 exactly when a(u) != a(g) [k(u) = k0].
+    G is cyclic, of index 2, unless some e(u) = 1; then (1, 0) lies
+    outside the nontrivial <(a(g), b(g))>, since k0 < K, and the index
+    is 4.  When k0 = K, G lies in {+-1}: index 2 if it holds -1, else 1.
     """
-    rows = list(rows) + [(2, 0), (0, 1 << M)]
-    a = b = 0
-    ys: list[int] = []
-    for x, y in rows:
-        if x == 0:
-            ys.append(y)
-            continue
-        if a == 0:
-            a, b = x, y
-            continue
-        g, s, t = _extgcd(a, x)
-        ys.append((x // g) * b - (a // g) * y)
-        a, b = g, s * b + t * y
-    c = 0
-    for y in ys:
-        c = math.gcd(c, y)
-    # X = diag(2, 2^M) B^-1 with B = [[a, b], [0, c]]; the kernel lattice
-    # lies inside L, so all three entries are integers.
-    if 2 % a or (2 * b) % (a * c) or (1 << M) % c:
-        raise ValidationError("kernel lattice not contained in generated lattice")
-    x11 = 2 // a
-    x12 = -(2 * b) // (a * c)
-    x22 = (1 << M) // c
-    s1 = math.gcd(math.gcd(abs(x11), abs(x12)), abs(x22))
-    s2 = abs(x11 * x22) // s1
-    return (2 if s1 % 2 == 0 else 1) * (2 if s2 % 2 == 0 else 1)
+    mod = 1 << K
+    signs, depths = [], []
+    for u in values:
+        a = u % 4 == 3
+        d = (-u if a else u) % mod - 1
+        signs.append(a)
+        depths.append((d & -d).bit_length() - 1 if d else K)
+    k0 = min(depths, default=K)
+    if k0 == K:
+        return 2 if any(signs) else 1
+    a0 = signs[depths.index(k0)]
+    if any(a != (a0 and k == k0) for a, k in zip(signs, depths)):
+        return 4
+    return 2
 
 
 def subgroup_invariants(
@@ -200,31 +172,25 @@ def subgroup_invariants(
     mod = p**K
     values = [g.value % mod for g in generators]
     nontrivial = [v for v in values if v != 1]
-    if not nontrivial:
-        sq = 1 if p == 2 else None
-        return UnitSubgroupInvariants(p, True, 0, False if p == 2 else None, sq)
-
-    t_min = K
-    for v in nontrivial:
-        d = (v - 1) % mod
-        t = 0
-        while d % p == 0:
-            d //= p
-            t += 1
-        t_min = min(t_min, t)
-    if p**t_min >= p ** (K - 2):
-        raise PrecisionExhausted(
-            f"q-invariant would be >= {p}^{K - 2}; rerun at higher precision"
-        )
-    q = p**t_min
-
+    q = 0
+    if nontrivial:
+        t_min = K
+        for v in nontrivial:
+            d = (v - 1) % mod
+            t = 0
+            while d % p == 0:
+                d //= p
+                t += 1
+            t_min = min(t_min, t)
+        if p**t_min >= p ** (K - 2):
+            raise PrecisionExhausted(
+                f"q-invariant would be >= {p}^{K - 2}; rerun at higher precision"
+            )
+        q = p**t_min
     if p != 2:
-        return UnitSubgroupInvariants(p, False, q, None, None)
-
-    eps = any(v % 4 != 1 for v in nontrivial)
-    coords = [_dlog_two(v, K) for v in nontrivial]
-    sq = _square_index_from_rows(coords, K - 2)
-    return UnitSubgroupInvariants(p, False, q, eps, sq)
+        return UnitSubgroupInvariants(p, not nontrivial, q, None, None)
+    eps = any(v % 4 != 1 for v in values)
+    return UnitSubgroupInvariants(p, not nontrivial, q, eps, _square_index(values, K))
 
 
 def enumerate_subgroup(p: int, generators: list[PAdicUnit], K: int) -> set[int]:

@@ -326,6 +326,34 @@ def test_bad_group_json_exits_one(capsys, group):
     assert isinstance(json.loads(captured.err), dict)
 
 
+@pytest.mark.parametrize("argv", [
+    *(["cup", "--phi", "[0,1,0,1]", "--psi", x]
+      for x in ("{}", '["a",1,0,1]', "[0,1e400,0,1]", "[0,true,0,1]",
+                "[0,1.5,0,1]")),
+    *(["extclass", "--kernel", x] for x in ("5", '[0,"x"]', "[0,9]", "[0,2.0]")),
+], ids=["psi-object", "psi-string", "psi-inf", "psi-bool", "psi-float",
+        "kernel-int", "kernel-string", "kernel-out-of-range", "kernel-float"])
+def test_bad_oracle_json_exits_one(capsys, argv):
+    code = main(["oracle", argv[0], "--p", "2", "--group",
+                 '{"kind":"cyclic","n":4}', *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert isinstance(json.loads(captured.err), dict)
+
+
+@pytest.mark.parametrize("argv", [
+    ["demuskin", "padic(n=3,case=II,f=100000000000000000000)"],
+    ["normalize", f"padic(n=3,case=II,f={'9' * 400}) * E"],
+], ids=["demuskin-f-1e20", "normalize-f-400-digits"])
+def test_huge_demuskin_exponent_runs_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out = run(capsys, argv[0], "--p", "2", *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    json.loads(out)
+
+
 @pytest.mark.parametrize("text", [
     "(" * 3000 + "triv" + ")" * 3000,
     "ext(1, " * 1500 + "triv" + ")" * 1500,

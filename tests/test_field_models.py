@@ -277,7 +277,7 @@ class _SquaresOnly(DyadicRational):
     """Q_2 where 1 lies in aS + bS only when a or b is a square: St_2(S)
     is then 0, so only the converse check can refute total rigidity."""
 
-    def one_in_sum(self, p, a, b, bound):
+    def one_in_sum(self, p, a, b):
         return not any(class_of(self, p, a)) or not any(class_of(self, p, b))
 
 

@@ -173,6 +173,15 @@ def test_structural_isomorphism_on_sorted_forms():
     assert not structurally_isomorphic(a, c, 2)
 
 
+def test_exponents_past_float_precision_sort_exactly():
+    # 2^60 and 2^60 + 1 are one float; the sort key compares them exactly
+    f1, f2 = 2**60, 2**60 + 1
+    a = parse(f"padic(n=3,case=II,f={f1}) * padic(n=3,case=II,f={f2})", 2)
+    b = parse(f"padic(n=3,case=II,f={f2}) * padic(n=3,case=II,f={f1})", 2)
+    assert render(normalize(a, 2)) == render(normalize(b, 2))
+    assert structurally_isomorphic(a, b, 2)
+
+
 @given(st.integers(0, 2**32))
 def test_random_exprs_stay_valid_after_normalize(seed):
     rng = random.Random(seed)

@@ -22,7 +22,6 @@ from etkit.fplinear import rank
 from etkit.pairs import parse
 from etkit.randexpr import random_ext_rooted
 from etkit.rigidity import (
-    DEFAULT_ENUM_BOUND,
     DEFAULT_PAIR_CAP,
     AugBilinearMap,
     _all_vectors,
@@ -159,7 +158,7 @@ def aug_maps(draw):
 @example(_map(5, [[[2, 3]]], [0]))  # d = 1
 @example(_map(2, [[[1]]], [1]))  # d = 1, eps != 0
 def test_rank_test_matches_enumeration(m):
-    vecs, flags = _scan(m, DEFAULT_ENUM_BOUND)
+    vecs, flags = _scan(m)
     every_b = _all_vectors(m.p, m.d)
     assert len(vecs) == m.p**m.d - 1
     assert flags.tolist() == [_rigid_one(m, a, every_b) for a in vecs]

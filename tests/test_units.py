@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from etkit.errors import (
@@ -78,28 +78,46 @@ def test_q2_theta_image_invariants():
     assert inv.square_index == 4
 
 
+def _units(K, *nums):
+    return K, [make_unit(2, n, 1, K) for n in nums]
+
+
 @st.composite
 def generator_sets(draw):
-    k = draw(st.integers(1, 3))
-    nums = draw(st.lists(st.integers(-60, 60).filter(lambda n: n % 2),
-                         min_size=k, max_size=k))
-    return [make_unit(2, n, 1, 10) for n in nums]
+    K = draw(st.integers(3, 12))
+    mod = 1 << K
+    small = st.integers(-60, 60).filter(lambda n: n % 2)
+    # (-1)^s 5^b (1 + 2^e): e >= K drops 1 + 2^e, b = 0 mod 2^(K-2) drops 5^b
+    shaped = st.builds(lambda s, b, e: (-1) ** s * pow(5, b, mod) * (1 + 2**e),
+                       st.integers(0, 1), st.integers(0, 2**K), st.integers(2, K + 1))
+    nums = draw(st.lists(st.one_of(small, shaped), min_size=1, max_size=3))
+    return _units(K, *nums)
 
 
 @given(generator_sets())
-def test_invariants_match_enumeration(gens):
-    """Two-route check at low precision: the lattice-based invariants
-    against literal subgroup closure mod 2^10."""
-    K = 10
+@example(_units(10, -1))
+@example(_units(10, 5))
+@example(_units(10, -1, 5))
+@example(_units(10, -1, 1 + 2**9))
+@example(_units(10, 9, -25))  # both of depth 3, signs opposite
+@example(_units(10, -5, -1))  # the least depth has sign -1
+@example(_units(10, 1))
+def test_invariants_match_enumeration(case):
+    """Two-route check at low precision: the invariants read off 2-adic
+    valuations against literal subgroup closure mod 2^K."""
+    K, gens = case
     try:
         inv = subgroup_invariants(2, gens, K=K)
     except PrecisionExhausted:
         return
     subgroup = enumerate_subgroup(2, gens, K)
+    mod = 1 << K
+    squares = {(x * x) % mod for x in subgroup}
+    assert inv.square_index == len(subgroup) // len(squares)
+    assert inv.eps_nonzero == any(x % 4 == 3 for x in subgroup)
     if inv.trivial:
         assert subgroup == {1}
         return
-    mod = 1 << K
     # q-invariant: from the minimal valuation of g-1 over the subgroup
     vals = []
     for x in subgroup:
@@ -111,6 +129,3 @@ def test_invariants_match_enumeration(gens):
             t += 1
         vals.append(t)
     assert inv.q_invariant == 2 ** min(vals)
-    assert inv.eps_nonzero == any(x % 4 == 3 for x in subgroup)
-    squares = {(x * x) % mod for x in subgroup}
-    assert inv.square_index == len(subgroup) // len(squares)
