@@ -10,6 +10,7 @@ object, with a "where" entry for internal failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,6 +58,7 @@ from .units import DEFAULT_PRECISION
 # README "Limits" gives the time the slowest verb takes at each cap
 MAX_PRECISION = 4096
 MAX_BOUND = 100_000
+MAX_DEGREE = 10_000
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class RunConfig:
             raise ValidationError(f"--p must be prime, got {self.p}")
         if not 8 <= self.precision <= MAX_PRECISION:
             raise ValidationError(f"--precision must be between 8 and {MAX_PRECISION}")
-        if self.max_degree < 2:
-            raise ValidationError("--max-degree must be at least 2")
+        if not 2 <= self.max_degree <= MAX_DEGREE:
+            raise ValidationError(f"--max-degree must be between 2 and {MAX_DEGREE}")
         if not 1 <= self.bound <= MAX_BOUND:
             raise ValidationError(f"--bound must be between 1 and {MAX_BOUND}")
         if self.fmt not in ("json", "table"):
@@ -136,7 +138,9 @@ def _load_structured(value: str, what: str):
         pass
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past Python's
+        # int-to-str digit limit
         raise ValidationError(f"could not parse --{what}: {exc}") from exc
 
 
@@ -275,7 +279,11 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: parsing
+    keeps no state on it, and building it costs about as much as a cheap
+    verb."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=2)
     common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)

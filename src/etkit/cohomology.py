@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import fplinear
-from .errors import DegreeTooSmall, ValidationError
+from .errors import DegreeTooSmall, DimensionTooLarge, ValidationError
 from .pairs import (
     EBlock,
     Ext,
@@ -33,6 +33,9 @@ from .pairs import (
     theta_image,
 )
 from .units import DEFAULT_PRECISION, epsilon_of
+
+# README "Limits": the most basis classes a ring model builds
+MAX_BASIS = 100_000
 
 
 class _Alg:
@@ -295,6 +298,7 @@ def build_cohomology(e: PairExpr, p: int, max_degree: int,
             f"cohomology model needs max degree >= 2, got {max_degree}"
         )
     ne = normalize(e, p, K)
+    _check_basis(ne, max_degree)
     raw = _build(ne, p, max_degree)
     meta = {
         "expr": ne,
@@ -308,6 +312,31 @@ def build_cohomology(e: PairExpr, p: int, max_degree: int,
         meta=meta,
         _mul=raw.mul,
     )
+
+
+def _check_basis(ne: PairExpr, max_degree: int) -> None:
+    """Refuse a ring with more than ``MAX_BASIS`` basis classes before
+    building it.
+
+    The count is at most (max_degree + 1) x 2^rank: a free product adds
+    the factors' counts, and ext(m, -) multiplies a count by at most 2^m.
+    Below that the ring passes at once.  Otherwise the closed-form count
+    decides; it takes O(rank x degree) steps, as does the build's
+    degree-by-factor table, so that product is refused first."""
+    r = rank(ne)
+    if r < MAX_BASIS.bit_length() and (max_degree + 1) << r <= MAX_BASIS:
+        return
+    if (r + 1) * (max_degree + 1) > MAX_BASIS:
+        # the rank is not printed: it can pass Python's int-to-str limit
+        raise DimensionTooLarge(
+            f"(rank + 1) x (max degree + 1) exceeds the basis bound {MAX_BASIS}"
+        )
+    count = sum(ne.dims_closed_form(max_degree))
+    if count > MAX_BASIS:
+        raise DimensionTooLarge(
+            f"the ring would have more than {MAX_BASIS} basis classes "
+            f"up to degree {max_degree}"
+        )
 
 
 def dims_closed_form(e: PairExpr, p: int, max_degree: int) -> list[int]:

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .fplinear import dense_row, echelon_insert, echelon_reduce, is_prime, sparse_row
-from .laurent import LaurentRing
+from .laurent import LaurentRing, Series
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
 from .smallfields import GF, gf
@@ -147,6 +147,20 @@ def _tame_residue(ops, va: int, ua, vb: int, ub):
         ops.mul(ops.pow_(ops.minus_one, va * vb), ops.pow_(ua, vb)),
         ops.pow_(ub, -va),
     )
+
+
+def _leading_view(ops):
+    """The tower of ``ops`` at precision 1, down to its GF."""
+    if isinstance(ops, GF):
+        return ops
+    return LaurentRing(_leading_view(ops.base), ops.var, 1)
+
+
+def _leading_term(ops, x):
+    """x cut to its first coefficient at every level of ``ops``."""
+    if isinstance(ops, GF) or not x.coeffs:
+        return x
+    return Series(x.v, (_leading_term(ops.base, x.coeffs[0]),))
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +528,23 @@ class Laurent(FieldModel):
 
     def symbol(self, p, a, b):
         """The base symbol of the leading coefficients, then the class of
-        the tame residue."""
+        the tame residue.
+
+        The base's ``class_of`` reads only a valuation and a leading
+        coefficient at each level of the tower, and the valuation and
+        leading coefficient of a product or an inverse are those of the
+        factors' leading terms.  So the residue is computed in the tower
+        at precision 1, on the leading terms of ua and ub, instead of as
+        full series.  An empty window stays empty, so a symbol whose
+        leading terms are unknown still raises PrecisionExhausted.  (From
+        depth 4 on, the full series could also raise for a non-leading
+        coefficient lost to cancellation, which the symbol never reads.)"""
         ring = self.domain()
         va, vb = ring.val(a), ring.val(b)
         ua, ub = ring.lead(a), ring.lead(b)
         head = symbol_vector(self.base, p, ua, ub)
-        d = _tame_residue(ring.base, va, ua, vb, ub)
+        d = _tame_residue(_leading_view(ring.base), va, _leading_term(ring.base, ua),
+                          vb, _leading_term(ring.base, ub))
         tail = np.array(class_of(self.base, p, d), dtype=np.int64)
         return np.concatenate([head, tail])
 
@@ -849,12 +874,13 @@ def is_totally_rigid_bounded(model: FieldModel, p: int) -> TotalRigidityVerdict:
         av = np.array(va, dtype=np.int64)
         echelon_insert(d_basis, sparse_row(np.outer(av, eps_vec + av).reshape(-1), p), p)
 
+    coset_reps = [rep_of(v) for v in vecs]
     st_basis: dict = {}
     decided = 0
     witness = None
-    for va in vecs:
-        for vb in vecs:
-            res = model.one_in_sum(p, rep_of(va), rep_of(vb))
+    for va, ra in zip(vecs, coset_reps):
+        for vb, rb in zip(vecs, coset_reps):
+            res = model.one_in_sum(p, ra, rb)
             if res is None:
                 continue
             decided += 1

@@ -427,6 +427,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int_token(tok) -> int:
+    """The value of a "num" token; a literal past Python's int-to-str
+    digit limit is a grammar error at the token."""
+    try:
+        return int(tok[1])
+    except ValueError as exc:
+        raise ParseError(f"integer literal of {len(tok[1])} characters is too long",
+                         tok[2]) from exc
+
+
 class _Parser:
     def __init__(self, text: str, p: int, K: int):
         self.tokens = _tokenize(text)
@@ -471,7 +481,7 @@ class _Parser:
         tok = self.next()
         if tok[0] != "num":
             raise ParseError(f"expected an integer, found {tok[1]!r}", tok[2])
-        return int(tok[1])
+        return _int_token(tok)
 
     def rational(self) -> tuple[int, int]:
         num = self.integer()
@@ -540,7 +550,7 @@ class _Parser:
                 return None
             if tok[0] != "num":
                 raise ParseError(f"{key} expects an integer, found {tok[1]!r}", tok[2])
-            return int(tok[1])
+            return _int_token(tok)
 
         n = intval("n")
         if n is None:

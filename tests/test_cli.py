@@ -11,6 +11,8 @@ from etkit.cli import main
 DYADIC = '{"kind":"DyadicRational","params":{}}'
 FF5 = '{"kind":"FiniteField","params":{"q":5}}'
 F5T = '{"kind":"Laurent","params":{"base":%s},"precision":8}' % FF5
+# an integer literal past Python's 4300-digit int-to-str limit
+HUGE = "1" * 5000
 
 
 def run(capsys, *argv):
@@ -225,6 +227,7 @@ def test_field_trichotomic_and_omember(capsys):
     ("--precision", cli.MAX_PRECISION, ["invariants", "--p", "2", "ext(1,Z(5))"]),
     ("--bound", cli.MAX_BOUND, ["field", "trichotomic", "--p", "2",
                                 "--model", DYADIC, "--a", "2"]),
+    ("--max-degree", cli.MAX_DEGREE, ["cohom", "--p", "2", "E"]),
 ])
 def test_precision_and_bound_caps(capsys, flag, cap, argv):
     code, out = run(capsys, *argv, flag, str(cap))
@@ -235,6 +238,50 @@ def test_precision_and_bound_caps(capsys, flag, cap, argv):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert json.loads(err)["kind"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohom", "--p", "3", "--max-degree", "20", "ext(17,triv)"],
+    # the closed-form count alone would take O(m x degree) big binomials
+    ["logl", "--p", "2", "--max-degree", str(cli.MAX_DEGREE), f"ext({'9' * 400},E)"],
+], ids=["basis-count", "rank-by-degree"])
+def test_ring_past_basis_bound_exits_one_fast(capsys, argv):
+    start = time.perf_counter()
+    code, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(err)["kind"] == "DimensionTooLarge"
+
+
+def _fresh_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "etkit.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reused_across_calls(capsys):
+    omember = ["field", "omember", "--p", "2", "--model", FF5, "--a", "2",
+               "--h", "all"]
+    calls = [
+        ["field", "bogus"],
+        [*omember, "--target", "OPlus"],
+        omember,
+        ["invariants", "--p", "2", "ext(1,E)"],
+    ]
+    outputs = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    assert outputs[0][0] == 2
+    assert json.loads(outputs[1][1])["target"] == "OPlus"
+    # the default comes back once --target is left out
+    assert json.loads(outputs[2][1])["target"] == "OMinus"
+    assert outputs[3][1] == '{"abelianization":[2,2],"logl":"inf","rank":2}\n'
+    assert outputs == [_fresh_process(argv) for argv in calls]
 
 
 def test_field_rigidity_report(capsys):
@@ -295,10 +342,12 @@ def test_oracle_errors_exit_one(capsys):
     ["symbol", "--model", FF5, "--a", "true", "--b", "2"],
     *(["omember", "--model", FF5, "--a", "2", "--h", h, "--target", "OMinus"]
       for h in ("5", '[[0],[1],"x"]', "[[0],[true]]", '{"a":1}')),
+    ["classgroup", "--model", '{"kind":"FiniteField","params":{"q":%s}}' % HUGE],
+    ["symbol", "--model", DYADIC, "--a", HUGE, "--b", "2"],
 ], ids=["no-q", "list-params", "q-not-int", "list-kind", "no-base",
         "precision-not-int", "zero-den", "num-not-int", "v-not-int",
         "coeffs-not-list", "bool-element", "h-int", "h-row-not-list",
-        "h-bool-entry", "h-object"])
+        "h-bool-entry", "h-object", "q-huge-literal", "a-huge-literal"])
 def test_bad_field_json_exits_one(capsys, argv):
     code = main(["field", *argv[:1], "--p", "2", *argv[1:]])
     captured = capsys.readouterr()
@@ -331,8 +380,10 @@ def test_bad_group_json_exits_one(capsys, group):
       for x in ("{}", '["a",1,0,1]', "[0,1e400,0,1]", "[0,true,0,1]",
                 "[0,1.5,0,1]")),
     *(["extclass", "--kernel", x] for x in ("5", '[0,"x"]', "[0,9]", "[0,2.0]")),
+    ["cup", "--phi", f"[{HUGE},1,0,1]", "--psi", "[0,1,0,1]"],
 ], ids=["psi-object", "psi-string", "psi-inf", "psi-bool", "psi-float",
-        "kernel-int", "kernel-string", "kernel-out-of-range", "kernel-float"])
+        "kernel-int", "kernel-string", "kernel-out-of-range", "kernel-float",
+        "phi-huge-literal"])
 def test_bad_oracle_json_exits_one(capsys, argv):
     code = main(["oracle", argv[0], "--p", "2", "--group",
                  '{"kind":"cyclic","n":4}', *argv[1:]])

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from etkit import cohomology
 from etkit.cohomology import (
     algebra_to_json,
     build_cohomology,
@@ -12,7 +13,7 @@ from etkit.cohomology import (
     log_level_direct,
     log_level_recursive,
 )
-from etkit.errors import DegreeTooSmall
+from etkit.errors import DegreeTooSmall, DimensionTooLarge
 from etkit.pairs import Ext, normalize, parse, rank
 from etkit.randexpr import random_expr, random_padic
 
@@ -75,6 +76,21 @@ def test_degree_too_small():
         build_cohomology(parse("E", 2), 2, 1)
 
 
+def test_basis_bound(monkeypatch):
+    e = parse("ext(6,triv)", 3)
+    count = sum(dims_closed_form(normalize(e, 3, 32), 3, 6))  # 2^6
+    monkeypatch.setattr(cohomology, "MAX_BASIS", count)
+    assert sum(build_cohomology(e, 3, 6).dims) == count
+    monkeypatch.setattr(cohomology, "MAX_BASIS", count - 1)
+    with pytest.raises(DimensionTooLarge):
+        build_cohomology(e, 3, 6)
+    # (rank + 1) x (max degree + 1) is refused before the count: E has
+    # 41 classes up to degree 40, but 2 x 41 > 63
+    with pytest.raises(DimensionTooLarge):
+        build_cohomology(parse("E", 2), 2, 40)
+    assert build_cohomology(parse("E", 2), 2, 30).dims == [1] * 31
+
+
 def test_json_shape():
     j = algebra_to_json(build_cohomology(parse(Q2, 2), 2, 2))
     assert j["dims"] == [1, 3, 1]
@@ -90,6 +106,8 @@ def test_dims_closed_form_matches_build():
         e = random_expr(rng, p, max_rank=8)
         alg = build_cohomology(e, p, 5)
         assert dims_closed_form(e, p, 5) == alg.dims, e
+        # the bound under which the basis check skips the count
+        assert sum(alg.dims) <= 6 * 2 ** rank(e), e
 
 
 def test_ext_iteration_dims():

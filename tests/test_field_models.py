@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etkit.errors import InvalidModel, ValidationError
+from etkit.errors import InvalidModel, PrecisionExhausted, ValidationError
 from etkit.field_models import (
     ComplexField,
     DyadicRational,
@@ -28,6 +30,7 @@ from etkit.field_models import (
     symbol_vector,
     trichotomic_search,
 )
+from etkit.laurent import LaurentRing, Series
 from etkit.pairs import EBlock, Ext, PAdicBlock, ZBlock
 from etkit.smallfields import gf
 
@@ -297,3 +300,126 @@ def test_element_pool_deterministic():
     assert first == second
     pool = list(zip(range(5), DyadicRational().pool(2)))
     assert [x for _, x in pool][:3] == [Fraction(-1), Fraction(2), Fraction(5)]
+
+
+def test_total_rigidity_builds_each_coset_representative_once(monkeypatch):
+    model = Laurent(Laurent(FiniteField(7), "t", 4), "u", 4)
+    reps = [r for _, r in model.basis(2)]
+    d = len(reps)
+    calls = 0
+    real_pow = LaurentRing.pow_
+
+    def counting_pow(self, x, n):
+        nonlocal calls
+        if any(x == r for r in reps):
+            calls += 1
+        return real_pow(self, x, n)
+
+    monkeypatch.setattr(LaurentRing, "pow_", counting_pow)
+    v = is_totally_rigid_bounded(model, 2)
+    assert v.total_pairs == 2 ** (2 * d)
+    # one power per nonzero coordinate of each of the p^d coset vectors
+    assert 0 < calls <= d * 2 ** d
+
+
+# -- the tame symbol against its full-series route ------------------------
+
+
+def _full_series_symbol(model, p, a, b):
+    """Laurent symbols with the tame residue (-1)^(va*vb) ua^vb ub^(-va)
+    computed as full series in the base ring, at every level."""
+    if not isinstance(model, Laurent):
+        return symbol_vector(model, p, a, b)
+    ring = model.domain()
+    if ring.is_zero(a) or ring.is_zero(b):
+        raise ValidationError("symbols take nonzero arguments")
+    va, vb = ring.val(a), ring.val(b)
+    ua, ub = ring.lead(a), ring.lead(b)
+    head = _full_series_symbol(model.base, p, ua, ub)
+    ops = ring.base
+    d = ops.mul(ops.mul(ops.pow_(ops.minus_one, va * vb), ops.pow_(ua, vb)),
+                ops.pow_(ub, -va))
+    return np.concatenate([head, np.array(class_of(model.base, p, d), dtype=np.int64)])
+
+
+def _outcome(symbol, model, p, a, b):
+    try:
+        return tuple(int(c) for c in symbol(model, p, a, b))
+    except (PrecisionExhausted, ValidationError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def _tower_symbol_inputs(draw, depths):
+    """A tower with a depth in ``depths`` at p in {2, 3} and two of its
+    elements, some with windows shortened by cancellation, subtraction,
+    inversion or a cut at one level of the tower."""
+    p = draw(st.sampled_from([2, 3]))
+    model = FiniteField(draw(st.sampled_from([3, 5, 7] if p == 2 else [4, 7])))
+    for var in "tuvw"[: draw(st.sampled_from(depths))]:
+        model = Laurent(model, var, draw(st.integers(2, 4)))
+
+    def element(m, lead_nonzero=True):
+        if isinstance(m, FiniteField):
+            return draw(st.integers(1 if lead_nonzero else 0, m.q - 1))
+        n = draw(st.integers(1, m.precision))
+        coeffs = [element(m.base, lead_nonzero and i == 0) for i in range(n)]
+        return m.domain().from_coeffs(draw(st.integers(-2, 2)), coeffs)
+
+    def nearby(m, x):
+        """x changed at a higher valuation, at a random level."""
+        if isinstance(m, FiniteField):
+            return x
+        ring = m.domain()
+        if not x.coeffs or draw(st.booleans()):
+            bump = ring.from_coeffs(x.v + draw(st.integers(1, 3)), [element(m.base)])
+            return ring.add(x, bump)
+        return ring.from_coeffs(x.v, [nearby(m.base, x.coeffs[0]), *x.coeffs[1:]])
+
+    def cut(m, x):
+        """x known to fewer coefficients, at a random level."""
+        if isinstance(m, FiniteField) or not x.coeffs:
+            return x
+        if draw(st.booleans()):
+            return Series(x.v, x.coeffs[: draw(st.integers(0, len(x.coeffs) - 1))])
+        return Series(x.v, (cut(m.base, x.coeffs[0]), *x.coeffs[1:]))
+
+    ring = model.domain()
+    pool = [element(model) for _ in range(3)]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["cancel", "cut", "sub", "mul", "inv"]))
+        x, y = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        try:
+            if op == "cut":
+                pool.append(cut(model, x))
+            elif op == "cancel":
+                pool.append(ring.sub(x, nearby(model, x)))
+            elif op == "sub":
+                pool.append(ring.sub(x, y))
+            elif op == "mul":
+                pool.append(ring.mul(x, y))
+            else:
+                pool.append(ring.inv(x))
+        except (PrecisionExhausted, ValidationError):
+            pass
+    return model, p, draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=400)
+@given(_tower_symbol_inputs([1, 2, 3]))
+def test_leading_term_symbol_matches_full_series(case):
+    model, p, a, b = case
+    assert (_outcome(symbol_vector, model, p, a, b)
+            == _outcome(_full_series_symbol, model, p, a, b))
+
+
+@settings(max_examples=50)
+@given(_tower_symbol_inputs([4]))
+def test_leading_term_symbol_refines_full_series_at_depth_four(case):
+    # From depth 4 on, the full series can lose a non-leading coefficient
+    # to cancellation inside a nested product and raise, although the
+    # symbol needs only leading terms; the leading-term route answers then.
+    model, p, a, b = case
+    fast = _outcome(symbol_vector, model, p, a, b)
+    full = _outcome(_full_series_symbol, model, p, a, b)
+    assert fast == full or (full == "PrecisionExhausted" and not isinstance(fast, str))

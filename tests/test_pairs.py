@@ -72,6 +72,14 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError) as info:
             parse(text, 2)
         assert info.value.position is not None
+    # so is an integer literal past Python's int-to-str digit limit
+    huge = "1" * 5000
+    for text, position in ((f"Z({huge})", 2), (f"Z(5/{huge})", 4),
+                           (f"padic(n=3,case=II,f={huge})", 20),
+                           (f"ext({huge},E)", 4)):
+        with pytest.raises(ParseError) as info:
+            parse(text, 2)
+        assert info.value.position == position
     with pytest.raises(ValidationError):
         parse("padic(n=3)", 2)  # missing case
     with pytest.raises(ValidationError):
