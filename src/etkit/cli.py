@@ -30,8 +30,10 @@ from .cocycles import (
     kernel_from_json,
 )
 from .cohomology import (
+    _check_basis,
     algebra_to_json,
     build_cohomology,
+    dims_closed_form,
     is_demuskin,
     log_level_direct,
     log_level_recursive,
@@ -59,6 +61,9 @@ from .units import DEFAULT_PRECISION
 MAX_PRECISION = 4096
 MAX_BOUND = 100_000
 MAX_DEGREE = 10_000
+# degree-1 cup products, each weighted by the length of its result, that
+# `cohom` (the gram) and `logl` (the cup powers of eps) may compute
+MAX_CUP_WORK = 100_000
 
 
 @dataclass(frozen=True)
@@ -180,8 +185,19 @@ def _cmd_invariants(args, cfg):
     }
 
 
+def _check_cup_work(ne, cfg, work, what: str) -> None:
+    """Refuse a request whose degree-1 products ``work(dims)`` exceed
+    ``MAX_CUP_WORK``, from the closed-form Betti numbers of the normal
+    form ``ne``: after the ring's basis bound, before any ring is built."""
+    _check_basis(ne, cfg.max_degree)
+    if work(dims_closed_form(ne, cfg.p, 2)) > MAX_CUP_WORK:
+        raise ValidationError(f"{what} exceeds the cup-product bound {MAX_CUP_WORK}")
+
+
 def _cmd_cohom(args, cfg):
     e = parse(_expr_text(args), cfg.p, cfg.precision)
+    _check_cup_work(normalize(e, cfg.p, cfg.precision), cfg,
+                    lambda dims: dims[1] ** 2 * dims[2], "dims[1]^2 x dims[2]")
     alg = build_cohomology(e, cfg.p, cfg.max_degree, cfg.precision)
     return algebra_to_json(alg)
 
@@ -193,7 +209,10 @@ def _cmd_demuskin(args, cfg):
 
 def _cmd_logl(args, cfg):
     e = parse(_expr_text(args), cfg.p, cfg.precision)
-    rec = log_level_recursive(normalize(e, cfg.p, cfg.precision), cfg.p)
+    ne = normalize(e, cfg.p, cfg.precision)
+    _check_cup_work(ne, cfg, lambda dims: cfg.max_degree * dims[1] ** 2,
+                    "max degree x dims[1]^2")
+    rec = log_level_recursive(ne, cfg.p)
     direct = log_level_direct(e, cfg.p, cfg.max_degree, cfg.precision)
     return {"recursive": _logl_json(rec), "direct": direct}
 

@@ -536,9 +536,7 @@ class Laurent(FieldModel):
         factors' leading terms.  So the residue is computed in the tower
         at precision 1, on the leading terms of ua and ub, instead of as
         full series.  An empty window stays empty, so a symbol whose
-        leading terms are unknown still raises PrecisionExhausted.  (From
-        depth 4 on, the full series could also raise for a non-leading
-        coefficient lost to cancellation, which the symbol never reads.)"""
+        leading terms are unknown still raises PrecisionExhausted."""
         ring = self.domain()
         va, vb = ring.val(a), ring.val(b)
         ua, ub = ring.lead(a), ring.lead(b)
@@ -691,30 +689,30 @@ class TrichotomyResult:
 
 def trichotomic_search(model: FieldModel, p: int, a,
                        bound: int = 200) -> TrichotomyResult:
-    """Look for b with {a,b}, {a,1-b}, {a,1-1/b} all zero."""
+    """Look for b with {a,b}, {a,1-b}, {a,1-1/b} all zero.
+
+    The symbol is bimultiplicative and 1 - 1/b = -(1-b)/b, so
+    {a,1-1/b} = {a,-1} + {a,1-b} - {a,b}: once the first two vanish, the
+    third vanishes iff {a,-1} does, whatever b is.  If it does not, the
+    pool is only counted.  At odd p it always does: -1 = (-1)^p is a p-th
+    power.  And 1 - 1/b = 0 iff 1 - b = 0, so no candidate is inverted."""
     validate_model(model, p)
     if is_pth_power(model, p, a):
         raise ValidationError("a must not be a p-th power")
     ops = model.domain()
+    candidates = islice(model.pool(p), bound)
     searched = 0
-    for b in islice(model.pool(p), bound):
-        searched += 1
-        try:
-            one_minus_b = ops.sub(ops.one, b)
-            if ops.is_zero(one_minus_b):
+    if not symbol_vector(model, p, a, ops.minus_one).any():
+        for searched, b in enumerate(candidates, 1):
+            try:
+                one_minus_b = ops.sub(ops.one, b)
+                if (ops.is_zero(one_minus_b) or symbol_vector(model, p, a, b).any()
+                        or symbol_vector(model, p, a, one_minus_b).any()):
+                    continue
+            except PrecisionExhausted:
                 continue
-            one_minus_binv = ops.sub(ops.one, ops.inv(b))
-            if ops.is_zero(one_minus_binv):
-                continue
-            if symbol_vector(model, p, a, b).any():
-                continue
-            if symbol_vector(model, p, a, one_minus_b).any():
-                continue
-            if symbol_vector(model, p, a, one_minus_binv).any():
-                continue
-        except PrecisionExhausted:
-            continue
-        return TrichotomyResult("Witness", ops.render(b), searched, bound)
+            return TrichotomyResult("Witness", ops.render(b), searched, bound)
+    searched += sum(1 for _ in candidates)
     return TrichotomyResult("NoCounterexampleWithinBound", None, searched, bound)
 
 

@@ -70,10 +70,15 @@ class LaurentRing:
 
     def _norm(self, v: int, coeffs: list) -> Series:
         coeffs = coeffs[: self.T]
-        while coeffs and self.base.is_zero(coeffs[0]):
-            coeffs.pop(0)
-            v += 1
-        return Series(v, tuple(coeffs))
+        i = 0
+        try:
+            while i < len(coeffs) and self.base.is_zero(coeffs[i]):
+                i += 1
+        except PrecisionExhausted:
+            # the first coefficient not known to vanish is itself known
+            # only to a valuation, so only "valuation >= v + i" is certain
+            return Series(v + i, ())
+        return Series(v + i, tuple(coeffs[i:]))
 
     # -- structure queries ----------------------------------------------------
 

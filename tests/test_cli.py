@@ -253,6 +253,28 @@ def test_ring_past_basis_bound_exits_one_fast(capsys, argv):
     assert json.loads(err)["kind"] == "DimensionTooLarge"
 
 
+@pytest.mark.parametrize("argv", [
+    ["logl", "--p", "2", "--max-degree", "6000", " * ".join(["E"] * 15)],
+    ["cohom", "--p", "2", " * ".join(["E"] * 100)],
+], ids=["logl-15-E-blocks", "cohom-100-E-blocks"])
+def test_cup_products_past_bound_exit_one_fast(capsys, argv):
+    start = time.perf_counter()
+    code, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(err)["kind"] == "ValidationError"
+
+
+def test_cup_product_bound_is_inclusive(capsys, monkeypatch):
+    # dims[1] = dims[2] = k on a free product of k E blocks
+    monkeypatch.setattr(cli, "MAX_CUP_WORK", 2 ** 2 * 2)
+    assert run(capsys, "cohom", "--p", "2", "E * E")[0] == 0
+    assert run(capsys, "cohom", "--p", "2", "E * E * E")[0] == 1
+    monkeypatch.setattr(cli, "MAX_CUP_WORK", 100 * 2 ** 2)
+    assert run(capsys, "logl", "--p", "2", "--max-degree", "100", "E * E")[0] == 0
+    assert run(capsys, "logl", "--p", "2", "--max-degree", "101", "E * E")[0] == 1
+
+
 def _fresh_process(argv):
     proc = subprocess.run([sys.executable, "-m", "etkit.cli", *argv],
                           capture_output=True, text=True)

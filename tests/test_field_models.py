@@ -1,6 +1,8 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from etkit.field_models import (
     Laurent,
     LocalRational,
     RealField,
+    TrichotomyResult,
     check_pairing_match,
     class_group,
     class_of,
@@ -225,6 +228,9 @@ def test_trichotomic_examples():
     assert r.verdict == "Witness" and r.witness == "1 + t + O(t^8)"
     r = trichotomic_search(FiniteField(5), 2, 2)
     assert r.verdict == "Witness"
+    # {-1, -1} != 0 in R, so no b is a witness and the whole pool is counted
+    r = trichotomic_search(RealField(), 2, Fraction(-1))
+    assert (r.verdict, r.searched) == ("NoCounterexampleWithinBound", 200)
     with pytest.raises(ValidationError):
         trichotomic_search(DyadicRational(), 2, Fraction(4))
     j = r.to_json()
@@ -416,10 +422,104 @@ def test_leading_term_symbol_matches_full_series(case):
 @settings(max_examples=50)
 @given(_tower_symbol_inputs([4]))
 def test_leading_term_symbol_refines_full_series_at_depth_four(case):
-    # From depth 4 on, the full series can lose a non-leading coefficient
-    # to cancellation inside a nested product and raise, although the
-    # symbol needs only leading terms; the leading-term route answers then.
+    # From depth 4 on, a nested cancellation can leave a non-leading
+    # coefficient known only to a valuation; the full series keeps it as
+    # an empty window instead of raising, so both routes agree.
     model, p, a, b = case
-    fast = _outcome(symbol_vector, model, p, a, b)
-    full = _outcome(_full_series_symbol, model, p, a, b)
-    assert fast == full or (full == "PrecisionExhausted" and not isinstance(fast, str))
+    assert (_outcome(symbol_vector, model, p, a, b)
+            == _outcome(_full_series_symbol, model, p, a, b))
+
+
+# -- the trichotomy search against its three-symbol loop ------------------
+
+
+def _trichotomic_search_oracle(model, p, a, bound):
+    """The search with all three symbols of every candidate b, 1 - 1/b
+    computed by inverting b.  Also returns the positions (from 1) of the
+    candidates it skipped for PrecisionExhausted."""
+    if is_pth_power(model, p, a):
+        raise ValidationError("a must not be a p-th power")
+    ops = model.domain()
+    skipped = set()
+    searched = 0
+    for b in islice(model.pool(p), bound):
+        searched += 1
+        try:
+            one_minus_b = ops.sub(ops.one, b)
+            if ops.is_zero(one_minus_b):
+                continue
+            one_minus_binv = ops.sub(ops.one, ops.inv(b))
+            if ops.is_zero(one_minus_binv):
+                continue
+            if symbol_vector(model, p, a, b).any():
+                continue
+            if symbol_vector(model, p, a, one_minus_b).any():
+                continue
+            if symbol_vector(model, p, a, one_minus_binv).any():
+                continue
+        except PrecisionExhausted:
+            skipped.add(searched)
+            continue
+        return TrichotomyResult("Witness", ops.render(b), searched, bound), skipped
+    return TrichotomyResult("NoCounterexampleWithinBound", None, searched, bound), skipped
+
+
+@st.composite
+def _trichotomy_inputs(draw):
+    """A backend at p in {2, 3}, an element a that is not a p-th power
+    (a product of basis elements, or an early pool element), and a small
+    bound.  ComplexField has no such element and gets a = 1."""
+    p = draw(st.sampled_from([2, 3]))
+    qs = [3, 5, 9] if p == 2 else [4, 7]
+    kinds = ["finite", "local", "complex", "laurent", "tower"]
+    kinds += ["dyadic", "real"] if p == 2 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "finite":
+        model = FiniteField(draw(st.sampled_from(qs)))
+    elif kind == "local":
+        model = LocalRational(draw(st.sampled_from([3, 5] if p == 2 else [7, 13])))
+    elif kind == "dyadic":
+        model = DyadicRational()
+    elif kind == "real":
+        model = RealField()
+    elif kind == "complex":
+        model = ComplexField()
+    else:
+        model = Laurent(FiniteField(draw(st.sampled_from(qs))), "t",
+                        draw(st.integers(2, 4)))
+        if kind == "tower":
+            model = Laurent(model, "u", draw(st.integers(2, 3)))
+    ops = model.domain()
+    reps = [r for _, r in model.basis(p)]
+    candidates = list(islice(model.pool(p), 12))
+    for exps in iter_product(range(p), repeat=len(reps)):
+        acc = ops.one
+        for r, k in zip(reps, exps):
+            acc = ops.mul(acc, ops.pow_(r, k))
+        candidates.append(acc)
+    candidates = [c for c in candidates if not is_pth_power(model, p, c)]
+    a = draw(st.sampled_from(candidates)) if candidates else ops.one
+    return model, p, a, draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trichotomy_inputs())
+def test_trichotomic_search_matches_three_symbol_oracle(case):
+    model, p, a, bound = case
+    if is_pth_power(model, p, a):
+        with pytest.raises(ValidationError):
+            trichotomic_search(model, p, a, bound)
+        with pytest.raises(ValidationError):
+            _trichotomic_search_oracle(model, p, a, bound)
+        return
+    new = trichotomic_search(model, p, a, bound)
+    old, skipped = _trichotomic_search_oracle(model, p, a, bound)
+    if new.verdict == "Witness" and new.searched in skipped:
+        # the oracle lost this candidate to precision; the three symbols
+        # of the new witness, computed directly, must still vanish
+        ops = model.domain()
+        b = next(islice(model.pool(p), new.searched - 1, None))
+        for c in (b, ops.sub(ops.one, b), ops.sub(ops.one, ops.inv(b))):
+            assert not symbol_vector(model, p, a, c).any()
+    else:
+        assert new == old
