@@ -3,6 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import dense_ring
 
 from etkit import cohomology
 from etkit.cohomology import (
@@ -230,3 +234,37 @@ def test_log_level_two_routes():
             assert direct == ">6"
         else:
             assert direct == rec, e
+
+
+def _assert_matches_dense(e, p, D):
+    """Every part of the ring model of ``e`` equals the dense oracle's."""
+    alg = build_cohomology(e, p, D)
+    want = dense_ring._build(normalize(e, p), p, D)
+    assert alg.dims == want.dims, e
+    assert [list(row) for row in alg.basis] == want.labels, e
+    assert alg.eps.tolist() == (want.eps % p).tolist(), e
+    for d1 in range(D + 1):
+        for d2 in range(D + 1 - d1):
+            for i in range(want.dims[d1]):
+                for j in range(want.dims[d2]):
+                    got = alg.product(d1, i, d2, j)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == (want.mul(d1, i, d2, j) % p).tolist(), \
+                        (e, d1, i, d2, j)
+
+
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 5))
+def test_products_match_dense_oracle(seed, p, D):
+    e = random_expr(random.Random(seed), p, max_rank=6)
+    _assert_matches_dense(e, p, D)
+
+
+@pytest.mark.parametrize("text, p, D", [
+    # squares of monomials b_S with |S| >= 2 at p = 2 take several eps powers
+    ("ext(2, E)", 2, 6),
+    ("ext(3, Z(3))", 2, 6),
+    ("ext(2, padic(n=3,case=II,f=2))", 2, 6),
+    ("ext(3, Z(7)*ext(2, padic(n=4,q=3,case=I)))", 3, 7),
+])
+def test_products_match_dense_oracle_nested(text, p, D):
+    _assert_matches_dense(parse(text, p), p, D)
