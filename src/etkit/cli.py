@@ -110,10 +110,6 @@ def _emit(obj, cfg: RunConfig) -> None:
         print(f"{key}: {json.dumps(obj[key], sort_keys=True, separators=(',', ':'))}")
 
 
-def _logl_json(value):
-    return "inf" if value == math.inf else int(value)
-
-
 def _expr_text(args) -> str:
     inline = getattr(args, "expr", None)
     path = getattr(args, "file", None)
@@ -122,7 +118,8 @@ def _expr_text(args) -> str:
     if path is not None:
         try:
             return Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError covers an undecodable file and a NUL byte in the path
             raise ValidationError(f"could not read --file: {exc}") from exc
     if inline is None:
         raise ValidationError("an expression is required")
@@ -181,7 +178,7 @@ def _cmd_invariants(args, cfg):
     return {
         "rank": rank(e),
         "abelianization": abelianization(e, cfg.p, cfg.precision),
-        "logl": _logl_json(log_level_recursive(e, cfg.p)),
+        "logl": log_level_recursive(e, cfg.p),
     }
 
 
@@ -214,7 +211,7 @@ def _cmd_logl(args, cfg):
                     "max degree x dims[1]^2")
     rec = log_level_recursive(ne, cfg.p)
     direct = log_level_direct(e, cfg.p, cfg.max_degree, cfg.precision)
-    return {"recursive": _logl_json(rec), "direct": direct}
+    return {"recursive": rec, "direct": direct}
 
 
 def _cmd_rigid(args, cfg):

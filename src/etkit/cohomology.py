@@ -8,6 +8,12 @@ walks (closed-form Betti numbers, the recursive log level) are methods of
 the node classes in ``pairs``.  Demuskin recognition and the two
 log-level computations (structural recursion vs. direct cup powers) sit
 on top.
+
+Below ``GradedAlgebra.product`` a product of two basis classes is sparse:
+a map from basis index in the target degree to a coefficient in
+1..p-1, so a node pays for the nonzero terms of its factors' products,
+not for the length of its target degree.  ``product`` turns that map
+into the one dense vector it memoizes.
 """
 
 from __future__ import annotations
@@ -38,102 +44,82 @@ from .units import DEFAULT_PRECISION, epsilon_of
 MAX_BASIS = 100_000
 
 
-class _Alg:
-    """Raw algebra data produced by the structural builders."""
-
-    __slots__ = ("dims", "labels", "eps", "mul")
-
-    def __init__(self, dims, labels, eps, mul):
-        self.dims = dims
-        self.labels = labels
-        self.eps = eps
-        self.mul = mul
-
-
-def _with_unit(dims: list[int], core) -> Callable[[int, int, int, int], np.ndarray]:
+def _with_unit(core):
     """Extend a product defined in positive degrees by the H^0 unit."""
 
-    def mul(d1: int, i: int, d2: int, j: int) -> np.ndarray:
+    def mul(d1: int, i: int, d2: int, j: int) -> dict[int, int]:
         if d1 == 0 or d2 == 0:
-            out = np.zeros(dims[d1 + d2], dtype=np.int64)
-            out[j if d1 == 0 else i] = 1
-            return out
+            return {j if d1 == 0 else i: 1}
         return core(d1, i, d2, j)
 
     return mul
 
 
-def _zeros_mul(dims):
-    def core(d1, i, d2, j):
-        return np.zeros(dims[d1 + d2], dtype=np.int64)
-
-    return core
+def _no_product(d1: int, i: int, d2: int, j: int) -> dict[int, int]:
+    """Trivial and Z blocks: every product in positive degrees is zero."""
+    return {}
 
 
-def _demuskin_gram(n: int, case: str, p: int) -> np.ndarray:
-    """Structure constants of the degree-(1,1) pairing of a Demuskin block."""
-    g = np.zeros((n, n), dtype=np.int64)
-    start = 1 if case == "II" else 0
-    for a in range(start, n - 1, 2):
+def _demuskin_gram(n: int, case: str, p: int) -> dict[tuple[int, int], int]:
+    """Nonzero structure constants of the degree-(1,1) pairing of a
+    Demuskin block."""
+    g = {}
+    for a in range(1 if case == "II" else 0, n - 1, 2):
         g[a, a + 1] = 1
-        g[a + 1, a] = 1 if p == 2 else p - 1
-    if p == 2 and case in ("II", "III", "IV"):
+        g[a + 1, a] = p - 1
+    if p == 2 and case != "I":
         g[0, 0] = 1
     return g
 
 
-def _demuskin_eps(n: int, case: str, p: int) -> np.ndarray:
-    eps = np.zeros(n, dtype=np.int64)
-    if p == 2:
-        if case == "II":
-            eps[0] = 1
-        elif case in ("III", "IV"):
-            eps[1] = 1
+def _demuskin_eps(n: int, case: str, p: int) -> list[int]:
+    eps = [0] * n
+    if p == 2 and case != "I":
+        eps[0 if case == "II" else 1] = 1
     return eps
 
 
-def _build(e: PairExpr, p: int, D: int) -> _Alg:
-    """Ring model of a validated node: the one dispatch on node kind."""
+def _build(e: PairExpr, p: int, D: int):
+    """Ring model ``(dims, labels, eps, mul)`` of a validated node up to
+    degree ``D``: the one dispatch on node kind.
+
+    ``mul(d1, i, d2, j)`` is the sparse product of two basis classes of
+    positive degree; ``_with_unit`` adds the unit where a caller needs
+    it.  A free product shifts its factor's indices to the factor's
+    block, and products across factors vanish.  ``Ext(m, base)`` has the
+    basis b_S * i(x), S a subset of {1..m} and x a base class.  At odd p,
+    b_S i(x) * b_T i(y) = (-1)^(|S| deg y + inv(S, T)) b_(S+T) i(xy),
+    which is zero when S and T meet.  At p = 2 the square rule
+    b_k^2 = b_k i(eps) makes it b_(S|T) i(x y eps^|S&T|), each power of
+    eps a sparse product against the support of the base's eps.
+    """
     if isinstance(e, Trivial):
-        dims = [1] + [0] * D
-        labels = [["1"]] + [[] for _ in range(D)]
-        return _Alg(dims, labels, np.zeros(0, dtype=np.int64),
-                    _with_unit(dims, _zeros_mul(dims)))
+        return [1] + [0] * D, [["1"]] + [[] for _ in range(D)], [], _no_product
 
     if isinstance(e, ZBlock):
-        dims = [1, 1] + [0] * (D - 1)
         labels = [["1"], ["x"]] + [[] for _ in range(D - 1)]
-        eps = np.array([epsilon_of(e.alpha) if p == 2 else 0], dtype=np.int64)
-        return _Alg(dims, labels, eps, _with_unit(dims, _zeros_mul(dims)))
+        eps = [epsilon_of(e.alpha) if p == 2 else 0]
+        return [1, 1] + [0] * (D - 1), labels, eps, _no_product
 
     if isinstance(e, EBlock):
-        dims = [1] * (D + 1)
         labels = [["1"], ["x"]] + [[f"x^{d}"] for d in range(2, D + 1)]
-
-        def core(d1, i, d2, j):
-            return np.ones(1, dtype=np.int64)
-
-        return _Alg(dims, labels, np.array([1], dtype=np.int64),
-                    _with_unit(dims, core))
+        return [1] * (D + 1), labels, [1], lambda d1, i, d2, j: {0: 1}
 
     if isinstance(e, PAdicBlock):
         n = e.n
-        dims = [1, n, 1] + [0] * (D - 2)
         labels = [["1"], [f"x{k}" for k in range(1, n + 1)], ["w"]]
         labels += [[] for _ in range(D - 2)]
         gram = _demuskin_gram(n, e.case, p)
 
         def core(d1, i, d2, j):
-            if d1 == 1 and d2 == 1:
-                return np.array([gram[i, j]], dtype=np.int64)
-            return np.zeros(dims[d1 + d2], dtype=np.int64)
+            c = gram.get((i, j)) if d1 == d2 == 1 else None
+            return {0: c} if c else {}
 
-        return _Alg(dims, labels, _demuskin_eps(n, e.case, p),
-                    _with_unit(dims, core))
+        return [1, n, 1] + [0] * (D - 2), labels, _demuskin_eps(n, e.case, p), core
 
     if isinstance(e, FreeProd):
         kids = [_build(f, p, D) for f in e.factors]
-        dims = [1] + [sum(k.dims[d] for k in kids) for d in range(1, D + 1)]
+        muls = [kid[3] for kid in kids]
         labels: list[list[str]] = [["1"]]
         owner: list[list[tuple[int, int]]] = [[]]
         start: list[list[int]] = [[0] * len(kids)]
@@ -141,97 +127,87 @@ def _build(e: PairExpr, p: int, D: int) -> _Alg:
             row: list[str] = []
             own: list[tuple[int, int]] = []
             st: list[int] = []
-            for k, kid in enumerate(kids):
+            for k, (kdims, klabels, _, _) in enumerate(kids):
                 st.append(len(row))
-                row.extend(f"g{k + 1}.{lbl}" for lbl in kid.labels[d])
-                own.extend((k, li) for li in range(kid.dims[d]))
+                row.extend(f"g{k + 1}.{lbl}" for lbl in klabels[d])
+                own.extend((k, li) for li in range(kdims[d]))
             labels.append(row)
             owner.append(own)
             start.append(st)
-        eps = (np.concatenate([k.eps for k in kids])
-               if dims[1] else np.zeros(0, dtype=np.int64))
 
         def core(d1, i, d2, j):
-            out = np.zeros(dims[d1 + d2], dtype=np.int64)
             k1, li = owner[d1][i]
             k2, lj = owner[d2][j]
-            if k1 == k2:
+            if k1 != k2:
                 # cross-factor cup products vanish in a free product
-                v = kids[k1].mul(d1, li, d2, lj)
-                off = start[d1 + d2][k1]
-                out[off:off + len(v)] = v
-            return out
+                return {}
+            off = start[d1 + d2][k1]
+            return {off + r: c for r, c in muls[k1](d1, li, d2, lj).items()}
 
-        return _Alg(dims, labels, eps, _with_unit(dims, core))
+        return ([len(row) for row in labels], labels,
+                [c for kid in kids for c in kid[2]], core)
 
     # the remaining kind: Ext
-    base = _build(e.base, p, D)
+    bdims, blabels, beps, bmul = _build(e.base, p, D)
+    bmul = _with_unit(bmul)
     m = e.m
+    # monos[d][i] = (S, b) is the i-th class of degree d; the classes of one
+    # S are consecutive, and block[d][S] is the index of the first
     monos: list[list[tuple[tuple[int, ...], int]]] = []
-    index: list[dict[tuple[tuple[int, ...], int], int]] = []
+    block: list[dict[tuple[int, ...], int]] = []
     labels = []
     for d in range(D + 1):
         row: list[tuple[tuple[int, ...], int]] = []
+        first: dict[tuple[int, ...], int] = {}
         for j in range(min(m, d) + 1):
+            if not bdims[d - j]:
+                continue
             for S in combinations(range(1, m + 1), j):
-                row.extend((S, b) for b in range(base.dims[d - j]))
+                first[S] = len(row)
+                row.extend((S, b) for b in range(bdims[d - j]))
         monos.append(row)
-        index.append({mb: i for i, mb in enumerate(row)})
+        block.append(first)
         lab = []
         for S, b in row:
             parts = [f"b{k}" for k in S]
-            bl = base.labels[d - len(S)][b]
+            bl = blabels[d - len(S)][b]
             if bl != "1":
                 parts.append(f"i({bl})")
             lab.append("*".join(parts) if parts else "1")
         labels.append(lab)
-    dims = [len(r) for r in monos]
-    eps = np.concatenate(
-        [base.eps % p, np.zeros(m, dtype=np.int64)]
-    ).astype(np.int64)
+    eps_support = [k for k, c in enumerate(beps) if c % p]
 
-    eps_mats: dict[int, np.ndarray] = {}
-
-    def eps_mat(t: int) -> np.ndarray:
-        if t not in eps_mats:
-            mat = np.zeros((base.dims[t + 1], base.dims[t]), dtype=np.int64)
-            for i0 in range(base.dims[t]):
-                col = np.zeros(base.dims[t + 1], dtype=np.int64)
-                for k, ec in enumerate(base.eps):
-                    if ec % p:
-                        col += int(ec) * base.mul(t, i0, 1, k)
-                mat[:, i0] = col % p
-            eps_mats[t] = mat
-        return eps_mats[t]
+    def times_eps(v: dict[int, int], t: int) -> dict[int, int]:
+        # p = 2: every coefficient is 1, so a sum is a symmetric difference
+        out: set[int] = set()
+        for r in v:
+            for k in eps_support:
+                out.symmetric_difference_update(bmul(t, r, 1, k))
+        return dict.fromkeys(out, 1)
 
     def core(d1, i, d2, j):
         S, b1 = monos[d1][i]
         T, b2 = monos[d2][j]
         bd1, bd2 = d1 - len(S), d2 - len(T)
-        out = np.zeros(dims[d1 + d2], dtype=np.int64)
+        v = bmul(bd1, b1, bd2, b2)
         if p == 2:
-            c = len(set(S) & set(T))
-            U = tuple(sorted(set(S) | set(T)))
-            v = base.mul(bd1, b1, bd2, b2) % 2
             t = bd1 + bd2
-            for _ in range(c):
-                v = (eps_mat(t) @ v) % 2
+            for _ in range(len(set(S) & set(T))):
+                v = times_eps(v, t)
                 t += 1
-            sign = 1
+            U, sign = tuple(sorted(set(S) | set(T))), 1
         else:
             if set(S) & set(T):
-                return out
+                return {}
             inversions = sum(1 for s in S for t2 in T if s > t2)
             sign = (-1) ** (len(S) * bd2 + inversions)
             U = tuple(sorted(S + T))
-            v = base.mul(bd1, b1, bd2, b2)
-        look = index[d1 + d2]
-        for bi, coef in enumerate(v):
-            if coef % p:
-                out[look[(U, int(bi))]] = (sign * int(coef)) % p
-        return out
+        if not v:
+            return {}
+        off = block[d1 + d2][U]
+        return {off + r: sign * c % p for r, c in v.items()}
 
-    return _Alg(dims, labels, eps, _with_unit(dims, core))
+    return [len(row) for row in monos], labels, beps + [0] * m, core
 
 
 @dataclass
@@ -243,7 +219,7 @@ class GradedAlgebra:
     basis: tuple[tuple[str, ...], ...]
     eps: np.ndarray
     meta: dict = field(default_factory=dict)
-    _mul: Callable[[int, int, int, int], np.ndarray] | None = None
+    _mul: Callable[[int, int, int, int], dict[int, int]] | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -259,7 +235,10 @@ class GradedAlgebra:
         key = (d1, i, d2, j)
         if key not in self._cache:
             assert self._mul is not None
-            self._cache[key] = self._mul(d1, i, d2, j) % self.p
+            out = np.zeros(len(self.basis[d1 + d2]), dtype=np.int64)
+            for r, c in self._mul(d1, i, d2, j).items():
+                out[r] = c
+            self._cache[key] = out
         return self._cache[key]
 
     def cup(self, v1, d1: int, v2, d2: int) -> np.ndarray:
@@ -299,7 +278,7 @@ def build_cohomology(e: PairExpr, p: int, max_degree: int,
         )
     ne = normalize(e, p, K)
     _check_basis(ne, max_degree)
-    raw = _build(ne, p, max_degree)
+    _, labels, eps, mul = _build(ne, p, max_degree)
     meta = {
         "expr": ne,
         "ext_inflation_dim": rank(ne.base) if isinstance(ne, Ext) else None,
@@ -307,10 +286,10 @@ def build_cohomology(e: PairExpr, p: int, max_degree: int,
     return GradedAlgebra(
         p=p,
         max_degree=max_degree,
-        basis=tuple(tuple(row) for row in raw.labels),
-        eps=raw.eps % p,
+        basis=tuple(tuple(row) for row in labels),
+        eps=np.array(eps, dtype=np.int64) % p,
         meta=meta,
-        _mul=raw.mul,
+        _mul=_with_unit(mul),
     )
 
 

@@ -36,6 +36,8 @@ from .smallfields import GF, gf
 from .units import DEFAULT_PRECISION, make_unit
 
 DEFAULT_SERIES_PRECISION = 16
+# README "Limits": the most coefficients a Laurent model keeps per series
+MAX_SERIES_PRECISION = 32
 # candidates tried by the odd-p search for 1 in aS + bS
 ONE_IN_SUM_SEARCH = 60
 # coset pairs that total rigidity decides one by one
@@ -469,8 +471,10 @@ class Laurent(FieldModel):
                 "Laurent models are supported over finite fields and "
                 "Laurent models only"
             )
-        if self.precision < 2:
-            raise InvalidModel("series precision must be >= 2")
+        if not 2 <= self.precision <= MAX_SERIES_PRECISION:
+            raise InvalidModel(
+                f"series precision must be in 2..{MAX_SERIES_PRECISION}"
+            )
         inner = self.base
         while isinstance(inner, Laurent):
             if inner.var == self.var:

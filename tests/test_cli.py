@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from etkit import cli
+from etkit import cli, field_models
 from etkit.cli import main
 
 DYADIC = '{"kind":"DyadicRational","params":{}}'
@@ -183,6 +183,7 @@ def test_unreadable_files_exit_one(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe{}")
     for argv in (["parse", "--p", "2", "--file", "/nonexistent.txt"],
                  ["parse", "--p", "2", "--file", str(binary)],
+                 ["parse", "--p", "2", "--file", "a\x00b"],
                  ["field", "classgroup", "--p", "2", "--model", str(binary)]):
         code, err = run(capsys, *argv)
         assert code == 1
@@ -196,6 +197,24 @@ def test_huge_field_size_exits_one_fast(capsys):
         start = time.perf_counter()
         code, err = run(capsys, "field", "classgroup", "--p", "2",
                         "--model", model)
+        assert time.perf_counter() - start < 2
+        assert code == 1 and json.loads(err)["kind"] == "InvalidModel"
+
+
+def test_laurent_precision_cap(capsys):
+    cap = field_models.MAX_SERIES_PRECISION
+
+    def omember(precision):
+        model = ('{"kind":"Laurent","params":{"base":%s},"precision":%d}'
+                 % (FF5, precision))
+        return run(capsys, "field", "omember", "--p", "2", "--model", model,
+                   "--a", '{"v":1,"coeffs":[1]}', "--h", "all",
+                   "--target", "OPlus", "--bound", "20")
+
+    assert omember(cap)[0] == 0
+    for precision in (cap + 1, 10**9):
+        start = time.perf_counter()
+        code, err = omember(precision)
         assert time.perf_counter() - start < 2
         assert code == 1 and json.loads(err)["kind"] == "InvalidModel"
 
