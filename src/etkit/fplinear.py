@@ -1,11 +1,16 @@
 """Exact linear algebra over prime fields F_p.
 
-One eliminator serves every single matrix: rows go one at a time into a
-fully reduced echelon basis (``echelon_insert``), as bit-packed ints at
-p = 2 and sparse dicts at odd p, in Python integers.  ``rref`` and the
-ranks, kernels and row spaces read off it are deterministic, since the
-reduced row echelon form is unique.  ``batch_rank`` ranks a stack of
-small matrices in one numpy pass instead.
+Two eliminators, one for each shape of work:
+
+- every single matrix goes into a fully reduced echelon basis
+  (``echelon_insert``) one row at a time, as a bit-packed int at p = 2 and
+  a sparse dict at odd p, in Python integers.  ``rref`` and the ranks,
+  kernels and row spaces read off it are deterministic, since the reduced
+  row echelon form is unique.
+- ``batch_rank`` ranks a stack of small matrices in one numpy pass: at
+  p = 2 on rows packed into uint64 words and reduced by XOR
+  (``xor_rank``, which the p = 2 rigidity scan also feeds with words it
+  builds itself), at odd p in int64.  It gives ranks only.
 """
 
 from __future__ import annotations
@@ -85,12 +90,22 @@ def rank(a, p: int) -> int:
 def batch_rank(stack, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of matrices of shape (n, rows, cols).
 
-    One forward elimination runs on the whole stack at once, over
-    min(rows, cols) columns (the stack is transposed when cols > rows).
+    The stack is transposed when cols > rows, so the elimination runs over
+    min(rows, cols) columns.  At p = 2 each row is packed into words and
+    eliminated by XOR (``xor_rank``); at odd p one forward elimination runs
+    on the whole stack at once in int64.
     """
     m = np.asarray(stack, dtype=np.int64) % p
     if m.shape[2] > m.shape[1]:
-        m = m.transpose(0, 2, 1).copy()
+        m = m.transpose(0, 2, 1)
+    if p == 2:
+        # column c goes to bit c % 64 of word c // 64
+        n, rows, k = m.shape
+        packed = np.zeros((n, rows, 8 * -(-k // 64)), dtype=np.uint8)
+        packed[..., : -(-k // 8)] = np.packbits(
+            m.astype(np.uint8), axis=2, bitorder="little")
+        return xor_rank(packed.view("<u8"), k)
+    m = m.copy()
     n, _, n_cols = m.shape
     inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
     ranks = np.zeros(n, dtype=np.int64)
@@ -104,6 +119,25 @@ def batch_rank(stack, p: int) -> np.ndarray:
         # are not read again
         prow = m[idx, piv, c + 1:] * inverse[col[idx, piv]][:, None]
         m[:, :, c + 1:] = (m[:, :, c + 1:] - col[:, :, None] * prow[:, None, :]) % p
+    return ranks
+
+
+def xor_rank(words: np.ndarray, k: int) -> np.ndarray:
+    """Ranks over F_2 of a stack of matrices (n, rows, w) whose rows are k
+    bits packed into w uint64 words, bit c % 64 of word c // 64 holding
+    column c.  Eliminates in place, one pivot bit at a time; the words
+    below the pivot's word are not touched."""
+    n = words.shape[0]
+    ranks = np.zeros(n, dtype=np.int64)
+    idx = np.arange(n)
+    one = np.uint64(1)
+    for c in range(k if words.shape[1] else 0):
+        w, b = divmod(c, 64)
+        col = words[:, :, w] >> np.uint64(b) & one
+        piv = col.argmax(axis=1)
+        ranks += col[idx, piv].astype(bool)
+        # as at odd p, the pivot row XORs itself to zero
+        words[:, :, w:] ^= col[:, :, None] * words[idx, piv, w:][:, None, :]
     return ranks
 
 

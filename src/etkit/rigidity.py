@@ -9,9 +9,22 @@ Rigidity is decided by rank.  Write W_a = a.T, the d x e matrix with
 B(a, b) = b W_a.  The b pairing to zero with a form the left null space
 of W_a, of dimension d - rank W_a, so a is rigid exactly when u = 0, or
 rank W_a = d, or rank W_a = d - 1 and u W_a = 0.  A scan computes these
-ranks for every nonzero a in one batched elimination, chunked so that its
-working memory stays fixed, and caches the flags on the map.  The
-brute-force test ``_rigid_one``, which enumerates every b, is kept in
+flags for every nonzero a in batched eliminations, chunked so that its
+working memory stays fixed, and caches them on the map:
+
+- at p = 2, W_a is built by linearity in a: its e columns are d-bit
+  words, each the XOR of the same column of the basis vectors that a
+  selects.  The words are ranked by XOR elimination
+  (``fplinear.xor_rank``), and u W_a = 0 is the parity of each word
+  masked by u.
+- at odd p, eps = 0 and W_ca = c W_a, so the flags are constant on lines:
+  only the vectors whose first nonzero coordinate is 1 are ranked, in
+  int64, and each flag is spread over the p - 1 multiples.
+
+The report names every vector; its labels are built for all of A_1 at
+once, as a product over the coordinates (``vector_label`` names one
+vector, and is the oracle of that product).  The brute-force test
+``_rigid_one``, which enumerates every b, is kept in
 ``tests/test_rigidity.py`` as the oracle for the rank test.
 
 Equivalence of two maps is decided by a search over the columns of the
@@ -23,20 +36,26 @@ change of basis, restricted and pruned by rank invariants of every vector
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from .cohomology import GradedAlgebra, build_cohomology
 from .errors import DimensionTooLarge, NotAnExtension, ValidationError
-from .fplinear import batch_rank, rank, row_space_basis, rref
+from .fplinear import batch_rank, rank, row_space_basis, rref, xor_rank
 from .pairs import Ext, PairExpr, normalize
 from .units import DEFAULT_PRECISION
 
 # A scan lists all p^d vectors of A_1 in its output, so the bound is set by
-# output size; working memory is fixed by _CHUNK_CELLS whatever the bound.
+# output size.  Working memory is fixed by the chunk budgets whatever the
+# bound: _CHUNK_CELLS int64 entries per batched elimination at odd p and in
+# the equivalence search (larger chunks ran slower), _CHUNK_WORDS uint64
+# words of W_a per chunk of the p = 2 scan (512 KiB; 2^15 to 2^16 ran
+# fastest on the bench's p = 2 maps and at p^d = 2^16).
 DEFAULT_ENUM_BOUND = 2**16
 DEFAULT_PAIR_CAP = 2_000_000
-_CHUNK_CELLS = 2**14  # entries per batched elimination; larger chunks ran slower
+_CHUNK_CELLS = 2**14
+_CHUNK_WORDS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,19 +127,54 @@ def _all_vectors(p: int, d: int) -> np.ndarray:
 def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
     """Rigidity flags of the nonzero rows of ``vecs`` by the rank test."""
     p, d, e = bmap.p, bmap.d, bmap.e
-    flat = bmap.tensor.reshape(d, d * e)
     flags = np.empty(len(vecs), dtype=bool)
-    step = max(1, _CHUNK_CELLS // max(1, d * e))
+    if p == 2:
+        # Column k of W_a, as a d-bit word, is the XOR over the i that a
+        # selects of cols[i, k], whose bit j is B(e_i, e_j)_k.  Each byte of
+        # a's bits picks its XOR from a table built by doubling.
+        cols = (bmap.tensor << np.arange(d)[None, :, None]).sum(axis=1)
+        tables = []
+        for g in range(0, d, 8):
+            t = np.zeros((1, e), dtype=np.uint64)
+            for row in cols[g : g + 8].astype(np.uint64):
+                t = np.concatenate([t, t ^ row])
+            tables.append(t)
+        bit = np.left_shift(1, np.arange(d), dtype=np.int64)
+        step = max(1, _CHUNK_WORDS // max(1, e))
+    else:
+        flat = bmap.tensor.reshape(d, d * e)
+        step = max(1, _CHUNK_CELLS // max(1, d * e))
     for s in range(0, len(vecs), step):
         a = vecs[s : s + step]
-        w = (a @ flat % p).reshape(len(a), d, e)
         u = (bmap.eps + a) % p
-        r = batch_rank(w, p)
-        u_kills = ~(np.einsum("cj,cjk->ck", u, w) % p).any(axis=1)
+        if p == 2:
+            x = a @ bit
+            w = np.zeros((len(a), e), dtype=np.uint64)
+            for g, t in enumerate(tables):
+                w ^= t[(x >> 8 * g) & 255]
+            u_bits = (u @ bit).astype(np.uint64)[:, None]
+            u_kills = ~_parity(w & u_bits, d).any(axis=1)
+            r = xor_rank(w[:, :, None], d)
+        else:
+            w = (a @ flat % p).reshape(len(a), d, e)
+            u_kills = ~(np.einsum("cj,cjk->ck", u, w) % p).any(axis=1)
+            r = batch_rank(w, p)
         flags[s : s + step] = (
             ~u.any(axis=1) | (r == d) | ((r == d - 1) & u_kills)
         )
     return flags
+
+
+def _parity(x: np.ndarray, bits: int) -> np.ndarray:
+    """Parity of the low ``bits`` bits of each uint64, by shift-folding
+    (numpy before 2.0 has no bit count); overwrites x."""
+    s = 1
+    while s < bits:
+        s *= 2
+    while s > 1:
+        s //= 2
+        x ^= x >> np.uint64(s)
+    return x & np.uint64(1)
 
 
 def _check_bound(p: int, d: int) -> None:
@@ -149,11 +203,22 @@ def is_rigid(bmap: AugBilinearMap, a) -> bool:
 
 def _scan(bmap: AugBilinearMap):
     """All nonzero vectors of A_1 with their rigidity flags, computed once
-    per map."""
-    _check_bound(bmap.p, bmap.d)
+    per map.  At odd p one vector per line is ranked (see the module
+    docstring)."""
+    p, d = bmap.p, bmap.d
+    _check_bound(p, d)
     if "scan" not in bmap._cache:
-        vecs = _all_vectors(bmap.p, bmap.d)[1:]
-        flags = _rank_flags(bmap, vecs)
+        vecs = _all_vectors(p, d)[1:]
+        if p == 2 or d == 0:
+            flags = _rank_flags(bmap, vecs)
+        else:
+            # the vectors led by a 1 at coordinate i fill [place_i, 2 place_i)
+            place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+            lead = vecs[np.concatenate([np.arange(q, 2 * q) for q in place]) - 1]
+            lead_flags = _rank_flags(bmap, lead)
+            flags = np.empty(len(vecs), dtype=bool)
+            for c in range(1, p):
+                flags[c * lead % p @ place - 1] = lead_flags
         vecs.flags.writeable = flags.flags.writeable = False
         bmap._cache["scan"] = (vecs, flags)
     return bmap._cache["scan"]
@@ -191,11 +256,26 @@ def n_subspace(bmap: AugBilinearMap) -> np.ndarray:
     return _n_basis(bmap).copy()
 
 
+def _all_labels(bmap: AugBilinearMap) -> list[str]:
+    """``vector_label`` of every vector of ``_all_vectors``, in its order,
+    built as a product over the coordinates."""
+    sep = "*" if bmap.multiplicative else "+"
+    labels = [""]
+    for lbl in bmap.labels:
+        terms = [""] + [
+            lbl if c == 1 else f"{lbl}^{c}" if bmap.multiplicative else f"{c}*{lbl}"
+            for c in range(1, bmap.p)
+        ]
+        labels = [f"{a}{sep}{t}" if a and t else a + t for a in labels for t in terms]
+    labels[0] = "1" if bmap.multiplicative else "0"
+    return labels
+
+
 def rigidity_report(bmap: AugBilinearMap) -> dict:
-    vecs, flags = _scan(bmap)
-    rigid = [vector_label(bmap, v) for v, f in zip(vecs, flags) if f]
-    non = [vector_label(bmap, v) for v, f in zip(vecs, flags) if not f]
-    return {"rigid": rigid, "nonRigid": non,
+    _, flags = _scan(bmap)
+    labels = _all_labels(bmap)[1:]
+    return {"rigid": list(compress(labels, flags.tolist())),
+            "nonRigid": list(compress(labels, (~flags).tolist())),
             "nSubspaceDim": int(len(_n_basis(bmap)))}
 
 
@@ -221,10 +301,8 @@ def check_rigidity_criterion(
     bmap = from_cohomology(alg)
     t = alg.meta["ext_inflation_dim"]
     vecs, flags = _scan(bmap)
-    outside = [i for i, v in enumerate(vecs) if v[t:].any()]
-    counter = tuple(
-        vector_label(bmap, vecs[i]) for i in outside if not flags[i]
-    )
+    outside = np.flatnonzero(vecs[:, t:].any(axis=1))
+    counter = tuple(vector_label(bmap, v) for v in vecs[outside[~flags[outside]]])
     return RigidityCriterionReport(not counter, len(outside), counter)
 
 

@@ -116,6 +116,30 @@ def test_batch_rank_matches_rank(data):
     assert batch_rank(stack, p).tolist() == [rank(m, p) for m in stack]
 
 
+@st.composite
+def wide_bit_stacks(draw):
+    """Stacks over F_2 whose smaller side is 63 to 66 bits, so the packed
+    rows of ``batch_rank`` fill one word or spill into a second; each
+    matrix has a drawn rank, some with their rows repeated."""
+    k = draw(st.integers(63, 66))
+    other = k + draw(st.integers(0, 3))
+    rows, cols = (other, k) if draw(st.booleans()) else (k, other)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, k))
+        m = rng.integers(2, size=(rows, r)) @ rng.integers(2, size=(r, cols)) % 2
+        if draw(st.booleans()):
+            m = m[rng.integers(rows, size=rows)]
+        mats.append(m)
+    return np.array(mats, dtype=np.int64)
+
+
+@given(wide_bit_stacks())
+def test_packed_batch_rank_across_words(stack):
+    assert batch_rank(stack, 2).tolist() == [rank(m, 2) for m in stack]
+
+
 def test_solve_reports_inconsistency():
     a = np.array([[1, 0], [1, 0]])
     b = np.array([1, 0])

@@ -21,9 +21,11 @@ from dense_fp import solve
 from etkit.fplinear import rank
 from etkit.pairs import parse
 from etkit.randexpr import random_ext_rooted
+from etkit import rigidity
 from etkit.rigidity import (
     DEFAULT_PAIR_CAP,
     AugBilinearMap,
+    _all_labels,
     _all_vectors,
     _keys,
     _q_finder,
@@ -163,6 +165,67 @@ def test_rank_test_matches_enumeration(m):
     assert len(vecs) == m.p**m.d - 1
     assert flags.tolist() == [_rigid_one(m, a, every_b) for a in vecs]
     assert [is_rigid(m, a) for a in vecs] == flags.tolist()
+
+
+@st.composite
+def chunked_scans(draw):
+    """Maps at p = 2 up to d = 7 and p = 3 up to d = 4, eps zero or not,
+    e = 0 and d = 0 included, with chunk budgets small enough that a chunk
+    holds one to a few vectors."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(0, 7 if p == 2 else 4))
+    e = draw(st.integers(0, 4))
+    cells = draw(st.lists(st.integers(0, p - 1), min_size=d * d * e,
+                          max_size=d * d * e))
+    eps = [0] * d
+    if p == 2:
+        eps = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    return (_map(p, np.reshape(cells, (d, d, e)), eps),
+            draw(st.integers(1, 3 * max(1, d * e))),
+            draw(st.integers(1, 3 * max(1, e))))
+
+
+@given(chunked_scans())
+@example((_map(3, np.zeros((0, 0, 2)), []), 1, 1))  # d = 0
+@example((_map(2, np.ones((7, 7, 0)), [1] * 7), 1, 1))  # e = 0, eps != 0
+def test_chunked_scan_matches_enumeration(case):
+    m, cells, words = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity, "_CHUNK_CELLS", cells)
+        mp.setattr(rigidity, "_CHUNK_WORDS", words)
+        vecs, flags = _scan(m)
+    every_b = _all_vectors(m.p, m.d)
+    assert vecs.tolist() == every_b[1:].tolist()
+    assert flags.tolist() == [_rigid_one(m, a, every_b) for a in vecs]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("multiplicative", [False, True])
+def test_bulk_labels_match_vector_label(p, multiplicative):
+    rng = random.Random(30 + p)
+    for d in range(5 if p < 5 else 4):
+        r = _random_map(rng, p, d, 2) if d else _map(p, np.zeros((0, 0, 2)), [])
+        m = AugBilinearMap(p=p, tensor=r.tensor, eps=r.eps,
+                           labels=tuple(f"x{i}" for i in range(d)),
+                           multiplicative=multiplicative)
+        vecs = _all_vectors(p, d)
+        assert _all_labels(m) == [vector_label(m, v) for v in vecs]
+        rep = rigidity_report(m)
+        flags = _scan(m)[1]
+        assert rep["rigid"] == [vector_label(m, v) for v in vecs[1:][flags]]
+        assert rep["nonRigid"] == [vector_label(m, v) for v in vecs[1:][~flags]]
+
+
+def test_criterion_counts_every_class_outside_inflation():
+    rng = random.Random(29)
+    for _ in range(10):
+        p = rng.choice([2, 3])
+        e = random_ext_rooted(rng, p, max_h1=5)
+        alg = build_cohomology(e, p, 2)
+        t = alg.meta["ext_inflation_dim"]
+        vecs, _ = _scan(from_cohomology(alg))
+        assert check_rigidity_criterion(e, p).checked == \
+            sum(1 for v in vecs if v[t:].any())
 
 
 def test_report_reuses_the_scan():
