@@ -64,6 +64,8 @@ MAX_DEGREE = 10_000
 # degree-1 cup products, each weighted by the length of its result, that
 # `cohom` (the gram) and `logl` (the cup powers of eps) may compute
 MAX_CUP_WORK = 100_000
+# `invariants` lists one abelianization invariant per generator
+MAX_RANK = 100_000
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,11 @@ def _cmd_normalize(args, cfg):
 
 def _cmd_invariants(args, cfg):
     e = normalize(parse(_expr_text(args), cfg.p, cfg.precision), cfg.p, cfg.precision)
+    r = rank(e)
+    if r > MAX_RANK:
+        raise ValidationError(f"rank exceeds the invariants bound {MAX_RANK}")
     return {
-        "rank": rank(e),
+        "rank": r,
         "abelianization": abelianization(e, cfg.p, cfg.precision),
         "logl": log_level_recursive(e, cfg.p),
     }

@@ -3,9 +3,11 @@
 Six backends: finite fields, Q_ell for odd ell (tame), Q_2, R, C, and
 truncated Laurent extensions of the finite/Laurent backends.  Each is a
 frozen dataclass subclassing :class:`FieldModel` and answers for itself:
-a labeled basis of F^x/(F^x)^p, a degree-2 symbol into an F_p-vector
-target, a predicted Galois pair, an element codec and a candidate pool.
-The module-level functions check their arguments once and call those
+a labeled basis of F^x/(F^x)^p with class coordinates, the symbol tensor
+on that basis, a predicted Galois pair, an element codec and a candidate
+pool.  The degree-2 symbol is bilinear and kills p-th powers, so the base
+class computes it from the tensor and the classes of its arguments.  The
+module-level functions check their arguments once and call those
 methods; the bounded searches (the trichotomy probe, O(S,H) membership,
 total rigidity) are written once on top of them.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from itertools import product as iter_product
 
@@ -29,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .fplinear import dense_row, echelon_insert, echelon_reduce, is_prime, sparse_row
-from .laurent import LaurentRing, Series
+from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
 from .smallfields import GF, gf
@@ -142,29 +145,6 @@ def norm_oracle_solvable(a: Fraction, b: Fraction, bits: int = 9) -> bool:
     return bool(((t % 8 == 1) & ~xy_odd).any())
 
 
-def _tame_residue(ops, va: int, ua, vb: int, ub):
-    """(-1)^(va*vb) * ua^vb * ub^(-va) in the residue domain ``ops``: the
-    tame symbol of a = ua*pi^va and b = ub*pi^vb."""
-    return ops.mul(
-        ops.mul(ops.pow_(ops.minus_one, va * vb), ops.pow_(ua, vb)),
-        ops.pow_(ub, -va),
-    )
-
-
-def _leading_view(ops):
-    """The tower of ``ops`` at precision 1, down to its GF."""
-    if isinstance(ops, GF):
-        return ops
-    return LaurentRing(_leading_view(ops.base), ops.var, 1)
-
-
-def _leading_term(ops, x):
-    """x cut to its first coefficient at every level of ``ops``."""
-    if isinstance(ops, GF) or not x.coeffs:
-        return x
-    return Series(x.v, (_leading_term(ops.base, x.coeffs[0]),))
-
-
 # ---------------------------------------------------------------------------
 # candidate pools for the bounded searches
 
@@ -263,12 +243,24 @@ class FieldModel(ABC):
     def class_of(self, p: int, a) -> tuple[int, ...]:
         """Coordinates of a nonzero a in the basis."""
 
-    def symbol_dim(self, p: int) -> int:
-        return 1
-
     @abstractmethod
+    def symbol_tensor(self, p: int) -> np.ndarray:
+        """The (d, d, e) int64 tensor whose entry (i, j) is the symbol of
+        the i-th and j-th basis representatives, in F_p^e."""
+
+    def symbol_dim(self, p: int) -> int:
+        return _symbol_tensor(self, p).shape[2]
+
     def symbol(self, p: int, a, b) -> np.ndarray:
-        """Degree-2 symbol of nonzero a, b in F_p^symbol_dim."""
+        """Degree-2 symbol of nonzero a, b in F_p^symbol_dim, as
+        class(a)^T T class(b) mod p for the symbol tensor T.
+
+        Raises PrecisionExhausted when a leading coefficient of a or b is
+        unknown at some level of a tower, because ``class_of`` reads only
+        valuations and leading coefficients."""
+        x = np.array(self.class_of(p, a), dtype=np.int64)
+        y = np.array(self.class_of(p, b), dtype=np.int64)
+        return np.einsum("i,ijk,j->k", x, _symbol_tensor(self, p), y) % p
 
     @abstractmethod
     def predict(self, p: int, K: int) -> PairExpr:
@@ -332,11 +324,8 @@ class FiniteField(FieldModel):
     def class_of(self, p, a):
         return gf(self.q).class_of(a, p)
 
-    def symbol_dim(self, p):
-        return 0
-
-    def symbol(self, p, a, b):
-        return np.zeros(0, dtype=np.int64)
+    def symbol_tensor(self, p):
+        return np.zeros((1, 1, 0), dtype=np.int64)
 
     def predict(self, p, K):
         return ZBlock(make_unit(p, self.q, 1, K))
@@ -370,13 +359,12 @@ class LocalRational(FieldModel):
         f = gf(self.ell)
         return (f.class_of(_residue(u, self.ell), p)[0], v % p)
 
-    def symbol(self, p, a, b):
-        ell = self.ell
-        f = gf(ell)
-        va, ua = _val_unit(a, ell)
-        vb, ub = _val_unit(b, ell)
-        d = _tame_residue(f, va, _residue(ua, ell), vb, _residue(ub, ell))
-        return np.array(f.class_of(d, p), dtype=np.int64)
+    def symbol_tensor(self, p):
+        """The tame symbol on (g, ell): {g, ell} = g, {ell, g} = 1/g and
+        {ell, ell} = -1."""
+        f = gf(self.ell)
+        return np.array([[[0], [1]], [[p - 1], f.class_of(f.minus_one, p)]],
+                        dtype=np.int64)
 
     def predict(self, p, K):
         return Ext(1, ZBlock(make_unit(p, self.ell, 1, K)))
@@ -400,13 +388,12 @@ class DyadicRational(FieldModel):
 
     def class_of(self, p, a):
         v, u = _val_unit(Fraction(a), 2)
-        s = 1 if u < 0 else 0
-        m8 = (abs(u.numerator) * pow(u.denominator, -1, 8)) % 8
-        return ((s + (1 if m8 in (3, 7) else 0)) % 2, v % 2,
-                1 if m8 in (3, 5) else 0)
+        return (_eps2(u), v % 2, _omega2(u))
 
-    def symbol(self, p, a, b):
-        return np.array([hilbert2(a, b)], dtype=np.int64)
+    def symbol_tensor(self, p):
+        reps = [r for _, r in self.basis(p)]
+        return np.array([[[hilbert2(a, b)] for b in reps] for a in reps],
+                        dtype=np.int64)
 
     def predict(self, p, K):
         return PAdicBlock(n=3, q=2, case="II", f=2, s=4)
@@ -428,8 +415,8 @@ class RealField(FieldModel):
     def class_of(self, p, a):
         return (1 if a < 0 else 0,)
 
-    def symbol(self, p, a, b):
-        return np.array([1 if a < 0 and b < 0 else 0], dtype=np.int64)
+    def symbol_tensor(self, p):
+        return np.ones((1, 1, 1), dtype=np.int64)
 
     def predict(self, p, K):
         return EBlock()
@@ -446,11 +433,8 @@ class ComplexField(FieldModel):
     def class_of(self, p, a):
         return ()
 
-    def symbol_dim(self, p):
-        return 0
-
-    def symbol(self, p, a, b):
-        return np.zeros(0, dtype=np.int64)
+    def symbol_tensor(self, p):
+        return np.zeros((0, 0, 0), dtype=np.int64)
 
     def predict(self, p, K):
         return Trivial()
@@ -527,28 +511,18 @@ class Laurent(FieldModel):
         v = ring.val(a)
         return self.base.class_of(p, ring.lead(a)) + (v % p,)
 
-    def symbol_dim(self, p):
-        return self.base.symbol_dim(p) + len(self.base.basis(p))
-
-    def symbol(self, p, a, b):
-        """The base symbol of the leading coefficients, then the class of
-        the tame residue.
-
-        The base's ``class_of`` reads only a valuation and a leading
-        coefficient at each level of the tower, and the valuation and
-        leading coefficient of a product or an inverse are those of the
-        factors' leading terms.  So the residue is computed in the tower
-        at precision 1, on the leading terms of ua and ub, instead of as
-        full series.  An empty window stays empty, so a symbol whose
-        leading terms are unknown still raises PrecisionExhausted."""
-        ring = self.domain()
-        va, vb = ring.val(a), ring.val(b)
-        ua, ub = ring.lead(a), ring.lead(b)
-        head = symbol_vector(self.base, p, ua, ub)
-        d = _tame_residue(_leading_view(ring.base), va, _leading_term(ring.base, ua),
-                          vb, _leading_term(ring.base, ub))
-        tail = np.array(class_of(self.base, p, d), dtype=np.int64)
-        return np.concatenate([head, tail])
+    def symbol_tensor(self, p):
+        """The base's tensor on the base classes, then the class of the
+        tame residue (-1)^(va*vb) ua^vb ub^(-va): for a base basis element
+        c, {c, t} = class(c), {t, c} = -class(c), and {t, t} = class(-1)."""
+        base = _symbol_tensor(self.base, p)
+        k, e = base.shape[0], base.shape[2]
+        t = np.zeros((k + 1, k + 1, e + k), dtype=np.int64)
+        t[:k, :k, :e] = base
+        t[:k, k, e:] = np.eye(k, dtype=np.int64)
+        t[k, :k, e:] = (p - 1) * np.eye(k, dtype=np.int64)
+        t[k, k, e:] = class_of(self.base, p, self.base.domain().minus_one)
+        return t
 
     def predict(self, p, K):
         return Ext(1, self.base.predict(p, K))
@@ -624,6 +598,14 @@ def is_pth_power(model: FieldModel, p: int, a) -> bool:
     return not any(class_of(model, p, a))
 
 
+@lru_cache
+def _symbol_tensor(model: FieldModel, p: int) -> np.ndarray:
+    """``model.symbol_tensor(p)``, built once per (model, p), read-only."""
+    t = model.symbol_tensor(p)
+    t.flags.writeable = False
+    return t
+
+
 def symbol_vector(model: FieldModel, p: int, a, b) -> np.ndarray:
     """Degree-2 symbol of {a, b} in the model's F_p^e target."""
     ops = model.domain()
@@ -645,17 +627,10 @@ def predict_galois_pair(model: FieldModel, p: int,
 def from_field_model(model: FieldModel, p: int) -> AugBilinearMap:
     """The symbol pairing on F^x/(F^x)^p with eps = class of -1."""
     validate_model(model, p)
-    basis = model.basis(p)
-    d = len(basis)
-    e = model.symbol_dim(p)
-    tensor = np.zeros((d, d, e), dtype=np.int64)
-    for i, (_, ri) in enumerate(basis):
-        for j, (_, rj) in enumerate(basis):
-            tensor[i, j] = symbol_vector(model, p, ri, rj)
     eps = np.array(class_of(model, p, model.domain().minus_one), dtype=np.int64)
     return AugBilinearMap(
-        p=p, tensor=tensor, eps=eps, labels=tuple(label for label, _ in basis),
-        multiplicative=True,
+        p=p, tensor=_symbol_tensor(model, p), eps=eps,
+        labels=tuple(label for label, _ in model.basis(p)), multiplicative=True,
     )
 
 

@@ -178,9 +178,11 @@ def _parity(x: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _check_bound(p: int, d: int) -> None:
-    """Refuse to enumerate F_p^d past ``DEFAULT_ENUM_BOUND``.  The message
-    gives p^d as a power: the integer can pass Python's int-to-str limit."""
-    if p**d > DEFAULT_ENUM_BOUND:
+    """Refuse to enumerate F_p^d past ``DEFAULT_ENUM_BOUND``.  Since p >= 2,
+    a d past the bound's bit length is refused before p^d is computed, and
+    the message gives p^d as a power: the integer can pass Python's
+    int-to-str limit."""
+    if d > DEFAULT_ENUM_BOUND.bit_length() or p**d > DEFAULT_ENUM_BOUND:
         raise DimensionTooLarge(
             f"p^d = {p}^{d} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}"
         )
@@ -228,8 +230,12 @@ def _n_basis(bmap: AugBilinearMap) -> np.ndarray:
     """The cached N-subspace basis, shared by n_subspace and the report."""
     vecs, flags = _scan(bmap)
     if "n" not in bmap._cache:
-        rows = np.vstack([bmap.eps[None, :], vecs[~flags]])
-        bmap._cache["n"] = row_space_basis(rows, bmap.p)
+        rows = vecs[~flags]
+        if len(rows):
+            # the vectors led by a 1, one per line, span the same space
+            lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+            rows = rows[lead == 1]
+        bmap._cache["n"] = row_space_basis(np.vstack([bmap.eps[None, :], rows]), bmap.p)
     return bmap._cache["n"]
 
 

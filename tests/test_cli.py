@@ -259,6 +259,27 @@ def test_precision_and_bound_caps(capsys, flag, cap, argv):
     assert json.loads(err)["kind"] == "ValidationError"
 
 
+HUGE_RANK = ["ext(100000000000000000000,triv)",
+             "padic(n=100000000000000000000,q=3,case=I)"]
+
+
+@pytest.mark.parametrize("expr", HUGE_RANK)
+def test_invariants_past_rank_cap_exit_one_fast(capsys, expr):
+    # one invariant per generator: a rank of 10^20 cannot be listed
+    start = time.perf_counter()
+    code, err = run(capsys, "invariants", "--p", "3", expr)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(err)["kind"] == "ValidationError"
+
+
+def test_invariants_rank_cap_is_inclusive(capsys):
+    code, out = run(capsys, "invariants", "--p", "3", f"ext({cli.MAX_RANK},triv)")
+    assert code == 0
+    assert len(json.loads(out)["abelianization"]) == cli.MAX_RANK
+    assert run(capsys, "invariants", "--p", "3", f"ext({cli.MAX_RANK + 1},triv)")[0] == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["cohom", "--p", "3", "--max-degree", "20", "ext(17,triv)"],
     # the closed-form count alone would take O(m x degree) big binomials

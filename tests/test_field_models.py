@@ -430,6 +430,83 @@ def test_leading_term_symbol_refines_full_series_at_depth_four(case):
             == _outcome(_full_series_symbol, model, p, a, b))
 
 
+# -- the symbol tensors against per-element rules ---------------------------
+
+
+def _tame_oracle(p, ell, a, b):
+    """The tame symbol (-1)^(va*vb) ua^vb ub^(-va) of Q_ell, with ua, ub
+    read mod ell, as its class in F_ell^x / (F_ell^x)^p."""
+    f = gf(ell)
+
+    def split(x):
+        v, num, den = 0, x.numerator, x.denominator
+        while num % ell == 0:
+            num, v = num // ell, v + 1
+        while den % ell == 0:
+            den, v = den // ell, v - 1
+        return v, num * pow(den, -1, ell) % ell
+
+    (va, ua), (vb, ub) = split(a), split(b)
+    d = f.mul(f.mul(f.pow_(f.minus_one, va * vb), f.pow_(ua, vb)), f.pow_(ub, -va))
+    return list(f.class_of(d, p))
+
+
+@st.composite
+def _local_symbol_inputs(draw):
+    """Q_ell with ell <= 31 at p in {2, 3}, and two elements of
+    valuation -3..3."""
+    p = draw(st.sampled_from([2, 3]))
+    ell = draw(st.sampled_from([q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                                if (q - 1) % p == 0]))
+    unit = st.integers(1, 10**4).filter(lambda n: n % ell)
+
+    def element():
+        sign = draw(st.sampled_from([1, -1]))
+        return (Fraction(sign * draw(unit), draw(unit))
+                * Fraction(ell) ** draw(st.integers(-3, 3)))
+
+    return p, ell, element(), element()
+
+
+@settings(max_examples=300)
+@given(_local_symbol_inputs())
+def test_local_symbol_matches_tame_formula(case):
+    p, ell, a, b = case
+    assert symbol_vector(LocalRational(ell), p, a, b).tolist() == _tame_oracle(p, ell, a, b)
+
+
+def _element_symbol(model, p, a, b):
+    """The symbol of a and b by a rule on the elements themselves."""
+    if isinstance(model, Laurent):
+        return [int(c) for c in _full_series_symbol(model, p, a, b)]
+    if isinstance(model, LocalRational):
+        return _tame_oracle(p, model.ell, a, b)
+    if isinstance(model, DyadicRational):
+        return [hilbert2(a, b)]
+    if isinstance(model, RealField):
+        return [1 if a < 0 and b < 0 else 0]
+    return []  # finite fields and C: no symbol
+
+
+@pytest.mark.parametrize("model,p", [
+    (FiniteField(5), 2), (FiniteField(7), 3), (ComplexField(), 2),
+    (RealField(), 2), (DyadicRational(), 2),
+    (LocalRational(3), 2), (LocalRational(5), 2), (LocalRational(7), 3),
+    (LocalRational(13), 3),
+    (Laurent(FiniteField(3), "t", 4), 2), (F7T, 3), (TOWER, 2),
+    (Laurent(Laurent(FiniteField(7), "t", 4), "u", 4), 2),
+    (Laurent(Laurent(FiniteField(7), "t", 4), "u", 4), 3),
+    (Laurent(Laurent(Laurent(FiniteField(3), "t", 3), "u", 3), "v", 3), 2),
+], ids=repr)
+def test_symbol_tensor_matches_element_route(model, p):
+    m = from_field_model(model, p)
+    reps = [r for _, r in model.basis(p)]
+    assert m.tensor.shape == (len(reps), len(reps), model.symbol_dim(p))
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            assert m.tensor[i, j].tolist() == _element_symbol(model, p, a, b), (i, j)
+
+
 # -- the trichotomy search against its three-symbol loop ------------------
 
 

@@ -18,7 +18,7 @@ from etkit.errors import (
     ValidationError,
 )
 from dense_fp import solve
-from etkit.fplinear import rank
+from etkit.fplinear import rank, row_space_basis
 from etkit.pairs import parse
 from etkit.randexpr import random_ext_rooted
 from etkit import rigidity
@@ -278,6 +278,35 @@ def test_oversized_scan_refused_before_building():
     with pytest.raises(DimensionTooLarge, match=r"2\^502 exceeds"):
         check_rigidity_criterion(parse("ext(1, padic(n=501,case=II,f=2))", 2), 2)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p,expr", [
+    (2, "ext(100000000000000000000,triv)"),
+    (3, "padic(n=100000000000000000000,q=3,case=I)"),
+])
+def test_huge_rank_refused_before_the_power(p, expr):
+    # p^(10^20) cannot be computed: the rank alone is past the bound
+    start = time.perf_counter()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["rigid", "--p", str(p), expr])
+    assert code == 1
+    assert json.loads(err.getvalue())["kind"] == "DimensionTooLarge"
+    root = expr if expr.startswith("ext") else f"ext(1, {expr})"
+    with pytest.raises(DimensionTooLarge):
+        check_rigidity_criterion(parse(root, p), p)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_n_subspace_from_one_vector_per_line(p):
+    # the span of eps and every non-rigid vector, all multiples included
+    rng = random.Random(40 + p)
+    for _ in range(30):
+        m = _random_map(rng, p, rng.randrange(1, 5), rng.randrange(0, 3))
+        vecs, flags = _scan(m)
+        rows = np.vstack([m.eps[None, :], vecs[~flags]])
+        assert np.array_equal(n_subspace(m), row_space_basis(rows, p))
 
 
 def test_n_subspace_inside_inflation():
