@@ -87,6 +87,15 @@ def test_usage_exit_two():
     assert proc.returncode == 2
 
 
+def test_unknown_format_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--p", "2", "ext(1,E)", "--format", "xml"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'xml'" in captured.err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "etkit.cli", "logl", "--p", "2",
@@ -257,6 +266,27 @@ def test_precision_and_bound_caps(capsys, flag, cap, argv):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert json.loads(err)["kind"] == "ValidationError"
+
+
+@pytest.mark.parametrize("flag,floor,message,argv", [
+    ("--precision", 8, f"--precision must be between 8 and {cli.MAX_PRECISION}",
+     ["invariants", "--p", "2", "ext(1,Z(5))"]),
+    ("--max-degree", 2, f"--max-degree must be between 2 and {cli.MAX_DEGREE}",
+     ["cohom", "--p", "2", "E"]),
+    ("--bound", 1, f"--bound must be between 1 and {cli.MAX_BOUND}",
+     ["field", "trichotomic", "--p", "2", "--model", DYADIC, "--a", "2"]),
+])
+def test_precision_degree_and_bound_floors(capsys, flag, floor, message, argv):
+    code, out = run(capsys, *argv, flag, str(floor))
+    assert code == 0
+    json.loads(out)
+    code, err = run(capsys, *argv, flag, str(floor - 1))
+    assert code == 1
+    assert json.loads(err) == {"error": message, "kind": "ValidationError"}
+    # a bad prime is reported first
+    code, err = run(capsys, *argv, flag, str(floor - 1), "--p", "4")
+    assert code == 1
+    assert json.loads(err)["error"] == "--p must be prime, got 4"
 
 
 HUGE_RANK = ["ext(100000000000000000000,triv)",

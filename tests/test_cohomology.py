@@ -268,3 +268,35 @@ def test_products_match_dense_oracle(seed, p, D):
 ])
 def test_products_match_dense_oracle_nested(text, p, D):
     _assert_matches_dense(parse(text, p), p, D)
+
+
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 4))
+def test_gram_cup_and_json_match_product(seed, p, D):
+    # ``product`` is the oracle of the consumers that read the sparse maps
+    rng = random.Random(seed)
+    alg = build_cohomology(random_expr(rng, p, max_rank=6), p, D)
+    n, e2 = alg.dims[1], alg.dims[2]
+    gram = alg.gram()
+    assert gram.shape == (n, n, e2)
+    for i in range(n):
+        for j in range(n):
+            assert gram[i, j].tolist() == alg.product(1, i, 1, j).tolist()
+    for _ in range(3):
+        d1 = rng.randint(0, D)
+        d2 = rng.randint(0, D - d1)
+        v1 = [rng.randrange(-p, 2 * p) for _ in range(alg.dims[d1])]
+        v2 = [rng.randrange(-p, 2 * p) for _ in range(alg.dims[d2])]
+        want = np.zeros(alg.dims[d1 + d2], dtype=np.int64)
+        for i, a in enumerate(v1):
+            for j, b in enumerate(v2):
+                want += a * b * alg.product(d1, i, d2, j)
+        got = alg.cup(v1, d1, v2, d2)
+        assert got.dtype == np.int64
+        assert got.tolist() == (want % p).tolist()
+    if e2 == 1:
+        want_json = [[int(alg.product(1, i, 1, j)[0]) for j in range(n)]
+                     for i in range(n)]
+    else:
+        want_json = [[[int(c) for c in alg.product(1, i, 1, j)] for j in range(n)]
+                     for i in range(n)]
+    assert algebra_to_json(alg)["gram"] == want_json

@@ -199,6 +199,41 @@ def test_chunked_scan_matches_enumeration(case):
     assert flags.tolist() == [_rigid_one(m, a, every_b) for a in vecs]
 
 
+@st.composite
+def key_maps(draw):
+    """Maps at p in {2, 3} with d <= 4 and e <= 3, eps zero or not at p = 2."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 4))
+    e = draw(st.integers(0, 3))
+    cells = draw(st.lists(st.integers(0, p - 1), min_size=d * d * e,
+                          max_size=d * d * e))
+    eps = [0] * d
+    if p == 2:
+        eps = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    return _map(p, np.reshape(cells, (d, d, e)), eps)
+
+
+@given(key_maps(), st.sampled_from([1, 2**14]))
+@example(_map(2, np.zeros((3, 3, 0)), [1, 0, 1]), 1)  # e = 0
+def test_keys_match_per_vector_ranks(m, cells):
+    p, d = m.p, m.d
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity, "_CHUNK_CELLS", cells)
+        keys = _keys(m)
+    want = []
+    for a in _all_vectors(p, d):
+        left = np.einsum("i,ijk->jk", a, m.tensor) % p  # row j is B(a, e_j)
+        right = np.einsum("j,ijk->ik", a, m.tensor) % p  # row i is B(e_i, a)
+        ranks = (rank(left, p), rank(right, p), rank(np.hstack([left, right]), p))
+        iso = not m.pair(a, a).any()
+        is_eps = np.array_equal(a, m.eps)
+        want.append(
+            (((ranks[0] * (d + 1) + ranks[1]) * (d + 1) + ranks[2]) * 2 + iso) * 2
+            + is_eps
+        )
+    assert keys.tolist() == want
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("multiplicative", [False, True])
 def test_bulk_labels_match_vector_label(p, multiplicative):
