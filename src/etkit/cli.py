@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cocycles import (
@@ -68,27 +67,6 @@ MAX_CUP_WORK = 100_000
 MAX_RANK = 100_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    p: int = 2
-    precision: int = DEFAULT_PRECISION
-    max_degree: int = 4
-    bound: int = 200
-    fmt: str = "json"
-
-    def check(self) -> None:
-        if not is_prime(self.p):
-            raise ValidationError(f"--p must be prime, got {self.p}")
-        if not 8 <= self.precision <= MAX_PRECISION:
-            raise ValidationError(f"--precision must be between 8 and {MAX_PRECISION}")
-        if not 2 <= self.max_degree <= MAX_DEGREE:
-            raise ValidationError(f"--max-degree must be between 2 and {MAX_DEGREE}")
-        if not 1 <= self.bound <= MAX_BOUND:
-            raise ValidationError(f"--bound must be between 1 and {MAX_BOUND}")
-        if self.fmt not in ("json", "table"):
-            raise ValidationError(f"unknown format {self.fmt!r}")
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -103,9 +81,9 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(obj, cfg: RunConfig) -> None:
+def _emit(obj, fmt: str) -> None:
     obj = _jsonable(obj)
-    if cfg.fmt == "json":
+    if fmt == "json":
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
         return
     for key in sorted(obj):
@@ -148,13 +126,13 @@ def _load_structured(value: str, what: str):
         raise ValidationError(f"could not parse --{what}: {exc}") from exc
 
 
-def _model_of(args, cfg: RunConfig):
+def _model_of(args):
     if getattr(args, "model", None) is None:
         raise ValidationError("--model is required for field subcommands")
-    return model_from_json(_load_structured(args.model, "model"), cfg.p)
+    return model_from_json(_load_structured(args.model, "model"), args.p)
 
 
-def _element(args, name: str, model, cfg: RunConfig):
+def _element(args, name: str, model):
     raw = getattr(args, name, None)
     if raw is None:
         raise ValidationError(f"--{name} is required")
@@ -165,126 +143,121 @@ def _element(args, name: str, model, cfg: RunConfig):
 # handlers
 
 
-def _cmd_parse(args, cfg):
-    e = parse(_expr_text(args), cfg.p, cfg.precision)
+def _cmd_parse(args):
+    e = parse(_expr_text(args), args.p, args.precision)
     return {"expr": render(e), "tree": to_json(e)}
 
 
-def _cmd_normalize(args, cfg):
-    e = normalize(parse(_expr_text(args), cfg.p, cfg.precision), cfg.p, cfg.precision)
+def _cmd_normalize(args):
+    e = normalize(parse(_expr_text(args), args.p, args.precision), args.p, args.precision)
     return {"expr": render(e), "tree": to_json(e)}
 
 
-def _cmd_invariants(args, cfg):
-    e = normalize(parse(_expr_text(args), cfg.p, cfg.precision), cfg.p, cfg.precision)
+def _cmd_invariants(args):
+    e = normalize(parse(_expr_text(args), args.p, args.precision), args.p, args.precision)
     r = rank(e)
     if r > MAX_RANK:
         raise ValidationError(f"rank exceeds the invariants bound {MAX_RANK}")
     return {
         "rank": r,
-        "abelianization": abelianization(e, cfg.p, cfg.precision),
-        "logl": log_level_recursive(e, cfg.p),
+        "abelianization": abelianization(e, args.p, args.precision),
+        "logl": log_level_recursive(e, args.p),
     }
 
 
-def _check_cup_work(ne, cfg, work, what: str) -> None:
+def _check_cup_work(ne, args, work, what: str) -> None:
     """Refuse a request whose degree-1 products ``work(dims)`` exceed
     ``MAX_CUP_WORK``, from the closed-form Betti numbers of the normal
     form ``ne``: after the ring's basis bound, before any ring is built."""
-    _check_basis(ne, cfg.max_degree)
-    if work(dims_closed_form(ne, cfg.p, 2)) > MAX_CUP_WORK:
+    _check_basis(ne, args.max_degree)
+    if work(dims_closed_form(ne, args.p, 2)) > MAX_CUP_WORK:
         raise ValidationError(f"{what} exceeds the cup-product bound {MAX_CUP_WORK}")
 
 
-def _cmd_cohom(args, cfg):
-    e = parse(_expr_text(args), cfg.p, cfg.precision)
-    _check_cup_work(normalize(e, cfg.p, cfg.precision), cfg,
+def _cmd_cohom(args):
+    e = parse(_expr_text(args), args.p, args.precision)
+    _check_cup_work(normalize(e, args.p, args.precision), args,
                     lambda dims: dims[1] ** 2 * dims[2], "dims[1]^2 x dims[2]")
-    alg = build_cohomology(e, cfg.p, cfg.max_degree, cfg.precision)
+    alg = build_cohomology(e, args.p, args.max_degree, args.precision)
     return algebra_to_json(alg)
 
 
-def _cmd_demuskin(args, cfg):
-    e = parse(_expr_text(args), cfg.p, cfg.precision)
-    return is_demuskin(e, cfg.p, cfg.precision).to_json()
+def _cmd_demuskin(args):
+    e = parse(_expr_text(args), args.p, args.precision)
+    return is_demuskin(e, args.p, args.precision).to_json()
 
 
-def _cmd_logl(args, cfg):
-    e = parse(_expr_text(args), cfg.p, cfg.precision)
-    ne = normalize(e, cfg.p, cfg.precision)
-    _check_cup_work(ne, cfg, lambda dims: cfg.max_degree * dims[1] ** 2,
+def _cmd_logl(args):
+    e = parse(_expr_text(args), args.p, args.precision)
+    ne = normalize(e, args.p, args.precision)
+    _check_cup_work(ne, args, lambda dims: args.max_degree * dims[1] ** 2,
                     "max degree x dims[1]^2")
-    rec = log_level_recursive(ne, cfg.p)
-    direct = log_level_direct(e, cfg.p, cfg.max_degree, cfg.precision)
+    rec = log_level_recursive(ne, args.p)
+    direct = log_level_direct(e, args.p, args.max_degree, args.precision)
     return {"recursive": rec, "direct": direct}
 
 
-def _cmd_rigid(args, cfg):
-    e = parse(_expr_text(args), cfg.p, cfg.precision)
+def _cmd_rigid(args):
+    e = parse(_expr_text(args), args.p, args.precision)
     # normalization keeps the rank, so the scan's bound can be checked first
-    _check_bound(cfg.p, rank(e))
-    alg = build_cohomology(e, cfg.p, 2, cfg.precision)
+    _check_bound(args.p, rank(e))
+    alg = build_cohomology(e, args.p, 2, args.precision)
     return rigidity_report(from_cohomology(alg))
 
 
-def _cmd_field(args, cfg):
-    model = _model_of(args, cfg)
+def _cmd_field(args):
+    model = _model_of(args)
     verb = args.verb
     if verb == "classgroup":
-        labels = class_group(model, cfg.p)
+        labels = class_group(model, args.p)
         return {
             "labels": labels,
             "dim": len(labels),
-            "symbolDim": model.symbol_dim(cfg.p),
-            "eps": list(class_of(model, cfg.p, model.domain().minus_one)),
+            "symbolDim": model.symbol_dim(args.p),
+            "eps": list(class_of(model, args.p, model.domain().minus_one)),
         }
     if verb == "symbol":
-        a = _element(args, "a", model, cfg)
-        b = _element(args, "b", model, cfg)
-        return {"symbol": symbol_vector(model, cfg.p, a, b).tolist()}
+        a = _element(args, "a", model)
+        b = _element(args, "b", model)
+        return {"symbol": symbol_vector(model, args.p, a, b).tolist()}
     if verb == "pairing":
-        e = parse(_expr_text(args), cfg.p, cfg.precision)
-        return {"match": check_pairing_match(model, e, cfg.p, cfg.precision)}
+        e = parse(_expr_text(args), args.p, args.precision)
+        return {"match": check_pairing_match(model, e, args.p, args.precision)}
     if verb == "predict":
-        return {"expr": render(predict_galois_pair(model, cfg.p, cfg.precision))}
+        return {"expr": render(predict_galois_pair(model, args.p, args.precision))}
     if verb == "trichotomic":
-        a = _element(args, "a", model, cfg)
-        return trichotomic_search(model, cfg.p, a, cfg.bound).to_json()
+        a = _element(args, "a", model)
+        return trichotomic_search(model, args.p, a, args.bound).to_json()
     if verb == "omember":
-        a = _element(args, "a", model, cfg)
+        a = _element(args, "a", model)
         h_raw = args.h
         if h_raw is None:
             raise ValidationError("--h is required")
         h = "all" if h_raw == "all" else _load_structured(h_raw, "h")
-        return o_membership(model, cfg.p, a, h, args.target, cfg.bound).to_json()
-    if verb == "rigidity":
-        report = rigidity_report(from_field_model(model, cfg.p))
-        report["totallyRigid"] = is_totally_rigid_bounded(model, cfg.p).to_json()
-        return report
-    raise ValidationError(f"unknown field verb {verb!r}")
+        return o_membership(model, args.p, a, h, args.target, args.bound).to_json()
+    # the remaining verb: rigidity (argparse's choices admit no other)
+    report = rigidity_report(from_field_model(model, args.p))
+    report["totallyRigid"] = is_totally_rigid_bounded(model, args.p).to_json()
+    return report
 
 
-def _cmd_oracle(args, cfg):
+def _cmd_oracle(args):
     group = group_from_json(_load_structured(args.group, "group"))
     verb = args.verb
     if verb == "h1":
-        return {"dim": h1_dim(group, cfg.p)}
+        return {"dim": h1_dim(group, args.p)}
     if verb == "h2":
-        return {"dim": h2_dim(group, cfg.p)}
+        return {"dim": h2_dim(group, args.p)}
     if verb == "cup":
-        phi = cochain_from_json(_load_structured(args.phi, "phi"), group, cfg.p)
-        psi = cochain_from_json(_load_structured(args.psi, "psi"), group, cfg.p)
-        space = H2Space(group, cfg.p)
-        coords = cup_h1_h1(group, cfg.p, phi, psi, space)
+        phi = cochain_from_json(_load_structured(args.phi, "phi"), group, args.p)
+        psi = cochain_from_json(_load_structured(args.psi, "psi"), group, args.p)
+        space = H2Space(group, args.p)
+        coords = cup_h1_h1(group, args.p, phi, psi, space)
         return {"coords": coords.tolist(), "h2Dim": space.dim}
-    if verb == "extclass":
-        kernel = kernel_from_json(_load_structured(args.kernel, "kernel"), group)
-        quotient_group, coords = extension_class(group, kernel, cfg.p)
-        return {
-            "coords": coords.tolist(),
-            "quotientOrder": quotient_group.order,
-        }
-    raise ValidationError(f"unknown oracle verb {verb!r}")
+    # the remaining verb: extclass
+    kernel = kernel_from_json(_load_structured(args.kernel, "kernel"), group)
+    quotient_group, coords = extension_class(group, kernel, args.p)
+    return {"coords": coords.tolist(), "quotientOrder": quotient_group.order}
 
 
 _HANDLERS = {
@@ -351,16 +324,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig(
-            p=args.p,
-            precision=args.precision,
-            max_degree=args.max_degree,
-            bound=args.bound,
-            fmt=args.fmt,
-        )
-        cfg.check()
-        out = _HANDLERS[args.command](args, cfg)
-        _emit(out, cfg)
+        if not is_prime(args.p):
+            raise ValidationError(f"--p must be prime, got {args.p}")
+        if not 8 <= args.precision <= MAX_PRECISION:
+            raise ValidationError(f"--precision must be between 8 and {MAX_PRECISION}")
+        if not 2 <= args.max_degree <= MAX_DEGREE:
+            raise ValidationError(f"--max-degree must be between 2 and {MAX_DEGREE}")
+        if not 1 <= args.bound <= MAX_BOUND:
+            raise ValidationError(f"--bound must be between 1 and {MAX_BOUND}")
+        _emit(_HANDLERS[args.command](args), args.fmt)
         return 0
     except EtkitError as exc:
         _report(exc)

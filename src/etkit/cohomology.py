@@ -12,8 +12,9 @@ on top.
 Below ``GradedAlgebra.product`` a product of two basis classes is sparse:
 a map from basis index in the target degree to a coefficient in
 1..p-1, so a node pays for the nonzero terms of its factors' products,
-not for the length of its target degree.  ``product`` turns that map
-into the one dense vector it memoizes.
+not for the length of its target degree.  ``gram``, ``cup`` and the
+JSON form read those maps directly; ``product`` turns one into a dense
+vector and memoizes it.
 """
 
 from __future__ import annotations
@@ -218,23 +219,25 @@ class GradedAlgebra:
     max_degree: int
     basis: tuple[tuple[str, ...], ...]
     eps: np.ndarray
+    _mul: Callable[[int, int, int, int], dict[int, int]]
     meta: dict = field(default_factory=dict)
-    _mul: Callable[[int, int, int, int], dict[int, int]] | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dims(self) -> list[int]:
         return [len(b) for b in self.basis]
 
+    def _check_degree(self, d: int) -> None:
+        if d > self.max_degree:
+            raise ValidationError(
+                f"product lands in degree {d} > max degree {self.max_degree}"
+            )
+
     def product(self, d1: int, i: int, d2: int, j: int) -> np.ndarray:
         """Cup product of the i-th degree-d1 and j-th degree-d2 basis classes."""
-        if d1 + d2 > self.max_degree:
-            raise ValidationError(
-                f"product lands in degree {d1 + d2} > max degree {self.max_degree}"
-            )
+        self._check_degree(d1 + d2)
         key = (d1, i, d2, j)
         if key not in self._cache:
-            assert self._mul is not None
             out = np.zeros(len(self.basis[d1 + d2]), dtype=np.int64)
             for r, c in self._mul(d1, i, d2, j).items():
                 out[r] = c
@@ -243,24 +246,26 @@ class GradedAlgebra:
 
     def cup(self, v1, d1: int, v2, d2: int) -> np.ndarray:
         """Bilinear extension of the product to coefficient vectors."""
-        out = np.zeros(len(self.basis[d1 + d2]), dtype=np.int64)
-        a1 = np.asarray(v1, dtype=np.int64) % self.p
-        a2 = np.asarray(v2, dtype=np.int64) % self.p
+        self._check_degree(d1 + d2)
+        a1 = (np.asarray(v1, dtype=np.int64) % self.p).tolist()
+        a2 = (np.asarray(v2, dtype=np.int64) % self.p).tolist()
+        support2 = [(j, b) for j, b in enumerate(a2) if b]
+        out = [0] * len(self.basis[d1 + d2])
         for i, a in enumerate(a1):
-            if not a:
-                continue
-            for j, b in enumerate(a2):
-                if b:
-                    out += int(a) * int(b) * self.product(d1, i, d2, j)
-        return out % self.p
+            if a:
+                for j, b in support2:
+                    for r, c in self._mul(d1, i, d2, j).items():
+                        out[r] += a * b * c
+        return np.array(out, dtype=np.int64) % self.p
 
     def gram(self) -> np.ndarray:
         """Degree-(1,1) structure tensor, shape (d1, d1, d2)."""
-        n, e2 = self.dims[1], self.dims[2]
-        t = np.zeros((n, n, e2), dtype=np.int64)
+        n = self.dims[1]
+        t = np.zeros((n, n, self.dims[2]), dtype=np.int64)
         for i in range(n):
             for j in range(n):
-                t[i, j] = self.product(1, i, 1, j)
+                for r, c in self._mul(1, i, 1, j).items():
+                    t[i, j, r] = c
         return t
 
     def gram_matrix(self) -> np.ndarray:
@@ -279,17 +284,13 @@ def build_cohomology(e: PairExpr, p: int, max_degree: int,
     ne = normalize(e, p, K)
     _check_basis(ne, max_degree)
     _, labels, eps, mul = _build(ne, p, max_degree)
-    meta = {
-        "expr": ne,
-        "ext_inflation_dim": rank(ne.base) if isinstance(ne, Ext) else None,
-    }
     return GradedAlgebra(
         p=p,
         max_degree=max_degree,
         basis=tuple(tuple(row) for row in labels),
         eps=np.array(eps, dtype=np.int64) % p,
-        meta=meta,
         _mul=_with_unit(mul),
+        meta={"ext_inflation_dim": rank(ne.base) if isinstance(ne, Ext) else None},
     )
 
 
@@ -329,18 +330,12 @@ def dims_closed_form(e: PairExpr, p: int, max_degree: int) -> list[int]:
 
 
 def algebra_to_json(alg: GradedAlgebra) -> dict:
-    n, e2 = alg.dims[1], alg.dims[2]
-    if e2 == 1:
-        gram = [[int(alg.product(1, i, 1, j)[0]) for j in range(n)]
-                for i in range(n)]
-    else:
-        gram = [[[int(c) for c in alg.product(1, i, 1, j)] for j in range(n)]
-                for i in range(n)]
+    gram = alg.gram_matrix() if alg.dims[2] == 1 else alg.gram()
     return {
         "dims": alg.dims,
         "basis": [list(row) for row in alg.basis],
         "eps": [int(c) for c in alg.eps],
-        "gram": gram,
+        "gram": gram.tolist(),
     }
 
 

@@ -157,15 +157,17 @@ class LaurentRing:
         return Series(-x.v, tuple(d), False)
 
     def pow_(self, x: Series, n: int) -> Series:
+        """x^n by left-to-right square-and-multiply: n.bit_length() - 1
+        squarings and one product per further set bit of n."""
         if n < 0:
             return self.pow_(self.inv(x), -n)
-        acc = self.one
-        b = x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, b)
-            b = self.mul(b, b)
-            n >>= 1
+        if n == 0:
+            return self.one
+        acc = x
+        for bit in bin(n)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, x)
         return acc
 
     # -- presentation ---------------------------------------------------------

@@ -392,7 +392,7 @@ def _is_p_power(q: int, p: int) -> bool:
     return q == 1
 
 
-def validate(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> None:
+def validate(e: PairExpr, p: int) -> None:
     """Check the structural invariants of ``e`` for the ambient prime."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
@@ -585,7 +585,7 @@ def parse(text: str, p: int, K: int = DEFAULT_PRECISION) -> PairExpr:
     tok = parser.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    validate(e, p, K)
+    validate(e, p)
     return e
 
 
@@ -619,7 +619,7 @@ def sort_key(e: PairExpr):
 def normalize(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> PairExpr:
     """Canonical form: flatten and sort free products, drop trivial factors,
     merge nested extensions, rewrite Ext(1,Trivial) and Ext(m,E)."""
-    validate(e, p, K)
+    validate(e, p)
     return e.normalize(p, K)
 
 
@@ -649,7 +649,7 @@ def theta_generators(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> list[PA
 
 def theta_image(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> UnitSubgroupInvariants:
     """Invariants of the subgroup of units generated by the theta-values."""
-    validate(e, p, K)
+    validate(e, p)
     return subgroup_invariants(p, theta_generators(e, p, K), K)
 
 

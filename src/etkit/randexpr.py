@@ -32,8 +32,7 @@ def random_unit(rng: random.Random, p: int, K: int = DEFAULT_PRECISION):
     return make_unit(p, num, den, K)
 
 
-def random_padic(rng: random.Random, p: int,
-                 K: int = DEFAULT_PRECISION) -> PAdicBlock:
+def random_padic(rng: random.Random, p: int) -> PAdicBlock:
     for _ in range(200):
         if p == 2:
             case = rng.choice(["I", "II", "III", "IV"])
@@ -55,7 +54,7 @@ def random_padic(rng: random.Random, p: int,
             f = None
         cand = PAdicBlock(n=n, q=q, case=case, f=f)
         try:
-            validate(cand, p, K)
+            validate(cand, p)
             return cand
         except ValidationError:
             continue
@@ -71,7 +70,7 @@ def random_block(rng: random.Random, p: int, rank_budget: int,
         return ZBlock(random_unit(rng, p, K))
     if roll < 0.65 and p == 2:
         return EBlock()
-    block = random_padic(rng, p, K)
+    block = random_padic(rng, p)
     if block.n <= rank_budget:
         return block
     return ZBlock(random_unit(rng, p, K))

@@ -387,11 +387,7 @@ def _same_shape(m1: AugBilinearMap, m2: AugBilinearMap) -> bool:
     return (m1.d, m1.e) == (m2.d, m2.e)
 
 
-def find_equivalence(
-    m1: AugBilinearMap,
-    m2: AugBilinearMap,
-    cap: int = DEFAULT_PAIR_CAP,
-):
+def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     """Invertible P, Q with Q B1(a,b) = B2(Pa, Pb) and P eps1 = eps2.
 
     Returns the pair (P, Q) or None.
@@ -416,8 +412,8 @@ def find_equivalence(
     leaf, P eps1 = eps2 is checked and Q is built (see ``_q_finder``).
 
     Raises ``DimensionTooLarge`` when p^d exceeds ``DEFAULT_ENUM_BOUND``
-    (the keys enumerate A_1) or when the search tries more than ``cap``
-    candidate columns.
+    (the keys enumerate A_1) or when the search tries more than
+    ``DEFAULT_PAIR_CAP`` candidate columns.
     """
     if not _same_shape(m1, m2):
         return None
@@ -452,9 +448,10 @@ def find_equivalence(
         for s in range(0, len(cands[order[j]]), step):
             c = cands[order[j]][s : s + step]
             nodes += len(c)
-            if nodes > cap:
+            if nodes > DEFAULT_PAIR_CAP:
                 raise DimensionTooLarge(
-                    f"equivalence search tried more than {cap} candidate columns"
+                    f"equivalence search tried more than {DEFAULT_PAIR_CAP} "
+                    "candidate columns"
                 )
             img = (base[None] + lam[None, :, j, None] * c[:, None, :]) % p @ place
             c = c[(k2[img] == target).all(axis=1) & (img != 0).all(axis=1)]

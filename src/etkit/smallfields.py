@@ -161,15 +161,11 @@ class GF:
         target = self.q - 1
         # g generates exactly when g^(target/r) != 1 for each prime r | target
         primes = [r for r in range(2, target + 1) if target % r == 0 and is_prime(r)]
-        for g in range(2, self.q):
-            if all(self._raw_pow(g, target // r) != 1 for r in primes):
-                self.generator = g
-                break
-        else:
-            if self.q == 2:
-                self.generator = 1
-            else:
-                raise InvalidModel(f"no generator found for GF({self.q})")
+        # g = 1 passes only for q = 2, where no prime divides q - 1 = 1
+        self.generator = next(
+            g for g in range(1, self.q)
+            if all(self._raw_pow(g, target // r) != 1 for r in primes)
+        )
         # the generator goes first: _poly_mulmod skips its zero digits
         self.exp = [1]
         for _ in range(target - 1):

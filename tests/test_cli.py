@@ -527,7 +527,7 @@ def test_closed_stdout_exits_one():
 
 
 def test_internal_error_is_json(capsys, monkeypatch):
-    def broken(args, cfg):
+    def broken(args):
         raise KeyError("q")
 
     monkeypatch.setitem(cli._HANDLERS, "parse", broken)

@@ -600,3 +600,58 @@ def test_trichotomic_search_matches_three_symbol_oracle(case):
             assert not symbol_vector(model, p, a, c).any()
     else:
         assert new == old
+
+
+# -- Laurent powers against the right-to-left loop --------------------------
+
+
+def _pow_right_to_left(ring, x, n):
+    """x^n by right-to-left square-and-multiply from the unit."""
+    if n < 0:
+        return _pow_right_to_left(ring, ring.inv(x), -n)
+    acc = ring.one
+    b = x
+    while n:
+        if n & 1:
+            acc = ring.mul(acc, b)
+        b = ring.mul(b, b)
+        n >>= 1
+    return acc
+
+
+def test_laurent_pow_product_count(monkeypatch):
+    ring = Laurent(Laurent(FiniteField(7), "t", 4), "u", 4).domain()
+    x = ring.from_coeffs(1, [ring.base.from_coeffs(0, [3, 1]), ring.base.one])
+    calls = 0
+    real_mul = LaurentRing.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        if self is ring:
+            calls += 1
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(LaurentRing, "mul", counting_mul)
+    for n in range(1, 17):
+        calls = 0
+        ring.pow_(x, n)
+        assert calls == n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+
+def _pow_outcome(power, ring, x, n):
+    try:
+        return power(ring, x, n)
+    except (PrecisionExhausted, ValidationError) as exc:
+        return type(exc).__name__
+
+
+@given(_tower_symbol_inputs([1, 2]), st.integers(-3, 9))
+def test_laurent_pow_matches_right_to_left(case, n):
+    model, _, x, _ = case
+    ring = model.domain()
+    # ring operations return normal forms; a cut can leave a leading
+    # coefficient known only to a valuation, which _norm turns into an
+    # empty window
+    x = x if x.zero else ring._norm(x.v, list(x.coeffs))
+    assert (_pow_outcome(LaurentRing.pow_, ring, x, n)
+            == _pow_outcome(_pow_right_to_left, ring, x, n))

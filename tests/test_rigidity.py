@@ -537,11 +537,12 @@ def test_search_at_dimension_four():
             _assert_equivalence(m, other, got)
 
 
-def test_search_bounds_raise():
+def test_search_bounds_raise(monkeypatch):
     m1 = _map(2, np.reshape(SAME_KEYS[0][0], (3, 3, 1)), SAME_KEYS[0][1])
     m2 = _map(2, np.reshape(SAME_KEYS[0][2], (3, 3, 1)), SAME_KEYS[0][3])
-    with pytest.raises(DimensionTooLarge):
-        find_equivalence(m1, m2, cap=1)  # the search never gives up silently
+    with monkeypatch.context() as mp, pytest.raises(DimensionTooLarge):
+        mp.setattr(rigidity, "DEFAULT_PAIR_CAP", 1)
+        find_equivalence(m1, m2)  # the search never gives up silently
     big = _map(2, np.zeros((17, 17, 1), dtype=np.int64), np.zeros(17))
     with pytest.raises(DimensionTooLarge):
         find_equivalence(big, big)  # the keys would enumerate 2^17 vectors
