@@ -96,7 +96,6 @@ from .rigidity import (
     rigidity_report,
 )
 from .units import (
-    DEFAULT_PRECISION,
     PAdicUnit,
     epsilon_of,
     make_unit,

@@ -53,11 +53,9 @@ from .field_models import (
 from .fplinear import is_prime
 from .pairs import abelianization, normalize, parse, rank, render, to_json
 from .rigidity import _check_bound, from_cohomology, rigidity_report
-from .units import DEFAULT_PRECISION
 
 
 # README "Limits" gives the time the slowest verb takes at each cap
-MAX_PRECISION = 4096
 MAX_BOUND = 100_000
 MAX_DEGREE = 10_000
 # degree-1 cup products, each weighted by the length of its result, that
@@ -144,23 +142,23 @@ def _element(args, name: str, model):
 
 
 def _cmd_parse(args):
-    e = parse(_expr_text(args), args.p, args.precision)
+    e = parse(_expr_text(args), args.p)
     return {"expr": render(e), "tree": to_json(e)}
 
 
 def _cmd_normalize(args):
-    e = normalize(parse(_expr_text(args), args.p, args.precision), args.p, args.precision)
+    e = normalize(parse(_expr_text(args), args.p), args.p)
     return {"expr": render(e), "tree": to_json(e)}
 
 
 def _cmd_invariants(args):
-    e = normalize(parse(_expr_text(args), args.p, args.precision), args.p, args.precision)
+    e = normalize(parse(_expr_text(args), args.p), args.p)
     r = rank(e)
     if r > MAX_RANK:
         raise ValidationError(f"rank exceeds the invariants bound {MAX_RANK}")
     return {
         "rank": r,
-        "abelianization": abelianization(e, args.p, args.precision),
+        "abelianization": abelianization(e, args.p),
         "logl": log_level_recursive(e, args.p),
     }
 
@@ -175,89 +173,119 @@ def _check_cup_work(ne, args, work, what: str) -> None:
 
 
 def _cmd_cohom(args):
-    e = parse(_expr_text(args), args.p, args.precision)
-    _check_cup_work(normalize(e, args.p, args.precision), args,
+    e = parse(_expr_text(args), args.p)
+    _check_cup_work(normalize(e, args.p), args,
                     lambda dims: dims[1] ** 2 * dims[2], "dims[1]^2 x dims[2]")
-    alg = build_cohomology(e, args.p, args.max_degree, args.precision)
+    alg = build_cohomology(e, args.p, args.max_degree)
     return algebra_to_json(alg)
 
 
 def _cmd_demuskin(args):
-    e = parse(_expr_text(args), args.p, args.precision)
-    return is_demuskin(e, args.p, args.precision).to_json()
+    e = parse(_expr_text(args), args.p)
+    return is_demuskin(e, args.p).to_json()
 
 
 def _cmd_logl(args):
-    e = parse(_expr_text(args), args.p, args.precision)
-    ne = normalize(e, args.p, args.precision)
+    e = parse(_expr_text(args), args.p)
+    ne = normalize(e, args.p)
     _check_cup_work(ne, args, lambda dims: args.max_degree * dims[1] ** 2,
                     "max degree x dims[1]^2")
     rec = log_level_recursive(ne, args.p)
-    direct = log_level_direct(e, args.p, args.max_degree, args.precision)
+    direct = log_level_direct(e, args.p, args.max_degree)
     return {"recursive": rec, "direct": direct}
 
 
 def _cmd_rigid(args):
-    e = parse(_expr_text(args), args.p, args.precision)
+    e = parse(_expr_text(args), args.p)
     # normalization keeps the rank, so the scan's bound can be checked first
     _check_bound(args.p, rank(e))
-    alg = build_cohomology(e, args.p, 2, args.precision)
+    alg = build_cohomology(e, args.p, 2)
     return rigidity_report(from_cohomology(alg))
 
 
-def _cmd_field(args):
-    model = _model_of(args)
-    verb = args.verb
-    if verb == "classgroup":
-        labels = class_group(model, args.p)
-        return {
-            "labels": labels,
-            "dim": len(labels),
-            "symbolDim": model.symbol_dim(args.p),
-            "eps": list(class_of(model, args.p, model.domain().minus_one)),
-        }
-    if verb == "symbol":
-        a = _element(args, "a", model)
-        b = _element(args, "b", model)
-        return {"symbol": symbol_vector(model, args.p, a, b).tolist()}
-    if verb == "pairing":
-        e = parse(_expr_text(args), args.p, args.precision)
-        return {"match": check_pairing_match(model, e, args.p, args.precision)}
-    if verb == "predict":
-        return {"expr": render(predict_galois_pair(model, args.p, args.precision))}
-    if verb == "trichotomic":
-        a = _element(args, "a", model)
-        return trichotomic_search(model, args.p, a, args.bound).to_json()
-    if verb == "omember":
-        a = _element(args, "a", model)
-        h_raw = args.h
-        if h_raw is None:
-            raise ValidationError("--h is required")
-        h = "all" if h_raw == "all" else _load_structured(h_raw, "h")
-        return o_membership(model, args.p, a, h, args.target, args.bound).to_json()
-    # the remaining verb: rigidity (argparse's choices admit no other)
+def _field_classgroup(args, model):
+    labels = class_group(model, args.p)
+    return {
+        "labels": labels,
+        "dim": len(labels),
+        "symbolDim": model.symbol_dim(args.p),
+        "eps": list(class_of(model, args.p, model.domain().minus_one)),
+    }
+
+
+def _field_symbol(args, model):
+    a = _element(args, "a", model)
+    b = _element(args, "b", model)
+    return {"symbol": symbol_vector(model, args.p, a, b).tolist()}
+
+
+def _field_pairing(args, model):
+    e = parse(_expr_text(args), args.p)
+    return {"match": check_pairing_match(model, e, args.p)}
+
+
+def _field_trichotomic(args, model):
+    a = _element(args, "a", model)
+    return trichotomic_search(model, args.p, a, args.bound).to_json()
+
+
+def _field_omember(args, model):
+    a = _element(args, "a", model)
+    h_raw = args.h
+    if h_raw is None:
+        raise ValidationError("--h is required")
+    h = "all" if h_raw == "all" else _load_structured(h_raw, "h")
+    return o_membership(model, args.p, a, h, args.target, args.bound).to_json()
+
+
+def _field_rigidity(args, model):
     report = rigidity_report(from_field_model(model, args.p))
     report["totallyRigid"] = is_totally_rigid_bounded(model, args.p).to_json()
     return report
 
 
-def _cmd_oracle(args):
-    group = group_from_json(_load_structured(args.group, "group"))
-    verb = args.verb
-    if verb == "h1":
-        return {"dim": h1_dim(group, args.p)}
-    if verb == "h2":
-        return {"dim": h2_dim(group, args.p)}
-    if verb == "cup":
-        phi = cochain_from_json(_load_structured(args.phi, "phi"), group, args.p)
-        psi = cochain_from_json(_load_structured(args.psi, "psi"), group, args.p)
-        space = H2Space(group, args.p)
-        coords = cup_h1_h1(group, args.p, phi, psi, space)
-        return {"coords": coords.tolist(), "h2Dim": space.dim}
-    # the remaining verb: extclass
+# the `field` verbs: argparse's choices and the dispatch both read this
+_FIELD_VERBS = {
+    "classgroup": _field_classgroup,
+    "symbol": _field_symbol,
+    "pairing": _field_pairing,
+    "predict": lambda args, model: {"expr": render(predict_galois_pair(model, args.p))},
+    "trichotomic": _field_trichotomic,
+    "omember": _field_omember,
+    "rigidity": _field_rigidity,
+}
+
+
+def _cmd_field(args):
+    return _FIELD_VERBS[args.verb](args, _model_of(args))
+
+
+def _oracle_cup(args, group):
+    phi = cochain_from_json(_load_structured(args.phi, "phi"), group, args.p)
+    psi = cochain_from_json(_load_structured(args.psi, "psi"), group, args.p)
+    space = H2Space(group, args.p)
+    coords = cup_h1_h1(group, args.p, phi, psi, space)
+    return {"coords": coords.tolist(), "h2Dim": space.dim}
+
+
+def _oracle_extclass(args, group):
     kernel = kernel_from_json(_load_structured(args.kernel, "kernel"), group)
     quotient_group, coords = extension_class(group, kernel, args.p)
     return {"coords": coords.tolist(), "quotientOrder": quotient_group.order}
+
+
+# the `oracle` verbs: argparse's choices and the dispatch both read this
+_ORACLE_VERBS = {
+    "h1": lambda args, group: {"dim": h1_dim(group, args.p)},
+    "h2": lambda args, group: {"dim": h2_dim(group, args.p)},
+    "cup": _oracle_cup,
+    "extclass": _oracle_extclass,
+}
+
+
+def _cmd_oracle(args):
+    group = group_from_json(_load_structured(args.group, "group"))
+    return _ORACLE_VERBS[args.verb](args, group)
 
 
 _HANDLERS = {
@@ -280,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verb."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=2)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     common.add_argument("--max-degree", type=int, default=4, dest="max_degree")
     common.add_argument("--bound", type=int, default=200)
     common.add_argument("--model", type=str, default=None)
@@ -298,11 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, parents=[common, exprarg])
 
     fieldp = sub.add_parser("field", parents=[common])
-    fieldp.add_argument(
-        "verb",
-        choices=["classgroup", "symbol", "pairing", "predict", "trichotomic",
-                 "omember", "rigidity"],
-    )
+    fieldp.add_argument("verb", choices=list(_FIELD_VERBS))
     fieldp.add_argument("expr", nargs="?", default=None)
     fieldp.add_argument("--file", type=str, default=None)
     fieldp.add_argument("--a", type=str, default=None)
@@ -312,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["OMinus", "OPlus", "ORing"])
 
     oraclep = sub.add_parser("oracle", parents=[common])
-    oraclep.add_argument("verb", choices=["h1", "h2", "cup", "extclass"])
+    oraclep.add_argument("verb", choices=list(_ORACLE_VERBS))
     oraclep.add_argument("--group", type=str, required=True)
     oraclep.add_argument("--phi", type=str, default=None)
     oraclep.add_argument("--psi", type=str, default=None)
@@ -326,8 +349,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not is_prime(args.p):
             raise ValidationError(f"--p must be prime, got {args.p}")
-        if not 8 <= args.precision <= MAX_PRECISION:
-            raise ValidationError(f"--precision must be between 8 and {MAX_PRECISION}")
         if not 2 <= args.max_degree <= MAX_DEGREE:
             raise ValidationError(f"--max-degree must be between 2 and {MAX_DEGREE}")
         if not 1 <= args.bound <= MAX_BOUND:

@@ -23,6 +23,8 @@ from .errors import (
     NotAHomomorphism,
     OrderBound,
     ValidationError,
+    int_param,
+    is_int,
 )
 from .fplinear import (
     dense_row,
@@ -124,25 +126,17 @@ def klein4() -> FiniteGroup:
     return FiniteGroup(g.table, "V4")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _int_param(data: dict, key: str) -> int:
-    if not _is_int(data.get(key)):
-        raise ValidationError(f"group JSON needs an integer {key!r}")
-    return data[key]
-
-
 def group_from_json(data) -> FiniteGroup:
     """Decode group JSON; any malformed input raises ``ValidationError``."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ValidationError("group JSON needs a 'kind' key")
     kind = data["kind"]
     if kind == "cyclic":
-        return cyclic(_int_param(data, "n"))
+        return cyclic(int_param(data, "n", ValidationError,
+                                "group JSON needs an integer 'n'"))
     if kind == "dihedral":
-        return dihedral(_int_param(data, "order"))
+        return dihedral(int_param(data, "order", ValidationError,
+                                  "group JSON needs an integer 'order'"))
     if kind == "klein4":
         return klein4()
     if kind == "product":
@@ -153,7 +147,7 @@ def group_from_json(data) -> FiniteGroup:
         t = data.get("table")
         if not isinstance(t, list) or not all(
             isinstance(row, list) and len(row) == len(t)
-            and all(_is_int(c) and 0 <= c < len(t) for c in row)
+            and all(is_int(c) and 0 <= c < len(t) for c in row)
             for row in t
         ):
             raise ValidationError(
@@ -166,7 +160,7 @@ def group_from_json(data) -> FiniteGroup:
 def cochain_from_json(data, g: FiniteGroup, p: int) -> list[int]:
     """Decode a degree-one cochain, one integer per element, read mod p."""
     if not (isinstance(data, list) and len(data) == g.order
-            and all(_is_int(x) for x in data)):
+            and all(is_int(x) for x in data)):
         raise ValidationError(f"a cochain must be a list of {g.order} integers")
     return [x % p for x in data]
 
@@ -174,7 +168,7 @@ def cochain_from_json(data, g: FiniteGroup, p: int) -> list[int]:
 def kernel_from_json(data, g: FiniteGroup) -> list[int]:
     """Decode a kernel given as a list of element indices."""
     if not (isinstance(data, list)
-            and all(_is_int(x) and 0 <= x < g.order for x in data)):
+            and all(is_int(x) and 0 <= x < g.order for x in data)):
         raise ValidationError(
             f"a kernel must be a list of element indices in [0, {g.order})"
         )

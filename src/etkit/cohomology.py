@@ -39,7 +39,7 @@ from .pairs import (
     rank,
     theta_image,
 )
-from .units import DEFAULT_PRECISION, epsilon_of
+from .units import epsilon_of
 
 # README "Limits": the most basis classes a ring model builds
 MAX_BASIS = 100_000
@@ -274,14 +274,13 @@ class GradedAlgebra:
         return self.gram()[:, :, 0]
 
 
-def build_cohomology(e: PairExpr, p: int, max_degree: int,
-                     K: int = DEFAULT_PRECISION) -> GradedAlgebra:
+def build_cohomology(e: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
     """Cohomology model of the normal form of ``e`` up to ``max_degree``."""
     if max_degree < 2:
         raise DegreeTooSmall(
             f"cohomology model needs max degree >= 2, got {max_degree}"
         )
-    ne = normalize(e, p, K)
+    ne = normalize(e, p)
     _check_basis(ne, max_degree)
     _, labels, eps, mul = _build(ne, p, max_degree)
     return GradedAlgebra(
@@ -368,13 +367,13 @@ def _classify(p: int, q: int, n: int, square_index: int | None) -> str:
     return "III" if square_index == 2 else "IV"
 
 
-def is_demuskin(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> DemuskinVerdict:
+def is_demuskin(e: PairExpr, p: int) -> DemuskinVerdict:
     """Decide whether the pair is Demuskin: one-dimensional H^2 and a
     nondegenerate cup pairing on H^1."""
-    ne = normalize(e, p, K)
-    alg = build_cohomology(ne, p, 2, K)
+    ne = normalize(e, p)
+    alg = build_cohomology(ne, p, 2)
     n = alg.dims[1]
-    inv = theta_image(ne, p, K)
+    inv = theta_image(ne, p)
     q = inv.q_invariant
     ok = alg.dims[2] == 1 and n >= 1
     if ok:
@@ -390,22 +389,20 @@ def is_demuskin(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> DemuskinVerd
 # log-level of the epsilon class
 
 
-def log_level_recursive(e: PairExpr, p: int,
-                        K: int = DEFAULT_PRECISION) -> float | int:
+def log_level_recursive(e: PairExpr, p: int) -> float | int:
     """Least m with eps^m = 0, by structural recursion (math.inf possible)."""
-    ne = normalize(e, p, K)
+    ne = normalize(e, p)
     if p != 2:
         return 1
     return ne.log_level_recursive()
 
 
-def log_level_direct(e: PairExpr, p: int, max_degree: int,
-                     K: int = DEFAULT_PRECISION) -> int | str:
+def log_level_direct(e: PairExpr, p: int, max_degree: int) -> int | str:
     """Least m with eps^m = 0 by computing cup powers up to max_degree.
 
     Returns ">{max_degree}" when the chain stays nonzero that far.
     """
-    alg = build_cohomology(e, p, max_degree, K)
+    alg = build_cohomology(e, p, max_degree)
     v = alg.eps % p
     if not v.any():
         return 1

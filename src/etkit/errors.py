@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the integer rule of
+its JSON decoders.
 
 Every error raised by library code derives from :class:`EtkitError`, so
 callers (and the CLI) can distinguish "your input is bad" from genuine bugs.
@@ -37,7 +38,8 @@ class DenominatorNotInvertible(ValidationError):
 
 
 class PrecisionExhausted(EtkitError):
-    """The requested invariant is ambiguous at the working precision."""
+    """A truncated Laurent series cannot decide the request: a leading
+    coefficient or a cancellation lies past its window."""
 
 
 class DegreeTooSmall(ValidationError):
@@ -70,3 +72,17 @@ class OrderBound(ValidationError):
 
 class KernelNotCentral(ValidationError):
     """Extension-class input whose kernel is not central of order p."""
+
+
+def is_int(x) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def int_param(data, key: str, error: type[EtkitError], message: str) -> int:
+    """``data[key]`` when ``data`` is a dict holding a JSON integer there;
+    otherwise raise ``error(message)``."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not is_int(value):
+        raise error(message)
+    return value

@@ -30,13 +30,15 @@ from .errors import (
     ModelUnsupported,
     PrecisionExhausted,
     ValidationError,
+    int_param,
+    is_int,
 )
 from .fplinear import dense_row, echelon_insert, echelon_reduce, is_prime, sparse_row
 from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
 from .smallfields import GF, gf
-from .units import DEFAULT_PRECISION, make_unit
+from .units import make_unit
 
 DEFAULT_SERIES_PRECISION = 16
 # README "Limits": the most coefficients a Laurent model keeps per series
@@ -182,17 +184,6 @@ def _coeff_pool(domain, limit: int = 8) -> list:
 
 
 # ---------------------------------------------------------------------------
-# JSON parameters
-
-
-def _int_param(params, name: str) -> int:
-    try:
-        return int(params[name])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidModel(f"model parameter {name!r} must be an integer") from exc
-
-
-# ---------------------------------------------------------------------------
 # the backends
 
 
@@ -210,7 +201,9 @@ class FieldModel(ABC):
     def from_json(cls, data: dict, p: int) -> FieldModel:
         """Decode ``{"kind", "params"}``; every field is an integer param."""
         params = data.get("params", {})
-        return cls(**{f.name: _int_param(params, f.name) for f in fields(cls)})
+        return cls(**{f.name: int_param(params, f.name, InvalidModel,
+                                        f"model parameter {f.name!r} must be an integer")
+                      for f in fields(cls)})
 
     def to_json(self) -> dict:
         return {"kind": type(self).__name__,
@@ -228,12 +221,11 @@ class FieldModel(ABC):
             return Fraction(data)
         if "num" not in data:
             raise ValidationError('rational elements need a "num" key')
-        try:
-            return Fraction(int(data["num"]), int(data.get("den", 1)))
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        num, den = data["num"], data.get("den", 1)
+        if not (is_int(num) and is_int(den)) or den == 0:
             raise ValidationError(
-                'rational elements need integer "num" and nonzero integer "den"'
-            ) from exc
+                'rational elements need integer "num" and nonzero integer "den"')
+        return Fraction(num, den)
 
     @abstractmethod
     def basis(self, p: int) -> list[tuple[str, object]]:
@@ -263,7 +255,7 @@ class FieldModel(ABC):
         return np.einsum("i,ijk,j->k", x, _symbol_tensor(self, p), y) % p
 
     @abstractmethod
-    def predict(self, p: int, K: int) -> PairExpr:
+    def predict(self, p: int) -> PairExpr:
         """The predicted elementary-type Galois pair."""
 
     def pool(self, p: int):
@@ -327,8 +319,8 @@ class FiniteField(FieldModel):
     def symbol_tensor(self, p):
         return np.zeros((1, 1, 0), dtype=np.int64)
 
-    def predict(self, p, K):
-        return ZBlock(make_unit(p, self.q, 1, K))
+    def predict(self, p):
+        return ZBlock(make_unit(p, self.q))
 
     def pool(self, p):
         return iter(range(2, self.q))
@@ -366,8 +358,8 @@ class LocalRational(FieldModel):
         return np.array([[[0], [1]], [[p - 1], f.class_of(f.minus_one, p)]],
                         dtype=np.int64)
 
-    def predict(self, p, K):
-        return Ext(1, ZBlock(make_unit(p, self.ell, 1, K)))
+    def predict(self, p):
+        return Ext(1, ZBlock(make_unit(p, self.ell)))
 
     def pool(self, p):
         ell = self.ell
@@ -395,7 +387,7 @@ class DyadicRational(FieldModel):
         return np.array([[[hilbert2(a, b)] for b in reps] for a in reps],
                         dtype=np.int64)
 
-    def predict(self, p, K):
+    def predict(self, p):
         return PAdicBlock(n=3, q=2, case="II", f=2, s=4)
 
     def pool(self, p):
@@ -418,7 +410,7 @@ class RealField(FieldModel):
     def symbol_tensor(self, p):
         return np.ones((1, 1, 1), dtype=np.int64)
 
-    def predict(self, p, K):
+    def predict(self, p):
         return EBlock()
 
 
@@ -436,7 +428,7 @@ class ComplexField(FieldModel):
     def symbol_tensor(self, p):
         return np.zeros((0, 0, 0), dtype=np.int64)
 
-    def predict(self, p, K):
+    def predict(self, p):
         return Trivial()
 
 
@@ -473,8 +465,9 @@ class Laurent(FieldModel):
         if not isinstance(params, dict) or "base" not in params:
             raise InvalidModel("a Laurent model needs a 'base' param")
         base = model_from_json(params["base"], p)
-        precision = (_int_param(data, "precision") if "precision" in data
-                     else DEFAULT_SERIES_PRECISION)
+        precision = (int_param(data, "precision", InvalidModel,
+                               "model parameter 'precision' must be an integer")
+                     if "precision" in data else DEFAULT_SERIES_PRECISION)
         return cls(base, str(params.get("var", "t")), precision)
 
     def to_json(self):
@@ -494,11 +487,9 @@ class Laurent(FieldModel):
         if not isinstance(data["coeffs"], list):
             raise ValidationError('series "coeffs" must be a list')
         coeffs = [self.base.decode(c) for c in data["coeffs"]]
-        try:
-            v = int(data["v"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError('series "v" must be an integer') from exc
-        return self.domain().from_coeffs(v, coeffs)
+        if not is_int(data["v"]):
+            raise ValidationError('series "v" must be an integer')
+        return self.domain().from_coeffs(data["v"], coeffs)
 
     def basis(self, p):
         ring = self.domain()
@@ -524,8 +515,8 @@ class Laurent(FieldModel):
         t[k, k, e:] = class_of(self.base, p, self.base.domain().minus_one)
         return t
 
-    def predict(self, p, K):
-        return Ext(1, self.base.predict(p, K))
+    def predict(self, p):
+        return Ext(1, self.base.predict(p))
 
     def pool(self, p):
         ring = self.domain()
@@ -618,10 +609,9 @@ def symbol_vector(model: FieldModel, p: int, a, b) -> np.ndarray:
 # Galois-pair prediction and the pairing match
 
 
-def predict_galois_pair(model: FieldModel, p: int,
-                        K: int = DEFAULT_PRECISION) -> PairExpr:
+def predict_galois_pair(model: FieldModel, p: int) -> PairExpr:
     validate_model(model, p)
-    return model.predict(p, K)
+    return model.predict(p)
 
 
 def from_field_model(model: FieldModel, p: int) -> AugBilinearMap:
@@ -634,15 +624,14 @@ def from_field_model(model: FieldModel, p: int) -> AugBilinearMap:
     )
 
 
-def check_pairing_match(model: FieldModel, e: PairExpr, p: int,
-                        K: int = DEFAULT_PRECISION) -> bool:
+def check_pairing_match(model: FieldModel, e: PairExpr, p: int) -> bool:
     """Are the field's symbol map and the expression's cup map isomorphic
     as augmented bilinear maps?  Bounded as ``find_equivalence`` is."""
     m1 = from_field_model(model, p)
-    ne = normalize(e, p, K)
+    ne = normalize(e, p)
     if rank(ne) != m1.d:  # H^1 dimensions differ: refused before the ring
         return False
-    m2 = from_cohomology(build_cohomology(ne, p, 2, K))
+    m2 = from_cohomology(build_cohomology(ne, p, 2))
     return find_equivalence(m1, m2) is not None
 
 
@@ -719,14 +708,12 @@ def _parse_h(h_spec, d: int, p: int) -> frozenset:
     if h_spec == "all":
         return frozenset(iter_product(range(p), repeat=d))
     if not isinstance(h_spec, list) or not all(
-        isinstance(row, list)
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in row)
-        for row in h_spec
+        isinstance(row, list) and all(is_int(c) for c in row) for row in h_spec
     ):
         raise ValidationError('H must be "all" or a list of integer coset vectors')
     vecs = set()
     for row in h_spec:
-        t = tuple(int(c) % p for c in row)
+        t = tuple(c % p for c in row)
         if len(t) != d:
             raise ValidationError(f"coset vector {row} should have length {d}")
         vecs.add(t)

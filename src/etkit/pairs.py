@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .errors import (
     DenominatorNotInvertible,
@@ -25,12 +26,12 @@ from .errors import (
 )
 from .fplinear import is_prime
 from .units import (
-    DEFAULT_PRECISION,
     PAdicUnit,
     UnitSubgroupInvariants,
     epsilon_of,
     make_unit,
     subgroup_invariants,
+    valuation,
 )
 
 INF = math.inf
@@ -49,7 +50,7 @@ class PairExpr:
     Subclasses are frozen dataclasses whose fields are the node's
     parameters and children.  Each implements the walks named after the
     module-level functions: ``render()``, ``to_json()``, ``sort_key()``,
-    ``rank()``, ``theta_generators(p, K)``, ``abelianization(p, K)``,
+    ``rank()``, ``theta_generators(p)``, ``abelianization(p)``,
     ``dims_closed_form(max_degree)`` and ``log_level_recursive()``, and
     overrides the two defaults below where they do not fit.
     """
@@ -57,7 +58,7 @@ class PairExpr:
     def validate(self, p: int) -> None:
         """Raise ValidationError unless the subtree is well formed at p."""
 
-    def normalize(self, p: int, K: int) -> PairExpr:
+    def normalize(self, p: int) -> PairExpr:
         """The normal form of a validated subtree."""
         return self
 
@@ -76,10 +77,10 @@ class Trivial(PairExpr):
     def rank(self) -> int:
         return 0
 
-    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
+    def theta_generators(self, p: int) -> list[PAdicUnit]:
         return []
 
-    def abelianization(self, p: int, K: int) -> list[int]:
+    def abelianization(self, p: int) -> list[int]:
         return []
 
     def dims_closed_form(self, max_degree: int) -> list[int]:
@@ -106,15 +107,18 @@ class ZBlock(PairExpr):
         return {"type": "Z", "alpha": self.alpha.to_json()}
 
     def sort_key(self) -> tuple:
-        return (1, (self.alpha.value, self.alpha.K), ())
+        # alpha mod p^64, then the exact rational: this fixes the order of
+        # Z-blocks in normal forms, and the residue enters no invariant
+        a, mod = self.alpha, self.alpha.p**64
+        return (1, (a.num * pow(a.den, -1, mod) % mod, Fraction(a.num, a.den)), ())
 
     def rank(self) -> int:
         return 1
 
-    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
-        return [self.alpha.reduce(min(K, self.alpha.K))]
+    def theta_generators(self, p: int) -> list[PAdicUnit]:
+        return [self.alpha]
 
-    def abelianization(self, p: int, K: int) -> list[int]:
+    def abelianization(self, p: int) -> list[int]:
         return [0]
 
     def dims_closed_form(self, max_degree: int) -> list[int]:
@@ -142,10 +146,10 @@ class EBlock(PairExpr):
     def rank(self) -> int:
         return 1
 
-    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
-        return [make_unit(2, -1, 1, K)]
+    def theta_generators(self, p: int) -> list[PAdicUnit]:
+        return [make_unit(2, -1)]
 
-    def abelianization(self, p: int, K: int) -> list[int]:
+    def abelianization(self, p: int) -> list[int]:
         return [2]
 
     def dims_closed_form(self, max_degree: int) -> list[int]:
@@ -217,7 +221,7 @@ class PAdicBlock(PairExpr):
                     "s=1 holds exactly when the theta-image avoids -1 (case I)"
                 )
 
-    def normalize(self, p: int, K: int) -> PairExpr:
+    def normalize(self, p: int) -> PairExpr:
         if p == 2 and self.s is None:
             return replace(self, s=default_level(self.case))
         return self
@@ -245,15 +249,16 @@ class PAdicBlock(PairExpr):
     def rank(self) -> int:
         return self.n
 
-    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
+    def theta_generators(self, p: int) -> list[PAdicUnit]:
+        # PAdicUnit(p, s, k) is s/(1 - s p^k): its sign is s, its depth k
         if self.case == "I":
-            return [make_unit(p, 1, 1 - self.q, K)]
-        tf = two_to(self.f, K)
+            return [PAdicUnit(p, 1, valuation(self.q, p))]  # 1/(1 - q)
+        f = self.f if self.f == INF else int(self.f)
         if self.case == "III":
-            return [make_unit(2, -1, 1 + tf, K)]
-        return [make_unit(2, -1, 1, K), make_unit(2, 1, 1 - tf, K)]  # II, IV
+            return [PAdicUnit(2, -1, f)]  # -1/(1 + 2^f)
+        return [PAdicUnit(2, -1, INF), PAdicUnit(2, 1, f)]  # II, IV: -1, 1/(1 - 2^f)
 
-    def abelianization(self, p: int, K: int) -> list[int]:
+    def abelianization(self, p: int) -> list[int]:
         return [0] * (self.n - 1) + [self.q]
 
     def dims_closed_form(self, max_degree: int) -> list[int]:
@@ -274,10 +279,10 @@ class FreeProd(PairExpr):
         for f in self.factors:
             _validate(f, p)
 
-    def normalize(self, p: int, K: int) -> PairExpr:
+    def normalize(self, p: int) -> PairExpr:
         kids: list[PairExpr] = []
         for f in self.factors:
-            nf = f.normalize(p, K)
+            nf = f.normalize(p)
             if isinstance(nf, FreeProd):
                 kids.extend(nf.factors)
             elif not isinstance(nf, Trivial):
@@ -304,11 +309,11 @@ class FreeProd(PairExpr):
     def rank(self) -> int:
         return sum(f.rank() for f in self.factors)
 
-    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
-        return [u for f in self.factors for u in f.theta_generators(p, K)]
+    def theta_generators(self, p: int) -> list[PAdicUnit]:
+        return [u for f in self.factors for u in f.theta_generators(p)]
 
-    def abelianization(self, p: int, K: int) -> list[int]:
-        return [q for f in self.factors for q in f.abelianization(p, K)]
+    def abelianization(self, p: int) -> list[int]:
+        return [q for f in self.factors for q in f.abelianization(p)]
 
     def dims_closed_form(self, max_degree: int) -> list[int]:
         rows = [f.dims_closed_form(max_degree) for f in self.factors]
@@ -328,8 +333,8 @@ class Ext(PairExpr):
             raise ValidationError("extension rank m must be >= 1")
         _validate(self.base, p)
 
-    def normalize(self, p: int, K: int) -> PairExpr:
-        m, base = self.m, self.base.normalize(p, K)
+    def normalize(self, p: int) -> PairExpr:
+        m, base = self.m, self.base.normalize(p)
         if isinstance(base, Ext):
             m, base = m + base.m, base.base
         if isinstance(base, EBlock):
@@ -337,7 +342,7 @@ class Ext(PairExpr):
             ee = FreeProd((EBlock(), EBlock()))
             return ee if m == 1 else Ext(m - 1, ee)
         if isinstance(base, Trivial) and m == 1:
-            return ZBlock(make_unit(p, 1, 1, K))
+            return ZBlock(make_unit(p, 1))
         return Ext(m, base)
 
     def render(self) -> str:
@@ -352,13 +357,12 @@ class Ext(PairExpr):
     def rank(self) -> int:
         return self.m + self.base.rank()
 
-    def theta_generators(self, p: int, K: int) -> list[PAdicUnit]:
-        return self.base.theta_generators(p, K)
+    def theta_generators(self, p: int) -> list[PAdicUnit]:
+        return self.base.theta_generators(p)
 
-    def abelianization(self, p: int, K: int) -> list[int]:
-        gens = self.base.theta_generators(p, K)
-        q = subgroup_invariants(p, gens, K).q_invariant
-        return [q] * self.m + self.base.abelianization(p, K)
+    def abelianization(self, p: int) -> list[int]:
+        q = subgroup_invariants(p, self.base.theta_generators(p)).q_invariant
+        return [q] * self.m + self.base.abelianization(p)
 
     def dims_closed_form(self, max_degree: int) -> list[int]:
         b = self.base.dims_closed_form(max_degree)
@@ -377,11 +381,6 @@ _DEFAULT_S = {"I": 1, "II": 4, "III": 2, "IV": 2}
 def default_level(case: str) -> int:
     """Case-consistent level metadata: the value of s forced by the case."""
     return _DEFAULT_S[case]
-
-
-def two_to(f, K: int) -> int:
-    """2^f mod 2^K, with the convention 2^inf = 0."""
-    return 0 if f == INF else pow(2, int(f), 2**K)
 
 
 def _is_p_power(q: int, p: int) -> bool:
@@ -438,12 +437,11 @@ def _int_token(tok) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str, p: int, K: int):
+    def __init__(self, text: str, p: int):
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
         self.p = p
-        self.K = K
         self.length = len(text)
 
     def peek(self):
@@ -508,7 +506,7 @@ class _Parser:
             num, den = self.rational()
             self.expect(")")
             try:
-                alpha = make_unit(self.p, num, den, self.K)
+                alpha = make_unit(self.p, num, den)
             except (NotAUnit, DenominatorNotInvertible) as exc:
                 raise ValidationError(f"Z-block at position {pos}: {exc}") from exc
             return ZBlock(alpha)
@@ -578,9 +576,9 @@ class _Parser:
         return PAdicBlock(n=n, q=q, case=case, f=f, s=s)
 
 
-def parse(text: str, p: int, K: int = DEFAULT_PRECISION) -> PairExpr:
+def parse(text: str, p: int) -> PairExpr:
     """Parse and validate an expression in the textual grammar."""
-    parser = _Parser(text, p, K)
+    parser = _Parser(text, p)
     e = parser.expr()
     tok = parser.peek()
     if tok is not None:
@@ -590,11 +588,9 @@ def parse(text: str, p: int, K: int = DEFAULT_PRECISION) -> PairExpr:
 
 
 def _render_rational(alpha: PAdicUnit) -> str:
-    if alpha.num is not None and alpha.den is not None:
-        if alpha.den == 1:
-            return str(alpha.num)
-        return f"{alpha.num}/{alpha.den}"
-    return str(alpha.value)
+    if alpha.den == 1:
+        return str(alpha.num)
+    return f"{alpha.num}/{alpha.den}"
 
 
 def render(e: PairExpr) -> str:
@@ -616,21 +612,20 @@ def sort_key(e: PairExpr):
     return e.sort_key()
 
 
-def normalize(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> PairExpr:
+def normalize(e: PairExpr, p: int) -> PairExpr:
     """Canonical form: flatten and sort free products, drop trivial factors,
     merge nested extensions, rewrite Ext(1,Trivial) and Ext(m,E)."""
     validate(e, p)
-    return e.normalize(p, K)
+    return e.normalize(p)
 
 
-def structurally_isomorphic(e1: PairExpr, e2: PairExpr, p: int,
-                            K: int = DEFAULT_PRECISION) -> bool:
+def structurally_isomorphic(e1: PairExpr, e2: PairExpr, p: int) -> bool:
     """Equality of normal forms.
 
     True means "isomorphic (structural)"; False only means "not known
     isomorphic" — the rewrite system is sound but not complete.
     """
-    return normalize(e1, p, K) == normalize(e2, p, K)
+    return normalize(e1, p) == normalize(e2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +637,17 @@ def rank(e: PairExpr) -> int:
     return e.rank()
 
 
-def theta_generators(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> list[PAdicUnit]:
+def theta_generators(e: PairExpr, p: int) -> list[PAdicUnit]:
     """Generators of the theta-image, read off the blocks."""
-    return e.theta_generators(p, K)
+    return e.theta_generators(p)
 
 
-def theta_image(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> UnitSubgroupInvariants:
+def theta_image(e: PairExpr, p: int) -> UnitSubgroupInvariants:
     """Invariants of the subgroup of units generated by the theta-values."""
     validate(e, p)
-    return subgroup_invariants(p, theta_generators(e, p, K), K)
+    return subgroup_invariants(p, theta_generators(e, p))
 
 
-def abelianization(e: PairExpr, p: int, K: int = DEFAULT_PRECISION) -> list[int]:
+def abelianization(e: PairExpr, p: int) -> list[int]:
     """Divisor sequence of G/[G,G]: 0 per Z_p factor, q per Z_p/q factor."""
-    return e.abelianization(p, K)
+    return e.abelianization(p)

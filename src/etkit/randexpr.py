@@ -18,10 +18,10 @@ from .pairs import (
     rank,
     validate,
 )
-from .units import DEFAULT_PRECISION, make_unit
+from .units import make_unit
 
 
-def random_unit(rng: random.Random, p: int, K: int = DEFAULT_PRECISION):
+def random_unit(rng: random.Random, p: int):
     num = rng.randrange(1, 4 * p * p)
     while num % p == 0:
         num += 1
@@ -29,7 +29,7 @@ def random_unit(rng: random.Random, p: int, K: int = DEFAULT_PRECISION):
     # num/den must be a 1-unit, so for odd p the residues have to agree
     while den % p != num % p if p > 2 else den % p == 0:
         den += 1
-    return make_unit(p, num, den, K)
+    return make_unit(p, num, den)
 
 
 def random_padic(rng: random.Random, p: int) -> PAdicBlock:
@@ -61,28 +61,27 @@ def random_padic(rng: random.Random, p: int) -> PAdicBlock:
     raise RuntimeError("could not draw a valid block")
 
 
-def random_block(rng: random.Random, p: int, rank_budget: int,
-                 K: int = DEFAULT_PRECISION) -> PairExpr:
+def random_block(rng: random.Random, p: int, rank_budget: int) -> PairExpr:
     roll = rng.random()
     if roll < 0.10:
         return Trivial()
     if roll < 0.45:
-        return ZBlock(random_unit(rng, p, K))
+        return ZBlock(random_unit(rng, p))
     if roll < 0.65 and p == 2:
         return EBlock()
     block = random_padic(rng, p)
     if block.n <= rank_budget:
         return block
-    return ZBlock(random_unit(rng, p, K))
+    return ZBlock(random_unit(rng, p))
 
 
 def random_expr(rng: random.Random, p: int, max_rank: int = 8,
-                depth: int = 3, K: int = DEFAULT_PRECISION) -> PairExpr:
+                depth: int = 3) -> PairExpr:
     """A normalized random expression with rank <= max_rank."""
 
     def go(d: int, budget: int) -> PairExpr:
         if d == 0 or budget <= 1 or rng.random() < 0.45:
-            return random_block(rng, p, budget, K)
+            return random_block(rng, p, budget)
         if rng.random() < 0.6:
             k = rng.choice([2, 3])
             parts = []
@@ -99,7 +98,7 @@ def random_expr(rng: random.Random, p: int, max_rank: int = 8,
     for _ in range(200):
         cand = go(depth, max_rank)
         try:
-            out = normalize(cand, p, K)
+            out = normalize(cand, p)
         except ValidationError:
             continue
         if rank(out) <= max_rank:
@@ -107,15 +106,14 @@ def random_expr(rng: random.Random, p: int, max_rank: int = 8,
     raise RuntimeError("could not draw an expression within the rank budget")
 
 
-def random_ext_rooted(rng: random.Random, p: int, max_h1: int = 6,
-                      K: int = DEFAULT_PRECISION) -> Ext:
+def random_ext_rooted(rng: random.Random, p: int, max_h1: int = 6) -> Ext:
     """A normalized Ext-rooted expression with dim H^1 <= max_h1."""
     for _ in range(500):
         m = rng.choice([1, 1, 2])
-        base = random_expr(rng, p, max_rank=max(1, max_h1 - m), depth=2, K=K)
+        base = random_expr(rng, p, max_rank=max(1, max_h1 - m), depth=2)
         if rank(base) == 0:
             continue
-        out = normalize(Ext(m, base), p, K)
+        out = normalize(Ext(m, base), p)
         if isinstance(out, Ext) and rank(out) <= max_h1:
             return out
     raise RuntimeError("could not draw an Ext-rooted expression")

@@ -44,7 +44,6 @@ from .cohomology import GradedAlgebra, build_cohomology
 from .errors import DimensionTooLarge, NotAnExtension, ValidationError
 from .fplinear import batch_rank, rank, row_space_basis, rref, xor_rank
 from .pairs import Ext, PairExpr, normalize
-from .units import DEFAULT_PRECISION
 
 # A scan lists all p^d vectors of A_1 in its output, so the bound is set by
 # output size.  Working memory is fixed by the chunk budgets whatever the
@@ -292,18 +291,14 @@ class RigidityCriterionReport:
     counterexamples: tuple[str, ...]
 
 
-def check_rigidity_criterion(
-    e: PairExpr,
-    p: int,
-    K: int = DEFAULT_PRECISION,
-) -> RigidityCriterionReport:
+def check_rigidity_criterion(e: PairExpr, p: int) -> RigidityCriterionReport:
     """Every degree-one class outside the inflation subspace of an
     extension must be rigid; scan them all and report violations."""
-    ne = normalize(e, p, K)
+    ne = normalize(e, p)
     if not isinstance(ne, Ext):
         raise NotAnExtension(f"normal form {type(ne).__name__} has no extension root")
     _check_bound(p, ne.rank())  # before building the ring and its gram
-    alg = build_cohomology(ne, p, 2, K)
+    alg = build_cohomology(ne, p, 2)
     bmap = from_cohomology(alg)
     t = alg.meta["ext_inflation_dim"]
     vecs, flags = _scan(bmap)

@@ -1,95 +1,102 @@
-"""Truncated p-adic units and invariants of their finitely generated subgroups.
+"""Exact p-adic units and invariants of their finitely generated subgroups.
 
-Units are residues mod p^K that are congruent to 1 mod p (for p = 2 that
-means every odd residue, since Z_2^x = {+-1} x (1+4 Z_2) and -1 = 1 mod 2).
-The subgroup invariants computed here are the ones that classify theta-images:
-the q-invariant, the epsilon component, and the index of squares.  The
-q-invariant and the index of squares are read off p-adic valuations of the
-generators; the literal closure ``enumerate_subgroup`` is the test oracle.
+A unit is held by its sign and its depth: u = sign*(1 + p^depth*w) with w
+a p-adic unit, and depth = INF when u = sign.  At odd p the units are the
+1-units 1 + pZ_p, with sign +1 and depth >= 1.  At p = 2 they are all of
+Z_2^x = {+-1} x (1 + 4Z_2): the sign is -1 exactly when u = 3 mod 4, and
+the depth is at least 2.  The invariants that classify theta-images (the
+q-invariant, the epsilon component and the index of squares) are read off
+signs and depths alone, so no modulus enters and every answer is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import (
-    DenominatorNotInvertible,
-    NotAUnit,
-    PrecisionExhausted,
-    ValidationError,
-)
+from .errors import DenominatorNotInvertible, NotAUnit, ValidationError
 from .fplinear import is_prime
 
-DEFAULT_PRECISION = 64
+INF = math.inf
 
 
-@dataclass(frozen=True)
+def valuation(n: int, p: int) -> int | float:
+    """v_p(n), and INF for n = 0."""
+    if n == 0:
+        return INF
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+@dataclass(frozen=True, eq=False)
 class PAdicUnit:
-    """A 1-unit of Z_p known mod p^K.
+    """The unit sign*(1 + p^depth*w) of Z_p, held exactly.
 
-    ``num``/``den`` record the rational the unit came from when known; they
-    are provenance only and do not take part in equality.
+    ``make_unit`` builds a unit from a rational num/den and keeps the pair
+    in ``given``; two such units are equal when their rationals are.  A
+    unit built from its sign and depth alone is sign/(1 - sign*p^depth),
+    the form of every Demuskin-block generator; its ``num`` and ``den``
+    are formed only when asked for, so a depth of 10^20 costs nothing.
     """
 
     p: int
-    value: int
-    K: int = DEFAULT_PRECISION
-    num: int | None = field(default=None, compare=False)
-    den: int | None = field(default=None, compare=False)
+    sign: int
+    depth: int | float
+    given: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValidationError(f"{self.p} is not prime")
-        if self.K < 1:
-            raise ValidationError("precision must be at least 1")
-        v = self.value % self.p**self.K
-        if v % self.p != 1 % self.p:
-            raise NotAUnit(f"{self.value} is not congruent to 1 mod {self.p}")
-        object.__setattr__(self, "value", v)
+        signs, least_depth = ((1, -1), 2) if self.p == 2 else ((1,), 1)
+        if self.sign not in signs or self.depth < least_depth:
+            raise NotAUnit(f"{self.num}/{self.den} is not a 1-unit at p={self.p}")
 
     @property
-    def modulus(self) -> int:
-        return self.p**self.K
+    def num(self) -> int:
+        return self.sign if self.given is None else self.given[0]
 
-    def reduce(self, K: int) -> "PAdicUnit":
-        if K > self.K:
-            raise ValidationError("cannot increase precision by reduction")
-        return PAdicUnit(self.p, self.value % self.p**K, K, self.num, self.den)
+    @property
+    def den(self) -> int:
+        if self.given is not None:
+            return self.given[1]
+        return 1 if self.depth == INF else 1 - self.sign * self.p**self.depth
 
-    def __mul__(self, other: "PAdicUnit") -> "PAdicUnit":
-        if self.p != other.p:
-            raise ValidationError("mixed primes")
-        K = min(self.K, other.K)
-        return PAdicUnit(self.p, (self.value * other.value) % self.p**K, K)
+    def _key(self) -> tuple:
+        return (self.p, self.sign, self.depth,
+                None if self.given is None else Fraction(*self.given))
 
-    def inverse(self) -> "PAdicUnit":
-        return PAdicUnit(self.p, pow(self.value, -1, self.modulus), self.K)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PAdicUnit) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json(self) -> dict:
-        if self.num is not None and self.den is not None:
-            return {"num": self.num, "den": self.den}
-        return {"residue": self.value, "precision": self.K}
+        return {"num": self.num, "den": self.den}
 
 
-def make_unit(p: int, num: int, den: int = 1, K: int = DEFAULT_PRECISION) -> PAdicUnit:
-    """The residue of num/den mod p^K as a 1-unit.
+def make_unit(p: int, num: int, den: int = 1) -> PAdicUnit:
+    """num/den as a unit of Z_p; its sign and depth are read off num +- den.
 
     Raises DenominatorNotInvertible when p | den and NotAUnit when the
     value is not a 1-unit (for odd p: not in 1 + pZ_p).
     """
     if den % p == 0:
         raise DenominatorNotInvertible(f"{den} is divisible by {p}")
-    value = num * pow(den, -1, p**K) % p**K
-    if value % p != 1 % p:
-        raise NotAUnit(f"{num}/{den} = {value} mod {p}^{K} is not a 1-unit")
-    return PAdicUnit(p, value, K, num=num, den=den)
+    # sign*num/den - 1 = (sign*num - den)/den, and p does not divide den
+    sign = -1 if p == 2 and (num + den) % 4 == 0 else 1
+    return PAdicUnit(p, sign, valuation(sign * num - den, p), (num, den))
 
 
 def epsilon_of(u: PAdicUnit) -> int:
     """The epsilon component: 0 for odd p; for p=2 whether u = -1 mod 4."""
-    if u.p != 2:
-        return 0
-    return 0 if u.value % 4 == 1 else 1
+    return int(u.sign < 0)
 
 
 @dataclass(frozen=True)
@@ -125,89 +132,43 @@ class UnitSubgroupInvariants:
         return out
 
 
-def _square_index(values: list[int], K: int) -> int:
-    """[G : G^2] for the subgroup G of (Z/2^K)^x generated by ``values``.
+def _square_index(units: list[PAdicUnit]) -> int:
+    """[G : G^2] for the closed subgroup G of Z_2^x generated by ``units``.
 
-    Write u = (-1)^a(u) 5^b(u) with a(u) = [u = 3 mod 4] (K >= 3).  The
-    depth k(u) of u is v_2(5^b - 1) = v_2(b) + 2, or K when 5^b = 1
-    mod 2^K, so G sits in Z/2 x Z/2^(K-2) through (a, b) and depth
-    orders the b's by valuation.  Let g have the least depth k0.  When
-    k0 < K, every generator is c (a(g), b(g)) + (e, 0), with c odd exactly
-    when its depth is k0; so e(u) = 1 exactly when a(u) != a(g) [k(u) = k0].
-    G is cyclic, of index 2, unless some e(u) = 1; then (1, 0) lies
-    outside the nontrivial <(a(g), b(g))>, since k0 < K, and the index
-    is 4.  When k0 = K, G lies in {+-1}: index 2 if it holds -1, else 1.
+    Write u = (-1)^a(u) 5^b(u) with a(u) = [u = 3 mod 4].  The depth k(u)
+    of u is v_2(5^b - 1) = v_2(b) + 2, or INF when b = 0, so G sits in
+    Z/2 x Z_2 through (a, b) and depth orders the b's by valuation.  Let g
+    have the least depth k0.  When k0 is finite, every generator is
+    c (a(g), b(g)) + (e, 0), with c odd exactly when its depth is k0; so
+    e(u) = 1 exactly when a(u) != a(g) [k(u) = k0].  G is procyclic, of
+    index 2, unless some e(u) = 1; then (1, 0) lies outside the nontrivial
+    <(a(g), b(g))>, and the index is 4.  When k0 = INF, G lies in {+-1}:
+    index 2 if it holds -1, else 1.
     """
-    mod = 1 << K
-    signs, depths = [], []
-    for u in values:
-        a = u % 4 == 3
-        d = (-u if a else u) % mod - 1
-        signs.append(a)
-        depths.append((d & -d).bit_length() - 1 if d else K)
-    k0 = min(depths, default=K)
-    if k0 == K:
-        return 2 if any(signs) else 1
-    a0 = signs[depths.index(k0)]
-    if any(a != (a0 and k == k0) for a, k in zip(signs, depths)):
+    k0 = min((u.depth for u in units), default=INF)
+    if k0 == INF:
+        return 2 if any(u.sign < 0 for u in units) else 1
+    a0 = next(u.sign < 0 for u in units if u.depth == k0)
+    if any((u.sign < 0) != (a0 and u.depth == k0) for u in units):
         return 4
     return 2
 
 
-def subgroup_invariants(
-    p: int, generators: list[PAdicUnit], K: int | None = None
-) -> UnitSubgroupInvariants:
-    """Invariants of the subgroup generated by the given units mod p^K.
+def subgroup_invariants(p: int, generators: list[PAdicUnit]) -> UnitSubgroupInvariants:
+    """Invariants of the subgroup generated by the given units, exactly.
 
-    Raises PrecisionExhausted when the q-invariant would need digits beyond
-    K-2, where truncation can no longer distinguish it from larger values.
+    v_p(u - 1) is 1 for a sign of -1 (p = 2) and the depth otherwise, so q
+    is p to the least of these.
     """
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     for g in generators:
         if g.p != p:
             raise ValidationError("generator prime does not match")
-    if K is None:
-        K = min((g.K for g in generators), default=DEFAULT_PRECISION)
-    mod = p**K
-    values = [g.value % mod for g in generators]
-    nontrivial = [v for v in values if v != 1]
-    q = 0
-    if nontrivial:
-        t_min = K
-        for v in nontrivial:
-            d = (v - 1) % mod
-            t = 0
-            while d % p == 0:
-                d //= p
-                t += 1
-            t_min = min(t_min, t)
-        if p**t_min >= p ** (K - 2):
-            raise PrecisionExhausted(
-                f"q-invariant would be >= {p}^{K - 2}; rerun at higher precision"
-            )
-        q = p**t_min
+    t = min((1 if g.sign < 0 else g.depth for g in generators), default=INF)
+    trivial = t == INF
+    q = 0 if trivial else p**t
     if p != 2:
-        return UnitSubgroupInvariants(p, not nontrivial, q, None, None)
-    eps = any(v % 4 != 1 for v in values)
-    return UnitSubgroupInvariants(p, not nontrivial, q, eps, _square_index(values, K))
-
-
-def enumerate_subgroup(p: int, generators: list[PAdicUnit], K: int) -> set[int]:
-    """Literal closure of the generated subgroup mod p^K (test oracle).
-
-    Only sensible at small K; see subgroup_invariants for the production
-    route.
-    """
-    mod = p**K
-    gens = [g.value % mod for g in generators]
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in ((x * g) % mod, (x * pow(g, -1, mod)) % mod):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return seen
+        return UnitSubgroupInvariants(p, trivial, q, None, None)
+    eps = any(g.sign < 0 for g in generators)
+    return UnitSubgroupInvariants(p, trivial, q, eps, _square_index(generators))

@@ -252,7 +252,7 @@ def test_field_trichotomic_and_omember(capsys):
 
 
 @pytest.mark.parametrize("flag,cap,argv", [
-    ("--precision", cli.MAX_PRECISION, ["invariants", "--p", "2", "ext(1,Z(5))"]),
+    ("--max-degree", cli.MAX_DEGREE, ["logl", "--p", "2", "E"]),
     ("--bound", cli.MAX_BOUND, ["field", "trichotomic", "--p", "2",
                                 "--model", DYADIC, "--a", "2"]),
     ("--max-degree", cli.MAX_DEGREE, ["cohom", "--p", "2", "E"]),
@@ -269,8 +269,8 @@ def test_precision_and_bound_caps(capsys, flag, cap, argv):
 
 
 @pytest.mark.parametrize("flag,floor,message,argv", [
-    ("--precision", 8, f"--precision must be between 8 and {cli.MAX_PRECISION}",
-     ["invariants", "--p", "2", "ext(1,Z(5))"]),
+    ("--max-degree", 2, f"--max-degree must be between 2 and {cli.MAX_DEGREE}",
+     ["logl", "--p", "2", "E"]),
     ("--max-degree", 2, f"--max-degree must be between 2 and {cli.MAX_DEGREE}",
      ["cohom", "--p", "2", "E"]),
     ("--bound", 1, f"--bound must be between 1 and {cli.MAX_BOUND}",
@@ -436,10 +436,18 @@ def test_oracle_errors_exit_one(capsys):
       for h in ("5", '[[0],[1],"x"]', "[[0],[true]]", '{"a":1}')),
     ["classgroup", "--model", '{"kind":"FiniteField","params":{"q":%s}}' % HUGE],
     ["symbol", "--model", DYADIC, "--a", HUGE, "--b", "2"],
+    # JSON numbers that are not integers are refused, not truncated
+    ["classgroup", "--model", '{"kind":"FiniteField","params":{"q":5.9}}'],
+    ["classgroup", "--model", '{"kind":"FiniteField","params":{"q":"7"}}'],
+    ["classgroup", "--model",
+     '{"kind":"Laurent","params":{"base":%s},"precision":8.7}' % FF5],
+    ["symbol", "--model", DYADIC, "--a", '{"num":2.5}', "--b", "2"],
+    ["symbol", "--model", F5T, "--a", '{"v":1.9,"coeffs":[1]}', "--b", "2"],
 ], ids=["no-q", "list-params", "q-not-int", "list-kind", "no-base",
         "precision-not-int", "zero-den", "num-not-int", "v-not-int",
         "coeffs-not-list", "bool-element", "h-int", "h-row-not-list",
-        "h-bool-entry", "h-object", "q-huge-literal", "a-huge-literal"])
+        "h-bool-entry", "h-object", "q-huge-literal", "a-huge-literal",
+        "q-float", "q-string", "precision-float", "num-float", "v-float"])
 def test_bad_field_json_exits_one(capsys, argv):
     code = main(["field", *argv[:1], "--p", "2", *argv[1:]])
     captured = capsys.readouterr()
@@ -495,6 +503,23 @@ def test_huge_demuskin_exponent_runs_fast(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 0
     json.loads(out)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["demuskin", "padic(n=4,case=IV,f=64)"],
+     '{"case":"IV","isDemuskin":true,"n":4,"q":2}'),
+    (["demuskin", "padic(n=4,case=IV,f=100000000000000000000)"],
+     '{"case":"IV","isDemuskin":true,"n":4,"q":2}'),
+    (["invariants", "ext(1,Z(36893488147419103233))"],
+     '{"abelianization":[36893488147419103232,0],"logl":1,"rank":2}'),
+], ids=["case-IV-f-64", "case-IV-f-1e20", "q-2^65"])
+def test_theta_invariants_are_exact(capsys, argv, expected):
+    """Case IV keeps its -1 and its 1/(1 - 2^f) apart at any f, and
+    alpha = 2^65 + 1 twists the fibre by 2^65: no modulus truncates them."""
+    start = time.perf_counter()
+    code, out = run(capsys, argv[0], "--p", "2", *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert (code, out.strip()) == (0, expected)
 
 
 @pytest.mark.parametrize("text", [

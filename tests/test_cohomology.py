@@ -82,7 +82,7 @@ def test_degree_too_small():
 
 def test_basis_bound(monkeypatch):
     e = parse("ext(6,triv)", 3)
-    count = sum(dims_closed_form(normalize(e, 3, 32), 3, 6))  # 2^6
+    count = sum(dims_closed_form(normalize(e, 3), 3, 6))  # 2^6
     monkeypatch.setattr(cohomology, "MAX_BASIS", count)
     assert sum(build_cohomology(e, 3, 6).dims) == count
     monkeypatch.setattr(cohomology, "MAX_BASIS", count - 1)

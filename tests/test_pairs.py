@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from etkit.errors import ParseError, ValidationError
@@ -27,13 +27,14 @@ from etkit.pairs import (
 )
 from etkit.randexpr import random_expr
 from etkit.units import make_unit
+from unit_closure import closure_invariants, depth
 
 
 def test_parse_blocks():
     assert parse("triv", 2) == Trivial()
     assert parse("E", 2) == EBlock()
     z = parse("Z(5)", 2)
-    assert isinstance(z, ZBlock) and z.alpha.value == 5
+    assert isinstance(z, ZBlock) and z.alpha == make_unit(2, 5)
     z = parse("Z(-1/3)", 2)
     assert isinstance(z, ZBlock) and z.alpha.num == -1 and z.alpha.den == 3
 
@@ -123,7 +124,7 @@ def test_normalize_ext_rules():
     n = normalize(parse("ext(1, ext(2, Z(5)))", 2), 2)
     assert isinstance(n, Ext) and n.m == 3 and isinstance(n.base, ZBlock)
     z = normalize(parse("ext(1, triv)", 2), 2)
-    assert isinstance(z, ZBlock) and z.alpha.value == 1
+    assert isinstance(z, ZBlock) and z.alpha == make_unit(2, 1)
 
 
 def test_normalize_fills_s():
@@ -162,6 +163,52 @@ def test_theta_generators_and_image():
     assert inv.q_invariant == 2 and inv.square_index == 4
     inv = theta_image(parse("Z(5) * Z(9)", 2), 2)
     assert inv.q_invariant == 4
+
+
+@st.composite
+def theta_cases(draw):
+    """A random_expr draw at p in {2, 3}; at p = 2, maybe beside a Case III
+    or IV block with f in 2..12."""
+    p = draw(st.sampled_from([2, 3]))
+    e = random_expr(random.Random(draw(st.integers(0, 2**32))), p, max_rank=6)
+    if p == 2 and draw(st.booleans()):
+        block = PAdicBlock(n=4, q=2, case=draw(st.sampled_from(["III", "IV"])),
+                           f=draw(st.integers(2, 12)))
+        e = FreeProd((e, block))
+    return p, e
+
+
+def _theta_rationals(e):
+    """The theta values of a tree's generators as rationals, from the
+    block formulas, with 2^inf = 0."""
+    if isinstance(e, ZBlock):
+        return [(e.alpha.num, e.alpha.den)]
+    if isinstance(e, EBlock):
+        return [(-1, 1)]
+    if isinstance(e, PAdicBlock):
+        if e.case == "I":
+            return [(1, 1 - e.q)]
+        tf = 0 if e.f == math.inf else 2**e.f
+        return [(-1, 1 + tf)] if e.case == "III" else [(-1, 1), (1, 1 - tf)]
+    if isinstance(e, FreeProd):
+        return [r for f in e.factors for r in _theta_rationals(f)]
+    return _theta_rationals(e.base) if isinstance(e, Ext) else []
+
+
+@given(theta_cases())
+@example((2, PAdicBlock(n=4, q=2, case="IV", f=12)))
+@example((2, PAdicBlock(n=4, q=2, case="III", f=12)))
+@example((2, parse("Z(-7) * Z(9) * padic(n=4,case=IV,f=3)", 2)))
+@example((2, parse("padic(n=4,case=III,f=2) * Z(-5)", 2)))  # both -(1 + 4w)
+def test_theta_image_matches_closure(case):
+    """theta_image of a whole tree against the literal closure of its
+    theta values mod p^K, with K above every finite depth + 2."""
+    p, e = case
+    rationals = _theta_rationals(e)
+    K = 3 + max((d for d in (depth(p, *r) for r in rationals) if d != math.inf),
+                default=0)
+    assert K <= 15  # the drawn depths; this also keeps the closure small
+    assert theta_image(e, p) == closure_invariants(p, rationals, K)
 
 
 def test_abelianization():

@@ -1,26 +1,21 @@
+import math
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from etkit.errors import (
-    DenominatorNotInvertible,
-    NotAUnit,
-    PrecisionExhausted,
-    ValidationError,
-)
-from etkit.units import (
-    PAdicUnit,
-    enumerate_subgroup,
-    epsilon_of,
-    make_unit,
-    subgroup_invariants,
-)
+from etkit.errors import DenominatorNotInvertible, NotAUnit
+from etkit.units import PAdicUnit, epsilon_of, make_unit, subgroup_invariants
+from unit_closure import closure_invariants, depth
 
 
 def test_make_unit_reduces_rationals():
     u = make_unit(2, -1, 3)
-    assert u.value == (-pow(3, -1, 2**64)) % 2**64
+    # -1/3 = 1 + 4*(-1/3): sign +1, depth 2
+    assert (u.sign, u.depth) == (1, 2)
     assert u.num == -1 and u.den == 3
+    assert make_unit(2, 3, 5) == make_unit(2, 9, 15) != make_unit(2, 3)
+    assert (make_unit(3, 7, 7).depth, make_unit(2, -5, 5).sign) == (math.inf, -1)
 
 
 def test_make_unit_rejects_bad_inputs():
@@ -30,14 +25,6 @@ def test_make_unit_rejects_bad_inputs():
         make_unit(2, 4, 1)
     with pytest.raises(NotAUnit):
         make_unit(3, 2, 1)
-
-
-def test_multiplication_and_inverse():
-    u = make_unit(2, 3)
-    v = make_unit(2, 5)
-    w = u * v
-    assert w.value == 15
-    assert (u * u.inverse()).value == 1
 
 
 def test_epsilon_values():
@@ -50,24 +37,29 @@ def test_epsilon_values():
 
 def test_to_json_prefers_provenance():
     assert make_unit(2, -1, 3).to_json() == {"num": -1, "den": 3}
-    raw = PAdicUnit(2, 5, 16)
-    assert raw.to_json() == {"residue": 5, "precision": 16}
+    # a unit given by sign and depth is sign/(1 - sign*p^depth)
+    assert PAdicUnit(2, 1, 2).to_json() == {"num": 1, "den": -3}
+    assert PAdicUnit(2, -1, math.inf).to_json() == {"num": -1, "den": 1}
 
 
 def test_q_invariant_examples():
-    inv = subgroup_invariants(2, [make_unit(2, 5)], K=16)
+    inv = subgroup_invariants(2, [make_unit(2, 5)])
     assert inv.q_invariant == 4 and not inv.eps_nonzero
-    inv = subgroup_invariants(2, [make_unit(2, -1)], K=16)
+    inv = subgroup_invariants(2, [make_unit(2, -1)])
     assert inv.q_invariant == 2 and inv.eps_nonzero
-    inv = subgroup_invariants(3, [make_unit(3, 4)], K=16)
+    inv = subgroup_invariants(3, [make_unit(3, 4)])
     assert inv.q_invariant == 3
-    inv = subgroup_invariants(2, [make_unit(2, 1)], K=16)
+    inv = subgroup_invariants(2, [make_unit(2, 1)])
     assert inv.trivial and inv.q_invariant == 0
 
 
-def test_precision_exhausted_on_deep_units():
-    with pytest.raises(PrecisionExhausted):
-        subgroup_invariants(2, [make_unit(2, 1 + 2**14, 1, 16)], K=16)
+def test_deep_units_are_exact():
+    # exactly: 1 + 2^14 generates 1 + 2^14 Z_2
+    inv = subgroup_invariants(2, [make_unit(2, 1 + 2**14)])
+    assert (inv.trivial, inv.q_invariant, inv.eps_nonzero, inv.square_index) == (
+        False, 2**14, False, 2)
+    inv = subgroup_invariants(3, [make_unit(3, 1 + 3**200)])
+    assert inv.q_invariant == 3**200
 
 
 def test_q2_theta_image_invariants():
@@ -79,7 +71,7 @@ def test_q2_theta_image_invariants():
 
 
 def _units(K, *nums):
-    return K, [make_unit(2, n, 1, K) for n in nums]
+    return K, nums
 
 
 @st.composite
@@ -103,29 +95,11 @@ def generator_sets(draw):
 @example(_units(10, -5, -1))  # the least depth has sign -1
 @example(_units(10, 1))
 def test_invariants_match_enumeration(case):
-    """Two-route check at low precision: the invariants read off 2-adic
-    valuations against literal subgroup closure mod 2^K."""
-    K, gens = case
-    try:
-        inv = subgroup_invariants(2, gens, K=K)
-    except PrecisionExhausted:
+    """Two-route check: the invariants read off signs and 2-adic depths
+    against the literal subgroup closure mod 2^K.  The closure sees only
+    depths below K, so draws with a finite depth >= K are skipped."""
+    K, nums = case
+    if any(K <= depth(2, n, 1) < math.inf for n in nums):
         return
-    subgroup = enumerate_subgroup(2, gens, K)
-    mod = 1 << K
-    squares = {(x * x) % mod for x in subgroup}
-    assert inv.square_index == len(subgroup) // len(squares)
-    assert inv.eps_nonzero == any(x % 4 == 3 for x in subgroup)
-    if inv.trivial:
-        assert subgroup == {1}
-        return
-    # q-invariant: from the minimal valuation of g-1 over the subgroup
-    vals = []
-    for x in subgroup:
-        if x == 1:
-            continue
-        d, t = (x - 1) % mod, 0
-        while d % 2 == 0:
-            d //= 2
-            t += 1
-        vals.append(t)
-    assert inv.q_invariant == 2 ** min(vals)
+    gens = [make_unit(2, n) for n in nums]
+    assert subgroup_invariants(2, gens) == closure_invariants(2, [(n, 1) for n in nums], K)
