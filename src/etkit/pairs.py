@@ -107,10 +107,12 @@ class ZBlock(PairExpr):
         return {"type": "Z", "alpha": self.alpha.to_json()}
 
     def sort_key(self) -> tuple:
-        # alpha mod p^64, then the exact rational: this fixes the order of
-        # Z-blocks in normal forms, and the residue enters no invariant
+        # alpha mod p^64, the exact rational, then the written num/den:
+        # this fixes the order of Z-blocks in normal forms, equal values
+        # included, and the residue enters no invariant
         a, mod = self.alpha, self.alpha.p**64
-        return (1, (a.num * pow(a.den, -1, mod) % mod, Fraction(a.num, a.den)), ())
+        return (1, (a.num * pow(a.den, -1, mod) % mod, Fraction(a.num, a.den),
+                    (a.num, a.den)), ())
 
     def rank(self) -> int:
         return 1

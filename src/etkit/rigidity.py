@@ -239,21 +239,17 @@ def _n_basis(bmap: AugBilinearMap) -> np.ndarray:
 
 
 def vector_label(bmap: AugBilinearMap, v) -> str:
-    """Human-readable name of a coefficient vector in the map's basis."""
-    parts = []
-    for c, lbl in zip(np.asarray(v) % bmap.p, bmap.labels):
-        c = int(c)
-        if not c:
-            continue
-        if c == 1:
-            parts.append(lbl)
-        elif bmap.multiplicative:
-            parts.append(f"{lbl}^{c}")
-        else:
-            parts.append(f"{c}*{lbl}")
-    if not parts:
+    """Human-readable name of a coefficient vector in the map's basis.  A
+    multiplicative label with a "+" is put in parentheses unless it
+    stands alone."""
+    terms = [(int(c), lbl) for c, lbl in zip(np.asarray(v) % bmap.p, bmap.labels) if c]
+    if not terms:
         return "1" if bmap.multiplicative else "0"
-    return ("*" if bmap.multiplicative else "+").join(parts)
+    if not bmap.multiplicative:
+        return "+".join(lbl if c == 1 else f"{c}*{lbl}" for c, lbl in terms)
+    if len(terms) > 1 or terms[0][0] != 1:
+        terms = [(c, f"({lbl})" if "+" in lbl else lbl) for c, lbl in terms]
+    return "*".join(lbl if c == 1 else f"{lbl}^{c}" for c, lbl in terms)
 
 
 def n_subspace(bmap: AugBilinearMap) -> np.ndarray:
@@ -267,12 +263,16 @@ def _all_labels(bmap: AugBilinearMap) -> list[str]:
     sep = "*" if bmap.multiplicative else "+"
     labels = [""]
     for lbl in bmap.labels:
+        factor = f"({lbl})" if bmap.multiplicative and "+" in lbl else lbl
         terms = [""] + [
-            lbl if c == 1 else f"{lbl}^{c}" if bmap.multiplicative else f"{c}*{lbl}"
+            factor if c == 1 else f"{factor}^{c}" if bmap.multiplicative else f"{c}*{lbl}"
             for c in range(1, bmap.p)
         ]
         labels = [f"{a}{sep}{t}" if a and t else a + t for a in labels for t in terms]
     labels[0] = "1" if bmap.multiplicative else "0"
+    # a basis vector alone keeps its label bare
+    for i, lbl in enumerate(reversed(bmap.labels)):
+        labels[bmap.p ** i] = lbl
     return labels
 
 

@@ -99,7 +99,7 @@ MODELS = {
         _rational("ComplexField"), _laurent(_ff(7), "t"),
         _laurent(_laurent(_ff(7), "t"), "u")],
 }
-# the bounded total-rigidity search is fast only on these at p = 3
+# the kinds whose p = 3 rigidity output the corpus holds
 RIGIDITY_KINDS_P3 = ("FiniteField", "ComplexField")
 # a search bound for trichotomic and omember that keeps the tower cases fast
 BOUND = ["--bound", "50"]

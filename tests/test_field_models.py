@@ -13,6 +13,7 @@ from etkit.errors import InvalidModel, PrecisionExhausted, ValidationError
 from etkit.field_models import (
     ComplexField,
     DyadicRational,
+    FieldModel,
     FiniteField,
     Laurent,
     LocalRational,
@@ -35,6 +36,7 @@ from etkit.field_models import (
 )
 from etkit.laurent import LaurentRing, Series
 from etkit.pairs import EBlock, Ext, PAdicBlock, ZBlock
+from etkit.rigidity import _all_labels, _all_vectors, rigidity_report, vector_label
 from etkit.smallfields import gf
 
 F7T = Laurent(FiniteField(7), "t", 8)
@@ -286,8 +288,9 @@ class _SquaresOnly(DyadicRational):
     """Q_2 where 1 lies in aS + bS only when a or b is a square: St_2(S)
     is then 0, so only the converse check can refute total rigidity."""
 
-    def one_in_sum(self, p, a, b):
-        return not any(class_of(self, p, a)) or not any(class_of(self, p, b))
+    def pair_set(self, p):
+        vecs = list(iter_product(range(p), repeat=3))
+        return {(a, b) for a in vecs for b in vecs if not any(a) or not any(b)}
 
 
 def test_total_rigidity_converse():
@@ -298,6 +301,19 @@ def test_total_rigidity_converse():
     assert v.decided_pairs == v.total_pairs == 64
 
 
+@pytest.mark.parametrize("model,total", [
+    (LocalRational(7), 81), (LocalRational(13), 81), (F7T, 81),
+    (Laurent(Laurent(FiniteField(7), "t"), "u"), 729),
+], ids=repr)
+def test_total_rigidity_decides_every_pair_at_odd_p(model, total):
+    v = is_totally_rigid_bounded(model, 3)
+    assert v.verdict == "TotallyRigid" and v.witness is None
+    # -1 is a cube, so D is spanned by the a (x) a: the symmetric tensors
+    d = len(model.basis(3))
+    assert v.st_dim == v.d_dim == d * (d + 1) // 2
+    assert v.decided_pairs == v.total_pairs == total
+
+
 def test_element_pool_deterministic():
     first = [F7T.domain().render(x)
              for _, x in zip(range(6), F7T.pool(3))]
@@ -306,26 +322,6 @@ def test_element_pool_deterministic():
     assert first == second
     pool = list(zip(range(5), DyadicRational().pool(2)))
     assert [x for _, x in pool][:3] == [Fraction(-1), Fraction(2), Fraction(5)]
-
-
-def test_total_rigidity_builds_each_coset_representative_once(monkeypatch):
-    model = Laurent(Laurent(FiniteField(7), "t", 4), "u", 4)
-    reps = [r for _, r in model.basis(2)]
-    d = len(reps)
-    calls = 0
-    real_pow = LaurentRing.pow_
-
-    def counting_pow(self, x, n):
-        nonlocal calls
-        if any(x == r for r in reps):
-            calls += 1
-        return real_pow(self, x, n)
-
-    monkeypatch.setattr(LaurentRing, "pow_", counting_pow)
-    v = is_totally_rigid_bounded(model, 2)
-    assert v.total_pairs == 2 ** (2 * d)
-    # one power per nonzero coordinate of each of the p^d coset vectors
-    assert 0 < calls <= d * 2 ** d
 
 
 # -- the tame symbol against its full-series route ------------------------
@@ -655,3 +651,129 @@ def test_laurent_pow_matches_right_to_left(case, n):
     x = x if x.zero else ring._norm(x.v, list(x.coeffs))
     assert (_pow_outcome(LaurentRing.pow_, ring, x, n)
             == _pow_outcome(_pow_right_to_left, ring, x, n))
+
+
+# -- the pair sets against the deleted searches and the symbol tensor -------
+
+
+def _one_in_sum_double_loop(q, p, a, b):
+    """Does 1 lie in aS + bS in F_q?  Every pair of p-th powers tried."""
+    f = gf(q)
+    powers = {f.pow_(x, p) for x in f.units()}
+    return any(f.add(f.mul(a, s1), f.mul(b, s2)) == 1
+               for s1 in powers for s2 in powers)
+
+
+@pytest.mark.parametrize("q,p", [(q, p) for q in (3, 4, 5, 7, 9, 13, 25, 49)
+                                 for p in (2, 3) if (q - 1) % p == 0])
+def test_finite_pair_set_matches_double_loop(q, p):
+    f = gf(q)
+    pairs = FiniteField(q).pair_set(p)
+    for i, j in iter_product(range(p), repeat=2):
+        a, b = f.pow_(f.generator, i), f.pow_(f.generator, j)
+        assert (((i,), (j,)) in pairs) == _one_in_sum_double_loop(q, p, a, b), (i, j)
+
+
+def _coset_reps(model, p):
+    """(class vector, representative) for every class, from the basis."""
+    ops = model.domain()
+    reps = [r for _, r in model.basis(p)]
+    out = []
+    for vec in iter_product(range(p), repeat=len(reps)):
+        acc = ops.one
+        for c, r in zip(vec, reps):
+            if c:
+                acc = ops.mul(acc, ops.pow_(r, c))
+        out.append((vec, acc))
+    return out
+
+
+def _one_in_sum_pool_search(model, p, a, b, search=60):
+    """The odd-p pool search: True when 1 - a*sigma^p has the class of b
+    for one of the first ``search`` pool elements sigma, else None."""
+    ops = model.domain()
+    for sigma in islice(model.pool(p), search):
+        try:
+            t = ops.sub(ops.one, ops.mul(a, ops.pow_(sigma, p)))
+            if ops.is_zero(t):
+                continue
+            if class_of(model, p, t) == class_of(model, p, b):
+                return True
+        except PrecisionExhausted:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("model,found", [
+    (LocalRational(7), 24), (LocalRational(13), 24), (F7T, 16),
+], ids=repr)
+def test_pool_search_pairs_lie_in_pair_set(model, found):
+    pairs = model.pair_set(3)
+    reps = _coset_reps(model, 3)
+    hits = [(va, vb) for va, ra in reps for vb, rb in reps
+            if _one_in_sum_pool_search(model, 3, ra, rb)]
+    assert len(hits) == found
+    assert set(hits) <= pairs
+
+
+@st.composite
+def _tame_models_at_two(draw):
+    """Q_ell for odd ell <= 31, or a tower of depth 1-2 over F_q."""
+    if draw(st.booleans()):
+        return LocalRational(draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])))
+    model = FiniteField(draw(st.sampled_from([3, 5, 7, 9, 11, 13, 25, 27])))
+    for var in "tu"[: draw(st.integers(1, 2))]:
+        model = Laurent(model, var, 4)
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tame_models_at_two())
+def test_tame_pair_set_is_symbol_zero_set_at_two(model):
+    # at p = 2 the form <a, b> represents 1 iff {a, b} = 0
+    assert model.pair_set(2) == FieldModel.pair_set(model, 2)
+
+
+@pytest.mark.parametrize("ell,p", [(3, 2), (5, 2), (7, 2), (13, 2), (7, 3), (13, 3)])
+def test_local_pair_set_is_sampled_pair_set(ell, p):
+    """(class x, class(1 - x)) over sampled rationals x, some of them
+    1 + ell^k*r, gives exactly P(Q_ell)."""
+    model = LocalRational(ell)
+    rng = random.Random(ell * 10 + p)
+    seen = set()
+    for _ in range(1500):
+        r = Fraction(rng.choice([1, -1]) * rng.randrange(1, 200), rng.randrange(1, 200))
+        x = r * Fraction(ell) ** rng.randrange(-3, 4)
+        if rng.random() < 0.3:
+            x = 1 + r * Fraction(ell) ** rng.randrange(1, 4)
+        if x not in (0, 1):
+            seen.add((class_of(model, p, x), class_of(model, p, 1 - x)))
+    assert seen == model.pair_set(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tower_symbol_inputs([1, 2]))
+def test_tower_pairs_of_elements_lie_in_pair_set(case):
+    model, p, x, _ = case
+    ops = model.domain()
+    try:
+        one_minus_x = ops.sub(ops.one, x)
+        if ops.is_zero(x) or ops.is_zero(one_minus_x):
+            return
+        pair = (class_of(model, p, x), class_of(model, p, one_minus_x))
+    except PrecisionExhausted:
+        return
+    assert pair in model.pair_set(p)
+
+
+# -- compound labels in rigidity reports ------------------------------------
+
+
+@pytest.mark.parametrize("model,p,rigid", [
+    (Laurent(FiniteField(9), "t"), 2, ["t", "w+1", "(w+1)*t"]),
+    (FiniteField(49), 3, ["w+2", "(w+2)^2"]),
+], ids=repr)
+def test_compound_labels_in_parentheses(model, p, rigid):
+    m = from_field_model(model, p)
+    assert _all_labels(m) == [vector_label(m, v) for v in _all_vectors(p, m.d)]
+    assert rigidity_report(m)["rigid"] == rigid

@@ -237,6 +237,15 @@ def test_exponents_past_float_precision_sort_exactly():
     assert structurally_isomorphic(a, b, 2)
 
 
+@pytest.mark.parametrize("left,right", [("Z(4/4)", "Z(7/7)"), ("Z(-2/-2)", "Z(1)")])
+def test_equal_z_blocks_normalize_in_one_order(left, right):
+    # equal values written differently: the written num/den breaks the tie
+    a = normalize(parse(f"{left}*{right}", 3), 3)
+    b = normalize(parse(f"{right}*{left}", 3), 3)
+    assert a == b
+    assert render(a) == render(b) == f"{left} * {right}"
+
+
 @given(st.integers(0, 2**32))
 def test_random_exprs_stay_valid_after_normalize(seed):
     rng = random.Random(seed)
