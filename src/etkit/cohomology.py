@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import fplinear
-from .errors import DegreeTooSmall, DimensionTooLarge, ValidationError
+from .errors import DegreeTooSmall, DimensionTooLarge, JsonRecord, ValidationError
 from .pairs import (
     EBlock,
     Ext,
@@ -343,20 +343,11 @@ def algebra_to_json(alg: GradedAlgebra) -> dict:
 
 
 @dataclass(frozen=True)
-class DemuskinVerdict:
+class DemuskinVerdict(JsonRecord):
     is_demuskin: bool
     n: int
     q: int | None
     case: str | None
-    f: float | int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "isDemuskin": self.is_demuskin,
-            "n": self.n,
-            "q": self.q,
-            "case": self.case,
-        }
 
 
 def _classify(p: int, q: int, n: int, square_index: int | None) -> str:
@@ -379,10 +370,8 @@ def is_demuskin(e: PairExpr, p: int) -> DemuskinVerdict:
     if ok:
         ok = fplinear.rank(alg.gram_matrix(), p) == n
     if not ok:
-        return DemuskinVerdict(False, n, q, None, None)
-    case = _classify(p, q, n, inv.square_index)
-    f = ne.f if isinstance(ne, PAdicBlock) else None
-    return DemuskinVerdict(True, n, q, case, f)
+        return DemuskinVerdict(False, n, q, None)
+    return DemuskinVerdict(True, n, q, _classify(p, q, n, inv.square_index))
 
 
 # ---------------------------------------------------------------------------

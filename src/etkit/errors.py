@@ -1,11 +1,13 @@
-"""Exception taxonomy shared across the package, and the integer rule of
-its JSON decoders.
+"""Exception taxonomy shared across the package, and the JSON rules: the
+integer rule of its decoders and the camelCase rule of its records.
 
 Every error raised by library code derives from :class:`EtkitError`, so
 callers (and the CLI) can distinguish "your input is bad" from genuine bugs.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 
 class EtkitError(Exception):
@@ -86,3 +88,14 @@ def int_param(data, key: str, error: type[EtkitError], message: str) -> int:
     if not is_int(value):
         raise error(message)
     return value
+
+
+class JsonRecord:
+    """A dataclass whose JSON is its fields, named in camelCase."""
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            head, *rest = f.name.split("_")
+            out[head + "".join(w.title() for w in rest)] = getattr(self, f.name)
+        return out

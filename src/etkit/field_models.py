@@ -29,6 +29,7 @@ from .errors import (
     DimensionTooLarge,
     InvalidModel,
     ModelUnsupported,
+    JsonRecord,
     PrecisionExhausted,
     ValidationError,
     int_param,
@@ -39,11 +40,13 @@ from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
 from .smallfields import GF, gf
-from .units import make_unit
+from .units import make_unit, valuation
 
 DEFAULT_SERIES_PRECISION = 16
 # README "Limits": the most coefficients a Laurent model keeps per series
 MAX_SERIES_PRECISION = 32
+# README "Limits": the most Laurent levels in a tower
+MAX_TOWER_DEPTH = 16
 # the most coset pairs p^(2d) that total rigidity decides
 TOTAL_RIGIDITY_BOUND = 4096
 
@@ -90,31 +93,23 @@ class _FracOps:
 def _val_unit(x: Fraction, ell: int) -> tuple[int, Fraction]:
     if x == 0:
         raise ValidationError("0 has no valuation")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % ell == 0:
-        num //= ell
-        v += 1
-    while den % ell == 0:
-        den //= ell
-        v -= 1
-    return v, Fraction(num, den)
+    v = valuation(x.numerator, ell) - valuation(x.denominator, ell)
+    return v, x / Fraction(ell) ** v
 
 
-def _residue(u: Fraction, ell: int) -> int:
-    """Unit rational mod ell."""
-    return (u.numerator * pow(u.denominator, -1, ell)) % ell
+def _residue(u: Fraction, m: int) -> int:
+    """A unit rational mod m."""
+    return (u.numerator * pow(u.denominator, -1, m)) % m
 
 
 def _eps2(u: Fraction) -> int:
     """(u-1)/2 mod 2 of a 2-adic unit given as an odd rational."""
-    return 0 if (u.numerator * pow(u.denominator, -1, 4)) % 4 == 1 else 1
+    return 0 if _residue(u, 4) == 1 else 1
 
 
 def _omega2(u: Fraction) -> int:
     """(u^2-1)/8 mod 2 of a 2-adic unit."""
-    m8 = (u.numerator * pow(u.denominator, -1, 8)) % 8
-    return 1 if m8 in (3, 5) else 0
+    return 1 if _residue(u, 8) in (3, 5) else 0
 
 
 def hilbert2(a: Fraction, b: Fraction) -> int:
@@ -276,6 +271,23 @@ class FieldModel(ABC):
         return {(rows[i], rows[j]) for i, j in np.argwhere(zero).tolist()}
 
 
+def _tame_tensor(residue: FieldModel, p: int) -> np.ndarray:
+    """The symbol tensor of a field complete for a discrete valuation,
+    tame for p, on the lifted basis of ``residue`` and then the
+    uniformizer t: the residue field's tensor on its classes, then the
+    class of the tame residue (-1)^(va*vb) ua^vb ub^(-va): for a residue
+    basis element c, {c, t} = class(c), {t, c} = -class(c), and
+    {t, t} = class(-1)."""
+    base = _symbol_tensor(residue, p)
+    k, e = base.shape[0], base.shape[2]
+    t = np.zeros((k + 1, k + 1, e + k), dtype=np.int64)
+    t[:k, :k, :e] = base
+    t[:k, k, e:] = np.eye(k, dtype=np.int64)
+    t[k, :k, e:] = (p - 1) * np.eye(k, dtype=np.int64)
+    t[k, k, e:] = class_of(residue, p, residue.domain().minus_one)
+    return t
+
+
 def _tame_pair_set(model: FieldModel, residue: FieldModel, p: int) -> set[tuple]:
     """P(K) of a field K, complete for a discrete valuation v, whose
     residue field ``residue`` has characteristic other than p, with the
@@ -356,15 +368,10 @@ class LocalRational(FieldModel):
 
     def class_of(self, p, a):
         v, u = _val_unit(a, self.ell)
-        f = gf(self.ell)
-        return (f.class_of(_residue(u, self.ell), p)[0], v % p)
+        return gf(self.ell).class_of(_residue(u, self.ell), p) + (v % p,)
 
     def symbol_tensor(self, p):
-        """The tame symbol on (g, ell): {g, ell} = g, {ell, g} = 1/g and
-        {ell, ell} = -1."""
-        f = gf(self.ell)
-        return np.array([[[0], [1]], [[p - 1], f.class_of(f.minus_one, p)]],
-                        dtype=np.int64)
+        return _tame_tensor(FiniteField(self.ell), p)
 
     def predict(self, p):
         return Ext(1, ZBlock(make_unit(p, self.ell)))
@@ -462,11 +469,13 @@ class Laurent(FieldModel):
             raise InvalidModel(
                 f"series precision must be in 2..{MAX_SERIES_PRECISION}"
             )
-        inner = self.base
+        inner, depth = self.base, 1
         while isinstance(inner, Laurent):
             if inner.var == self.var:
                 raise InvalidModel(f"variable {self.var!r} reused in the tower")
-            inner = inner.base
+            inner, depth = inner.base, depth + 1
+        if depth > MAX_TOWER_DEPTH:
+            raise InvalidModel(f"a Laurent tower has at most {MAX_TOWER_DEPTH} levels")
         self.base.check(p)
 
     @classmethod
@@ -514,17 +523,7 @@ class Laurent(FieldModel):
         return self.base.class_of(p, ring.lead(a)) + (v % p,)
 
     def symbol_tensor(self, p):
-        """The base's tensor on the base classes, then the class of the
-        tame residue (-1)^(va*vb) ua^vb ub^(-va): for a base basis element
-        c, {c, t} = class(c), {t, c} = -class(c), and {t, t} = class(-1)."""
-        base = _symbol_tensor(self.base, p)
-        k, e = base.shape[0], base.shape[2]
-        t = np.zeros((k + 1, k + 1, e + k), dtype=np.int64)
-        t[:k, :k, :e] = base
-        t[:k, k, e:] = np.eye(k, dtype=np.int64)
-        t[k, :k, e:] = (p - 1) * np.eye(k, dtype=np.int64)
-        t[k, k, e:] = class_of(self.base, p, self.base.domain().minus_one)
-        return t
+        return _tame_tensor(self.base, p)
 
     def predict(self, p):
         return Ext(1, self.base.predict(p))
@@ -654,19 +653,11 @@ def check_pairing_match(model: FieldModel, e: PairExpr, p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class TrichotomyResult:
+class TrichotomyResult(JsonRecord):
     verdict: str
     witness: str | None
     searched: int
-    bound: int
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "searched": self.searched,
-            "searchBound": self.bound,
-        }
+    search_bound: int
 
 
 def trichotomic_search(model: FieldModel, p: int, a,
@@ -703,24 +694,17 @@ def trichotomic_search(model: FieldModel, p: int, a,
 
 
 @dataclass(frozen=True)
-class OVerdict:
+class OVerdict(JsonRecord):
     target: str
     verdict: str
     search_bound: int
     witness: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "verdict": self.verdict,
-            "searchBound": self.search_bound,
-            "witness": self.witness,
-        }
 
-
-def _parse_h(h_spec, d: int, p: int) -> frozenset:
+def _parse_h(h_spec, d: int, p: int) -> frozenset | None:
+    """H as a set of class vectors, or None for all of F_p^d."""
     if h_spec == "all":
-        return frozenset(iter_product(range(p), repeat=d))
+        return None
     if not isinstance(h_spec, list) or not all(
         isinstance(row, list) and all(is_int(c) for c in row) for row in h_spec
     ):
@@ -757,7 +741,7 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     h = _parse_h(h_spec, len(model.basis(p)), p)
 
     def in_h(x) -> bool:
-        return class_of(model, p, x) in h
+        return h is None or class_of(model, p, x) in h
 
     def in_o_minus(x) -> bool:
         if not in_h(x):
@@ -806,23 +790,13 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
 
 
 @dataclass(frozen=True)
-class TotalRigidityVerdict:
+class TotalRigidityVerdict(JsonRecord):
     verdict: str
     witness: str | None
     st_dim: int
     d_dim: int
     decided_pairs: int
     total_pairs: int
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "stDim": self.st_dim,
-            "dDim": self.d_dim,
-            "decidedPairs": self.decided_pairs,
-            "totalPairs": self.total_pairs,
-        }
 
 
 def is_totally_rigid_bounded(model: FieldModel, p: int) -> TotalRigidityVerdict:

@@ -34,10 +34,8 @@ def is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # v_2(n - 1)
+    d = (n - 1) >> s
     for b in _MR_BASES:
         x = pow(b, d, n)
         if x in (1, n - 1):

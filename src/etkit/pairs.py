@@ -181,7 +181,7 @@ class PAdicBlock(PairExpr):
             raise ValidationError(f"unknown case tag {self.case!r}")
         if self.n < 3:
             raise ValidationError("p-adic blocks have rank n >= 3")
-        if not _is_p_power(self.q, p):
+        if self.q < 2 or self.q != p ** valuation(self.q, p):
             raise ValidationError(f"q={self.q} is not a power of {p} (>1)")
         if p != 2:
             if self.case != "I":
@@ -383,14 +383,6 @@ _DEFAULT_S = {"I": 1, "II": 4, "III": 2, "IV": 2}
 def default_level(case: str) -> int:
     """Case-consistent level metadata: the value of s forced by the case."""
     return _DEFAULT_S[case]
-
-
-def _is_p_power(q: int, p: int) -> bool:
-    if q < p:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 def validate(e: PairExpr, p: int) -> None:

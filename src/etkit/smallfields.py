@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .errors import InvalidModel, ValidationError
 from .fplinear import is_prime
+from .units import valuation
 
 MAX_FIELD_SIZE = 1 << 16
 
@@ -29,11 +30,29 @@ def factor_prime_power(q: int) -> tuple[int, int] | None:
         ell += 1
     else:
         return q, 1
-    k, m = 0, q
-    while m % ell == 0:
-        m //= ell
-        k += 1
-    return (ell, k) if m == 1 else None
+    k = valuation(q, ell)
+    return (ell, k) if ell**k == q else None
+
+
+def _digits(x: int, ell: int, k: int) -> tuple:
+    """The k low base-ell digits of x, low digit first."""
+    out = []
+    for _ in range(k):
+        x, c = divmod(x, ell)
+        out.append(c)
+    return tuple(out)
+
+
+def _poly_rem(f, mod: tuple, ell: int) -> tuple:
+    """f mod the monic ``mod`` over F_ell, as its deg(mod) low coefficients."""
+    r = list(f)
+    k = len(mod) - 1
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(k):
+                r[i - k + j] = (r[i - k + j] - c * mod[j]) % ell
+    return tuple(r[:k])
 
 
 def _poly_mulmod(a: tuple, b: tuple, mod: tuple, ell: int) -> tuple:
@@ -42,38 +61,12 @@ def _poly_mulmod(a: tuple, b: tuple, mod: tuple, ell: int) -> tuple:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % ell
-    # reduce by the monic modulus
-    k = len(mod) - 1
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * mod[j]) % ell
-    return tuple(out[:k])
-
-
-def _poly_divides(d: tuple, f: tuple, ell: int) -> bool:
-    """Whether monic d divides f over F_ell."""
-    r = list(f)
-    k = len(d) - 1
-    while len(r) > k:
-        c = r[-1]
-        if c:
-            for j in range(len(d)):
-                r[len(r) - len(d) + j] = (r[len(r) - len(d) + j] - c * d[j]) % ell
-        r.pop()
-    return not any(r)
+    return _poly_rem(out, mod, ell)
 
 
 def _monic_polys(ell: int, deg: int):
     for idx in range(ell**deg):
-        coeffs = []
-        n = idx
-        for _ in range(deg):
-            coeffs.append(n % ell)
-            n //= ell
-        yield tuple(coeffs) + (1,)
+        yield _digits(idx, ell, deg) + (1,)
 
 
 def _find_irreducible(ell: int, k: int) -> tuple:
@@ -81,7 +74,7 @@ def _find_irreducible(ell: int, k: int) -> tuple:
         if cand[0] == 0:
             continue
         if all(
-            not _poly_divides(d, cand, ell)
+            any(_poly_rem(cand, d, ell))
             for deg in range(1, k // 2 + 1)
             for d in _monic_polys(ell, deg)
         ):
@@ -111,13 +104,6 @@ class GF:
 
     # -- encoding ----------------------------------------------------------
 
-    def _digits(self, x: int) -> tuple:
-        out = []
-        for _ in range(self.deg):
-            out.append(x % self.char)
-            x //= self.char
-        return tuple(out)
-
     def _undigits(self, coeffs) -> int:
         x = 0
         for c in reversed(list(coeffs)):
@@ -145,7 +131,8 @@ class GF:
         if self.deg == 1:
             return (x * y) % self.char
         return self._undigits(
-            _poly_mulmod(self._digits(x), self._digits(y), self.modulus, self.char)
+            _poly_mulmod(_digits(x, self.char, self.deg), _digits(y, self.char, self.deg),
+                         self.modulus, self.char)
         )
 
     def _raw_pow(self, x: int, k: int) -> int:
@@ -218,8 +205,9 @@ class GF:
 
     def render(self, x: int) -> str:
         parts = []
+        digits = _digits(x, self.char, self.deg)
         for i in reversed(range(self.deg)):
-            c = self._digits(x)[i]
+            c = digits[i]
             if not c:
                 continue
             if i == 0:

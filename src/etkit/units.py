@@ -115,12 +115,9 @@ class UnitSubgroupInvariants:
     square_index: int | None
 
     def __post_init__(self):
-        if self.q_invariant != 0:
-            q = self.q_invariant
-            while q % self.p == 0:
-                q //= self.p
-            if q != 1 or self.q_invariant <= 1:
-                raise ValidationError("q must be 0 or a p-power > 1")
+        q = self.q_invariant
+        if q != 0 and (q < 2 or q != self.p ** valuation(q, self.p)):
+            raise ValidationError("q must be 0 or a p-power > 1")
         if self.square_index == 4 and not (self.p == 2 and self.eps_nonzero):
             raise ValidationError("square index 4 forces p=2 and eps nonzero")
 

@@ -228,6 +228,32 @@ def test_laurent_precision_cap(capsys):
         assert code == 1 and json.loads(err)["kind"] == "InvalidModel"
 
 
+def _tower(depth: int) -> tuple[str, str]:
+    """A Laurent tower of ``depth`` levels over F_3 (variables t, ta, taa,
+    ...), and its uniformizer."""
+    model, one = '{"kind":"FiniteField","params":{"q":3}}', "1"
+    for i in range(depth):
+        model = '{"kind":"Laurent","params":{"base":%s,"var":"t%s"}}' % (model, "a" * i)
+        uniformizer = '{"v":1,"coeffs":[%s]}' % one
+        one = '{"v":0,"coeffs":[%s]}' % one
+    return model, uniformizer
+
+
+def test_laurent_tower_depth_cap(capsys):
+    cap = field_models.MAX_TOWER_DEPTH
+    code, out = run(capsys, "field", "classgroup", "--p", "2", "--model", _tower(cap)[0])
+    assert code == 0 and json.loads(out)["dim"] == cap + 1
+    model, a = _tower(cap + 1)
+    for argv in (["classgroup"],
+                 ["omember", "--a", a, "--h", "all", "--target", "OPlus"]):
+        start = time.perf_counter()
+        code, err = run(capsys, "field", *argv, "--p", "2", "--model", model)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": f"a Laurent tower has at most {cap} levels", "kind": "InvalidModel"}
+
+
 def test_field_predict_large_residue_prime(capsys):
     # predict never builds the residue field, so ell is not capped there
     for ell in (65537, 10**18 + 3):

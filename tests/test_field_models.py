@@ -19,6 +19,7 @@ from etkit.field_models import (
     LocalRational,
     RealField,
     TrichotomyResult,
+    _parse_h,
     check_pairing_match,
     class_group,
     class_of,
@@ -265,6 +266,14 @@ def test_o_membership_examples():
         o_membership(TOWER, 2, ring.zero, "all", "OMinus")
     with pytest.raises(ValidationError):
         o_membership(FiniteField(3), 2, 2, [[1]], "OMinus")  # H without 1
+
+
+def test_h_all_is_not_enumerated():
+    # "all" is a sentinel, so F_2^64 is never listed; explicit H is checked
+    assert _parse_h("all", 64, 2) is None
+    assert _parse_h([[0, 0], [1, 0]], 2, 2) == {(0, 0), (1, 0)}
+    with pytest.raises(ValidationError):
+        _parse_h([[0, 0], [1, 0], [0, 1]], 2, 2)  # not closed
 
 
 def test_total_rigidity_verdicts():

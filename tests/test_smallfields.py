@@ -1,4 +1,8 @@
-"""GF(q) addition and negation (Zech logarithms) against digit-wise oracles."""
+"""GF(q) against independent oracles: addition and negation (Zech
+logarithms) digit by digit, the modulus by brute-force factoring, and
+multiplication by schoolbook polynomial products."""
+
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ PRIME_POWERS = [
     q for q in range(2, 257)
     if (f := factor_prime_power(q)) is not None and is_prime(f[0])
 ]
+EXTENSIONS = [q for q in PRIME_POWERS if factor_prime_power(q)[1] >= 2]
 
 
 def _digitwise(F: GF, xs, ys=None) -> np.ndarray:
@@ -83,3 +88,65 @@ def test_generator_search_is_cheaper_than_one_walk(q):
     F = _CountingGF(q)
     search = F.products - (q - 2)
     assert 0 < search < (q - 1) // 10
+
+
+def _encode(coeffs, ell: int) -> int:
+    return sum(c * ell**i for i, c in enumerate(coeffs))
+
+
+def _schoolbook(a, b, ell: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % ell
+    return out
+
+
+def _monics(ell: int, deg: int) -> list:
+    """Every monic polynomial of degree ``deg`` over F_ell, low coefficient
+    first."""
+    return [list(c) + [1] for c in iter_product(range(ell), repeat=deg)]
+
+
+@pytest.mark.parametrize("q", EXTENSIONS)
+def test_modulus_is_least_irreducible(q):
+    # oracle: the monic polynomials of degree k that are products of two
+    # monics of lower degree, listed by brute force
+    ell, k = factor_prime_power(q)
+    reducible = {tuple(_schoolbook(a, b, ell))
+                 for i in range(1, k // 2 + 1)
+                 for a in _monics(ell, i) for b in _monics(ell, k - i)}
+    least = min((m for m in _monics(ell, k) if tuple(m) not in reducible),
+                key=lambda m: _encode(m, ell))
+    assert list(gf(q).modulus) == least
+
+
+def _mul_oracle(F: GF, x: int, y: int) -> int:
+    """Schoolbook product of the digit vectors, reduced by the modulus."""
+    ell, k, mod = F.char, F.deg, F.modulus
+    prod = _schoolbook([x // ell**i % ell for i in range(k)],
+                       [y // ell**i % ell for i in range(k)], ell)
+    for i in reversed(range(k, len(prod))):
+        c = prod[i]
+        for j in range(k + 1):
+            prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % ell
+    return _encode(prod[:k], ell)
+
+
+@pytest.mark.parametrize("q", [q for q in EXTENSIONS if q <= 64])
+def test_mul_matches_schoolbook_exhaustive(q):
+    F = gf(q)
+    assert all(F.mul(x, y) == _mul_oracle(F, x, y) for x in range(q) for y in range(q))
+
+
+@pytest.mark.parametrize("q", [q for q in EXTENSIONS if q > 64] + [3**7, 2**12, 5**5, 7**4])
+def test_mul_matches_schoolbook_large_fields(q):
+    F = gf(q)
+    elem = st.integers(0, q - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(elem, elem)
+    def check(x, y):
+        assert F.mul(x, y) == _mul_oracle(F, x, y)
+
+    check()
