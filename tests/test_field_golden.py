@@ -99,8 +99,6 @@ MODELS = {
         _rational("ComplexField"), _laurent(_ff(7), "t"),
         _laurent(_laurent(_ff(7), "t"), "u")],
 }
-# the kinds whose p = 3 rigidity output the corpus holds
-RIGIDITY_KINDS_P3 = ("FiniteField", "ComplexField")
 # a search bound for trichotomic and omember that keeps the tower cases fast
 BOUND = ["--bound", "50"]
 
@@ -140,8 +138,7 @@ def _argvs() -> list[list[str]]:
                 for target in ("OMinus", "OPlus", "ORing"):
                     argvs.append(["field", "omember", *base, *BOUND, "--a", a,
                                   "--h", "all", "--target", target])
-            if p == 2 or model["kind"] in RIGIDITY_KINDS_P3:
-                argvs.append(["field", "rigidity", *base])
+            argvs.append(["field", "rigidity", *base])
     return argvs
 
 
