@@ -28,8 +28,8 @@ from .cohomology import build_cohomology
 from .errors import (
     DimensionTooLarge,
     InvalidModel,
-    ModelUnsupported,
     JsonRecord,
+    ModelUnsupported,
     PrecisionExhausted,
     ValidationError,
     int_param,
@@ -93,8 +93,9 @@ class _FracOps:
 def _val_unit(x: Fraction, ell: int) -> tuple[int, Fraction]:
     if x == 0:
         raise ValidationError("0 has no valuation")
-    v = valuation(x.numerator, ell) - valuation(x.denominator, ell)
-    return v, x / Fraction(ell) ** v
+    num, den = x.numerator, x.denominator
+    vn, vd = valuation(num, ell), valuation(den, ell)
+    return vn - vd, Fraction(num // ell**vn, den // ell**vd)
 
 
 def _residue(u: Fraction, m: int) -> int:
