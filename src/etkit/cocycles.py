@@ -3,18 +3,25 @@
 Groups are multiplication tables with identity at index 0.  Cochains are
 normalized and inhomogeneous; everything reduces to F_p linear algebra,
 so dimensions and explicit classes come out of rank computations that
-are independent of the pro-p machinery elsewhere in the package.  The
-2-cocycle conditions are sparse rows with at most four nonzeros; they go
-one at a time into an ``fplinear`` echelon basis, and dim B^2 is
-(n - 1) - dim H^1, the dimension of the normalized 1-cochains less that
-of the homomorphisms.
+are independent of the pro-p machinery elsewhere in the package.
+
+Both degrees are read off the Cayley graph of G on a generating set S of
+d elements, with n vertices and n*d edges.  Hom(G, F_p) is cut out by
+f(1) = 0 and one row per edge.  For F free on S and R the kernel of F -> G, the five-term
+sequence and H^2(F) = 0 give H^2(G) = H^1(R)^G / H^1(F), and H^1(R) is
+H^1 of the Cayley graph, on which G acts by left translation.  A class
+there is an edge function z; it is invariant when z(gx, s) - z(x, s) =
+h_g(xs) - h_g(x) for each g in S and some vertex functions h_g.  These
+n*d^2 rows, with four nonzeros each, go into an ``fplinear`` echelon
+basis and cut out the space W of pairs (z, h); ``H2Space`` turns a basis
+of W into 2-cocycles.  Nothing here enumerates the (n-1)^3 cocycle
+conditions.  At order 32, ``h2_dim`` takes a few milliseconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .fplinear import (
     echelon_kernel,
     echelon_reduce,
     kernel_basis,
+    rref,
     sparse_row,
 )
 
@@ -226,15 +234,37 @@ def quotient(g: FiniteGroup, normal: list[int]) -> tuple[FiniteGroup, np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# the Cayley graph
+
+
+def generators(g: FiniteGroup) -> list[int]:
+    """A deterministic generating set S: each index in 1..n-1 that lies
+    outside the subgroup generated by the ones kept before it."""
+    gens: list[int] = []
+    span = {0}
+    for x in range(1, g.order):
+        if x not in span:
+            gens.append(x)
+            span = set(subgroup_closure(g, gens))
+    return gens
+
+
+# ---------------------------------------------------------------------------
 # degree one
 
 
 def h1_basis(g: FiniteGroup, p: int) -> np.ndarray:
-    """Basis of Hom(G, F_p) as rows of values over the elements."""
-    n = g.order
-    eye = np.eye(n, dtype=np.int64)  # row (i, j): f(i) + f(j) - f(ij) = 0
-    rows = (eye[:, None, :] + eye[None, :, :] - eye[g.table]).reshape(n * n, n)
-    return kernel_basis(rows % p, p)
+    """Basis of Hom(G, F_p) as rows of values over the elements.
+
+    The rows are f(1) = 0 and f(x) + f(s) - f(xs) = 0 for each edge (x, s)
+    of the Cayley graph, s in S.  Their kernel is Hom(G, F_p), so they span
+    the row space of all n^2 conditions f(x) + f(y) - f(xy) = 0 and give
+    the same RREF kernel basis.
+    """
+    n, gens = g.order, generators(g)
+    eye = np.eye(n, dtype=np.int64)
+    edges = eye[:, None, :] + eye[gens][None, :, :] - eye[g.table[:, gens]]
+    return kernel_basis(np.vstack([eye[:1], edges.reshape(-1, n)]) % p, p)
 
 
 def h1_dim(g: FiniteGroup, p: int) -> int:
@@ -257,47 +287,62 @@ def h1_dim_structural(g: FiniteGroup, p: int) -> int:
 # degree two
 
 
-def _pair_index(n: int, x: int, y: int) -> int:
-    return (x - 1) * (n - 1) + (y - 1)
+def _invariant_space(g: FiniteGroup, p: int) -> tuple[list[int], dict]:
+    """S, and the echelon basis of the rows z(gx, s) - z(x, s) - h_g(xs) +
+    h_g(x) = 0 that cut out W, one per (g, s, x) with g, s in S; z(x, s_j)
+    is column x*d + j and h_{g_i}(v) is column n*d + i*n + v."""
+    gens = generators(g)
+    n, d, t = g.order, len(gens), g.table.tolist()
+    basis: dict = {}
+    for i, gi in enumerate(gens):
+        h = n * d + i * n
+        for j, s in enumerate(gens):
+            for x in range(n):
+                # g != 1 and s != 1, so the four columns are distinct
+                row = {t[gi][x] * d + j: 1, x * d + j: -1, h + t[x][s]: -1, h + x: 1}
+                echelon_insert(basis, sparse_row(row, p), p)
+    return gens, basis
 
 
-def _cocycle_rows(g: FiniteGroup, p: int):
-    """Sparse rows of the normalized 2-cocycle condition
-    c(a,b) + c(ab,c) - c(b,c) - c(a,bc) = 0, one per nonidentity (a, b, c),
-    on variables c(x, y) over nonidentity pairs."""
+def _transgressions(g: FiniteGroup, gens: list[int], z: np.ndarray,
+                    p: int) -> np.ndarray:
+    """The 2-cocycle c(x, y) = T(1, x) + T(x, y) - T(1, xy) of each edge
+    function in z (shape (k, n, d)), over nonidentity pairs.  T(x, y) sums
+    z along x times the path from 1 to y in a BFS tree of the Cayley
+    graph; c(x, y) is the sum of z around a closed loop."""
+    n, t = g.order, g.table
+    paths = np.zeros((len(z), n, n), dtype=np.int64)  # T, one column per y
+    seen, order = {0}, [0]
+    for u in order:  # the BFS queue grows while it is read
+        for j, s in enumerate(gens):
+            v = int(t[u, s])
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                # the path to v = us is the path to u, then the edge (u, s)
+                paths[:, :, v] = (paths[:, :, u] + z[:, t[:, u], j]) % p
+    base = paths[:, 0]
+    c = base[:, :, None] + paths - base[:, t]
+    return c[:, 1:, 1:].reshape(len(z), (n - 1) ** 2) % p
+
+
+def _coboundaries(g: FiniteGroup) -> np.ndarray:
+    """Rows spanning B^2: the coboundary of each delta function on a
+    nonidentity element, c(x, y) = [x = g] + [y = g] - [xy = g]."""
     n = g.order
-    t = g.table.tolist()
-    for a, b, c in iter_product(range(1, n), repeat=3):
-        ab, bc = t[a][b], t[b][c]
-        row: dict = {}
-        for x, y, v in ((a, b, 1), (ab, c, 1), (b, c, -1), (a, bc, -1)):
-            if x and y:  # normalized: c vanishes on pairs with an identity
-                k = _pair_index(n, x, y)
-                row[k] = row.get(k, 0) + v
-        yield sparse_row(row, p)
-
-
-def _coboundary_rows(g: FiniteGroup, p: int):
-    """Sparse rows spanning B^2: the coboundary of each delta function
-    on a nonidentity element, c(x, y) = [x = g] + [y = g] - [xy = g]."""
-    n = g.order
-    t = g.table.tolist()
-    rows = [{} for _ in range(n)]
-    for x, y in iter_product(range(1, n), repeat=2):
-        k = _pair_index(n, x, y)
-        for gidx, v in ((x, 1), (y, 1), (t[x][y], -1)):
-            rows[gidx][k] = rows[gidx].get(k, 0) + v
-    return [sparse_row(row, p) for row in rows[1:]]
+    eye = np.eye(n, dtype=np.int64)
+    rows = eye[:, 1:, None] + eye[:, None, 1:] - eye[:, g.table[1:, 1:]]
+    return rows[1:].reshape(n - 1, (n - 1) ** 2)
 
 
 def h2_dim(g: FiniteGroup, p: int) -> int:
-    """dim H^2(G, F_p) with trivial action: dim Z^2 from the rank of the
-    cocycle rows, less dim B^2 = (n - 1) - dim H^1 in closed form."""
+    """dim H^2(G, F_p) with trivial action, from the Cayley graph: dim W,
+    less the (n - 1) + d dimensions of pairs (z, h) with z a vertex
+    coboundary, less the image of H^1(F), of dimension d - dim H^1."""
     n = g.order
-    basis: dict = {}
-    for row in _cocycle_rows(g, p):
-        echelon_insert(basis, row, p)
-    return (n - 1) ** 2 - len(basis) - (n - 1 - h1_dim(g, p))
+    gens, basis = _invariant_space(g, p)
+    d = len(gens)
+    return 2 * n * d - len(basis) - 2 * d - (n - 1) + h1_dim(g, p)
 
 
 @dataclass
@@ -305,11 +350,13 @@ class H2Space:
     """Explicit H^2(G, F_p): B^2 and chosen representatives in one
     echelon basis.
 
+    Z^2 is spanned by B^2 and the transgression of each basis vector of W.
     The representatives are picked in order from the RREF kernel basis of
-    the cocycle rows, the one ``fplinear.kernel_basis`` gives: each vector
-    outside the span of B^2 and of those picked before it.  Each is
-    inserted with its index as a tag, so reducing a cocycle reads off its
-    coordinates.
+    the 2-cocycle conditions, each vector outside the span of B^2 and of
+    those picked before it.  That basis is the fully reduced echelon basis
+    of Z^2 with the columns reversed: its vector for free column f ends at
+    f and is 0 at the other free columns.  Each representative goes in
+    with its index as a tag, so reducing a cocycle reads off its coordinates.
     """
 
     group: FiniteGroup
@@ -319,18 +366,22 @@ class H2Space:
 
     def __post_init__(self) -> None:
         g, p = self.group, self.p
-        nv = (g.order - 1) ** 2
-        cocycles: dict = {}
-        for row in _cocycle_rows(g, p):
-            echelon_insert(cocycles, row, p)
+        n, nv = g.order, (g.order - 1) ** 2
+        gens, w = _invariant_space(g, p)
+        z = echelon_kernel(w, 2 * n * len(gens), p)
+        # each vector of W is z, then the h_g: n*d values each
+        edges = np.array(z, dtype=np.int64).reshape(len(z), 2, n, len(gens))[:, 0]
+        cob = _coboundaries(g)
+        spanning = np.vstack([cob, _transgressions(g, gens, edges, p)])  # Z^2
+        flipped, pivots = rref(spanning[:, ::-1], p)
         self._echelon = {}
-        for row in _coboundary_rows(g, p):
-            echelon_insert(self._echelon, row, p)
+        for row in cob:
+            echelon_insert(self._echelon, sparse_row(row, p), p)
         picked = []
-        for z in echelon_kernel(cocycles, nv, p):
+        for zc in flipped[len(pivots) - 1::-1, ::-1]:  # by ascending free column
             tag = sparse_row({len(picked): 1}, p)
-            if echelon_insert(self._echelon, sparse_row(z, p), p, tag):
-                picked.append(z)
+            if echelon_insert(self._echelon, sparse_row(zc, p), p, tag):
+                picked.append(zc)
         self.reps = np.array(picked, dtype=np.int64).reshape(len(picked), nv)
 
     @property
@@ -340,11 +391,8 @@ class H2Space:
     def cochain_of_pairs(self, fn) -> np.ndarray:
         """Vectorize fn(x, y) over nonidentity pairs."""
         n = self.group.order
-        out = np.zeros((n - 1) * (n - 1), dtype=np.int64)
-        for x in range(1, n):
-            for y in range(1, n):
-                out[_pair_index(n, x, y)] = fn(x, y) % self.p
-        return out
+        return np.array([fn(x, y) % self.p for x in range(1, n) for y in range(1, n)],
+                        dtype=np.int64)
 
     def coords(self, cvec: np.ndarray) -> np.ndarray:
         """Coordinates of a cocycle in the chosen H^2 basis."""

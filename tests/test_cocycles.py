@@ -1,15 +1,15 @@
 import random
+from functools import reduce
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etkit.cocycles import (
     H2Space,
     FiniteGroup,
-    _cocycle_rows,
     commutator_subgroup,
     cup_h1_h1,
     cyclic,
@@ -33,7 +33,13 @@ from etkit.errors import (
     ValidationError,
 )
 from dense_fp import in_span, kernel_basis, rank, solve
-from etkit.fplinear import echelon_insert
+from etkit.fplinear import (
+    dense_row,
+    echelon_insert,
+    echelon_kernel,
+    echelon_reduce,
+    sparse_row,
+)
 
 D4 = dihedral(8)
 # index i + 4j encodes r^i s^j
@@ -228,7 +234,8 @@ def test_extension_class_rejections():
 
 
 # ---------------------------------------------------------------------------
-# the dense route, kept as the oracle of the echelon one
+# the (n-1)^3 cocycle conditions, kept as the oracle of the Cayley graph
+# route: dense elimination up to order 16, the sparse echelon above
 
 
 def _pair_index(n, x, y):
@@ -250,7 +257,23 @@ def _cocycle_matrix(g, p):
         if bc:
             row[_pair_index(n, a, bc)] -= 1
         rows.append(row % p)
-    return np.array(rows, dtype=np.int64).reshape(-1, (n - 1) ** 2)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), (n - 1) ** 2)
+
+
+def _cocycle_rows(g, p):
+    """Sparse rows of the normalized 2-cocycle condition
+    c(a,b) + c(ab,c) - c(b,c) - c(a,bc) = 0, one per nonidentity (a, b, c),
+    on variables c(x, y) over nonidentity pairs."""
+    n = g.order
+    t = g.table.tolist()
+    for a, b, c in iter_product(range(1, n), repeat=3):
+        ab, bc = t[a][b], t[b][c]
+        row = {}
+        for x, y, v in ((a, b, 1), (ab, c, 1), (b, c, -1), (a, bc, -1)):
+            if x and y:  # normalized: c vanishes on pairs with an identity
+                k = _pair_index(n, x, y)
+                row[k] = row.get(k, 0) + v
+        yield sparse_row(row, p)
 
 
 def _coboundary_rows(g, p):
@@ -272,7 +295,67 @@ def _dense_reps(z, b_rows, p):
         if not in_span(current, v, p):
             picked.append(v)
             current = np.vstack([current, v[None, :]])
-    return np.array(picked, dtype=np.int64).reshape(-1, b_rows.shape[1])
+    return np.array(picked, dtype=np.int64).reshape(len(picked), b_rows.shape[1])
+
+
+DENSE_LIMIT = 16
+
+
+class _OracleSpace:
+    """H^2 from the cocycle conditions, in the form ``cup_h1_h1`` and
+    ``extension_class`` take as their ``space``.  ``coords`` gives None
+    for a cochain that is not a cocycle."""
+
+    def __init__(self, g, p):
+        self.group, self.p = g, p
+        n = g.order
+        nv = (n - 1) ** 2
+        b_rows = _coboundary_rows(g, p)
+        self.b_rank = rank(b_rows, p)
+        if n <= DENSE_LIMIT:
+            z = kernel_basis(_cocycle_matrix(g, p), p)
+            self.reps = _dense_reps(z, b_rows, p)
+            stacked = np.vstack([b_rows, self.reps])
+
+            def coords(cvec):
+                x = solve(stacked.T, cvec, p)
+                # B^2 is spanned by rows that may be dependent, so only the
+                # representatives' part of x is unique
+                return None if x is None else x[len(b_rows):] % p
+        else:
+            cocycles, echelon, picked = {}, {}, []
+            for row in _cocycle_rows(g, p):
+                echelon_insert(cocycles, row, p)
+            z = echelon_kernel(cocycles, nv, p)
+            for row in b_rows:
+                echelon_insert(echelon, sparse_row(row, p), p)
+            for v in z:
+                tag = sparse_row({len(picked): 1}, p)
+                if echelon_insert(echelon, sparse_row(v, p), p, tag):
+                    picked.append(v)
+            self.reps = np.array(picked, dtype=np.int64).reshape(len(picked), nv)
+
+            def coords(cvec):
+                rest, tag = echelon_reduce(echelon, sparse_row(cvec, p), p)
+                return None if rest else (-dense_row(tag, len(picked), p)) % p
+        self.z_dim = len(z)
+        self.coords = coords
+
+    def cochain_of_pairs(self, fn):
+        n = self.group.order
+        out = np.zeros((n - 1) ** 2, dtype=np.int64)
+        for x in range(1, n):
+            for y in range(1, n):
+                out[_pair_index(n, x, y)] = fn(x, y) % self.p
+        return out
+
+
+def _h1_oracle(g, p):
+    """Hom(G, F_p) from all n^2 conditions f(x) + f(y) - f(xy) = 0."""
+    n = g.order
+    eye = np.eye(n, dtype=np.int64)
+    rows = (eye[:, None, :] + eye[None, :, :] - eye[g.table]).reshape(n * n, n)
+    return kernel_basis(rows % p, p)
 
 
 def _relabel(g, rng):
@@ -285,46 +368,93 @@ def _relabel(g, rng):
     return group_from_json({"kind": "table", "table": t})
 
 
+def _table(elements, mul):
+    index = {e: i for i, e in enumerate(elements)}
+    t = [[index[mul(x, y)] for y in elements] for x in elements]
+    return group_from_json({"kind": "table", "table": t})
+
+
+def quaternion8():
+    # +-1, +-i, +-j, +-k as (sign, unit); ij = k, jk = i, ki = j
+    units = {(0, 0): (1, 0), (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
+             (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
+             (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2)}
+    for u in range(1, 4):
+        units[0, u] = units[u, 0] = (1, u)
+
+    def mul(x, y):
+        sign, unit = units[x[1], y[1]]
+        return x[0] * y[0] * sign, unit
+
+    return _table([(s, u) for u in range(4) for s in (1, -1)], mul)
+
+
+def heisenberg3():
+    """Upper unitriangular 3x3 matrices over F_3, order 27, exponent 3."""
+    return _table(list(iter_product(range(3), repeat=3)),
+                  lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3,
+                                (x[2] + y[2] + x[0] * y[1]) % 3))
+
+
+def c9_semi_c3():
+    """C9 x| C3 with b a b^-1 = a^4: order 27, exponent 9; a^i b^j is (i, j)."""
+    return _table([(i, j) for j in range(3) for i in range(9)],
+                  lambda x, y: ((x[0] + y[0] * 4 ** x[1]) % 9, (x[1] + y[1]) % 3))
+
+
+def _elementary2(k):
+    return reduce(direct_product, [cyclic(2)] * k)
+
+
+# groups that need 3 to 5 generators, up to the order limit
+WIDE_GROUPS = {
+    "C2^3": lambda: _elementary2(3),
+    "C2^4": lambda: _elementary2(4),
+    "C2^5": lambda: _elementary2(5),
+    "C2xC2xC4": lambda: direct_product(klein4(), cyclic(4)),
+    "Q8": quaternion8,
+    "Heis3": heisenberg3,
+    "C9:C3": c9_semi_c3,
+}
+
+
 @st.composite
 def oracle_groups(draw):
-    kind = draw(st.sampled_from(["cyclic", "dihedral", "product"]))
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "product", "wide", "wide"]))
     if kind == "cyclic":
         g = cyclic(draw(st.integers(2, 16)))
     elif kind == "dihedral":
         g = dihedral(2 * draw(st.integers(2, 8)))
-    else:
+    elif kind == "product":
         a = draw(st.integers(2, 4))
         g = direct_product(cyclic(a), cyclic(draw(st.integers(2, 16 // a))))
+    else:
+        g = WIDE_GROUPS[draw(st.sampled_from(sorted(WIDE_GROUPS)))]()
     if draw(st.booleans()):
         g = _relabel(g, random.Random(draw(st.integers(0, 2**32))))
     return g, draw(st.sampled_from([2, 3])), draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=25)
-@given(oracle_groups())
-def test_echelon_route_matches_dense(data):
-    g, p, seed = data
-    n, rng = g.order, random.Random(seed)
-    cocycle_matrix = _cocycle_matrix(g, p)
-    b_rows = _coboundary_rows(g, p)
-    z_rank = rank(cocycle_matrix, p)
-    b_rank = rank(b_rows, p)
+def _central_kernel(g, p):
+    """A central subgroup of order p, or None."""
+    for k in range(1, g.order):
+        if g.power(k, p) == 0 and (g.table[k] == g.table[:, k]).all():
+            return subgroup_closure(g, [k])
+    return None
 
-    basis = {}
-    for row in _cocycle_rows(g, p):
-        echelon_insert(basis, row, p)
-    assert len(basis) == z_rank
-    assert b_rank == (n - 1) - h1_dim(g, p)
-    assert h2_dim(g, p) == (n - 1) ** 2 - z_rank - b_rank
+
+def _assert_matches_oracle(g, p, rng):
+    n = g.order
+    oracle = _OracleSpace(g, p)
+    homs = h1_basis(g, p)
+    assert np.array(homs).tobytes() == np.array(_h1_oracle(g, p)).tobytes()
+    assert oracle.b_rank == (n - 1) - len(homs)
+    assert h2_dim(g, p) == oracle.z_dim - oracle.b_rank
 
     space = H2Space(g, p)
-    z = kernel_basis(cocycle_matrix, p)
-    reps = _dense_reps(z, b_rows, p)
+    reps = oracle.reps
     assert space.reps.dtype == reps.dtype and space.reps.shape == reps.shape
     assert space.reps.tobytes() == reps.tobytes()
-
-    stacked = np.vstack([b_rows, reps])
-    homs = h1_basis(g, p)
 
     def random_hom():
         zero = np.zeros(n, dtype=np.int64)
@@ -332,15 +462,54 @@ def test_echelon_route_matches_dense(data):
 
     for _ in range(4):
         f, h = random_hom(), random_hom()
-        cvec = space.cochain_of_pairs(lambda x, y: int(f[x]) * int(h[y]))
-        x = solve(stacked.T, cvec, p)
-        # B^2 is spanned by rows that may be dependent, so only the
-        # representatives' part of x is unique
-        assert cup_h1_h1(g, p, f, h, space).tolist() == (x[len(b_rows):] % p).tolist()
-    # a unit cochain is a cocycle exactly when its column of conditions is zero
-    outside = [i for i in range((n - 1) ** 2) if cocycle_matrix[:, i].any()]
-    if outside:
+        assert (cup_h1_h1(g, p, f, h, space).tolist()
+                == cup_h1_h1(g, p, f, h, oracle).tolist())
+    # a unit cochain is a cocycle exactly when the oracle has coordinates
+    for i in rng.sample(range((n - 1) ** 2), min(3, (n - 1) ** 2)):
         e = np.zeros((n - 1) ** 2, dtype=np.int64)
-        e[outside[0]] = 1
-        with pytest.raises(ValidationError, match="not a cocycle"):
-            space.coords(e)
+        e[i] = 1
+        expect = oracle.coords(e)
+        if expect is None:
+            with pytest.raises(ValidationError, match="not a cocycle"):
+                space.coords(e)
+        else:
+            assert space.coords(e).tolist() == expect.tolist()
+
+    kernel = _central_kernel(g, p)
+    if kernel is not None:
+        q, got = extension_class(g, kernel, p)
+        _, expect = extension_class(g, kernel, p, space=_OracleSpace(q, p))
+        assert got.tolist() == expect.tolist()
+
+
+@settings(max_examples=25)
+@given(oracle_groups())
+@example((dihedral(32), 2, 0))
+@example((_elementary2(5), 3, 1))
+@example((_relabel(heisenberg3(), random.Random(2)), 3, 2))
+@example((c9_semi_c3(), 3, 3))
+@example((_relabel(_elementary2(5), random.Random(4)), 2, 4))
+@example((_relabel(WIDE_GROUPS["C2xC2xC4"](), random.Random(5)), 2, 5))
+@example((quaternion8(), 2, 6))
+def test_cayley_route_matches_cocycle_oracle(data):
+    g, p, seed = data
+    _assert_matches_oracle(g, p, random.Random(seed))
+
+
+@pytest.mark.parametrize("n, p, homs, h2, reps, width", [
+    pytest.param(1, 2, [], 0, [], 0, id="C1-p2"),
+    pytest.param(1, 3, [], 0, [], 0, id="C1-p3"),
+    pytest.param(2, 2, [[0, 1]], 1, [[1]], 1, id="C2-p2"),
+    pytest.param(2, 3, [], 0, [], 1, id="C2-p3"),
+    pytest.param(3, 2, [], 0, [], 4, id="C3-p2"),
+    pytest.param(3, 3, [[0, 2, 1]], 1, [[1, 1, 1, 0]], 4, id="C3-p3"),
+])
+def test_smallest_groups(n, p, homs, h2, reps, width):
+    # the trivial group has no generators: only the row f(1) = 0 keeps
+    # H^1 and H^2 at zero there
+    g = cyclic(n)
+    assert [v.tolist() for v in h1_basis(g, p)] == homs
+    assert h2_dim(g, p) == h2
+    space = H2Space(g, p)
+    assert space.reps.tolist() == reps and space.reps.shape == (len(reps), width)
+    _assert_matches_oracle(g, p, random.Random(n))
