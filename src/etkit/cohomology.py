@@ -14,7 +14,11 @@ a map from basis index in the target degree to a coefficient in
 1..p-1, so a node pays for the nonzero terms of its factors' products,
 not for the length of its target degree.  ``gram``, ``cup`` and the
 JSON form read those maps directly; ``product`` turns one into a dense
-vector and memoizes it.
+vector and memoizes it.  A product into a degree of dimension 0 is zero:
+``product`` and ``cup`` return the length-0 vector without asking the
+model.  An ``Ext`` node holds each subset of its b's as an int bitmask,
+so its products find their block, sign and epsilon powers by bit
+operations and popcounts.
 """
 
 from __future__ import annotations
@@ -88,11 +92,15 @@ def _build(e: PairExpr, p: int, D: int):
     positive degree; ``_with_unit`` adds the unit where a caller needs
     it.  A free product shifts its factor's indices to the factor's
     block, and products across factors vanish.  ``Ext(m, base)`` has the
-    basis b_S * i(x), S a subset of {1..m} and x a base class.  At odd p,
-    b_S i(x) * b_T i(y) = (-1)^(|S| deg y + inv(S, T)) b_(S+T) i(xy),
-    which is zero when S and T meet.  At p = 2 the square rule
-    b_k^2 = b_k i(eps) makes it b_(S|T) i(x y eps^|S&T|), each power of
-    eps a sparse product against the support of the base's eps.
+    basis b_S * i(x), S a subset of {1..m} and x a base class; S is an int
+    bitmask whose bit k-1 stands for b_k, listed by ``combinations`` so
+    the basis order and labels are those of sorted tuples.  At odd p,
+    b_S i(x) * b_T i(y) = (-1)^(|S| deg y + inv(S, T)) b_(S|T) i(xy),
+    which is zero when S & T != 0; inv(S, T), the pairs s > t, is the sum
+    over s in S of popcount(T & (the bits below s)).  At p = 2 the square
+    rule b_k^2 = b_k i(eps) makes it b_(S|T) i(x y eps^popcount(S&T)),
+    each power of eps a sparse product against the support of the base's
+    eps.
     """
     if isinstance(e, Trivial):
         return [1] + [0] * D, [["1"]] + [[] for _ in range(D)], [], _no_product
@@ -149,32 +157,34 @@ def _build(e: PairExpr, p: int, D: int):
                 [c for kid in kids for c in kid[2]], core)
 
     # the remaining kind: Ext
-    bdims, blabels, beps, bmul = _build(e.base, p, D)
+    _, blabels, beps, bmul = _build(e.base, p, D)
     bmul = _with_unit(bmul)
     m = e.m
-    # monos[d][i] = (S, b) is the i-th class of degree d; the classes of one
-    # S are consecutive, and block[d][S] is the index of the first
-    monos: list[list[tuple[tuple[int, ...], int]]] = []
-    block: list[dict[tuple[int, ...], int]] = []
+    # monos[d][i] = (S, b) is the i-th class of degree d, S a bitmask whose
+    # bit k-1 stands for b_k; the classes of one S are consecutive, and
+    # block[d][S] is the index of the first
+    monos: list[list[tuple[int, int]]] = []
+    block: list[dict[int, int]] = []
     labels = []
+    # the one-bit masks in ascending order, with their labels
+    bname = {1 << k: f"b{k + 1}" for k in range(m)}
     for d in range(D + 1):
-        row: list[tuple[tuple[int, ...], int]] = []
-        first: dict[tuple[int, ...], int] = {}
+        row: list[tuple[int, int]] = []
+        first: dict[int, int] = {}
+        lab: list[str] = []
         for j in range(min(m, d) + 1):
-            if not bdims[d - j]:
+            base = blabels[d - j]
+            if not base:
                 continue
-            for S in combinations(range(1, m + 1), j):
+            for ks in combinations(bname, j):
+                S = sum(ks)
                 first[S] = len(row)
-                row.extend((S, b) for b in range(bdims[d - j]))
+                row.extend((S, b) for b in range(len(base)))
+                bs = [bname[q] for q in ks]
+                for bl in base:
+                    lab.append("*".join(bs if bl == "1" else bs + [f"i({bl})"]) or "1")
         monos.append(row)
         block.append(first)
-        lab = []
-        for S, b in row:
-            parts = [f"b{k}" for k in S]
-            bl = blabels[d - len(S)][b]
-            if bl != "1":
-                parts.append(f"i({bl})")
-            lab.append("*".join(parts) if parts else "1")
         labels.append(lab)
     eps_support = [k for k, c in enumerate(beps) if c % p]
 
@@ -189,23 +199,28 @@ def _build(e: PairExpr, p: int, D: int):
     def core(d1, i, d2, j):
         S, b1 = monos[d1][i]
         T, b2 = monos[d2][j]
-        bd1, bd2 = d1 - len(S), d2 - len(T)
+        if p != 2 and S & T:
+            return {}
+        bd1, bd2 = d1 - S.bit_count(), d2 - T.bit_count()
         v = bmul(bd1, b1, bd2, b2)
+        sign = 1
         if p == 2:
             t = bd1 + bd2
-            for _ in range(len(set(S) & set(T))):
+            for _ in range((S & T).bit_count()):
                 v = times_eps(v, t)
                 t += 1
-            U, sign = tuple(sorted(set(S) | set(T))), 1
-        else:
-            if set(S) & set(T):
-                return {}
-            inversions = sum(1 for s in S for t2 in T if s > t2)
-            sign = (-1) ** (len(S) * bd2 + inversions)
-            U = tuple(sorted(S + T))
+        elif v:
+            # inv(S, T): the pairs s in S, t in T with s > t
+            inversions, rest = 0, S
+            while rest:
+                low = rest & -rest
+                inversions += (T & (low - 1)).bit_count()
+                rest ^= low
+            if (S.bit_count() * bd2 + inversions) & 1:
+                sign = -1
         if not v:
             return {}
-        off = block[d1 + d2][U]
+        off = block[d1 + d2][S | T]
         return {off + r: sign * c % p for r, c in v.items()}
 
     return [len(row) for row in monos], labels, beps + [0] * m, core
@@ -213,7 +228,11 @@ def _build(e: PairExpr, p: int, D: int):
 
 @dataclass
 class GradedAlgebra:
-    """Cohomology ring truncated at ``max_degree``, with memoized products."""
+    """Cohomology ring truncated at ``max_degree``, with memoized products.
+
+    ``product`` and ``cup`` into a degree of dimension 0 return a length-0
+    int64 vector at once: they neither call ``_mul`` nor touch the memo.
+    """
 
     p: int
     max_degree: int
@@ -236,6 +255,8 @@ class GradedAlgebra:
     def product(self, d1: int, i: int, d2: int, j: int) -> np.ndarray:
         """Cup product of the i-th degree-d1 and j-th degree-d2 basis classes."""
         self._check_degree(d1 + d2)
+        if not self.basis[d1 + d2]:
+            return np.zeros(0, dtype=np.int64)
         key = (d1, i, d2, j)
         if key not in self._cache:
             out = np.zeros(len(self.basis[d1 + d2]), dtype=np.int64)
@@ -247,6 +268,8 @@ class GradedAlgebra:
     def cup(self, v1, d1: int, v2, d2: int) -> np.ndarray:
         """Bilinear extension of the product to coefficient vectors."""
         self._check_degree(d1 + d2)
+        if not self.basis[d1 + d2]:
+            return np.zeros(0, dtype=np.int64)
         a1 = (np.asarray(v1, dtype=np.int64) % self.p).tolist()
         a2 = (np.asarray(v2, dtype=np.int64) % self.p).tolist()
         support2 = [(j, b) for j, b in enumerate(a2) if b]

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_ring
@@ -265,9 +265,35 @@ def test_products_match_dense_oracle(seed, p, D):
     ("ext(3, Z(3))", 2, 6),
     ("ext(2, padic(n=3,case=II,f=2))", 2, 6),
     ("ext(3, Z(7)*ext(2, padic(n=4,q=3,case=I)))", 3, 7),
+    # the ranks ring-sweep reaches: eps chains over 4 b's at p = 2, and
+    # inversion signs across 10 b's at p = 3
+    ("ext(4, padic(n=5,q=2,case=II,f=3))", 2, 6),
+    ("ext(4, Z(4)*Z(10)*Z(4/7)*Z(4/7)*Z(-5))", 3, 6),
+    ("ext(10, triv)", 3, 4),
 ])
 def test_products_match_dense_oracle_nested(text, p, D):
     _assert_matches_dense(parse(text, p), p, D)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]))
+def test_products_match_dense_oracle_rank_10(seed, p):
+    e = random_expr(random.Random(seed), p, max_rank=10)
+    _assert_matches_dense(e, p, 6)
+
+
+def test_products_into_empty_degrees_skip_the_model():
+    alg = build_cohomology(parse("ext(2, Z(3))", 2), 2, 6)
+    assert alg.dims[4] == 0 and alg.dims[1] > 0
+
+    def refuse(*args):
+        raise AssertionError("the ring model was consulted")
+
+    alg._mul = refuse
+    for got in (alg.product(1, 0, 3, 0), alg.product(2, 0, 2, 0),
+                alg.cup([1] * alg.dims[1], 1, [1] * alg.dims[3], 3)):
+        assert got.dtype == np.int64
+        assert got.shape == (0,)
 
 
 @given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 4))
