@@ -5,9 +5,10 @@ ring up to a chosen degree: explicit bases, the cup product as structure
 constants, and the epsilon class in degree one.  ``_build`` makes them,
 and is the module's one dispatch on the kind of node; the structural
 walks (closed-form Betti numbers, the recursive log level) are methods of
-the node classes in ``pairs``.  Demuskin recognition and the two
-log-level computations (structural recursion vs. direct cup powers) sit
-on top.
+the node classes in ``pairs``.  Demuskin recognition reads the normal
+form and builds no ring: ``is_demuskin`` proves its rule from the Betti
+numbers and the pairings of the models below.  The two log-level
+computations (structural recursion vs. direct cup powers) sit on top.
 
 Below ``GradedAlgebra.product`` a product of two basis classes is sparse:
 a map from basis index in the target degree to a coefficient in
@@ -29,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import fplinear
 from .errors import DegreeTooSmall, DimensionTooLarge, JsonRecord, ValidationError
 from .pairs import (
     EBlock,
@@ -383,15 +383,50 @@ def _classify(p: int, q: int, n: int, square_index: int | None) -> str:
 
 def is_demuskin(e: PairExpr, p: int) -> DemuskinVerdict:
     """Decide whether the pair is Demuskin: one-dimensional H^2 and a
-    nondegenerate cup pairing on H^1."""
+    nondegenerate cup pairing on H^1 (Demuskin 1961; Labute 1967).
+
+    The verdict is read off the normal form ``ne`` and no ring is built;
+    the degree-2 basis bound still refuses what ``build_cohomology(ne, p,
+    2)`` would.  It is True exactly when ``ne`` is a ``PAdicBlock``, an
+    ``EBlock``, ``Ext(1, ZBlock)`` or ``Ext(2, Trivial)``.  The proof goes
+    shape by shape; b1 and b2 are the Betti numbers of an ``Ext``'s base.
+
+    H^2 has dimension 1 only in those four shapes.  Trivial and Z blocks
+    have H^2 = 0, E and p-adic blocks H^2 = F_p.  For ``Ext(m, base)``,
+    dims[2] = C(m, 2) + m b1 + b2, and a normal form's base is neither an
+    ``Ext`` nor E, and ``Trivial`` only when m >= 2.  So m >= 3 gives at
+    least 3; m = 2 gives 1 only when b1 = b2 = 0, over ``Trivial``; and
+    m = 1 gives 1 only when b1 = 1 and b2 = 0 (a base of rank 0 is
+    trivial, so b1 = 0 forces b2 = 0), which leaves a Z block.  The same
+    count shows that a normal ``Ext`` never has dims[2] = 0.  A free
+    product in normal form has at least two factors, none trivial and
+    none a free product, and its dims[2] is the sum of theirs.  Either
+    every factor has dims[2] >= 1, and the sum is at least 2, or some
+    factor has dims[2] = 0, which makes it a Z block.  The class x of a
+    Z block pairs to zero with everything: x^2 = 0, and products across
+    factors vanish.  So the pairing is degenerate.
+
+    The pairing is nondegenerate in each of the four shapes.  On E it
+    is x^2 = w.  On a p-adic block (``_demuskin_gram``) it is a sum of
+    planes [[0, 1], [-1, 0]] on consecutive classes; at p = 2, Cases
+    II-IV add x1^2 = w, which is a 1 x 1 block [1] in Case II and turns
+    the first plane into [[1, 1], [1, 0]] in Cases III and IV.  On
+    ``Ext(1, Z(alpha))``, in the basis i(x), b1, the gram is
+    [[0, 1], [-1, c]], where c = eps(alpha) at p = 2 (b1^2 = b1 i(eps))
+    and c = 0 at odd p.  On ``Ext(2, Trivial)``, in the basis b1, b2, it
+    is [[0, 1], [-1, 0]], since b_k^2 = 0 (the trivial base has no eps).
+    Every one of these has determinant +-1.
+
+    The case label reads only p, q, n and the square index of the theta
+    image.
+    """
     ne = normalize(e, p)
-    alg = build_cohomology(ne, p, 2)
-    n = alg.dims[1]
+    _check_basis(ne, 2)
+    n = rank(ne)
     inv = theta_image(ne, p)
     q = inv.q_invariant
-    ok = alg.dims[2] == 1 and n >= 1
-    if ok:
-        ok = fplinear.rank(alg.gram_matrix(), p) == n
+    ok = isinstance(ne, (PAdicBlock, EBlock)) or (
+        isinstance(ne, Ext) and (ne.m, type(ne.base)) in ((1, ZBlock), (2, Trivial)))
     if not ok:
         return DemuskinVerdict(False, n, q, None)
     return DemuskinVerdict(True, n, q, _classify(p, q, n, inv.square_index))

@@ -138,12 +138,19 @@ class LaurentRing:
         v = x.v + y.v
         if n == 0:
             return Series(v, ())
-        out = [self.base.zero] * n
-        for i, xi in enumerate(x.coeffs):
-            if i >= n:
-                break
-            for j in range(min(len(y.coeffs), n - i)):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(xi, y.coeffs[j]))
+        base, zero = self.base, self.base.zero
+        # an exact zero coefficient adds nothing (base.mul(zero, c) is zero
+        # and base.add(s, zero) is s), so only nonzero pairs are multiplied;
+        # an empty window is not zero and still goes through base.mul
+        ys = [(j, c) for j, c in enumerate(y.coeffs[:n]) if c != zero]
+        out = [zero] * n
+        for i, xi in enumerate(x.coeffs[:n]):
+            if xi == zero:
+                continue
+            for j, yj in ys:
+                if i + j >= n:
+                    break
+                out[i + j] = base.add(out[i + j], base.mul(xi, yj))
         return self._norm(v, out)
 
     def inv(self, x: Series) -> Series:

@@ -7,6 +7,7 @@ import pytest
 
 from etkit import cli, field_models
 from etkit.cli import main
+from etkit.laurent import LaurentRing
 
 DYADIC = '{"kind":"DyadicRational","params":{}}'
 FF5 = '{"kind":"FiniteField","params":{"q":5}}'
@@ -252,6 +253,38 @@ def test_laurent_tower_depth_cap(capsys):
         assert code == 1 and err.count("\n") == 1
         assert json.loads(err) == {
             "error": f"a Laurent tower has at most {cap} levels", "kind": "InvalidModel"}
+
+
+def test_laurent_tower_products_skip_zero_coefficients(capsys, monkeypatch):
+    # the uniformizer of a 16-level tower is exact: every window is padded
+    # with zeros, and the dense double loop made 239,656 products here
+    model, a = _tower(field_models.MAX_TOWER_DEPTH)
+    calls = 0
+    real_mul = LaurentRing.mul
+
+    def counting_mul(self, x, y):
+        nonlocal calls
+        calls += 1
+        return real_mul(self, x, y)
+
+    monkeypatch.setattr(LaurentRing, "mul", counting_mul)
+    code, out = run(capsys, "field", "omember", "--p", "2", "--model", model,
+                    "--a", a, "--h", "all", "--target", "OPlus", "--bound", "20")
+    assert code == 0
+    assert out == ('{"searchBound":20,"target":"OPlus",'
+                   '"verdict":"UnknownWithinBound","witness":null}\n')
+    assert calls < 5000
+
+
+def test_demuskin_at_the_basis_bound(capsys):
+    # ext(446, triv) has 1 + 446 + C(446, 2) = 99,682 classes up to degree
+    # 2, and one more b passes MAX_BASIS
+    code, out = run(capsys, "demuskin", "--p", "2", "ext(446,triv)")
+    assert code == 0
+    assert out == '{"case":null,"isDemuskin":false,"n":446,"q":0}\n'
+    code, err = run(capsys, "demuskin", "--p", "2", "ext(447,triv)")
+    assert code == 1 and err.count("\n") == 1
+    assert json.loads(err)["kind"] == "DimensionTooLarge"
 
 
 def test_field_predict_large_residue_prime(capsys):

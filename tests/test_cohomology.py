@@ -3,13 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_ring
 
-from etkit import cohomology
+from etkit import cohomology, fplinear
 from etkit.cohomology import (
+    DemuskinVerdict,
     algebra_to_json,
     build_cohomology,
     dims_closed_form,
@@ -18,7 +19,7 @@ from etkit.cohomology import (
     log_level_recursive,
 )
 from etkit.errors import DegreeTooSmall, DimensionTooLarge
-from etkit.pairs import Ext, normalize, parse, rank
+from etkit.pairs import Ext, normalize, parse, rank, theta_image
 from etkit.randexpr import random_expr, random_padic
 
 Q2 = "padic(n=3,case=II,f=2)"
@@ -210,6 +211,69 @@ def test_demuskin_negatives():
             continue
         count += 1
         assert not is_demuskin(e, p).is_demuskin, e
+
+
+def _is_demuskin_ring(e, p):
+    """The ring route: build the degree-2 model and rank its gram."""
+    ne = normalize(e, p)
+    alg = build_cohomology(ne, p, 2)
+    n = alg.dims[1]
+    inv = theta_image(ne, p)
+    q = inv.q_invariant
+    ok = alg.dims[2] == 1 and n >= 1
+    if ok:
+        ok = fplinear.rank(alg.gram_matrix(), p) == n
+    if not ok:
+        return DemuskinVerdict(False, n, q, None)
+    return DemuskinVerdict(True, n, q, cohomology._classify(p, q, n, inv.square_index))
+
+
+def _drawn(text, p):
+    return parse(text, p), p
+
+
+@settings(max_examples=300)
+@given(st.tuples(st.integers(0, 2**32), st.sampled_from([2, 3, 5])).map(
+    lambda t: (random_expr(random.Random(t[0]), t[1], max_rank=10), t[1])))
+# the Demuskin shapes: p-adic Cases I-IV, E, ext(1, Z) and ext(2, triv)
+@example(_drawn("padic(n=4,q=4,case=I)", 2))
+@example(_drawn("padic(n=4,q=3,case=I)", 3))
+@example(_drawn("padic(n=6,q=5,case=I)", 5))
+@example(_drawn(Q2, 2))
+@example(_drawn("padic(n=4,case=III,f=3)", 2))
+@example(_drawn("padic(n=4,case=IV,f=2)", 2))
+@example(_drawn("E", 2))
+@example(_drawn("ext(1,Z(5))", 2))
+@example(_drawn("ext(1,Z(3))", 2))
+@example(_drawn("ext(1,Z(7))", 3))
+@example(_drawn("ext(2,triv)", 2))
+@example(_drawn("ext(2,triv)", 3))
+@example(_drawn("ext(2,triv)", 5))
+# near misses: one more b, a Z base under two b's, E under one b (which
+# normalizes to E * E), a p-adic base under one b, a Z factor beside a
+# Demuskin block
+@example(_drawn("ext(3,triv)", 2))
+@example(_drawn("ext(2,Z(5))", 2))
+@example(_drawn("ext(1,E)", 2))
+@example(_drawn("ext(1,padic(n=3,case=II,f=2))", 2))
+@example(_drawn(f"Z(5) * {Q2}", 2))
+def test_is_demuskin_matches_ring_route(case):
+    e, p = case
+    assert is_demuskin(e, p) == _is_demuskin_ring(e, p), e
+
+
+def test_is_demuskin_builds_no_ring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(cohomology, "_build", refuse)
+    monkeypatch.setattr(cohomology, "build_cohomology", refuse)
+    assert is_demuskin(parse("ext(446,triv)", 2), 2) == \
+        DemuskinVerdict(False, 446, 0, None)
+    assert is_demuskin(parse(Q2, 2), 2).case == "II"
+    # the degree-2 basis bound still refuses: 1 + 447 + C(447, 2) classes
+    with pytest.raises(DimensionTooLarge):
+        is_demuskin(parse("ext(447,triv)", 2), 2)
 
 
 def test_log_level_values():

@@ -662,6 +662,74 @@ def test_laurent_pow_matches_right_to_left(case, n):
             == _pow_outcome(_pow_right_to_left, ring, x, n))
 
 
+# -- Laurent products against the double loop over every coefficient pair --
+
+
+def _mul_double_loop(ring, x, y):
+    """x * y from every pair of coefficients, exact zeros included, at
+    every level of the tower."""
+    if x.zero or y.zero:
+        return ring.zero
+    n = min(len(x.coeffs), len(y.coeffs))
+    v = x.v + y.v
+    if n == 0:
+        return Series(v, ())
+    base = ring.base
+    times = base.mul
+    if isinstance(base, LaurentRing):
+        def times(a, b):
+            return _mul_double_loop(base, a, b)
+    out = [base.zero] * n
+    for i, xi in enumerate(x.coeffs[:n]):
+        for j in range(n - i):
+            out[i + j] = base.add(out[i + j], times(xi, y.coeffs[j]))
+    return ring._norm(v, out)
+
+
+@st.composite
+def _series_with_holes(draw):
+    """A depth-1 or depth-2 tower over F_q and two of its series whose
+    coefficients are often exact zeros and, below the top level, empty
+    windows."""
+    model = FiniteField(draw(st.sampled_from([3, 4, 5, 7])))
+    for var in "tu"[: draw(st.integers(1, 2))]:
+        model = Laurent(model, var, draw(st.integers(1, 5)))
+
+    def coeff(m):
+        kind = draw(st.sampled_from(["zero", "window", "element"]))
+        if isinstance(m, FiniteField):
+            return 0 if kind == "zero" else draw(st.integers(1, m.q - 1))
+        if kind == "zero":
+            return m.domain().zero
+        if kind == "window":
+            return Series(draw(st.integers(-2, 2)), ())
+        return series(m)
+
+    def series(m):
+        n = draw(st.integers(0, m.precision))
+        return Series(draw(st.integers(-2, 2)), tuple(coeff(m.base) for _ in range(n)))
+
+    ring = model.domain()
+    pick = st.sampled_from(["zero", "series", "series", "series"])
+    x, y = (ring.zero if draw(pick) == "zero" else series(model) for _ in range(2))
+    return ring, x, y
+
+
+def _mul_outcome(mul, ring, x, y):
+    try:
+        return mul(ring, x, y)
+    except (PrecisionExhausted, ValidationError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300)
+@given(_series_with_holes())
+def test_laurent_mul_matches_double_loop(case):
+    ring, x, y = case
+    assert (_mul_outcome(LaurentRing.mul, ring, x, y)
+            == _mul_outcome(_mul_double_loop, ring, x, y))
+
+
 # -- the pair sets against the deleted searches and the symbol tensor -------
 
 
