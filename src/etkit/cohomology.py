@@ -85,8 +85,8 @@ def _demuskin_eps(n: int, case: str, p: int) -> list[int]:
 
 
 def _build(e: PairExpr, p: int, D: int):
-    """Ring model ``(dims, labels, eps, mul)`` of a validated node up to
-    degree ``D``: the one dispatch on node kind.
+    """Ring model ``(labels, eps, mul)`` of a validated node up to degree
+    ``D``, of dimension ``len(labels[d])`` in degree d: one dispatch on kind.
 
     ``mul(d1, i, d2, j)`` is the sparse product of two basis classes of
     positive degree; ``_with_unit`` adds the unit where a caller needs
@@ -103,16 +103,15 @@ def _build(e: PairExpr, p: int, D: int):
     eps.
     """
     if isinstance(e, Trivial):
-        return [1] + [0] * D, [["1"]] + [[] for _ in range(D)], [], _no_product
+        return [["1"]] + [[] for _ in range(D)], [], _no_product
 
     if isinstance(e, ZBlock):
         labels = [["1"], ["x"]] + [[] for _ in range(D - 1)]
-        eps = [epsilon_of(e.alpha) if p == 2 else 0]
-        return [1, 1] + [0] * (D - 1), labels, eps, _no_product
+        return labels, [epsilon_of(e.alpha) if p == 2 else 0], _no_product
 
     if isinstance(e, EBlock):
         labels = [["1"], ["x"]] + [[f"x^{d}"] for d in range(2, D + 1)]
-        return [1] * (D + 1), labels, [1], lambda d1, i, d2, j: {0: 1}
+        return labels, [1], lambda d1, i, d2, j: {0: 1}
 
     if isinstance(e, PAdicBlock):
         n = e.n
@@ -124,11 +123,11 @@ def _build(e: PairExpr, p: int, D: int):
             c = gram.get((i, j)) if d1 == d2 == 1 else None
             return {0: c} if c else {}
 
-        return [1, n, 1] + [0] * (D - 2), labels, _demuskin_eps(n, e.case, p), core
+        return labels, _demuskin_eps(n, e.case, p), core
 
     if isinstance(e, FreeProd):
         kids = [_build(f, p, D) for f in e.factors]
-        muls = [kid[3] for kid in kids]
+        muls = [kid[2] for kid in kids]
         labels: list[list[str]] = [["1"]]
         owner: list[list[tuple[int, int]]] = [[]]
         start: list[list[int]] = [[0] * len(kids)]
@@ -136,10 +135,10 @@ def _build(e: PairExpr, p: int, D: int):
             row: list[str] = []
             own: list[tuple[int, int]] = []
             st: list[int] = []
-            for k, (kdims, klabels, _, _) in enumerate(kids):
+            for k, (klabels, _, _) in enumerate(kids):
                 st.append(len(row))
                 row.extend(f"g{k + 1}.{lbl}" for lbl in klabels[d])
-                own.extend((k, li) for li in range(kdims[d]))
+                own.extend((k, li) for li in range(len(klabels[d])))
             labels.append(row)
             owner.append(own)
             start.append(st)
@@ -153,11 +152,10 @@ def _build(e: PairExpr, p: int, D: int):
             off = start[d1 + d2][k1]
             return {off + r: c for r, c in muls[k1](d1, li, d2, lj).items()}
 
-        return ([len(row) for row in labels], labels,
-                [c for kid in kids for c in kid[2]], core)
+        return labels, [c for kid in kids for c in kid[1]], core
 
     # the remaining kind: Ext
-    _, blabels, beps, bmul = _build(e.base, p, D)
+    blabels, beps, bmul = _build(e.base, p, D)
     bmul = _with_unit(bmul)
     m = e.m
     # monos[d][i] = (S, b) is the i-th class of degree d, S a bitmask whose
@@ -223,7 +221,7 @@ def _build(e: PairExpr, p: int, D: int):
         off = block[d1 + d2][S | T]
         return {off + r: sign * c % p for r, c in v.items()}
 
-    return [len(row) for row in monos], labels, beps + [0] * m, core
+    return labels, beps + [0] * m, core
 
 
 @dataclass
@@ -305,7 +303,7 @@ def build_cohomology(e: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
         )
     ne = normalize(e, p)
     _check_basis(ne, max_degree)
-    _, labels, eps, mul = _build(ne, p, max_degree)
+    labels, eps, mul = _build(ne, p, max_degree)
     return GradedAlgebra(
         p=p,
         max_degree=max_degree,

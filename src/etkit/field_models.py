@@ -5,9 +5,9 @@ truncated Laurent extensions of the finite/Laurent backends.  Each is a
 frozen dataclass subclassing :class:`FieldModel` and answers for itself:
 a labeled basis of F^x/(F^x)^p with class coordinates, the symbol tensor
 on that basis, a predicted Galois pair, an element codec and a candidate
-pool.  The degree-2 symbol is bilinear and kills p-th powers, so the base
-class computes it from the tensor and the classes of its arguments.  The
-module-level functions check their arguments once and call those
+pool.  The degree-2 symbol is bilinear and kills p-th powers, so
+``symbol_vector`` reads it off the tensor and its arguments' classes.
+The module-level functions check their arguments once and call those
 methods; the bounded searches (the trichotomy probe, O(S,H) membership)
 and total rigidity, read off each backend's pair set, are written once on
 top of them.
@@ -36,6 +36,7 @@ from .errors import (
     is_int,
 )
 from .fplinear import dense_row, echelon_insert, echelon_reduce, is_prime, sparse_row
+from .fplinear import rank as fp_rank
 from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
 from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
@@ -237,17 +238,6 @@ class FieldModel(ABC):
 
     def symbol_dim(self, p: int) -> int:
         return _symbol_tensor(self, p).shape[2]
-
-    def symbol(self, p: int, a, b) -> np.ndarray:
-        """Degree-2 symbol of nonzero a, b in F_p^symbol_dim, as
-        class(a)^T T class(b) mod p for the symbol tensor T.
-
-        Raises PrecisionExhausted when a leading coefficient of a or b is
-        unknown at some level of a tower, because ``class_of`` reads only
-        valuations and leading coefficients."""
-        x = np.array(self.class_of(p, a), dtype=np.int64)
-        y = np.array(self.class_of(p, b), dtype=np.int64)
-        return np.einsum("i,ijk,j->k", x, _symbol_tensor(self, p), y) % p
 
     @abstractmethod
     def predict(self, p: int) -> PairExpr:
@@ -547,10 +537,7 @@ class Laurent(FieldModel):
                 for c1 in [ring.base.zero] + units:
                     if v == 0 and c1 == ring.base.zero and c0 == ring.base.one:
                         continue
-                    s = ring.from_coeffs(v, [c0, c1])
-                    if s.zero:
-                        continue
-                    yield s
+                    yield ring.from_coeffs(v, [c0, c1])  # never zero: c0 is a unit
 
 
 _KINDS = {cls.__name__: cls for cls in (FiniteField, LocalRational, DyadicRational,
@@ -612,11 +599,18 @@ def _symbol_tensor(model: FieldModel, p: int) -> np.ndarray:
 
 
 def symbol_vector(model: FieldModel, p: int, a, b) -> np.ndarray:
-    """Degree-2 symbol of {a, b} in the model's F_p^e target."""
+    """Degree-2 symbol of {a, b} in the model's F_p^e target, as
+    class(a)^T T class(b) mod p for the symbol tensor T.
+
+    Raises PrecisionExhausted when a leading coefficient of a or b is
+    unknown at some level of a tower, because ``class_of`` reads only
+    valuations and leading coefficients."""
     ops = model.domain()
     if ops.is_zero(a) or ops.is_zero(b):
         raise ValidationError("symbols take nonzero arguments")
-    return model.symbol(p, a, b)
+    x = np.array(model.class_of(p, a), dtype=np.int64)
+    y = np.array(model.class_of(p, b), dtype=np.int64)
+    return np.einsum("i,ijk,j->k", x, _symbol_tensor(model, p), y) % p
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +712,9 @@ def _parse_h(h_spec, d: int, p: int) -> frozenset | None:
         vecs.add(t)
     if tuple([0] * d) not in vecs:
         raise ValidationError("H must contain the trivial coset")
-    for x in vecs:
-        for y in vecs:
-            if tuple((a + b) % p for a, b in zip(x, y)) not in vecs:
-                raise ValidationError("H is not closed under multiplication")
+    # H lies in its span, so it is the span, a subgroup, iff it is as large
+    if len(vecs) != p ** fp_rank(np.array(list(vecs), dtype=np.int64), p):
+        raise ValidationError("H is not closed under multiplication")
     return frozenset(vecs)
 
 
@@ -768,11 +761,7 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
                 return OVerdict(target, "NonMember", bound, ops.render(c))
         return OVerdict(target, "Member", bound)
 
-    tried = 0
-    for sigma in model.pool(p):
-        if tried >= bound:
-            break
-        tried += 1
+    for sigma in islice(model.pool(p), bound):
         try:
             s = ops.pow_(sigma, p)
             c = ops.sub(ops.one, s)

@@ -107,29 +107,26 @@ class LaurentRing:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, x: Series, y: Series) -> Series:
-        if x.zero:
-            return y
+        return y if x.zero else self._combine(x, y, self.base.add)
+
+    def sub(self, x: Series, y: Series) -> Series:
+        return self.neg(y) if x.zero else self._combine(x, y, self.base.sub)
+
+    def _combine(self, x: Series, y: Series, op) -> Series:
+        """x op y, x nonzero, op the base's add or sub, once per position
+        both windows cover; a window reads base.zero below its valuation."""
         if y.zero:
             return x
         v = min(x.v, y.v)
-        bound = min(x.v + len(x.coeffs), y.v + len(y.coeffs))
-        out = []
-        for i in range(v, bound):
-            c = self.base.zero
-            if 0 <= i - x.v < len(x.coeffs):
-                c = self.base.add(c, x.coeffs[i - x.v])
-            if 0 <= i - y.v < len(y.coeffs):
-                c = self.base.add(c, y.coeffs[i - y.v])
-            out.append(c)
-        return self._norm(v, out)
+        n = min(x.v + len(x.coeffs), y.v + len(y.coeffs)) - v
+        xs = [self.base.zero] * (x.v - v) + list(x.coeffs)
+        ys = [self.base.zero] * (y.v - v) + list(y.coeffs)
+        return self._norm(v, [op(a, b) for a, b in zip(xs[:n], ys[:n])])
 
     def neg(self, x: Series) -> Series:
         if x.zero:
             return x
         return Series(x.v, tuple(self.base.neg(c) for c in x.coeffs), False)
-
-    def sub(self, x: Series, y: Series) -> Series:
-        return self.add(x, self.neg(y))
 
     def mul(self, x: Series, y: Series) -> Series:
         if x.zero or y.zero:

@@ -16,7 +16,6 @@ from .pairs import (
     ZBlock,
     normalize,
     rank,
-    validate,
 )
 from .units import make_unit
 
@@ -33,32 +32,16 @@ def random_unit(rng: random.Random, p: int):
 
 
 def random_padic(rng: random.Random, p: int) -> PAdicBlock:
-    for _ in range(200):
-        if p == 2:
-            case = rng.choice(["I", "II", "III", "IV"])
-            if case == "II":
-                n = rng.choice([3, 5, 7])
-            else:
-                n = rng.choice([4, 6])
-            q = rng.choice([4, 8]) if case == "I" else 2
-            if case == "I":
-                f = None
-            elif case == "IV":
-                f = rng.choice([2, 3, 4])
-            else:
-                f = rng.choice([2, 3, math.inf])
-        else:
-            case = "I"
-            n = p + 1 + (p - 1) * rng.randrange(0, 3)
-            q = p ** rng.choice([1, 2])
-            f = None
-        cand = PAdicBlock(n=n, q=q, case=case, f=f)
-        try:
-            validate(cand, p)
-            return cand
-        except ValidationError:
-            continue
-    raise RuntimeError("could not draw a valid block")
+    """Each draw passes ``PAdicBlock.validate``, so none is retried."""
+    if p != 2:  # n is even, at least p + 1, and n - 2 is a multiple of p - 1
+        n = p + 1 + (p - 1) * rng.randrange(0, 3)
+        return PAdicBlock(n=n, q=p ** rng.choice([1, 2]), case="I")
+    case = rng.choice(["I", "II", "III", "IV"])
+    n = rng.choice([3, 5, 7]) if case == "II" else rng.choice([4, 6])
+    if case == "I":
+        return PAdicBlock(n=n, q=rng.choice([4, 8]), case=case)
+    f = rng.choice([2, 3, 4] if case == "IV" else [2, 3, math.inf])
+    return PAdicBlock(n=n, q=2, case=case, f=f)
 
 
 def random_block(rng: random.Random, p: int, rank_budget: int) -> PairExpr:

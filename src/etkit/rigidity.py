@@ -29,8 +29,9 @@ vector, and is the oracle of that product).  The brute-force test
 
 Equivalence of two maps is decided by a search over the columns of the
 change of basis, restricted and pruned by rank invariants of every vector
-(see ``find_equivalence``); the enumeration of all p^(d^2) matrices,
-``_find_equivalence_brute``, is kept there as its oracle.
+(see ``find_equivalence``), so that each leaf's P is already invertible
+with P eps1 = eps2; the enumeration of all p^(d^2) matrices,
+``_find_equivalence_brute``, tests P itself and is kept there as its oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .cohomology import GradedAlgebra, build_cohomology
 from .errors import DimensionTooLarge, NotAnExtension, ValidationError
-from .fplinear import batch_rank, rank, row_space_basis, rref, xor_rank
+from .fplinear import batch_rank, row_space_basis, rref, xor_rank
 from .pairs import Ext, PairExpr, normalize
 
 # A scan lists all p^d vectors of A_1 in its output, so the bound is set by
@@ -354,21 +355,19 @@ def _basis(rows: np.ndarray, p: int):
 
 
 def _q_finder(m1: AugBilinearMap, m2: AugBilinearMap):
-    """For a candidate P: an invertible Q with Q B1(a,b) = B2(Pa, Pb), or
-    None.  With V the rows B1(e_i, e_j) and W the rows B2(Pe_i, Pe_j), any
-    such Q maps the rows of V that ``_basis`` picks, a basis of V's row
-    span, onto the same rows of W, which are then independent.  So it
-    agrees on that span with the Q mapping the two extended bases onto each
-    other, and that Q answers exactly when V Q^T = W."""
+    """For an invertible P with P eps1 = eps2, unchecked since every leaf
+    of ``find_equivalence`` has both: an invertible Q with Q B1(a,b) =
+    B2(Pa, Pb), or None.  With V the rows B1(e_i, e_j) and W the rows
+    B2(Pe_i, Pe_j), any such Q maps the rows of V that ``_basis`` picks, a
+    basis of V's row span, onto the same rows of W, which are then
+    independent.  So it agrees on that span with the Q mapping the two
+    extended bases onto each other, and that Q answers exactly when
+    V Q^T = W."""
     p, d, e = m1.p, m1.d, m1.e
     v = m1.tensor.reshape(d * d, e)
     piv, _, b1_inv = _basis(v, p)
 
     def try_p(pm: np.ndarray):
-        if ((pm @ m1.eps) % p != m2.eps).any():
-            return None
-        if rank(pm, p) < d:
-            return None
         w = np.einsum("ia,jb,ijk->abk", pm, pm, m2.tensor).reshape(d * d, e) % p
         q_t = b1_inv @ _basis(w[piv], p)[1] % p  # Q^T = B1^-1 B2
         return q_t.T if np.array_equal(v @ q_t % p, w) else None
@@ -403,8 +402,11 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     another key than the same combination of basis vectors in m1, or when
     no invertible Q fits the pairs of chosen basis vectors: with columns
     X1 = B1(e_a, e_b) and X2 = B2(Pe_a, Pe_b), an invertible Q with
-    Q X1 = X2 exists exactly when rank X1 = rank X2 = rank [X1; X2].  At a
-    leaf, P eps1 = eps2 is checked and Q is built (see ``_q_finder``).
+    Q X1 = X2 exists exactly when rank X1 = rank X2 = rank [X1; X2].  A
+    leaf only builds Q (see ``_q_finder``).  Its P is invertible, as no
+    nonzero combination of its columns is zero, and P eps1 = eps2: each
+    nonzero a keeps its key, whose last bit is a = eps, and for eps1 = 0
+    the keys of the zero vectors agree only when eps2 = 0.
 
     Raises ``DimensionTooLarge`` when p^d exceeds ``DEFAULT_ENUM_BOUND``
     (the keys enumerate A_1) or when the search tries more than

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import combinations
 from itertools import product as iter_product
 
 import numpy as np
@@ -219,6 +220,42 @@ def test_extension_class_section_independence():
             sec[c] = int(rng.choice(list(lifts)))
         _, got = extension_class(D4, [0, 2], 2, section=sec, space=space)
         assert got.tolist() == expect.tolist()
+
+
+def _small_groups():
+    """The cyclic, dihedral and cyclic-product groups up to order 32."""
+    yield from (cyclic(n) for n in range(2, 33))
+    yield from (dihedral(n) for n in range(4, 33, 2))
+    for a in range(2, 6):
+        for b in range(a, 32 // a + 1):
+            yield direct_product(cyclic(a), cyclic(b))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_central_kernels_are_cyclic_and_hold_the_factor_set(p):
+    """What ``extension_class`` takes on trust: every central subgroup
+    of order p, found as a closed p-subset holding 0, is generated by each
+    of its nonidentity elements, and the factor set of a random section
+    takes its values in it."""
+    rng = random.Random(p)
+    kernels = 0
+    for g in _small_groups():
+        inv = np.argmax(g.table == 0, axis=1)
+        central = [k for k in range(1, g.order) if (g.table[k] == g.table[:, k]).all()]
+        for rest in combinations(central, p - 1):
+            kset = [0, *rest]
+            if not np.isin(g.table[np.ix_(kset, kset)], kset).all():
+                continue
+            kernels += 1
+            for x in rest:
+                assert sorted(subgroup_closure(g, [x])) == kset
+            q, proj = quotient(g, kset)
+            sec = np.array([0] + [rng.choice(np.flatnonzero(proj == c).tolist())
+                                  for c in range(1, q.order)])
+            lift = g.table[sec[:, None], sec[None, :]]
+            values = g.table[lift, inv[sec[q.table]]]
+            assert np.isin(values, kset).all()
+    assert kernels >= 30  # 73 at p = 2, 34 at p = 3
 
 
 def test_extension_class_rejections():

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -274,6 +275,64 @@ def test_h_all_is_not_enumerated():
     assert _parse_h([[0, 0], [1, 0]], 2, 2) == {(0, 0), (1, 0)}
     with pytest.raises(ValidationError):
         _parse_h([[0, 0], [1, 0], [0, 1]], 2, 2)  # not closed
+
+
+def _parse_h_double_loop(h_spec, d, p):
+    """``_parse_h`` on an explicit list with the closure test over every
+    pair of H, |H|^2 sums."""
+    vecs = set()
+    for row in h_spec:
+        t = tuple(c % p for c in row)
+        if len(t) != d:
+            raise ValidationError(f"coset vector {row} should have length {d}")
+        vecs.add(t)
+    if tuple([0] * d) not in vecs:
+        raise ValidationError("H must contain the trivial coset")
+    for x in vecs:
+        for y in vecs:
+            if tuple((a + b) % p for a, b in zip(x, y)) not in vecs:
+                raise ValidationError("H is not closed under multiplication")
+    return frozenset(vecs)
+
+
+@st.composite
+def _h_lists(draw):
+    """(H, d, p): the span of a few vectors, often with an element added
+    or removed, 0 always kept, in any order and with repeats."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-p, 2 * p), min_size=d, max_size=d)
+    gens = draw(st.lists(vec, max_size=3))
+    rows = sorted({tuple(sum(c * g[k] for c, g in zip(cs, gens)) % p for k in range(d))
+                   for cs in iter_product(range(p), repeat=len(gens))})
+    rows += draw(st.lists(vec, max_size=2))
+    if len(rows) > 1 and draw(st.booleans()):
+        del rows[draw(st.integers(1, len(rows) - 1))]  # rows[0] is 0
+    return [list(r) for r in draw(st.permutations(rows))], d, p
+
+
+def _parse_outcome(parse, h, d, p):
+    try:
+        return parse(h, d, p)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(_h_lists())
+def test_parse_h_rank_test_matches_double_loop(case):
+    assert (_parse_outcome(_parse_h, *case)
+            == _parse_outcome(_parse_h_double_loop, *case))
+
+
+def test_parse_h_takes_no_pair_sums():
+    # all of F_2^13 as an explicit list: 2^26 pair sums by the double loop
+    h = [list(v) for v in iter_product(range(2), repeat=13)]
+    start = time.perf_counter()
+    assert len(_parse_h(h, 13, 2)) == 8192
+    with pytest.raises(ValidationError, match="not closed"):
+        _parse_h(h[:-1], 13, 2)
+    assert time.perf_counter() - start < 2
 
 
 def test_total_rigidity_verdicts():
@@ -715,9 +774,9 @@ def _series_with_holes(draw):
     return ring, x, y
 
 
-def _mul_outcome(mul, ring, x, y):
+def _op_outcome(op, ring, x, y):
     try:
-        return mul(ring, x, y)
+        return op(ring, x, y)
     except (PrecisionExhausted, ValidationError) as exc:
         return type(exc).__name__
 
@@ -726,8 +785,47 @@ def _mul_outcome(mul, ring, x, y):
 @given(_series_with_holes())
 def test_laurent_mul_matches_double_loop(case):
     ring, x, y = case
-    assert (_mul_outcome(LaurentRing.mul, ring, x, y)
-            == _mul_outcome(_mul_double_loop, ring, x, y))
+    assert (_op_outcome(LaurentRing.mul, ring, x, y)
+            == _op_outcome(_mul_double_loop, ring, x, y))
+
+
+def _add_per_position(ring, x, y):
+    """x + y at every level of the tower, each position starting from
+    base.zero and adding the coefficients that cover it."""
+    if x.zero:
+        return y
+    if y.zero:
+        return x
+    base = ring.base
+    add = base.add
+    if isinstance(base, LaurentRing):
+        def add(a, b):
+            return _add_per_position(base, a, b)
+    v = min(x.v, y.v)
+    out = []
+    for i in range(v, min(x.v + len(x.coeffs), y.v + len(y.coeffs))):
+        c = base.zero
+        if 0 <= i - x.v < len(x.coeffs):
+            c = add(c, x.coeffs[i - x.v])
+        if 0 <= i - y.v < len(y.coeffs):
+            c = add(c, y.coeffs[i - y.v])
+        out.append(c)
+    return ring._norm(v, out)
+
+
+def _sub_by_negation(ring, x, y):
+    """x - y as a sum with the negated copy of y."""
+    return _add_per_position(ring, x, ring.neg(y))
+
+
+@settings(max_examples=300)
+@given(_series_with_holes())
+def test_laurent_add_and_sub_match_per_position_sums(case):
+    ring, x, y = case
+    assert (_op_outcome(LaurentRing.add, ring, x, y)
+            == _op_outcome(_add_per_position, ring, x, y))
+    assert (_op_outcome(LaurentRing.sub, ring, x, y)
+            == _op_outcome(_sub_by_negation, ring, x, y))
 
 
 # -- the pair sets against the deleted searches and the symbol tensor -------

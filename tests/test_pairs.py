@@ -25,7 +25,7 @@ from etkit.pairs import (
     to_json,
     validate,
 )
-from etkit.randexpr import random_expr
+from etkit.randexpr import random_expr, random_padic
 from etkit.units import make_unit
 from unit_closure import closure_invariants, depth
 
@@ -244,6 +244,14 @@ def test_equal_z_blocks_normalize_in_one_order(left, right):
     b = normalize(parse(f"{right}*{left}", 3), 3)
     assert a == b
     assert render(a) == render(b) == f"{left} * {right}"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_random_padic_draws_are_valid(p):
+    # random_padic draws no second time, so every draw must pass
+    rng = random.Random(p)
+    for _ in range(2000):
+        validate(random_padic(rng, p), p)
 
 
 @given(st.integers(0, 2**32))

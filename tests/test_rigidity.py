@@ -65,7 +65,8 @@ def _find_equivalence_brute(
     cap: int = DEFAULT_PAIR_CAP,
 ):
     """Oracle for ``find_equivalence``: tries the identity, then every
-    d x d matrix P (at most ``cap`` of them)."""
+    d x d matrix P (at most ``cap`` of them).  ``try_p`` takes P to be
+    invertible with P eps1 = eps2, so those two tests come first."""
     if not _same_shape(m1, m2):
         return None
     p, d, e = m1.p, m1.d, m1.e
@@ -77,11 +78,14 @@ def _find_equivalence_brute(
         )
     try_p = _q_finder(m1, m2)
     ident = np.eye(d, dtype=np.int64)
-    q = try_p(ident)
-    if q is not None:
-        return ident, q
+    if np.array_equal(m1.eps, m2.eps):
+        q = try_p(ident)
+        if q is not None:
+            return ident, q
     for bits in iter_product(range(p), repeat=d * d):
         pm = np.array(bits, dtype=np.int64).reshape(d, d)
+        if ((pm @ m1.eps) % p != m2.eps).any() or rank(pm, p) < d:
+            continue
         q = try_p(pm)
         if q is not None:
             return pm, q
@@ -535,6 +539,51 @@ def test_search_at_dimension_four():
         got = find_equivalence(m, other)
         if got is not None:
             _assert_equivalence(m, other, got)
+
+
+@contextlib.contextmanager
+def _checked_leaves():
+    """Wrap ``find_equivalence``'s Q finder so that every leaf asserts what
+    the pruning guarantees and ``try_p`` takes on trust: P is invertible
+    and P eps1 = eps2.  Yields the list of leaves reached."""
+    real = rigidity._q_finder
+    leaves = []
+
+    def q_finder(m1, m2):
+        try_p = real(m1, m2)
+
+        def leaf(pm):
+            assert rank(pm, m1.p) == m1.d
+            assert np.array_equal(pm @ m1.eps % m1.p, m2.eps)
+            leaves.append(pm)
+            return try_p(pm)
+
+        return leaf
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity, "_q_finder", q_finder)
+        yield leaves
+
+
+@given(equivalence_cases())
+@example((_map(2, np.zeros((3, 3, 2)), [1, 0, 0]),
+          _map(2, np.zeros((3, 3, 2)), [0, 0, 0])))
+# eps != 0 and a radical: a singular P would fit every pair
+@example((_map(2, np.zeros((3, 3, 1)), [1, 0, 0]),
+          _map(2, np.zeros((3, 3, 1)), [1, 0, 0])))
+@example((_map(3, [[[1, 2], [0, 0]], [[2, 1], [0, 0]]], [0, 0]),
+          _map(3, [[[0, 0], [1, 2]], [[0, 0], [2, 1]]], [0, 0])))
+def test_search_leaves_are_invertible_and_fix_eps(case):
+    with _checked_leaves():
+        find_equivalence(*case)
+
+
+def test_fixed_searches_reach_only_checked_leaves():
+    with _checked_leaves() as leaves:
+        for case in SAME_KEYS:
+            test_equal_keys_inequivalent(*case)
+        test_search_at_dimension_four()
+    assert leaves
 
 
 def test_search_bounds_raise(monkeypatch):
