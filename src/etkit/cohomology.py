@@ -10,16 +10,20 @@ form and builds no ring: ``is_demuskin`` proves its rule from the Betti
 numbers and the pairings of the models below.  The two log-level
 computations (structural recursion vs. direct cup powers) sit on top.
 
-Below ``GradedAlgebra.product`` a product of two basis classes is sparse:
-a map from basis index in the target degree to a coefficient in
-1..p-1, so a node pays for the nonzero terms of its factors' products,
-not for the length of its target degree.  ``gram``, ``cup`` and the
-JSON form read those maps directly; ``product`` turns one into a dense
-vector and memoizes it.  A product into a degree of dimension 0 is zero:
-``product`` and ``cup`` return the length-0 vector without asking the
-model.  An ``Ext`` node holds each subset of its b's as an int bitmask,
-so its products find their block, sign and epsilon powers by bit
-operations and popcounts.
+Below ``GradedAlgebra`` a product of two basis classes is sparse: a map
+from basis index in the target degree to a coefficient in 1..p-1, so a
+node pays for the nonzero terms of its factors' products, not for the
+length of its target degree.  ``gram``, ``cup`` and the JSON form read
+those maps directly, and so pay only for the pairs they touch.
+``product`` reads a degree pair at a time instead: each node also writes
+the structure tensor of a whole degree pair, an ``Ext`` node by placing
+a few blocks of its base at every pair of subsets of its b's, and
+``product`` keeps that tensor dense and read-only, so a ring pays one
+build per degree pair rather than one recursion per pair of classes.  A
+product into a degree of dimension 0 is zero: ``product`` and ``cup``
+return the length-0 vector without asking the model.  An ``Ext`` node
+holds each subset of its b's as an int bitmask, so its products find
+their block, sign and epsilon powers by bit operations and popcounts.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from .units import epsilon_of
 
 # README "Limits": the most basis classes a ring model builds
 MAX_BASIS = 100_000
+# the most entries of one degree-pair block that ``product`` builds
+# (128 MB of int64)
+MAX_BLOCK_CELLS = 1 << 24
 
 
 def _with_unit(core):
@@ -60,9 +67,45 @@ def _with_unit(core):
     return mul
 
 
+def _with_unit_block(labels: list[list[str]], core):
+    """Extend a block defined in positive degrees by the H^0 unit."""
+
+    def block(d1: int, d2: int, out, o1: int, o2: int, o3: int) -> None:
+        if d1 and d2:
+            core(d1, d2, out, o1, o2, o3)
+        elif d1 == 0:
+            for j in range(len(labels[d2])):
+                out[o1, o2 + j, o3 + j] = 1
+        else:
+            for i in range(len(labels[d1])):
+                out[o1 + i, o2, o3 + i] = 1
+
+    return block
+
+
+def _dense(labels: list[list[str]], block):
+    """The int64 structure tensor of a degree pair, written by its block."""
+
+    def dense(d1: int, d2: int) -> np.ndarray:
+        out = np.zeros((len(labels[d1]), len(labels[d2]), len(labels[d1 + d2])),
+                       dtype=np.int64)
+        block(d1, d2, out, 0, 0, 0)
+        return out
+
+    return dense
+
+
 def _no_product(d1: int, i: int, d2: int, j: int) -> dict[int, int]:
     """Trivial and Z blocks: every product in positive degrees is zero."""
     return {}
+
+
+def _no_block(d1: int, d2: int, out, o1: int, o2: int, o3: int) -> None:
+    pass
+
+
+def _e_block(d1: int, d2: int, out, o1: int, o2: int, o3: int) -> None:
+    out[o1, o2, o3] = 1
 
 
 def _demuskin_gram(n: int, case: str, p: int) -> dict[tuple[int, int], int]:
@@ -85,33 +128,45 @@ def _demuskin_eps(n: int, case: str, p: int) -> list[int]:
 
 
 def _build(e: PairExpr, p: int, D: int):
-    """Ring model ``(labels, eps, mul)`` of a validated node up to degree
-    ``D``, of dimension ``len(labels[d])`` in degree d: one dispatch on kind.
+    """Ring model ``(labels, eps, mul, block)`` of a validated node up to
+    degree ``D``, of dimension ``len(labels[d])`` in degree d: one dispatch
+    on kind.
 
     ``mul(d1, i, d2, j)`` is the sparse product of two basis classes of
-    positive degree; ``_with_unit`` adds the unit where a caller needs
-    it.  A free product shifts its factor's indices to the factor's
-    block, and products across factors vanish.  ``Ext(m, base)`` has the
-    basis b_S * i(x), S a subset of {1..m} and x a base class; S is an int
-    bitmask whose bit k-1 stands for b_k, listed by ``combinations`` so
-    the basis order and labels are those of sorted tuples.  At odd p,
+    positive degree.  ``block(d1, d2, out, o1, o2, o3)`` writes the
+    structure tensor of all of them, of shape (n_d1, n_d2, n_(d1+d2)), into
+    ``out`` shifted by the offsets: each nonzero entry c in 1..p-1 at
+    (i, j, r) goes to ``out[o1 + i, o2 + j, o3 + r]``, and nothing else
+    is written.  ``out`` is the dense int64 tensor (see ``_dense``), or a
+    dict when an ``Ext`` node collects its base's entries.
+    ``_with_unit`` and ``_with_unit_block`` add the unit where a caller
+    needs it.  A free product shifts its factor's indices to the factor's
+    block, so its blocks sit on the diagonal of its own, and products
+    across factors vanish.  ``Ext(m, base)`` has the basis b_S * i(x), S
+    a subset of {1..m} and x a base class; S is an int bitmask whose bit
+    k-1 stands for b_k, listed by ``combinations`` so the basis order and
+    labels are those of sorted tuples.  At odd p,
     b_S i(x) * b_T i(y) = (-1)^(|S| deg y + inv(S, T)) b_(S|T) i(xy),
     which is zero when S & T != 0; inv(S, T), the pairs s > t, is the sum
     over s in S of popcount(T & (the bits below s)).  At p = 2 the square
-    rule b_k^2 = b_k i(eps) makes it b_(S|T) i(x y eps^popcount(S&T)),
-    each power of eps a sparse product against the support of the base's
-    eps.
+    rule b_k^2 = b_k i(eps) makes it b_(S|T) i(x y eps^popcount(S&T)).
+    ``twist`` gives the eps power, the sign and where S | T starts, and
+    both ``core`` and ``block`` read it: a block takes, for each pair of
+    subset sizes (s, t) and eps power k, the base's (d1 - s, d2 - t) block
+    times eps^k once, and places it at every pair (S, T) of those sizes
+    that meets in k elements.
     """
     if isinstance(e, Trivial):
-        return [["1"]] + [[] for _ in range(D)], [], _no_product
+        return [["1"]] + [[] for _ in range(D)], [], _no_product, _no_block
 
     if isinstance(e, ZBlock):
         labels = [["1"], ["x"]] + [[] for _ in range(D - 1)]
-        return labels, [epsilon_of(e.alpha) if p == 2 else 0], _no_product
+        eps = [epsilon_of(e.alpha) if p == 2 else 0]
+        return labels, eps, _no_product, _no_block
 
     if isinstance(e, EBlock):
         labels = [["1"], ["x"]] + [[f"x^{d}"] for d in range(2, D + 1)]
-        return labels, [1], lambda d1, i, d2, j: {0: 1}
+        return labels, [1], lambda d1, i, d2, j: {0: 1}, _e_block
 
     if isinstance(e, PAdicBlock):
         n = e.n
@@ -123,52 +178,75 @@ def _build(e: PairExpr, p: int, D: int):
             c = gram.get((i, j)) if d1 == d2 == 1 else None
             return {0: c} if c else {}
 
-        return labels, _demuskin_eps(n, e.case, p), core
+        def block(d1, d2, out, o1, o2, o3):
+            if d1 == d2 == 1:
+                for (a, b), c in gram.items():
+                    out[o1 + a, o2 + b, o3] = c
+
+        return labels, _demuskin_eps(n, e.case, p), core, block
 
     if isinstance(e, FreeProd):
-        kids = [_build(f, p, D) for f in e.factors]
-        muls = [kid[2] for kid in kids]
-        labels: list[list[str]] = [["1"]]
-        owner: list[list[tuple[int, int]]] = [[]]
-        start: list[list[int]] = [[0] * len(kids)]
-        for d in range(1, D + 1):
-            row: list[str] = []
-            own: list[tuple[int, int]] = []
-            st: list[int] = []
-            for k, (klabels, _, _) in enumerate(kids):
-                st.append(len(row))
-                row.extend(f"g{k + 1}.{lbl}" for lbl in klabels[d])
-                own.extend((k, li) for li in range(len(klabels[d])))
-            labels.append(row)
-            owner.append(own)
-            start.append(st)
-
-        def core(d1, i, d2, j):
-            k1, li = owner[d1][i]
-            k2, lj = owner[d2][j]
-            if k1 != k2:
-                # cross-factor cup products vanish in a free product
-                return {}
-            off = start[d1 + d2][k1]
-            return {off + r: c for r, c in muls[k1](d1, li, d2, lj).items()}
-
-        return labels, [c for kid in kids for c in kid[1]], core
+        return _build_free(e, p, D)
 
     # the remaining kind: Ext
-    blabels, beps, bmul = _build(e.base, p, D)
+    return _build_ext(e, p, D)
+
+
+def _build_free(e: FreeProd, p: int, D: int):
+    """``_build`` of a free product.  This and ``_build_ext`` are kept out
+    of ``_build``: a call creates the cells of every closure in its
+    function, so each leaf would pay for theirs."""
+    kids = [_build(f, p, D) for f in e.factors]
+    muls = [kid[2] for kid in kids]
+    labels: list[list[str]] = [["1"]]
+    owner: list[list[tuple[int, int]]] = [[]]
+    start: list[list[int]] = [[0] * len(kids)]
+    for d in range(1, D + 1):
+        row: list[str] = []
+        own: list[tuple[int, int]] = []
+        st: list[int] = []
+        for k, (klabels, _, _, _) in enumerate(kids):
+            st.append(len(row))
+            row.extend(f"g{k + 1}.{lbl}" for lbl in klabels[d])
+            own.extend((k, li) for li in range(len(klabels[d])))
+        labels.append(row)
+        owner.append(own)
+        start.append(st)
+
+    def core(d1, i, d2, j):
+        k1, li = owner[d1][i]
+        k2, lj = owner[d2][j]
+        if k1 != k2:
+            # cross-factor cup products vanish in a free product
+            return {}
+        off = start[d1 + d2][k1]
+        return {off + r: c for r, c in muls[k1](d1, li, d2, lj).items()}
+
+    def block(d1, d2, out, o1, o2, o3):
+        s1, s2, s3 = start[d1], start[d2], start[d1 + d2]
+        for k, kid in enumerate(kids):
+            kid[3](d1, d2, out, o1 + s1[k], o2 + s2[k], o3 + s3[k])
+
+    return labels, [c for kid in kids for c in kid[1]], core, block
+
+
+def _build_ext(e: Ext, p: int, D: int):
+    """``_build`` of an extension ``Ext(m, base)``."""
+    blabels, beps, bmul, bblock = _build(e.base, p, D)
     bmul = _with_unit(bmul)
+    bblock = _with_unit_block(blabels, bblock)
     m = e.m
     # monos[d][i] = (S, b) is the i-th class of degree d, S a bitmask whose
     # bit k-1 stands for b_k; the classes of one S are consecutive, and
-    # block[d][S] is the index of the first
+    # first[d][S] is the index of the first
     monos: list[list[tuple[int, int]]] = []
-    block: list[dict[int, int]] = []
+    first: list[dict[int, int]] = []
     labels = []
     # the one-bit masks in ascending order, with their labels
     bname = {1 << k: f"b{k + 1}" for k in range(m)}
     for d in range(D + 1):
         row: list[tuple[int, int]] = []
-        first: dict[int, int] = {}
+        fst: dict[int, int] = {}
         lab: list[str] = []
         for j in range(min(m, d) + 1):
             base = blabels[d - j]
@@ -176,15 +254,32 @@ def _build(e: PairExpr, p: int, D: int):
                 continue
             for ks in combinations(bname, j):
                 S = sum(ks)
-                first[S] = len(row)
+                fst[S] = len(row)
                 row.extend((S, b) for b in range(len(base)))
                 bs = [bname[q] for q in ks]
                 for bl in base:
                     lab.append("*".join(bs if bl == "1" else bs + [f"i({bl})"]) or "1")
         monos.append(row)
-        block.append(first)
+        first.append(fst)
         labels.append(lab)
     eps_support = [k for k, c in enumerate(beps) if c % p]
+
+    def twist(S: int, T: int, bd2: int, d: int) -> tuple[int, int, int | None]:
+        """``(k, sign, off)`` for b_S i(x) * b_T i(y), y of base degree
+        ``bd2``, where S & T = 0 at odd p: the product is
+        sign * b_(S|T) i(x y eps^k), and the classes of S | T start at
+        ``off`` in degree ``d`` (None when that degree has none)."""
+        sign = 1
+        if p != 2:
+            # inv(S, T): the pairs s in S, t in T with s > t
+            inversions, rest = 0, S
+            while rest:
+                low = rest & -rest
+                inversions += (T & (low - 1)).bit_count()
+                rest ^= low
+            if (S.bit_count() * bd2 + inversions) & 1:
+                sign = -1
+        return (S & T).bit_count(), sign, first[d].get(S | T)
 
     def times_eps(v: dict[int, int], t: int) -> dict[int, int]:
         # p = 2: every coefficient is 1, so a sum is a symmetric difference
@@ -201,35 +296,109 @@ def _build(e: PairExpr, p: int, D: int):
             return {}
         bd1, bd2 = d1 - S.bit_count(), d2 - T.bit_count()
         v = bmul(bd1, b1, bd2, b2)
-        sign = 1
-        if p == 2:
-            t = bd1 + bd2
-            for _ in range((S & T).bit_count()):
-                v = times_eps(v, t)
-                t += 1
-        elif v:
-            # inv(S, T): the pairs s in S, t in T with s > t
-            inversions, rest = 0, S
-            while rest:
-                low = rest & -rest
-                inversions += (T & (low - 1)).bit_count()
-                rest ^= low
-            if (S.bit_count() * bd2 + inversions) & 1:
-                sign = -1
         if not v:
             return {}
-        off = block[d1 + d2][S | T]
+        k, sign, off = twist(S, T, bd2, d1 + d2)
+        t = bd1 + bd2
+        for _ in range(k):
+            v = times_eps(v, t)
+            t += 1
+        if not v:
+            return {}
         return {off + r: sign * c % p for r, c in v.items()}
 
-    return labels, beps + [0] * m, core
+    # sized[d][s] lists the masks of s bits that have classes in degree d,
+    # in basis order; twisted[a, b][k] lists the nonzero entries
+    # (x, y, r, c) of the base's (a, b) block times eps^k; both are filled
+    # when a block first needs them (by loops, not recursion: a recursive
+    # closure is a reference cycle, which would keep the ring until the
+    # garbage collector runs)
+    sized: dict[int, dict[int, list[int]]] = {}
+    twisted: dict[tuple[int, int], list[list[tuple[int, int, int, int]]]] = {}
+
+    def sized_in(d: int) -> dict[int, list[int]]:
+        if d not in sized:
+            sz: dict[int, list[int]] = {}
+            for S in first[d]:
+                sz.setdefault(S.bit_count(), []).append(S)
+            sized[d] = sz
+        return sized[d]
+
+    def base_entries(a: int, b: int) -> dict[tuple[int, int, int], int]:
+        entries: dict[tuple[int, int, int], int] = {}
+        bblock(a, b, entries, 0, 0, 0)
+        return entries
+
+    def base_part(a: int, b: int, k: int) -> list[tuple[int, int, int, int]]:
+        powers = twisted.get((a, b))
+        if powers is None:
+            powers = twisted[a, b] = [
+                [(x, y, r, c) for (x, y, r), c in base_entries(a, b).items()]]
+        while len(powers) <= k:
+            # p = 2: r eps is the symmetric difference of r * eps_l over
+            # the eps support, and every coefficient is 1
+            prev, t = powers[-1], a + b + len(powers) - 1
+            times = {r: set() for _, _, r, _ in prev}
+            for r, y, r2 in base_entries(t, 1):
+                if r in times and y in eps_support:
+                    times[r] ^= {r2}
+            acc: set[tuple[int, int, int]] = set()
+            for x, y, r, _ in prev:
+                acc ^= {(x, y, r2) for r2 in times[r]}
+            powers.append([(x, y, r, 1) for x, y, r in acc])
+        return powers[k]
+
+    def block(d1, d2, out, o1, o2, o3):
+        d = d1 + d2
+        for s, Ss in sized_in(d1).items():
+            for t, Ts in sized_in(d2).items():
+                a, b = d1 - s, d2 - t
+                # parts[k]: the base's (a, b) block times eps^k, nonzero;
+                # |S | T| <= m, and at odd p only k = 0 (S & T = 0) survives
+                parts = {}
+                for k in range(max(0, s + t - m), (min(s, t) if p == 2 else 0) + 1):
+                    part = base_part(a, b, k)
+                    if part:
+                        parts[k] = part
+                if not parts:
+                    continue
+                for S in Ss:
+                    row = o1 + first[d1][S]
+                    for T in Ts:
+                        part = parts.get((S & T).bit_count())
+                        if part is None:
+                            continue
+                        _, sign, off = twist(S, T, b, d)
+                        col, tgt = o2 + first[d2][T], o3 + off
+                        if sign == 1:
+                            for x, y, r, c in part:
+                                out[row + x, col + y, tgt + r] = c
+                        else:
+                            for x, y, r, c in part:
+                                out[row + x, col + y, tgt + r] = p - c
+
+    return labels, beps + [0] * m, core, block
 
 
 @dataclass
 class GradedAlgebra:
-    """Cohomology ring truncated at ``max_degree``, with memoized products.
+    """Cohomology ring truncated at ``max_degree``.
 
-    ``product`` and ``cup`` into a degree of dimension 0 return a length-0
-    int64 vector at once: they neither call ``_mul`` nor touch the memo.
+    ``product`` memoizes by degree pair: its first call into (d1, d2)
+    builds the whole structure tensor of that pair, of shape
+    (n_d1, n_d2, n_(d1+d2)) and n_d1 * n_d2 * n_(d1+d2) int64 entries,
+    marks it read-only and keeps it in ``_cache``; every call returns
+    ``block[i, j]``, a read-only view.  Once (d2, d1) is kept, (d1, d2)
+    is read off it by graded commutativity, x y = (-1)^(d1 d2) y x: a
+    transposed view, negated mod p when p is odd and d1 d2 is.  A block
+    past ``MAX_BLOCK_CELLS`` entries is not built: such a product is
+    read off ``_mul`` alone.
+
+    ``gram`` and ``cup`` keep the per-pair rule ``_mul``, which pays only
+    for the pairs they touch.  ``product`` and ``cup`` into a degree of
+    dimension 0 return a length-0 int64 vector at once.  Degrees, class
+    indices and coefficient vectors are checked first: a bad one raises
+    ``ValidationError``.
     """
 
     p: int
@@ -237,6 +406,7 @@ class GradedAlgebra:
     basis: tuple[tuple[str, ...], ...]
     eps: np.ndarray
     _mul: Callable[[int, int, int, int], dict[int, int]]
+    _block: Callable[[int, int], np.ndarray]
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -244,34 +414,74 @@ class GradedAlgebra:
     def dims(self) -> list[int]:
         return [len(b) for b in self.basis]
 
-    def _check_degree(self, d: int) -> None:
+    def _check_degrees(self, d1: int, d2: int) -> int:
+        if d1 < 0 or d2 < 0:
+            raise ValidationError(f"negative degree in a product of degrees {d1}, {d2}")
+        d = d1 + d2
         if d > self.max_degree:
             raise ValidationError(
                 f"product lands in degree {d} > max degree {self.max_degree}"
             )
+        return d
+
+    def _block_of(self, d1: int, d2: int) -> np.ndarray | None:
+        """The read-only block of the degree pair, built and memoized on
+        first use; None when it would pass ``MAX_BLOCK_CELLS``."""
+        d = self._check_degrees(d1, d2)
+        n1, n2, n3 = len(self.basis[d1]), len(self.basis[d2]), len(self.basis[d])
+        mirror = self._cache.get((d2, d1))
+        if not n3:
+            # into a degree of dimension 0: the model is not asked
+            block = np.zeros((n1, n2, 0), dtype=np.int64)
+        elif mirror is not None:
+            # graded commutativity: x y = (-1)^(d1 d2) y x, so at p = 2 or
+            # an even d1 d2 the block is a view of its mirror
+            block = mirror.transpose(1, 0, 2)
+            if self.p != 2 and d1 * d2 % 2:
+                block = -block % self.p
+        elif n1 * n2 * n3 > MAX_BLOCK_CELLS:
+            return None
+        else:
+            block = self._block(d1, d2)
+        block.setflags(write=False)
+        self._cache[d1, d2] = block
+        return block
 
     def product(self, d1: int, i: int, d2: int, j: int) -> np.ndarray:
-        """Cup product of the i-th degree-d1 and j-th degree-d2 basis classes."""
-        self._check_degree(d1 + d2)
-        if not self.basis[d1 + d2]:
-            return np.zeros(0, dtype=np.int64)
-        key = (d1, i, d2, j)
-        if key not in self._cache:
+        """Cup product of the i-th degree-d1 and j-th degree-d2 basis
+        classes, as a read-only vector."""
+        block = self._cache.get((d1, d2))
+        if block is None:
+            block = self._block_of(d1, d2)
+        if not (0 <= i < len(self.basis[d1]) and 0 <= j < len(self.basis[d2])):
+            raise ValidationError(
+                f"no basis class pair ({i}, {j}) in degrees ({d1}, {d2}), "
+                f"of dimensions {len(self.basis[d1])} and {len(self.basis[d2])}"
+            )
+        if block is None:
             out = np.zeros(len(self.basis[d1 + d2]), dtype=np.int64)
             for r, c in self._mul(d1, i, d2, j).items():
                 out[r] = c
-            self._cache[key] = out
-        return self._cache[key]
+            out.setflags(write=False)
+            return out
+        return block[i, j]
 
     def cup(self, v1, d1: int, v2, d2: int) -> np.ndarray:
         """Bilinear extension of the product to coefficient vectors."""
-        self._check_degree(d1 + d2)
-        if not self.basis[d1 + d2]:
+        d = self._check_degrees(d1, d2)
+        a1 = np.asarray(v1, dtype=np.int64)
+        a2 = np.asarray(v2, dtype=np.int64)
+        if a1.shape != (len(self.basis[d1]),) or a2.shape != (len(self.basis[d2]),):
+            raise ValidationError(
+                f"cup of vectors of shapes {list(a1.shape)} and {list(a2.shape)} in "
+                f"degrees {d1} and {d2}, of dimensions {len(self.basis[d1])} and "
+                f"{len(self.basis[d2])}"
+            )
+        if not self.basis[d]:
             return np.zeros(0, dtype=np.int64)
-        a1 = (np.asarray(v1, dtype=np.int64) % self.p).tolist()
-        a2 = (np.asarray(v2, dtype=np.int64) % self.p).tolist()
+        a1, a2 = (a1 % self.p).tolist(), (a2 % self.p).tolist()
         support2 = [(j, b) for j, b in enumerate(a2) if b]
-        out = [0] * len(self.basis[d1 + d2])
+        out = [0] * len(self.basis[d])
         for i, a in enumerate(a1):
             if a:
                 for j, b in support2:
@@ -303,13 +513,14 @@ def build_cohomology(e: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
         )
     ne = normalize(e, p)
     _check_basis(ne, max_degree)
-    labels, eps, mul = _build(ne, p, max_degree)
+    labels, eps, mul, block = _build(ne, p, max_degree)
     return GradedAlgebra(
         p=p,
         max_degree=max_degree,
         basis=tuple(tuple(row) for row in labels),
         eps=np.array(eps, dtype=np.int64) % p,
         _mul=_with_unit(mul),
+        _block=_dense(labels, _with_unit_block(labels, block)),
         meta={"ext_inflation_dim": rank(ne.base) if isinstance(ne, Ext) else None},
     )
 

@@ -26,6 +26,10 @@ class Series:
     zero: bool = False
 
 
+def _series_nonzero(c: Series) -> bool:
+    return not c.zero
+
+
 class LaurentRing:
     def __init__(self, base, var: str, precision: int):
         if precision < 1:
@@ -35,6 +39,9 @@ class LaurentRing:
         self.base = base
         self.var = var
         self.T = precision
+        # the test for an exact zero coefficient: 0 in a finite field, and
+        # in a Laurent base the one series with ``zero`` set, ``self.zero``
+        self._nonzero = _series_nonzero if isinstance(base, LaurentRing) else bool
 
     # -- construction --------------------------------------------------------
 
@@ -135,14 +142,14 @@ class LaurentRing:
         v = x.v + y.v
         if n == 0:
             return Series(v, ())
-        base, zero = self.base, self.base.zero
+        base, nonzero = self.base, self._nonzero
         # an exact zero coefficient adds nothing (base.mul(zero, c) is zero
         # and base.add(s, zero) is s), so only nonzero pairs are multiplied;
         # an empty window is not zero and still goes through base.mul
-        ys = [(j, c) for j, c in enumerate(y.coeffs[:n]) if c != zero]
-        out = [zero] * n
+        ys = [(j, c) for j, c in enumerate(y.coeffs[:n]) if nonzero(c)]
+        out = [base.zero] * n
         for i, xi in enumerate(x.coeffs[:n]):
-            if xi == zero:
+            if not nonzero(xi):
                 continue
             for j, yj in ys:
                 if i + j >= n:

@@ -398,15 +398,18 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     Otherwise the columns of P are chosen one basis vector at a time, the
     basis vectors with the fewest candidates first.  The image of e_j
     ranges over the vectors of m2 with the key of e_j in m1.  A branch is
-    pruned when a nonzero combination of the chosen columns is zero or has
-    another key than the same combination of basis vectors in m1, or when
-    no invertible Q fits the pairs of chosen basis vectors: with columns
+    pruned when a nonzero combination of the chosen columns has another
+    key than the same combination of basis vectors in m1, or when no
+    invertible Q fits the pairs of chosen basis vectors: with columns
     X1 = B1(e_a, e_b) and X2 = B2(Pe_a, Pe_b), an invertible Q with
     Q X1 = X2 exists exactly when rank X1 = rank X2 = rank [X1; X2].  A
-    leaf only builds Q (see ``_q_finder``).  Its P is invertible, as no
-    nonzero combination of its columns is zero, and P eps1 = eps2: each
+    leaf only builds Q (see ``_q_finder``).  Its P has P eps1 = eps2: each
     nonzero a keeps its key, whose last bit is a = eps, and for eps1 = 0
-    the keys of the zero vectors agree only when eps2 = 0.
+    the keys of the zero vectors agree only when eps2 = 0.  And P is
+    invertible, by the same bit: were Px = 0 for some x != 0, then at
+    eps1 = 0 the key of x would say x != eps1 while Px = 0 = eps2; at
+    eps1 != 0 either x = -eps1, and P eps1 = 0 != eps2, or eps1 + x is
+    nonzero, differs from eps1 and still maps to eps2.
 
     Raises ``DimensionTooLarge`` when p^d exceeds ``DEFAULT_ENUM_BOUND``
     (the keys enumerate A_1) or when the search tries more than
@@ -451,7 +454,7 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
                     "candidate columns"
                 )
             img = (base[None] + lam[None, :, j, None] * c[:, None, :]) % p @ place
-            c = c[(k2[img] == target).all(axis=1) & (img != 0).all(axis=1)]
+            c = c[(k2[img] == target).all(axis=1)]
             if not len(c):
                 continue
             n = len(c)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -18,7 +19,7 @@ from etkit.cohomology import (
     log_level_direct,
     log_level_recursive,
 )
-from etkit.errors import DegreeTooSmall, DimensionTooLarge
+from etkit.errors import DegreeTooSmall, DimensionTooLarge, ValidationError
 from etkit.pairs import Ext, normalize, parse, rank, theta_image
 from etkit.randexpr import random_expr, random_padic
 
@@ -353,11 +354,145 @@ def test_products_into_empty_degrees_skip_the_model():
     def refuse(*args):
         raise AssertionError("the ring model was consulted")
 
-    alg._mul = refuse
+    alg._mul = alg._block = refuse
     for got in (alg.product(1, 0, 3, 0), alg.product(2, 0, 2, 0),
                 alg.cup([1] * alg.dims[1], 1, [1] * alg.dims[3], 3)):
         assert got.dtype == np.int64
         assert got.shape == (0,)
+
+
+def _assert_blocks_match_dense(e, p, D):
+    """Every degree pair's block equals the dense oracle's products."""
+    alg = build_cohomology(e, p, D)
+    want = dense_ring._build(normalize(e, p), p, D)
+    for d1 in range(D + 1):
+        for d2 in range(D + 1 - d1):
+            block = alg._block(d1, d2)
+            assert block.dtype == np.int64
+            assert block.shape == (want.dims[d1], want.dims[d2], want.dims[d1 + d2]), \
+                (e, d1, d2)
+            dense = [[(want.mul(d1, i, d2, j) % p).tolist()
+                      for j in range(want.dims[d2])] for i in range(want.dims[d1])]
+            assert block.tolist() == dense, (e, d1, d2)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 6))
+def test_blocks_match_dense_oracle(seed, p, D):
+    e = random_expr(random.Random(seed), p, max_rank=10)
+    _assert_blocks_match_dense(e, p, D)
+
+
+@pytest.mark.parametrize("text, p, D", [
+    # a free product under an extension, with an E factor and an Ext factor
+    ("ext(2, Z(3) * ext(1, Z(5)) * E)", 2, 6),
+    ("ext(2, Z(7) * ext(2, Z(4) * padic(n=4,q=3,case=I)))", 3, 6),
+    ("E * E * ext(2, Z(5))", 2, 6),
+    # Case III and IV bases: eps is not the first class, and x1^2 = w
+    ("ext(2, E * padic(n=4,q=2,case=III,f=2,s=2))", 2, 6),
+    ("ext(3, padic(n=4,q=2,case=IV,f=3,s=2))", 2, 6),
+    # the odd-p sign over many b's
+    ("ext(5, Z(4) * padic(n=4,q=3,case=I))", 3, 6),
+])
+def test_blocks_match_dense_oracle_cases(text, p, D):
+    _assert_blocks_match_dense(parse(text, p), p, D)
+
+
+def test_product_results_are_read_only():
+    # a result must not alias the memo, where a write would change later products
+    alg = build_cohomology(parse("ext(2, Z(5))", 2), 2, 4)
+    v = alg.product(1, 0, 1, 1)
+    with pytest.raises(ValueError):
+        v[1] = 1
+    gram = alg.gram()
+    for i in range(alg.dims[1]):
+        for j in range(alg.dims[1]):
+            assert alg.product(1, i, 1, j).tolist() == gram[i, j].tolist()
+
+
+@pytest.mark.parametrize("call", [
+    lambda alg: alg.product(1, -1, 1, 0),
+    lambda alg: alg.product(1, 0, 1, -1),
+    lambda alg: alg.product(1, alg.dims[1], 1, 0),
+    lambda alg: alg.product(2, 0, 1, alg.dims[1]),
+    lambda alg: alg.product(-1, 0, 3, 0),
+    lambda alg: alg.product(2, 0, 3, 0),
+    lambda alg: alg.cup([1], 1, [1] * alg.dims[1], 1),
+    lambda alg: alg.cup([1] * alg.dims[1], 1, [1] * (alg.dims[1] + 1), 1),
+    lambda alg: alg.cup([[1] * alg.dims[1]], 1, [1] * alg.dims[1], 1),
+    lambda alg: alg.cup([1], -1, [1] * alg.dims[2], 2),
+])
+def test_product_and_cup_refuse_bad_classes_and_vectors(call):
+    alg = build_cohomology(parse("ext(2, Z(5))", 2), 2, 4)
+    with pytest.raises(ValidationError):
+        call(alg)
+
+
+@pytest.mark.parametrize("text, p", [
+    ("ext(3, Z(3) * E)", 2),
+    ("ext(3, Z(7) * padic(n=4,q=3,case=I))", 3),
+])
+def test_mirrored_degree_pair_is_read_off_its_mirror(text, p):
+    # x y = (-1)^(d1 d2) y x: the (d2, d1) block is the (d1, d2) block
+    # transposed, negated at odd p when d1 d2 is odd
+    alg = build_cohomology(parse(text, p), p, 5)
+    want = dense_ring._build(normalize(parse(text, p), p), p, 5)
+    for d1, d2 in [(1, 2), (1, 3), (2, 3), (1, 4)]:
+        alg.product(d1, 0, d2, 0)
+    alg._block = None
+    for d1, d2 in [(2, 1), (3, 1), (3, 2), (4, 1)]:
+        for i in range(alg.dims[d1]):
+            for j in range(alg.dims[d2]):
+                got = alg.product(d1, i, d2, j)
+                assert not got.flags.writeable
+                assert got.tolist() == (want.mul(d1, i, d2, j) % p).tolist()
+
+
+def test_ring_models_leave_no_reference_cycles():
+    # a cycle keeps a ring's closures and blocks alive until the garbage
+    # collector runs, which then pays for them inside some later call
+    texts = [("ext(2, Z(3) * E * ext(1, Z(5)))", 2),
+             ("ext(3, padic(n=4,case=IV,f=3))", 2),
+             ("ext(2, Z(7) * ext(2, Z(4)))", 3),
+             ("Z(3) * E * padic(n=3,case=II,f=2)", 2)]
+
+    def use(text, p):
+        alg = build_cohomology(parse(text, p), p, 6)
+        dims = alg.dims
+        for d1 in range(1, 6):
+            for i in range(dims[d1]):
+                for j in range(dims[6 - d1]):
+                    alg.product(d1, i, 6 - d1, j)
+        alg.gram()
+        log_level_direct(parse(text, p), p, 6)
+
+    for text, p in texts:
+        use(text, p)
+    gc.collect()
+    gc.disable()
+    try:
+        for text, p in texts:
+            use(text, p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_oversized_block_is_not_built(monkeypatch):
+    monkeypatch.setattr(cohomology, "MAX_BLOCK_CELLS", 0)
+    alg = build_cohomology(parse("ext(2, Z(5)) * E", 2), 2, 4)
+
+    def refuse(*args):
+        raise AssertionError("a block was built")
+
+    alg._block = refuse
+    gram = alg.gram()
+    for i in range(alg.dims[1]):
+        for j in range(alg.dims[1]):
+            got = alg.product(1, i, 1, j)
+            assert not got.flags.writeable
+            assert got.tolist() == gram[i, j].tolist()
+    assert not alg._cache
 
 
 @given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 4))
