@@ -29,6 +29,7 @@ their block, sign and epsilon powers by bit operations and popcounts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -399,6 +400,12 @@ class GradedAlgebra:
     dimension 0 return a length-0 int64 vector at once.  Degrees, class
     indices and coefficient vectors are checked first: a bad one raises
     ``ValidationError``.
+
+    ``build_cohomology`` hands the same ring to every caller that asks for
+    an equal normal form, p and degree back to back, so a ring is
+    read-only: ``eps`` and every block refuse writes, and the memos
+    (``_cache`` and ``_map``, the degree-one map that
+    ``rigidity.from_cohomology`` makes on first use) only fill.
     """
 
     p: int
@@ -409,6 +416,7 @@ class GradedAlgebra:
     _block: Callable[[int, int], np.ndarray]
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
+    _map: object = field(default=None, init=False, repr=False)
 
     @property
     def dims(self) -> list[int]:
@@ -506,19 +514,46 @@ class GradedAlgebra:
 
 
 def build_cohomology(e: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
-    """Cohomology model of the normal form of ``e`` up to ``max_degree``."""
+    """Cohomology model of the normal form of ``e`` up to ``max_degree``.
+
+    The checks run on every call: the degree, ``normalize`` and the basis
+    bound.  The ring then comes from a one-entry memo keyed by (normal
+    form, p, max_degree), so a caller that asks again for the ring it
+    just had, such as ``rigidity.check_rigidity_criterion`` followed by
+    a report on the same pair, gets the same read-only object back, with
+    the blocks and the map already built on it.  One entry holds the
+    repeats, which come back to back; the last ring and its blocks stay
+    alive until the next build.
+
+    Equal keys give identical rings.  Normal forms are frozen dataclasses
+    whose ``__eq__`` compares the node type and every field, and
+    ``_build``, the labels and ``meta`` read only those fields and p:
+    ``n`` and ``case`` of a p-adic block, the sign of a Z-block's alpha
+    (``PAdicUnit.__eq__`` compares the sign), ``m`` and the
+    base of an extension, and the factors of a free product.  Equal rings
+    under unequal keys, such as ``Z(3)`` and ``Z(-5)`` at p = 2, only
+    miss the memo.
+    """
     if max_degree < 2:
         raise DegreeTooSmall(
             f"cohomology model needs max degree >= 2, got {max_degree}"
         )
     ne = normalize(e, p)
     _check_basis(ne, max_degree)
+    return _ring(ne, p, max_degree)
+
+
+@lru_cache(maxsize=1)
+def _ring(ne: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
+    """The ring of a checked normal form; ``build_cohomology`` memoizes it."""
     labels, eps, mul, block = _build(ne, p, max_degree)
+    eps = np.array(eps, dtype=np.int64) % p
+    eps.setflags(write=False)
     return GradedAlgebra(
         p=p,
         max_degree=max_degree,
         basis=tuple(tuple(row) for row in labels),
-        eps=np.array(eps, dtype=np.int64) % p,
+        eps=eps,
         _mul=_with_unit(mul),
         _block=_dense(labels, _with_unit_block(labels, block)),
         meta={"ext_inflation_dim": rank(ne.base) if isinstance(ne, Ext) else None},

@@ -92,6 +92,15 @@ def batch_rank(stack, p: int) -> np.ndarray:
     min(rows, cols) columns.  At p = 2 each row is packed into words and
     eliminated by XOR (``xor_rank``); at odd p one forward elimination runs
     on the whole stack at once in int64.
+
+    At odd p the block is reduced mod p lazily: only the pivot row (after
+    scaling by the inverse of its pivot) and the next pivot column are, at
+    each step.  A step subtracts (column entry) x (pivot row entry), both
+    in 0..p-1, so every entry stays below (p - 1) + min(rows, cols) (p - 1)^2
+    in absolute value, and the scaled pivot row below p times that.  Every
+    caller ranks matrices with min(rows, cols) <= d^2 under the scan bound
+    p^d <= 2^16 (``rigidity.DEFAULT_ENUM_BOUND``), which keeps the entries
+    below 2^32 and the scaled row below 2^48, far inside int64.
     """
     m = np.asarray(stack, dtype=np.int64) % p
     if m.shape[2] > m.shape[1]:
@@ -113,10 +122,11 @@ def batch_rank(stack, p: int) -> np.ndarray:
         piv = (col != 0).argmax(axis=1)
         ranks += col.any(axis=1)
         # the pivot row clears column c from every row, itself included, so
-        # a used row turns zero and is never picked again; columns up to c
-        # are not read again
-        prow = m[idx, piv, c + 1:] * inverse[col[idx, piv]][:, None]
-        m[:, :, c + 1:] = (m[:, :, c + 1:] - col[:, :, None] * prow[:, None, :]) % p
+        # a used row turns 0 mod p and is never picked again; columns up to
+        # c are not read again
+        prow = m[idx, piv, c + 1:] * inverse[col[idx, piv]][:, None] % p
+        m[:, :, c + 1:] -= col[:, :, None] * prow[:, None, :]
+        m[:, :, c + 1:c + 2] %= p
     return ranks
 
 

@@ -108,14 +108,23 @@ class AugBilinearMap:
 
 
 def from_cohomology(ga: GradedAlgebra) -> AugBilinearMap:
-    """Cup product H^1 x H^1 -> H^2 with the epsilon class."""
-    return AugBilinearMap(
-        p=ga.p,
-        tensor=ga.gram(),
-        eps=ga.eps,
-        labels=tuple(ga.basis[1]),
-        multiplicative=False,
-    )
+    """Cup product H^1 x H^1 -> H^2 with the epsilon class.
+
+    One map per ring: the first call builds it and keeps it on the ring
+    (``GradedAlgebra._map``), and later calls return it.  A ring is
+    read-only, and so is the map, so the scan, the N-basis and the keys
+    cached on the map are computed once per ring, and a ring that
+    ``build_cohomology`` hands out again comes with them.
+    """
+    if ga._map is None:
+        ga._map = AugBilinearMap(
+            p=ga.p,
+            tensor=ga.gram(),
+            eps=ga.eps,
+            labels=tuple(ga.basis[1]),
+            multiplicative=False,
+        )
+    return ga._map
 
 
 def _all_vectors(p: int, d: int) -> np.ndarray:

@@ -97,6 +97,32 @@ def test_basis_bound(monkeypatch):
     assert build_cohomology(parse("E", 2), 2, 30).dims == [1] * 31
 
 
+def test_equal_normal_forms_share_one_ring():
+    # the two orders normalize alike, so the second build is the first ring
+    a, b = parse("E * Z(5)", 2), parse("Z(5) * E", 2)
+    assert a != b and normalize(a, 2) == normalize(b, 2)
+    alg = build_cohomology(a, 2, 3)
+    assert build_cohomology(b, 2, 3) is alg
+    # another degree, p or form is another ring
+    for text, p, D in [("E * Z(5)", 2, 4), ("E * Z(13)", 2, 3), ("ext(2,triv)", 2, 3)]:
+        other = build_cohomology(parse(text, p), p, D)
+        assert other is not alg and other.max_degree == D
+    two = build_cohomology(parse("ext(2,triv)", 3), 3, 3)
+    assert two is not other and two.p == 3
+    # equal rings under unequal keys only miss the memo
+    z3 = build_cohomology(parse("Z(3)", 2), 2, 2)
+    z5 = build_cohomology(parse("Z(-5)", 2), 2, 2)
+    assert z3 is not z5
+    assert z3.basis == z5.basis and z3.eps.tolist() == z5.eps.tolist() == [1]
+
+
+def test_shared_ring_eps_is_read_only():
+    alg = build_cohomology(parse("E * Z(5)", 2), 2, 3)
+    with pytest.raises(ValueError):
+        alg.eps[0] = 0
+    assert build_cohomology(parse("Z(5) * E", 2), 2, 3).eps.tolist() == [0, 1]
+
+
 def test_json_shape():
     j = algebra_to_json(build_cohomology(parse(Q2, 2), 2, 2))
     assert j["dims"] == [1, 3, 1]

@@ -140,6 +140,30 @@ def test_packed_batch_rank_across_words(stack):
     assert batch_rank(stack, 2).tolist() == [rank(m, 2) for m in stack]
 
 
+@st.composite
+def odd_prime_stacks(draw):
+    """Stacks at odd p up to 65521 with up to 16 columns, where the lazy
+    reduction lets entries grow most; each matrix has a drawn rank, some
+    with their rows repeated, so rows cancel late."""
+    p = draw(st.sampled_from([3, 5, 251, 65521]))
+    rows, cols = draw(st.integers(0, 16)), draw(st.integers(0, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, min(rows, cols)))
+        m = rng.integers(p, size=(rows, r)) @ rng.integers(p, size=(r, cols)) % p
+        if rows and draw(st.booleans()):
+            m = m[rng.integers(rows, size=rows)]
+        mats.append(m)
+    return p, np.array(mats, dtype=np.int64).reshape(len(mats), rows, cols)
+
+
+@given(odd_prime_stacks())
+def test_batch_rank_matches_dense_oracle_at_odd_p(data):
+    p, stack = data
+    assert batch_rank(stack, p).tolist() == [dense_fp.rank(m, p) for m in stack]
+
+
 def test_solve_reports_inconsistency():
     a = np.array([[1, 0], [1, 0]])
     b = np.array([1, 0])

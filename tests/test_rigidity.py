@@ -277,6 +277,28 @@ def test_report_reuses_the_scan():
     assert np.array_equal(n_subspace(m), n_subspace(_map(3, m.tensor, m.eps)))
 
 
+@pytest.mark.parametrize("text, p", [("ext(2, Z(5) * E)", 2), ("ext(2, Z(4))", 3)])
+def test_criterion_and_report_share_one_scan(monkeypatch, text, p):
+    # the criterion's ring comes back from build_cohomology with its map,
+    # so the report and the N-subspace rank nothing again
+    calls = []
+    rank_flags = rigidity._rank_flags
+
+    def counted(*args):
+        calls.append(args)
+        return rank_flags(*args)
+
+    monkeypatch.setattr(rigidity, "_rank_flags", counted)
+    e = parse(text, p)
+    assert check_rigidity_criterion(e, p).holds
+    alg = build_cohomology(e, p, 2)
+    bmap = from_cohomology(alg)
+    assert from_cohomology(alg) is bmap
+    basis = n_subspace(bmap)
+    assert rigidity_report(bmap)["nSubspaceDim"] == len(basis)
+    assert len(calls) == 1
+
+
 def test_scalar_invariance_odd_p():
     rng = random.Random(21)
     for _ in range(30):
