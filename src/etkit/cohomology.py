@@ -10,24 +10,24 @@ form and builds no ring: ``is_demuskin`` proves its rule from the Betti
 numbers and the pairings of the models below.  The two log-level
 computations (structural recursion vs. direct cup powers) sit on top.
 
-Below ``GradedAlgebra`` a product of two basis classes is sparse: a map
-from basis index in the target degree to a coefficient in 1..p-1, so a
-node pays for the nonzero terms of its factors' products, not for the
-length of its target degree.  ``gram``, ``cup`` and the JSON form read
-those maps directly, and so pay only for the pairs they touch.
-``product`` reads a degree pair at a time instead: each node also writes
-the structure tensor of a whole degree pair, an ``Ext`` node by placing
-a few blocks of its base at every pair of subsets of its b's, and
-``product`` keeps that tensor dense and read-only, so a ring pays one
-build per degree pair rather than one recursion per pair of classes.  A
-product into a degree of dimension 0 is zero: ``product`` and ``cup``
-return the length-0 vector without asking the model.  An ``Ext`` node
-holds each subset of its b's as an int bitmask, so its products find
-their block, sign and epsilon powers by bit operations and popcounts.
+Below ``GradedAlgebra`` each node writes the structure tensor of a whole
+degree pair (an ``Ext`` node places a few blocks of its base at every
+pair of subsets of its b's); ``product`` keeps it dense and read-only,
+one build per degree pair, and ``gram`` and the JSON form read the
+(1, 1) tensor.  Each node's per-pair rule gives the sparse product of
+two basis classes, a map from basis index to a coefficient in 1..p-1;
+only ``cup`` and a ``product`` past ``MAX_BLOCK_CELLS`` read it, so cup
+powers pay for the pairs they touch and build no block.  Both rules of
+an ``Ext`` node read one memo of its base's products times powers of
+epsilon, and find place, sign and epsilon power by bit operations on
+its subsets of b's, held as int bitmasks.  A product into a degree of
+dimension 0 is zero: ``product`` and ``cup`` return the length-0 vector
+without asking the model.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -55,6 +55,18 @@ MAX_BASIS = 100_000
 # the most entries of one degree-pair block that ``product`` builds
 # (128 MB of int64)
 MAX_BLOCK_CELLS = 1 << 24
+
+
+def _indices(*values) -> list[int]:
+    """Degrees and class indices through ``operator.index``; a bool, which
+    numpy reads as a mask, or a non-integer raises ``ValidationError``."""
+    try:
+        if not any(isinstance(v, bool) for v in values):
+            return [operator.index(v) for v in values]
+    except TypeError:
+        pass
+    raise ValidationError("degrees and class indices must be integers, got "
+                          + ", ".join(type(v).__name__ for v in values))
 
 
 def _with_unit(core):
@@ -133,10 +145,11 @@ def _build(e: PairExpr, p: int, D: int):
     degree ``D``, of dimension ``len(labels[d])`` in degree d: one dispatch
     on kind.
 
-    ``mul(d1, i, d2, j)`` is the sparse product of two basis classes of
-    positive degree.  ``block(d1, d2, out, o1, o2, o3)`` writes the
-    structure tensor of all of them, of shape (n_d1, n_d2, n_(d1+d2)), into
-    ``out`` shifted by the offsets: each nonzero entry c in 1..p-1 at
+    ``mul(d1, i, d2, j)``, the per-pair rule, is the sparse product of two
+    basis classes of positive degree (an ``Ext`` reads only its base's
+    blocks).  ``block(d1, d2, out, o1, o2, o3)`` writes the structure
+    tensor of all of them, of shape (n_d1, n_d2, n_(d1+d2)), into ``out``
+    shifted by the offsets: each nonzero entry c in 1..p-1 at
     (i, j, r) goes to ``out[o1 + i, o2 + j, o3 + r]``, and nothing else
     is written.  ``out`` is the dense int64 tensor (see ``_dense``), or a
     dict when an ``Ext`` node collects its base's entries.
@@ -151,11 +164,12 @@ def _build(e: PairExpr, p: int, D: int):
     which is zero when S & T != 0; inv(S, T), the pairs s > t, is the sum
     over s in S of popcount(T & (the bits below s)).  At p = 2 the square
     rule b_k^2 = b_k i(eps) makes it b_(S|T) i(x y eps^popcount(S&T)).
-    ``twist`` gives the eps power, the sign and where S | T starts, and
-    both ``core`` and ``block`` read it: a block takes, for each pair of
-    subset sizes (s, t) and eps power k, the base's (d1 - s, d2 - t) block
-    times eps^k once, and places it at every pair (S, T) of those sizes
-    that meets in k elements.
+    Both rules read one memo, ``twisted[a, b][k]``: for each pair (x, y)
+    of base classes of degrees (a, b), the nonzero entries (r, c) of
+    x y eps^k, made from the base's blocks.  ``core`` looks up one pair, with
+    k = popcount(S & T), and ``block`` places all of them at every pair
+    (S, T) of given sizes that meets in k elements; ``twist`` gives the
+    sign and where S | T starts.
     """
     if isinstance(e, Trivial):
         return [["1"]] + [[] for _ in range(D)], [], _no_product, _no_block
@@ -233,28 +247,32 @@ def _build_free(e: FreeProd, p: int, D: int):
 
 def _build_ext(e: Ext, p: int, D: int):
     """``_build`` of an extension ``Ext(m, base)``."""
-    blabels, beps, bmul, bblock = _build(e.base, p, D)
-    bmul = _with_unit(bmul)
+    blabels, beps, _, bblock = _build(e.base, p, D)
     bblock = _with_unit_block(blabels, bblock)
     m = e.m
     # monos[d][i] = (S, b) is the i-th class of degree d, S a bitmask whose
     # bit k-1 stands for b_k; the classes of one S are consecutive, and
-    # first[d][S] is the index of the first
+    # first[d][S] is the index of the first; sized[d][s] lists the masks of
+    # s bits that have classes in degree d, in basis order
     monos: list[list[tuple[int, int]]] = []
     first: list[dict[int, int]] = []
+    sized: list[dict[int, list[int]]] = []
     labels = []
     # the one-bit masks in ascending order, with their labels
     bname = {1 << k: f"b{k + 1}" for k in range(m)}
     for d in range(D + 1):
         row: list[tuple[int, int]] = []
         fst: dict[int, int] = {}
+        sz: dict[int, list[int]] = {}
         lab: list[str] = []
         for j in range(min(m, d) + 1):
             base = blabels[d - j]
             if not base:
                 continue
+            masks = sz[j] = []
             for ks in combinations(bname, j):
                 S = sum(ks)
+                masks.append(S)
                 fst[S] = len(row)
                 row.extend((S, b) for b in range(len(base)))
                 bs = [bname[q] for q in ks]
@@ -262,14 +280,15 @@ def _build_ext(e: Ext, p: int, D: int):
                     lab.append("*".join(bs if bl == "1" else bs + [f"i({bl})"]) or "1")
         monos.append(row)
         first.append(fst)
+        sized.append(sz)
         labels.append(lab)
     eps_support = [k for k, c in enumerate(beps) if c % p]
 
-    def twist(S: int, T: int, bd2: int, d: int) -> tuple[int, int, int | None]:
-        """``(k, sign, off)`` for b_S i(x) * b_T i(y), y of base degree
+    def twist(S: int, T: int, bd2: int, d: int) -> tuple[int, int | None]:
+        """``(sign, off)`` for b_S i(x) * b_T i(y), y of base degree
         ``bd2``, where S & T = 0 at odd p: the product is
-        sign * b_(S|T) i(x y eps^k), and the classes of S | T start at
-        ``off`` in degree ``d`` (None when that degree has none)."""
+        sign * b_(S|T) i(x y eps^popcount(S & T)), and the classes of
+        S | T start at ``off`` in degree ``d`` (None when it has none)."""
         sign = 1
         if p != 2:
             # inv(S, T): the pairs s in S, t in T with s > t
@@ -280,15 +299,42 @@ def _build_ext(e: Ext, p: int, D: int):
                 rest ^= low
             if (S.bit_count() * bd2 + inversions) & 1:
                 sign = -1
-        return (S & T).bit_count(), sign, first[d].get(S | T)
+        return sign, first[d].get(S | T)
 
-    def times_eps(v: dict[int, int], t: int) -> dict[int, int]:
-        # p = 2: every coefficient is 1, so a sum is a symmetric difference
-        out: set[int] = set()
-        for r in v:
-            for k in eps_support:
-                out.symmetric_difference_update(bmul(t, r, 1, k))
-        return dict.fromkeys(out, 1)
+    # the memo ``twisted`` of ``_build``, filled on first use by loops (a
+    # recursive closure is a reference cycle, which keeps the ring until the
+    # garbage collector runs)
+    twisted: dict[tuple[int, int], list[dict[tuple[int, int], list[tuple[int, int]]]]] = {}
+
+    def base_entries(a: int, b: int) -> dict[tuple[int, int, int], int]:
+        entries: dict[tuple[int, int, int], int] = {}
+        bblock(a, b, entries, 0, 0, 0)
+        return entries
+
+    def base_part(a: int, b: int, k: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        powers = twisted.get((a, b))
+        if powers is None:
+            part = {}
+            for (x, y, r), c in base_entries(a, b).items():
+                part.setdefault((x, y), []).append((r, c))
+            powers = twisted[a, b] = [part]
+        while len(powers) <= k:
+            # p = 2: r eps is the symmetric difference of r * eps_l over
+            # the eps support, and every coefficient is 1
+            prev, t = powers[-1], a + b + len(powers) - 1
+            times = {r: set() for rcs in prev.values() for r, _ in rcs}
+            for r, y, r2 in base_entries(t, 1):
+                if r in times and y in eps_support:
+                    times[r] ^= {r2}
+            part = {}
+            for xy, rcs in prev.items():
+                acc: set[int] = set()
+                for r, _ in rcs:
+                    acc ^= times[r]
+                if acc:
+                    part[xy] = [(r2, 1) for r2 in acc]
+            powers.append(part)
+        return powers[k]
 
     def core(d1, i, d2, j):
         S, b1 = monos[d1][i]
@@ -296,71 +342,21 @@ def _build_ext(e: Ext, p: int, D: int):
         if p != 2 and S & T:
             return {}
         bd1, bd2 = d1 - S.bit_count(), d2 - T.bit_count()
-        v = bmul(bd1, b1, bd2, b2)
-        if not v:
+        rcs = base_part(bd1, bd2, (S & T).bit_count()).get((b1, b2))
+        if not rcs:
             return {}
-        k, sign, off = twist(S, T, bd2, d1 + d2)
-        t = bd1 + bd2
-        for _ in range(k):
-            v = times_eps(v, t)
-            t += 1
-        if not v:
-            return {}
-        return {off + r: sign * c % p for r, c in v.items()}
-
-    # sized[d][s] lists the masks of s bits that have classes in degree d,
-    # in basis order; twisted[a, b][k] lists the nonzero entries
-    # (x, y, r, c) of the base's (a, b) block times eps^k; both are filled
-    # when a block first needs them (by loops, not recursion: a recursive
-    # closure is a reference cycle, which would keep the ring until the
-    # garbage collector runs)
-    sized: dict[int, dict[int, list[int]]] = {}
-    twisted: dict[tuple[int, int], list[list[tuple[int, int, int, int]]]] = {}
-
-    def sized_in(d: int) -> dict[int, list[int]]:
-        if d not in sized:
-            sz: dict[int, list[int]] = {}
-            for S in first[d]:
-                sz.setdefault(S.bit_count(), []).append(S)
-            sized[d] = sz
-        return sized[d]
-
-    def base_entries(a: int, b: int) -> dict[tuple[int, int, int], int]:
-        entries: dict[tuple[int, int, int], int] = {}
-        bblock(a, b, entries, 0, 0, 0)
-        return entries
-
-    def base_part(a: int, b: int, k: int) -> list[tuple[int, int, int, int]]:
-        powers = twisted.get((a, b))
-        if powers is None:
-            powers = twisted[a, b] = [
-                [(x, y, r, c) for (x, y, r), c in base_entries(a, b).items()]]
-        while len(powers) <= k:
-            # p = 2: r eps is the symmetric difference of r * eps_l over
-            # the eps support, and every coefficient is 1
-            prev, t = powers[-1], a + b + len(powers) - 1
-            times = {r: set() for _, _, r, _ in prev}
-            for r, y, r2 in base_entries(t, 1):
-                if r in times and y in eps_support:
-                    times[r] ^= {r2}
-            acc: set[tuple[int, int, int]] = set()
-            for x, y, r, _ in prev:
-                acc ^= {(x, y, r2) for r2 in times[r]}
-            powers.append([(x, y, r, 1) for x, y, r in acc])
-        return powers[k]
+        sign, off = twist(S, T, bd2, d1 + d2)
+        return {off + r: sign * c % p for r, c in rcs}
 
     def block(d1, d2, out, o1, o2, o3):
         d = d1 + d2
-        for s, Ss in sized_in(d1).items():
-            for t, Ts in sized_in(d2).items():
+        for s, Ss in sized[d1].items():
+            for t, Ts in sized[d2].items():
                 a, b = d1 - s, d2 - t
                 # parts[k]: the base's (a, b) block times eps^k, nonzero;
                 # |S | T| <= m, and at odd p only k = 0 (S & T = 0) survives
-                parts = {}
-                for k in range(max(0, s + t - m), (min(s, t) if p == 2 else 0) + 1):
-                    part = base_part(a, b, k)
-                    if part:
-                        parts[k] = part
+                ks = range(max(0, s + t - m), (min(s, t) if p == 2 else 0) + 1)
+                parts = {k: part for k in ks if (part := base_part(a, b, k))}
                 if not parts:
                     continue
                 for S in Ss:
@@ -369,14 +365,16 @@ def _build_ext(e: Ext, p: int, D: int):
                         part = parts.get((S & T).bit_count())
                         if part is None:
                             continue
-                        _, sign, off = twist(S, T, b, d)
+                        sign, off = twist(S, T, b, d)
                         col, tgt = o2 + first[d2][T], o3 + off
                         if sign == 1:
-                            for x, y, r, c in part:
-                                out[row + x, col + y, tgt + r] = c
+                            for (x, y), rcs in part.items():
+                                for r, c in rcs:
+                                    out[row + x, col + y, tgt + r] = c
                         else:
-                            for x, y, r, c in part:
-                                out[row + x, col + y, tgt + r] = p - c
+                            for (x, y), rcs in part.items():
+                                for r, c in rcs:
+                                    out[row + x, col + y, tgt + r] = p - c
 
     return labels, beps + [0] * m, core, block
 
@@ -395,10 +393,11 @@ class GradedAlgebra:
     past ``MAX_BLOCK_CELLS`` entries is not built: such a product is
     read off ``_mul`` alone.
 
-    ``gram`` and ``cup`` keep the per-pair rule ``_mul``, which pays only
-    for the pairs they touch.  ``product`` and ``cup`` into a degree of
-    dimension 0 return a length-0 int64 vector at once.  Degrees, class
-    indices and coefficient vectors are checked first: a bad one raises
+    ``gram`` is the (1, 1) tensor built fresh by ``_block``, writable and
+    not kept; ``cup`` reads the per-pair rule ``_mul``, which pays only
+    for the pairs it touches.  Into a degree of dimension 0 ``product``
+    and ``cup`` return a length-0 int64 vector at once.  A bad degree,
+    class index (a bool or a float too) or vector raises
     ``ValidationError``.
 
     ``build_cohomology`` hands the same ring to every caller that asks for
@@ -458,24 +457,30 @@ class GradedAlgebra:
     def product(self, d1: int, i: int, d2: int, j: int) -> np.ndarray:
         """Cup product of the i-th degree-d1 and j-th degree-d2 basis
         classes, as a read-only vector."""
+        if not type(d1) is type(i) is type(d2) is type(j) is int:
+            d1, i, d2, j = _indices(d1, i, d2, j)
         block = self._cache.get((d1, d2))
         if block is None:
             block = self._block_of(d1, d2)
+        if block is not None and i >= 0 and j >= 0:
+            try:
+                return block[i, j]  # numpy checks the upper bounds
+            except IndexError:
+                pass
         if not (0 <= i < len(self.basis[d1]) and 0 <= j < len(self.basis[d2])):
             raise ValidationError(
                 f"no basis class pair ({i}, {j}) in degrees ({d1}, {d2}), "
                 f"of dimensions {len(self.basis[d1])} and {len(self.basis[d2])}"
             )
-        if block is None:
-            out = np.zeros(len(self.basis[d1 + d2]), dtype=np.int64)
-            for r, c in self._mul(d1, i, d2, j).items():
-                out[r] = c
-            out.setflags(write=False)
-            return out
-        return block[i, j]
+        out = np.zeros(len(self.basis[d1 + d2]), dtype=np.int64)
+        for r, c in self._mul(d1, i, d2, j).items():
+            out[r] = c
+        out.setflags(write=False)
+        return out
 
     def cup(self, v1, d1: int, v2, d2: int) -> np.ndarray:
         """Bilinear extension of the product to coefficient vectors."""
+        d1, d2 = _indices(d1, d2)
         d = self._check_degrees(d1, d2)
         a1 = np.asarray(v1, dtype=np.int64)
         a2 = np.asarray(v2, dtype=np.int64)
@@ -498,14 +503,8 @@ class GradedAlgebra:
         return np.array(out, dtype=np.int64) % self.p
 
     def gram(self) -> np.ndarray:
-        """Degree-(1,1) structure tensor, shape (d1, d1, d2)."""
-        n = self.dims[1]
-        t = np.zeros((n, n, self.dims[2]), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                for r, c in self._mul(1, i, 1, j).items():
-                    t[i, j, r] = c
-        return t
+        """Degree-(1,1) structure tensor, shape (d1, d1, d2), built fresh."""
+        return self._block(1, 1)
 
     def gram_matrix(self) -> np.ndarray:
         if self.dims[2] != 1:

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -327,13 +328,8 @@ def test_log_level_two_routes():
             assert direct == rec, e
 
 
-def _assert_matches_dense(e, p, D):
-    """Every part of the ring model of ``e`` equals the dense oracle's."""
-    alg = build_cohomology(e, p, D)
-    want = dense_ring._build(normalize(e, p), p, D)
-    assert alg.dims == want.dims, e
-    assert [list(row) for row in alg.basis] == want.labels, e
-    assert alg.eps.tolist() == (want.eps % p).tolist(), e
+def _assert_products_match(alg, want, e):
+    p, D = alg.p, alg.max_degree
     for d1 in range(D + 1):
         for d2 in range(D + 1 - d1):
             for i in range(want.dims[d1]):
@@ -342,6 +338,26 @@ def _assert_matches_dense(e, p, D):
                     assert got.dtype == np.int64
                     assert got.tolist() == (want.mul(d1, i, d2, j) % p).tolist(), \
                         (e, d1, i, d2, j)
+
+
+def _assert_matches_dense(e, p, D):
+    """Every part of the ring model of ``e`` equals the dense oracle's.
+
+    The products are compared twice: read off the degree-pair blocks, and
+    with ``MAX_BLOCK_CELLS`` at 0, read off the per-pair rule on a fresh
+    ring (the memo could hand back a ring whose blocks are already built).
+    Hypothesis refuses function-scoped fixtures, hence the patch here."""
+    alg = build_cohomology(e, p, D)
+    want = dense_ring._build(normalize(e, p), p, D)
+    assert alg.dims == want.dims, e
+    assert [list(row) for row in alg.basis] == want.labels, e
+    assert alg.eps.tolist() == (want.eps % p).tolist(), e
+    _assert_products_match(alg, want, e)
+    with mock.patch.object(cohomology, "MAX_BLOCK_CELLS", 0):
+        fresh = cohomology._ring.__wrapped__(normalize(e, p), p, D)
+        _assert_products_match(fresh, want, e)
+    # only the empty blocks, into degrees of dimension 0, are kept
+    assert not any(block.shape[2] for block in fresh._cache.values()), e
 
 
 @given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 5))
@@ -447,11 +463,36 @@ def test_product_results_are_read_only():
     lambda alg: alg.cup([1] * alg.dims[1], 1, [1] * (alg.dims[1] + 1), 1),
     lambda alg: alg.cup([[1] * alg.dims[1]], 1, [1] * alg.dims[1], 1),
     lambda alg: alg.cup([1], -1, [1] * alg.dims[2], 2),
+    # numpy would read True as a mask, and refuse a float with IndexError
+    lambda alg: alg.product(1, True, 1, 0),
+    lambda alg: alg.product(True, 0, 1, 0),
+    lambda alg: alg.product(1, np.bool_(True), 1, 0),
+    lambda alg: alg.product(1, 0.0, 1, 0),
+    lambda alg: alg.product(1.0, 0, 1, 0),
+    lambda alg: alg.cup([1] * alg.dims[1], 1.0, [1] * alg.dims[1], 1),
+    lambda alg: alg.cup([1] * alg.dims[1], 1, [1] * alg.dims[1], True),
 ])
-def test_product_and_cup_refuse_bad_classes_and_vectors(call):
+def test_product_and_cup_refuse_bad_classes_and_vectors(call, monkeypatch):
+    # through the blocks, and past the cap through the per-pair rule
     alg = build_cohomology(parse("ext(2, Z(5))", 2), 2, 4)
     with pytest.raises(ValidationError):
         call(alg)
+    monkeypatch.setattr(cohomology, "MAX_BLOCK_CELLS", 0)
+    cohomology._ring.cache_clear()
+    alg = build_cohomology(parse("ext(2, Z(5))", 2), 2, 4)
+    with pytest.raises(ValidationError):
+        call(alg)
+
+
+def test_product_and_cup_take_numpy_integers():
+    alg = build_cohomology(parse("ext(2, Z(5))", 2), 2, 4)
+    for i in range(alg.dims[1]):
+        for j in range(alg.dims[1]):
+            got = alg.product(np.int64(1), np.int32(i), np.uint8(1), np.int16(j))
+            assert got.tolist() == alg.product(1, i, 1, j).tolist()
+    v = [1] * alg.dims[1]
+    assert (alg.cup(v, np.int64(1), v, np.int8(1)).tolist()
+            == alg.cup(v, 1, v, 1).tolist())
 
 
 @pytest.mark.parametrize("text, p", [
@@ -506,24 +547,50 @@ def test_ring_models_leave_no_reference_cycles():
 
 def test_oversized_block_is_not_built(monkeypatch):
     monkeypatch.setattr(cohomology, "MAX_BLOCK_CELLS", 0)
-    alg = build_cohomology(parse("ext(2, Z(5)) * E", 2), 2, 4)
+    e = parse("ext(2, Z(5)) * E", 2)
+    alg = build_cohomology(e, 2, 4)
+    want = dense_ring._build(normalize(e, 2), 2, 4)
 
     def refuse(*args):
         raise AssertionError("a block was built")
 
     alg._block = refuse
-    gram = alg.gram()
     for i in range(alg.dims[1]):
         for j in range(alg.dims[1]):
             got = alg.product(1, i, 1, j)
             assert not got.flags.writeable
-            assert got.tolist() == gram[i, j].tolist()
+            assert got.tolist() == (want.mul(1, i, 1, j) % 2).tolist()
+    assert not alg._cache
+
+
+@pytest.mark.parametrize("text, p", [
+    ("ext(2, Z(5)) * E", 2),
+    ("ext(3, padic(n=4,q=2,case=IV,f=3,s=2))", 2),
+    ("ext(2, Z(7) * padic(n=4,q=3,case=I))", 3),
+    # H^2 = 0: a tensor of shape (2, 2, 0)
+    ("Z(3) * Z(5)", 2),
+])
+def test_gram_is_the_fresh_degree_one_block(text, p):
+    e = parse(text, p)
+    alg = build_cohomology(e, p, 3)
+    want = dense_ring._build(normalize(e, p), p, 3)
+    gram = alg.gram()
+    assert gram.dtype == np.int64
+    dense = [[(want.mul(1, i, 1, j) % p).tolist() for j in range(want.dims[1])]
+             for i in range(want.dims[1])]
+    assert gram.tolist() == dense
+    # a fresh tensor: a write to it reaches no later gram
+    assert gram.flags.writeable
+    gram[...] = 1
+    assert alg.gram().tolist() == dense
     assert not alg._cache
 
 
 @given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 4))
 def test_gram_cup_and_json_match_product(seed, p, D):
-    # ``product`` is the oracle of the consumers that read the sparse maps
+    # ``product`` reads the blocks and is the oracle of ``gram`` (the
+    # (1, 1) block, built fresh), of ``cup`` (the per-pair rule) and of
+    # the JSON form
     rng = random.Random(seed)
     alg = build_cohomology(random_expr(rng, p, max_rank=6), p, D)
     n, e2 = alg.dims[1], alg.dims[2]
