@@ -39,7 +39,7 @@ from .fplinear import dense_row, echelon_insert, echelon_reduce, is_prime, spars
 from .fplinear import rank as fp_rank
 from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
-from .rigidity import AugBilinearMap, find_equivalence, from_cohomology
+from .rigidity import AugBilinearMap, _q_finder, find_equivalence, from_cohomology
 from .smallfields import GF, gf
 from .units import make_unit, valuation
 
@@ -634,9 +634,35 @@ def from_field_model(model: FieldModel, p: int) -> AugBilinearMap:
 
 def check_pairing_match(model: FieldModel, e: PairExpr, p: int) -> bool:
     """Are the field's symbol map and the expression's cup map isomorphic
-    as augmented bilinear maps?  Bounded as ``find_equivalence`` is."""
+    as augmented bilinear maps?
+
+    Two routes, chosen by the normal form of ``e``:
+
+    - it is the normal form of ``model.predict(p)``: the identity basis
+      map certifies the match, with no key, no search and no p^d bound.
+      Every backend lists its class basis in the order of the predicted
+      ring's degree-1 basis (``_tame_tensor`` puts the residue classes
+      first and the uniformizer last, as ``ext(1, .)`` puts the base's
+      classes before its new one), so P = I.  That is sound: P = I is
+      invertible, P eps1 = eps2 is tested as eps1 = eps2, and
+      ``_q_finder`` returns Q only when V Q^T = W holds exactly, Q^T
+      being B1^-1 B2 for two bases of F_p^e, so Q is invertible.  When
+      the identity fails, a backend broke that order: a bug, raised as
+      ``RuntimeError``, never answered as no match.
+    - any other normal form: ``find_equivalence``, the only way to
+      compare two different normal forms, bounded as it is.  Different
+      H^1 dimensions are refused before the ring is built.
+    """
     m1 = from_field_model(model, p)
     ne = normalize(e, p)
+    if ne == normalize(model.predict(p), p):
+        m2 = from_cohomology(build_cohomology(ne, p, 2))
+        if (np.array_equal(m1.eps, m2.eps)
+                and _q_finder(m1, m2)(np.eye(m1.d, dtype=np.int64)) is not None):
+            return True
+        raise RuntimeError(
+            f"the identity basis map does not certify {type(model).__name__}"
+            " against its own prediction")
     if rank(ne) != m1.d:  # H^1 dimensions differ: refused before the ring
         return False
     m2 = from_cohomology(build_cohomology(ne, p, 2))

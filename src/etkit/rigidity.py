@@ -364,14 +364,15 @@ def _basis(rows: np.ndarray, p: int):
 
 
 def _q_finder(m1: AugBilinearMap, m2: AugBilinearMap):
-    """For an invertible P with P eps1 = eps2, unchecked since every leaf
-    of ``find_equivalence`` has both: an invertible Q with Q B1(a,b) =
-    B2(Pa, Pb), or None.  With V the rows B1(e_i, e_j) and W the rows
-    B2(Pe_i, Pe_j), any such Q maps the rows of V that ``_basis`` picks, a
-    basis of V's row span, onto the same rows of W, which are then
-    independent.  So it agrees on that span with the Q mapping the two
-    extended bases onto each other, and that Q answers exactly when
-    V Q^T = W."""
+    """For an invertible P with P eps1 = eps2, which the callers
+    guarantee (every leaf of ``find_equivalence`` has both, and
+    ``field_models.check_pairing_match`` tests eps1 = eps2 itself for
+    P = I): an invertible Q with Q B1(a,b) = B2(Pa, Pb), or None.  With
+    V the rows B1(e_i, e_j) and W the rows B2(Pe_i, Pe_j), any such Q maps
+    the rows of V that ``_basis`` picks, a basis of V's row span, onto the
+    same rows of W, which are then independent.  So it agrees on that span
+    with the Q mapping the two extended bases onto each other, and that Q
+    answers exactly when V Q^T = W."""
     p, d, e = m1.p, m1.d, m1.e
     v = m1.tensor.reshape(d * d, e)
     piv, _, b1_inv = _basis(v, p)

@@ -1,16 +1,26 @@
+import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etkit.errors import InvalidModel, PrecisionExhausted, ValidationError
+from etkit import cli, field_models, rigidity
+from etkit.cohomology import build_cohomology
+from etkit.errors import (
+    DimensionTooLarge,
+    EtkitError,
+    InvalidModel,
+    PrecisionExhausted,
+    ValidationError,
+)
 from etkit.field_models import (
     ComplexField,
     DyadicRational,
@@ -36,10 +46,19 @@ from etkit.field_models import (
     symbol_vector,
     trichotomic_search,
 )
+from etkit.fplinear import rank as fp_rank
 from etkit.laurent import LaurentRing, Series
-from etkit.pairs import EBlock, Ext, PAdicBlock, ZBlock
-from etkit.rigidity import _all_labels, _all_vectors, rigidity_report, vector_label
+from etkit.pairs import EBlock, Ext, PAdicBlock, ZBlock, normalize, parse
+from etkit.rigidity import (
+    _all_labels,
+    _all_vectors,
+    find_equivalence,
+    from_cohomology,
+    rigidity_report,
+    vector_label,
+)
 from etkit.smallfields import gf
+from etkit.units import make_unit
 
 F7T = Laurent(FiniteField(7), "t", 8)
 TOWER = Laurent(Laurent(FiniteField(3), "t", 8), "u", 8)
@@ -952,3 +971,214 @@ def test_compound_labels_in_parentheses(model, p, rigid):
     m = from_field_model(model, p)
     assert _all_labels(m) == [vector_label(m, v) for v in _all_vectors(p, m.d)]
     assert rigidity_report(m)["rigid"] == rigid
+
+
+# -- certified pairing matches ----------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "field_golden.json"
+
+
+def _ring_map(e, p):
+    return from_cohomology(build_cohomology(e, p, 2))
+
+
+def _shifted(e, p):
+    """The prediction of a finite, local or Laurent backend with its
+    Z-block unit q moved to q + p: the same (d, e), another normal form.
+    At p = 2 this flips eps (q = 1 mod 4 against 3 mod 4), so no match."""
+    if isinstance(e, Ext):
+        return Ext(e.m, _shifted(e.base, p))
+    return ZBlock(make_unit(p, e.alpha.given[0] + p))
+
+
+def _other_expression(model, p):
+    if isinstance(model, DyadicRational):
+        return parse("Z(3) * ext(1, Z(5))", p)
+    if isinstance(model, (RealField, ComplexField)):
+        return None  # no other normal form has their (d, e)
+    return _shifted(model.predict(p), p)
+
+
+def _certified_agrees_with_search(model, p):
+    """The certified answer is True and agrees with ``find_equivalence``;
+    a second expression with the same (d, e) and another normal form goes
+    to the search, and its answer is the search's."""
+    e = predict_galois_pair(model, p)
+    m1 = from_field_model(model, p)
+    assert check_pairing_match(model, e, p)
+    assert find_equivalence(m1, _ring_map(e, p)) is not None
+    other = _other_expression(model, p)
+    if other is None:
+        return
+    assert normalize(other, p) != normalize(e, p)
+    m2 = _ring_map(other, p)
+    assert (m2.d, m2.e) == (m1.d, m1.e)
+    got = check_pairing_match(model, other, p)
+    assert got == (find_equivalence(m1, m2) is not None)
+    if p == 2:
+        assert not got
+
+
+def _golden_models():
+    seen = {}
+    for case in json.loads(GOLDEN.read_text()):
+        argv = case["argv"]
+        if "--model" not in argv:
+            continue
+        p = int(argv[argv.index("--p") + 1])
+        try:
+            model = model_from_json(json.loads(argv[argv.index("--model") + 1]), p)
+        except (EtkitError, ValueError):
+            continue  # the corpus also pins refused models
+        seen[model, p] = None
+    return list(seen)
+
+
+def test_certified_match_agrees_with_search_on_golden_models():
+    """Every backend is among them: Q_2, R, and C (d = 0) at p = 2 and 3."""
+    models = _golden_models()
+    assert {type(m) for m, _ in models} == set(field_models._KINDS.values())
+    assert (ComplexField(), 3) in models
+    for model, p in models:
+        _certified_agrees_with_search(model, p)
+
+
+@st.composite
+def _predicted_models(draw):
+    """F_q, Q_ell or a Laurent tower of depth 1-4 over F_q, at p in {2, 3}."""
+    p = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["finite", "local", "tower"]))
+    if kind == "local":
+        ells = [3, 5, 7, 11, 13, 17, 19, 23] if p == 2 else [7, 13, 19, 31, 37]
+        return LocalRational(draw(st.sampled_from(ells))), p
+    qs = [3, 5, 7, 9, 11, 13, 25, 27] if p == 2 else [4, 7, 13, 16, 19, 25]
+    model = FiniteField(draw(st.sampled_from(qs)))
+    if kind == "tower":
+        for var in "tuvw"[: draw(st.integers(1, 4))]:
+            model = Laurent(model, var, 4)
+    return model, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_predicted_models())
+def test_certified_match_agrees_with_search(case):
+    _certified_agrees_with_search(*case)
+
+
+def _tower(levels):
+    model = FiniteField(3)
+    for i in range(levels):
+        model = Laurent(model, "t" + "a" * i)
+    return model
+
+
+def test_certified_match_needs_no_keys_and_no_bound(monkeypatch):
+    """The predicted expression is certified without ``_keys`` or a
+    search, past p^d = 2^16; any other normal form still goes through
+    ``find_equivalence`` and its bound."""
+    tower = _tower(16)
+
+    def refuse(*args):
+        raise AssertionError("the certified route ran the search")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(field_models, "find_equivalence", refuse)
+        mp.setattr(rigidity, "_keys", refuse)
+        for model, p in [(tower, 2), (DyadicRational(), 2), (LocalRational(7), 3),
+                         (TOWER, 2), (ComplexField(), 2)]:
+            assert check_pairing_match(model, model.predict(p), p)
+    assert from_field_model(tower, 2).d == 17
+    with pytest.raises(DimensionTooLarge):
+        check_pairing_match(tower, _shifted(tower.predict(2), 2), 2)
+
+
+def _moved(p, d, k):
+    """P on F_p^d swapping e_k with the last basis vector, the uniformizer
+    of the top level; for k = None, P adds e_0 to e_1 instead.  Either way
+    P^2 = I at p = 2, so P carries the map both ways."""
+    pm = np.eye(d, dtype=np.int64)
+    if k is None:
+        pm[0, 1] = 1
+    else:
+        pm[:, [k, d - 1]] = pm[:, [d - 1, k]]
+    return pm
+
+
+@pytest.mark.parametrize("model,k,refused_by", [
+    (LocalRational(3), 0, "eps"),
+    (LocalRational(7), 0, "eps"),
+    (TOWER, 0, "eps"),
+    (Laurent(Laurent(FiniteField(7), "t", 4), "u", 4), 0, "eps"),
+    (DyadicRational(), None, "q"),  # the class of 2 goes to that of -2
+], ids=repr)
+def test_certificate_refuses_uniformizer_in_residue_classes(monkeypatch, model, k,
+                                                           refused_by):
+    """A basis map P that sends the uniformizer into the residue classes
+    is refused by the eps test or by ``_q_finder``, so the certificate
+    cannot pass vacuously.  The backend is given the basis P e_i, so the
+    certificate's P = I tries P on the true basis; the map stays
+    equivalent to the prediction, as the search finds.
+
+    The cases are at p = 2 with class(-1) != 0, or on Q_2: where
+    class(-1) = 0 every P is an automorphism of the predicted map (see
+    the next test), so there is nothing to refuse.  Moving the
+    uniformizer onto a residue class moves eps = class(-1) on the towers
+    and on Q_ell, and both tests refuse; on Q_2 only ``_q_finder`` does."""
+    p = 2
+    m = from_field_model(model, p)
+    pm = _moved(p, m.d, k)
+    moved = rigidity.AugBilinearMap(
+        p=p, tensor=np.einsum("ia,jb,ijk->abk", pm, pm, m.tensor),
+        eps=pm @ m.eps, labels=m.labels, multiplicative=True)
+    m2 = _ring_map(model.predict(p), p)
+    eps_ok = np.array_equal(moved.eps, m2.eps)
+    q_ok = rigidity._q_finder(moved, m2)(np.eye(m.d, dtype=np.int64)) is not None
+    assert (eps_ok, q_ok) == ((False, False) if refused_by == "eps" else (True, False))
+    assert find_equivalence(moved, m2) is not None
+    monkeypatch.setattr(field_models, "from_field_model", lambda m, q: moved)
+    with pytest.raises(RuntimeError, match="does not certify"):
+        check_pairing_match(model, model.predict(p), p)
+
+
+@pytest.mark.parametrize("model,p", [
+    (LocalRational(5), 2), (Laurent(Laurent(FiniteField(5), "t", 4), "u", 4), 2),
+    (LocalRational(7), 3),
+], ids=repr)
+def test_every_basis_map_certifies_where_minus_one_is_a_power(model, p):
+    """With eps = 0 the predicted map is the exterior square of H^1, so
+    every invertible P certifies it."""
+    m = from_field_model(model, p)
+    assert not m.eps.any()
+    try_p = rigidity._q_finder(m, _ring_map(model.predict(p), p))
+    for cells in iter_product(range(p), repeat=m.d * m.d):
+        pm = np.array(cells, dtype=np.int64).reshape(m.d, m.d)
+        assert (try_p(pm) is not None) == (fp_rank(pm, p) == m.d)
+
+
+def test_certificate_refuses_wrong_eps(monkeypatch):
+    """On F_5 at p = 2 the symbol map is (1, 1, 0) with eps = 0, so any Q
+    fits; a flipped eps is refused by the eps test alone."""
+    m = from_field_model(FiniteField(5), 2)
+    bad = replace(m, eps=np.ones(1, dtype=np.int64))
+    monkeypatch.setattr(field_models, "from_field_model", lambda model, p: bad)
+    with pytest.raises(RuntimeError, match="does not certify"):
+        check_pairing_match(FiniteField(5), ZBlock(make_unit(2, 5)), 2)
+
+
+def test_corrupt_backend_is_a_bug_not_no_match(monkeypatch, capsys):
+    """One flipped entry of a backend's symbol tensor: ``field pairing``
+    on its own prediction exits 2 with a "where", and prints no match."""
+    real = field_models._symbol_tensor
+
+    def corrupt(model, p):
+        t = real(model, p).copy()
+        t[-1, -1, -1] ^= 1
+        return t
+
+    monkeypatch.setattr(field_models, "_symbol_tensor", corrupt)
+    model = json.dumps(model_to_json(LocalRational(5)))
+    code = cli.main(["field", "pairing", "ext(1, Z(5))", "--p", "2", "--model", model])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "RuntimeError" and "where" in report
