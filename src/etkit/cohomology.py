@@ -306,26 +306,28 @@ def _build_ext(e: Ext, p: int, D: int):
     # garbage collector runs)
     twisted: dict[tuple[int, int], list[dict[tuple[int, int], list[tuple[int, int]]]]] = {}
 
-    def base_entries(a: int, b: int) -> dict[tuple[int, int, int], int]:
-        entries: dict[tuple[int, int, int], int] = {}
-        bblock(a, b, entries, 0, 0, 0)
-        return entries
-
-    def base_part(a: int, b: int, k: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    def base_powers(a: int, b: int) -> list[dict[tuple[int, int], list[tuple[int, int]]]]:
+        """``twisted[a, b]``, holding at least the base's (a, b) block."""
         powers = twisted.get((a, b))
         if powers is None:
-            part = {}
-            for (x, y, r), c in base_entries(a, b).items():
+            entries: dict[tuple[int, int, int], int] = {}
+            bblock(a, b, entries, 0, 0, 0)
+            part: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for (x, y, r), c in entries.items():
                 part.setdefault((x, y), []).append((r, c))
             powers = twisted[a, b] = [part]
+        return powers
+
+    def base_part(a: int, b: int, k: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        powers = base_powers(a, b)
         while len(powers) <= k:
             # p = 2: r eps is the symmetric difference of r * eps_l over
             # the eps support, and every coefficient is 1
             prev, t = powers[-1], a + b + len(powers) - 1
             times = {r: set() for rcs in prev.values() for r, _ in rcs}
-            for r, y, r2 in base_entries(t, 1):
+            for (r, y), r2s in base_powers(t, 1)[0].items():
                 if r in times and y in eps_support:
-                    times[r] ^= {r2}
+                    times[r] ^= {r2 for r2, _ in r2s}
             part = {}
             for xy, rcs in prev.items():
                 acc: set[int] = set()

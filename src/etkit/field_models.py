@@ -9,8 +9,11 @@ pool.  The degree-2 symbol is bilinear and kills p-th powers, so
 ``symbol_vector`` reads it off the tensor and its arguments' classes.
 The module-level functions check their arguments once and call those
 methods; the bounded searches (the trichotomy probe, O(S,H) membership)
-and total rigidity, read off each backend's pair set, are written once on
-top of them.
+and total rigidity are written once on top of them.  A backend complete
+for a discrete valuation, tame for p (Q_ell, Laurent), names its residue
+field in ``residue()``: its symbol tensor is the tame rule over that
+field, and total rigidity reads the enumerated pair set of the bottom
+residue field only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 
 from .cohomology import build_cohomology
 from .errors import (
-    DimensionTooLarge,
     InvalidModel,
     JsonRecord,
     ModelUnsupported,
@@ -35,7 +37,7 @@ from .errors import (
     int_param,
     is_int,
 )
-from .fplinear import dense_row, echelon_insert, echelon_reduce, is_prime, sparse_row
+from .fplinear import echelon_insert, is_prime, sparse_row
 from .fplinear import rank as fp_rank
 from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
@@ -48,8 +50,6 @@ DEFAULT_SERIES_PRECISION = 16
 MAX_SERIES_PRECISION = 32
 # README "Limits": the most Laurent levels in a tower
 MAX_TOWER_DEPTH = 16
-# the most coset pairs p^(2d) that total rigidity decides
-TOTAL_RIGIDITY_BOUND = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +231,18 @@ class FieldModel(ABC):
     def class_of(self, p: int, a) -> tuple[int, ...]:
         """Coordinates of a nonzero a in the basis."""
 
-    @abstractmethod
+    def residue(self) -> FieldModel | None:
+        """The residue field of a backend complete for a discrete
+        valuation and tame for p, whose uniformizer is its last class;
+        None for a backend without one."""
+        return None
+
     def symbol_tensor(self, p: int) -> np.ndarray:
         """The (d, d, e) int64 tensor whose entry (i, j) is the symbol of
-        the i-th and j-th basis representatives, in F_p^e."""
+        the i-th and j-th basis representatives, in F_p^e.  Here the tame
+        rule over ``residue()``; a backend without a residue field
+        overrides it."""
+        return _tame_tensor(self.residue(), p)
 
     def symbol_dim(self, p: int) -> int:
         return _symbol_tensor(self, p).shape[2]
@@ -252,9 +260,11 @@ class FieldModel(ABC):
         1 lies in aS + bS iff (class a, class b) lies in P(K).
 
         Here the zero set of the symbol tensor, in one einsum.  That is
-        exact for the backends that keep it: they exist only at p = 2 or
-        have no classes (d = 0), and at p = 2 a form <a, b> over an
-        infinite field represents 1 iff {a, b} = 0."""
+        exact only for a backend without a residue field that keeps it
+        (Q_2, R, C): they exist only at p = 2 or have no classes (d = 0),
+        and at p = 2 a form <a, b> over an infinite field represents 1
+        iff {a, b} = 0.  It is never asked of a tame backend: total
+        rigidity reads the pairs of the bottom residue field."""
         t = _symbol_tensor(self, p)
         vecs = np.array(list(iter_product(range(p), repeat=t.shape[0])), dtype=np.int64)
         zero = ~(np.einsum("ai,ijk,bj->abk", vecs, t, vecs) % p).any(axis=2)
@@ -277,25 +287,6 @@ def _tame_tensor(residue: FieldModel, p: int) -> np.ndarray:
     t[k, :k, e:] = (p - 1) * np.eye(k, dtype=np.int64)
     t[k, k, e:] = class_of(residue, p, residue.domain().minus_one)
     return t
-
-
-def _tame_pair_set(model: FieldModel, residue: FieldModel, p: int) -> set[tuple]:
-    """P(K) of a field K, complete for a discrete valuation v, whose
-    residue field ``residue`` has characteristic other than p, with the
-    class of the uniformizer last.  1 + tO consists of p-th powers, so:
-
-    - v(x) > 0 gives (c, 0) for every class c, and x = 1 + y with
-      v(y) > 0 gives (0, c);
-    - v(x) < 0 gives (c, c + eps), eps = class(-1), since
-      1 - x = -x (1 - 1/x);
-    - v(x) = 0 with residue other than 1 gives the residue field's pairs,
-      lifted at valuation 0."""
-    eps = class_of(model, p, model.domain().minus_one)
-    zero = (0,) * len(eps)
-    pairs = {(a + (0,), b + (0,)) for a, b in residue.pair_set(p)}
-    for c in iter_product(range(p), repeat=len(eps)):
-        pairs |= {(c, zero), (zero, c), (c, tuple((x + y) % p for x, y in zip(c, eps)))}
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -361,8 +352,8 @@ class LocalRational(FieldModel):
         v, u = _val_unit(a, self.ell)
         return gf(self.ell).class_of(_residue(u, self.ell), p) + (v % p,)
 
-    def symbol_tensor(self, p):
-        return _tame_tensor(FiniteField(self.ell), p)
+    def residue(self):
+        return FiniteField(self.ell)
 
     def predict(self, p):
         return Ext(1, ZBlock(make_unit(p, self.ell)))
@@ -373,9 +364,6 @@ class LocalRational(FieldModel):
         seed += [Fraction(ell), Fraction(ell + 1), Fraction(1, ell),
                  Fraction(1 - ell)]
         return _seeded_pool(seed)
-
-    def pair_set(self, p):
-        return _tame_pair_set(self, FiniteField(self.ell), p)
 
 
 @dataclass(frozen=True)
@@ -513,14 +501,11 @@ class Laurent(FieldModel):
         v = ring.val(a)
         return self.base.class_of(p, ring.lead(a)) + (v % p,)
 
-    def symbol_tensor(self, p):
-        return _tame_tensor(self.base, p)
+    def residue(self):
+        return self.base
 
     def predict(self, p):
         return Ext(1, self.base.predict(p))
-
-    def pair_set(self, p):
-        return _tame_pair_set(self, self.base, p)
 
     def pool(self, p):
         ring = self.domain()
@@ -818,46 +803,57 @@ class TotalRigidityVerdict(JsonRecord):
 def is_totally_rigid_bounded(model: FieldModel, p: int) -> TotalRigidityVerdict:
     """Compare the Steinberg subgroup St_2(S), spanned by the tensors
     a (x) b with 1 in aS + bS, that is by alpha (x) beta over the pair set
-    P(K), with the subgroup spanned by the tensors a (x) (-a).  Every
-    pair is decided, and no coset representative is built."""
+    P(K), with D, spanned by the tensors a (x) (a + eps), eps = class(-1).
+
+    Both are spans of O(d^2) rows plus the pairs of one small field:
+
+    - D has the basis e_i (x) (e_i + eps) and e_i (x) e_j + e_j (x) e_i
+      for i < j, by polarization: (a + b) (x) (a + b + eps) - a (x)
+      (a + eps) - b (x) (b + eps) = a (x) b + b (x) a, and a sum of
+      basis classes expands into these rows.  At odd p, eps = 0 (-1 is
+      a p-th power) and a multiple c a gives c^2 a (x) a, in the same
+      span.
+    - St = D + the zero-padded lifts of the pairs of the bottom field F:
+      ``residue()`` followed down to a backend without one (F_q, or the
+      model itself for Q_2, R and C).  On a tame backend 1 + tO consists
+      of p-th powers, so P(K) is the residue field's pairs lifted at
+      valuation 0 and three families: (c, 0) and (0, c) from x or 1 - x
+      of positive valuation, and (c, c + eps) from v(x) < 0, since
+      1 - x = -x (1 - 1/x).  The lift of a residue family is again a
+      family, as eps_K lifts eps_F, so every pair but the bottom's lifts
+      gives a zero tensor or a row of D.  And D lies in St on every
+      field: a (x) (-a) = a (x) (1 - a) + a^-1 (x) (1 - a^-1).
+
+    The witness is the first pair of P(K), in the lexicographic order of
+    (class a, class b), whose tensor lies outside D.  Only lifted pairs
+    can be, and zero-padding keeps their order, so it is the first of
+    the bottom's sorted pairs outside D.  Until it comes, the basis is
+    D's, so one basis serves both: St is D's basis grown by the pairs.
+    ``decided_pairs`` and ``total_pairs`` are both p^(2d): every pair is
+    decided, and no coset representative is built."""
     validate_model(model, p)
-    eps_vec = np.array(class_of(model, p, model.domain().minus_one), dtype=np.int64)
-    d = len(eps_vec)
-    total = p ** (2 * d)
-    if total > TOTAL_RIGIDITY_BOUND:
-        raise DimensionTooLarge(
-            f"{total} coset pairs exceed the search bound {TOTAL_RIGIDITY_BOUND}"
-        )
-    d_basis: dict = {}
-    for va in iter_product(range(p), repeat=d):
-        av = np.array(va, dtype=np.int64)
-        echelon_insert(d_basis, sparse_row(np.outer(av, eps_vec + av).reshape(-1), p), p)
-
-    st_basis: dict = {}
+    eps = class_of(model, p, model.domain().minus_one)
+    d = len(eps)
+    bottom = model
+    while bottom.residue() is not None:
+        bottom = bottom.residue()
+    pad = (0,) * (d - len(bottom.basis(p)))
+    basis: dict = {}
+    for i in range(d):
+        echelon_insert(basis, sparse_row({i * d + k: c + (k == i)
+                                          for k, c in enumerate(eps)}, p), p)
+        for j in range(i + 1, d):
+            echelon_insert(basis, sparse_row({i * d + j: 1, j * d + i: 1}, p), p)
+    d_dim = len(basis)
     witness = None
-    # sorted, P(K) comes in the lexicographic order of (class a, class b)
-    for va, vb in sorted(model.pair_set(p)):
-        tens = sparse_row(np.outer(va, vb).reshape(-1), p)
-        echelon_insert(st_basis, tens, p)
-        if witness is None and echelon_reduce(d_basis, tens, p)[0]:
-            witness = f"[{_vec_label(va)}] (x) [{_vec_label(vb)}]"
-    st_dim, d_dim = len(st_basis), len(d_basis)
-
-    if witness is not None:
-        return TotalRigidityVerdict(
-            "NotTotallyRigid", witness, st_dim, d_dim, total, total
-        )
-    # St subset of D; check the converse
-    for c in sorted(d_basis):
-        row = d_basis[c][0]
-        if echelon_reduce(st_basis, row, p)[0]:
-            return TotalRigidityVerdict(
-                "NotTotallyRigid", f"missing {dense_row(row, d * d, p).tolist()}",
-                st_dim, d_dim, total, total,
-            )
-    return TotalRigidityVerdict(
-        "TotallyRigid", None, st_dim, d_dim, total, total
-    )
+    for va, vb in sorted(bottom.pair_set(p)):
+        row = sparse_row({i * d + j: x * y for i, x in enumerate(va)
+                          for j, y in enumerate(vb)}, p)
+        if echelon_insert(basis, row, p) and witness is None:
+            witness = f"[{_vec_label(va + pad)}] (x) [{_vec_label(vb + pad)}]"
+    total = p ** (2 * d)
+    return TotalRigidityVerdict("TotallyRigid" if witness is None else "NotTotallyRigid",
+                                witness, len(basis), d_dim, total, total)
 
 
 def _vec_label(vec) -> str:

@@ -24,11 +24,11 @@ from etkit.errors import (
 from etkit.field_models import (
     ComplexField,
     DyadicRational,
-    FieldModel,
     FiniteField,
     Laurent,
     LocalRational,
     RealField,
+    TotalRigidityVerdict,
     TrichotomyResult,
     _parse_h,
     check_pairing_match,
@@ -46,6 +46,7 @@ from etkit.field_models import (
     symbol_vector,
     trichotomic_search,
 )
+from etkit.fplinear import dense_row, echelon_insert, echelon_reduce, sparse_row
 from etkit.fplinear import rank as fp_rank
 from etkit.laurent import LaurentRing, Series
 from etkit.pairs import EBlock, Ext, PAdicBlock, ZBlock, normalize, parse
@@ -370,6 +371,95 @@ def test_total_rigidity_verdicts():
                       "decidedPairs", "totalPairs"}
 
 
+# -- total rigidity against the enumerating oracle ---------------------------
+
+ORACLE_PAIR_BOUND = 4096
+
+
+def _oracle_pair_set(model, p):
+    """P(K) enumerated: the backend's own ``pair_set`` where it has no
+    residue field, and otherwise, with the uniformizer class last and
+    1 + tO consisting of p-th powers:
+
+    - v(x) > 0 gives (c, 0) for every class c, and x = 1 + y with
+      v(y) > 0 gives (0, c);
+    - v(x) < 0 gives (c, c + eps), eps = class(-1), since
+      1 - x = -x (1 - 1/x);
+    - v(x) = 0 with residue other than 1 gives the residue field's pairs,
+      lifted at valuation 0."""
+    residue = model.residue()
+    if residue is None:
+        return model.pair_set(p)
+    eps = class_of(model, p, model.domain().minus_one)
+    zero = (0,) * len(eps)
+    pairs = {(a + (0,), b + (0,)) for a, b in _oracle_pair_set(residue, p)}
+    for c in iter_product(range(p), repeat=len(eps)):
+        pairs |= {(c, zero), (zero, c), (c, tuple((x + y) % p for x, y in zip(c, eps)))}
+    return pairs
+
+
+def _total_rigidity_oracle(model, p):
+    """Total rigidity by enumeration, refused past p^(2d) = 4096 coset
+    pairs: D spanned by a (x) (a + eps) over all p^d classes, St by every
+    pair of P(K) in sorted order, the first pair outside D the witness,
+    and then the converse, D in St."""
+    eps_vec = np.array(class_of(model, p, model.domain().minus_one), dtype=np.int64)
+    d = len(eps_vec)
+    total = p ** (2 * d)
+    if total > ORACLE_PAIR_BOUND:
+        raise DimensionTooLarge(f"{total} coset pairs exceed {ORACLE_PAIR_BOUND}")
+    d_basis: dict = {}
+    for va in iter_product(range(p), repeat=d):
+        av = np.array(va, dtype=np.int64)
+        echelon_insert(d_basis, sparse_row(np.outer(av, eps_vec + av).reshape(-1), p), p)
+    st_basis: dict = {}
+    witness = None
+    for va, vb in sorted(_oracle_pair_set(model, p)):
+        tens = sparse_row(np.outer(va, vb).reshape(-1), p)
+        echelon_insert(st_basis, tens, p)
+        if witness is None and echelon_reduce(d_basis, tens, p)[0]:
+            witness = f"[{','.join(map(str, va))}] (x) [{','.join(map(str, vb))}]"
+    if witness is None:
+        for c in sorted(d_basis):
+            row = d_basis[c][0]
+            if echelon_reduce(st_basis, row, p)[0]:
+                witness = f"missing {dense_row(row, d * d, p).tolist()}"
+                break
+    return TotalRigidityVerdict("TotallyRigid" if witness is None else "NotTotallyRigid",
+                                witness, len(st_basis), len(d_basis), total, total)
+
+
+@st.composite
+def _oracle_models(draw):
+    """(model, p) with p^(2d) <= ORACLE_PAIR_BOUND: F_q, Q_ell, Q_2, R, C
+    and Laurent towers over F_q, at p in {2, 3, 5}."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kinds = ["finite", "local", "tower", "complex"] + (["dyadic", "real"] if p == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "local":
+        ells = [ell for ell in (3, 5, 7, 11, 13, 19, 31, 37, 41, 61) if (ell - 1) % p == 0]
+        return LocalRational(draw(st.sampled_from(ells))), p
+    if kind in ("dyadic", "real", "complex"):
+        return {"dyadic": DyadicRational(), "real": RealField(),
+                "complex": ComplexField()}[kind], p
+    qs = [q for q in (3, 4, 5, 7, 9, 11, 13, 16, 25, 27, 31, 49, 81, 121, 125)
+          if (q - 1) % p == 0]
+    model = FiniteField(draw(st.sampled_from(qs)))
+    if kind == "tower":
+        depth = max(k for k in range(1, 6) if p ** (2 * k + 2) <= ORACLE_PAIR_BOUND)
+        for i in range(draw(st.integers(1, depth))):
+            model = Laurent(model, "t" + "a" * i, 4)
+    return model, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_models())
+def test_total_rigidity_spans_match_oracle(case):
+    model, p = case
+    assert (is_totally_rigid_bounded(model, p).to_json()
+            == _total_rigidity_oracle(model, p).to_json())
+
+
 @dataclass(frozen=True)
 class _SquaresOnly(DyadicRational):
     """Q_2 where 1 lies in aS + bS only when a or b is a square: St_2(S)
@@ -381,11 +471,33 @@ class _SquaresOnly(DyadicRational):
 
 
 def test_total_rigidity_converse():
-    v = is_totally_rigid_bounded(_SquaresOnly(), 2)
+    """D lies in St on every field, as a (x) (-a) = a (x) (1 - a) +
+    a^-1 (x) (1 - a^-1), so the spans rule builds St on D and checks no
+    converse.  The oracle keeps the check: it fires on a pair set that
+    breaks that identity, and on no backend's."""
+    v = _total_rigidity_oracle(_SquaresOnly(), 2)
     assert v.verdict == "NotTotallyRigid"
     assert v.witness == "missing [0, 1, 0, 0, 1, 0, 0, 0, 0]"
     assert (v.st_dim, v.d_dim) == (0, 5)
     assert v.decided_pairs == v.total_pairs == 64
+    for model, p in [(DyadicRational(), 2), (RealField(), 2), (ComplexField(), 3),
+                     (FiniteField(3), 2), (LocalRational(3), 2), (LocalRational(7), 3),
+                     (TOWER, 2), (Laurent(Laurent(FiniteField(7), "t"), "u"), 3)]:
+        assert not (_total_rigidity_oracle(model, p).witness or "").startswith("missing")
+
+
+def test_total_rigidity_has_no_pair_bound():
+    # 2^32 coset pairs, once refused; -1 is a square in F_5, so D is the
+    # symmetric tensors and nothing is lifted outside it
+    v = is_totally_rigid_bounded(_tower(15, q=5), 2)
+    assert (v.verdict, v.witness, v.st_dim, v.d_dim) == ("TotallyRigid", None, 136, 136)
+    assert v.decided_pairs == v.total_pairs == 2 ** 32
+    # -1 is not a square in F_3, so eps = e_0 and e_0 (x) (e_0 + eps) = 0;
+    # F_3's pair (2, -1) = (2, 2) lifts out of D, zero-padded to 17 classes
+    v = is_totally_rigid_bounded(_tower(16), 2)
+    assert v.verdict == "NotTotallyRigid"
+    assert v.witness == "[1" + ",0" * 16 + "] (x) [1" + ",0" * 16 + "]"
+    assert (v.st_dim, v.d_dim) == (153, 152)
 
 
 @pytest.mark.parametrize("model,total", [
@@ -902,7 +1014,7 @@ def _one_in_sum_pool_search(model, p, a, b, search=60):
     (LocalRational(7), 24), (LocalRational(13), 24), (F7T, 16),
 ], ids=repr)
 def test_pool_search_pairs_lie_in_pair_set(model, found):
-    pairs = model.pair_set(3)
+    pairs = _oracle_pair_set(model, 3)
     reps = _coset_reps(model, 3)
     hits = [(va, vb) for va, ra in reps for vb, rb in reps
             if _one_in_sum_pool_search(model, 3, ra, rb)]
@@ -925,7 +1037,7 @@ def _tame_models_at_two(draw):
 @given(_tame_models_at_two())
 def test_tame_pair_set_is_symbol_zero_set_at_two(model):
     # at p = 2 the form <a, b> represents 1 iff {a, b} = 0
-    assert model.pair_set(2) == FieldModel.pair_set(model, 2)
+    assert _oracle_pair_set(model, 2) == model.pair_set(2)
 
 
 @pytest.mark.parametrize("ell,p", [(3, 2), (5, 2), (7, 2), (13, 2), (7, 3), (13, 3)])
@@ -942,7 +1054,7 @@ def test_local_pair_set_is_sampled_pair_set(ell, p):
             x = 1 + r * Fraction(ell) ** rng.randrange(1, 4)
         if x not in (0, 1):
             seen.add((class_of(model, p, x), class_of(model, p, 1 - x)))
-    assert seen == model.pair_set(p)
+    assert seen == _oracle_pair_set(model, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -957,7 +1069,7 @@ def test_tower_pairs_of_elements_lie_in_pair_set(case):
         pair = (class_of(model, p, x), class_of(model, p, one_minus_x))
     except PrecisionExhausted:
         return
-    assert pair in model.pair_set(p)
+    assert pair in _oracle_pair_set(model, p)
 
 
 # -- compound labels in rigidity reports ------------------------------------
@@ -1065,8 +1177,8 @@ def test_certified_match_agrees_with_search(case):
     _certified_agrees_with_search(*case)
 
 
-def _tower(levels):
-    model = FiniteField(3)
+def _tower(levels, q=3):
+    model = FiniteField(q)
     for i in range(levels):
         model = Laurent(model, "t" + "a" * i)
     return model
