@@ -38,7 +38,6 @@ from .errors import (
     is_int,
 )
 from .fplinear import echelon_insert, is_prime, sparse_row
-from .fplinear import rank as fp_rank
 from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
 from .rigidity import AugBilinearMap, _q_finder, find_equivalence, from_cohomology
@@ -707,7 +706,7 @@ class OVerdict(JsonRecord):
     witness: str | None = None
 
 
-def _parse_h(h_spec, d: int, p: int) -> frozenset | None:
+def _parse_h(h_spec, d: int, p: int) -> set | None:
     """H as a set of class vectors, or None for all of F_p^d."""
     if h_spec == "all":
         return None
@@ -716,17 +715,21 @@ def _parse_h(h_spec, d: int, p: int) -> frozenset | None:
     ):
         raise ValidationError('H must be "all" or a list of integer coset vectors')
     vecs = set()
+    basis: dict = {}  # an echelon basis of H's span, grown until it is full
     for row in h_spec:
         t = tuple(c % p for c in row)
         if len(t) != d:
             raise ValidationError(f"coset vector {row} should have length {d}")
-        vecs.add(t)
+        if t not in vecs:
+            vecs.add(t)
+            if len(basis) < d:
+                echelon_insert(basis, sparse_row(dict(enumerate(t)), p), p)
     if tuple([0] * d) not in vecs:
         raise ValidationError("H must contain the trivial coset")
     # H lies in its span, so it is the span, a subgroup, iff it is as large
-    if len(vecs) != p ** fp_rank(np.array(list(vecs), dtype=np.int64), p):
+    if len(vecs) != p ** len(basis):
         raise ValidationError("H is not closed under multiplication")
-    return frozenset(vecs)
+    return vecs
 
 
 def o_membership(model: FieldModel, p: int, a, h_spec, target: str,

@@ -7,10 +7,13 @@ Two eliminators, one for each shape of work:
   a sparse dict at odd p, in Python integers.  ``rref`` and the ranks,
   kernels and row spaces read off it are deterministic, since the reduced
   row echelon form is unique.
-- ``batch_rank`` ranks a stack of small matrices in one numpy pass: at
-  p = 2 on rows packed into uint64 words and reduced by XOR
-  (``xor_rank``, which the p = 2 rigidity scan also feeds with words it
-  builds itself), at odd p in int64.  It gives ranks only.
+- ``batch_rank`` ranks a stack of small matrices in one numpy pass, row
+  by row: each row, once reduced, pivots on its first nonzero entry and
+  clears that column from the rows below it, and every step runs over
+  the whole stack at once.  At p = 2 the rows are packed into uint64
+  words and reduced by XOR (``xor_rank``, which the p = 2 rigidity scan
+  also feeds with the rows it builds itself), at odd p in int64.  It
+  gives ranks only.
 """
 
 from __future__ import annotations
@@ -88,65 +91,86 @@ def rank(a, p: int) -> int:
 def batch_rank(stack, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of matrices of shape (n, rows, cols).
 
-    The stack is transposed when cols > rows, so the elimination runs over
-    min(rows, cols) columns.  At p = 2 each row is packed into words and
-    eliminated by XOR (``xor_rank``); at odd p one forward elimination runs
-    on the whole stack at once in int64.
+    The matrices are transposed when rows > cols, so the elimination runs
+    over min(rows, cols) rows, one at a time: a row, once reduced, pivots
+    on its first nonzero entry and clears that column from the rows below
+    it.  The stack axis goes last, so that each step runs over all n
+    matrices in numpy's inner loop.  At p = 2 each row is packed into
+    words and eliminated by XOR (``xor_rank``); at odd p the whole stack
+    is eliminated at once in int64.
 
-    At odd p the block is reduced mod p lazily: only the pivot row (after
-    scaling by the inverse of its pivot) and the next pivot column are, at
-    each step.  A step subtracts (column entry) x (pivot row entry), both
-    in 0..p-1, so every entry stays below (p - 1) + min(rows, cols) (p - 1)^2
-    in absolute value, and the scaled pivot row below p times that.  Every
-    caller ranks matrices with min(rows, cols) <= d^2 under the scan bound
+    At odd p the block is reduced mod p lazily: a row is reduced only when
+    it pivots, and each row below only at the pivot column, where its
+    entry times the pivot's inverse gives its factor.  A step subtracts
+    (factor) x (pivot row entry), both in 0..p-1, and a row takes at most
+    min(rows, cols) - 1 steps before it pivots, so every entry stays below
+    (p - 1) + (min(rows, cols) - 1) (p - 1)^2 in absolute value, and an
+    entry times an inverse below p times that.  Every caller ranks
+    matrices with min(rows, cols) <= d^2 under the scan bound
     p^d <= 2^16 (``rigidity.DEFAULT_ENUM_BOUND``), which keeps the entries
-    below 2^32 and the scaled row below 2^48, far inside int64.
+    below 2^32 and their products with an inverse below 2^48, far inside
+    int64.
     """
-    m = np.asarray(stack, dtype=np.int64) % p
-    if m.shape[2] > m.shape[1]:
+    m = np.asarray(stack, dtype=np.int64)
+    if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)
+    n, rows, cols = m.shape
     if p == 2:
-        # column c goes to bit c % 64 of word c // 64
-        n, rows, k = m.shape
-        packed = np.zeros((n, rows, 8 * -(-k // 64)), dtype=np.uint8)
-        packed[..., : -(-k // 8)] = np.packbits(
-            m.astype(np.uint8), axis=2, bitorder="little")
-        return xor_rank(packed.view("<u8"), k)
-    m = m.copy()
-    n, _, n_cols = m.shape
+        return xor_rank(np.ascontiguousarray(pack_words(m).transpose(1, 2, 0)))
+    m = _mod(np.ascontiguousarray(m.transpose(1, 2, 0)), p)
     inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
     ranks = np.zeros(n, dtype=np.int64)
     idx = np.arange(n)
-    for c in range(n_cols):
-        col = m[:, :, c]
-        piv = (col != 0).argmax(axis=1)
-        ranks += col.any(axis=1)
-        # the pivot row clears column c from every row, itself included, so
-        # a used row turns 0 mod p and is never picked again; columns up to
-        # c are not read again
-        prow = m[idx, piv, c + 1:] * inverse[col[idx, piv]][:, None] % p
-        m[:, :, c + 1:] -= col[:, :, None] * prow[:, None, :]
-        m[:, :, c + 1:c + 2] %= p
+    for i in range(rows if cols else 0):
+        row = _mod(m[i], p)
+        lead = (row != 0).argmax(axis=0)
+        piv = row[lead, idx]
+        ranks += piv != 0
+        # a zero row has piv = 0, whose inverse 0 makes every factor 0
+        below = m[i + 1 :]
+        factor = _mod(below[:, lead, idx] * inverse[piv], p)
+        below -= factor[:, None, :] * row
     return ranks
 
 
-def xor_rank(words: np.ndarray, k: int) -> np.ndarray:
-    """Ranks over F_2 of a stack of matrices (n, rows, w) whose rows are k
-    bits packed into w uint64 words, bit c % 64 of word c // 64 holding
-    column c.  Eliminates in place, one pivot bit at a time; the words
-    below the pivot's word are not touched."""
-    n = words.shape[0]
-    ranks = np.zeros(n, dtype=np.int64)
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p.  numpy divides an integer array by a scalar with a
+    multiply and a shift, but takes a remainder by true division, so this
+    runs about twice as fast as x % p."""
+    return x - x // p * p
+
+
+def pack_words(a) -> np.ndarray:
+    """The last axis of an integer array, mod 2, packed into uint64 words:
+    entry c goes to bit c % 64 of word c // 64."""
+    a = np.asarray(a)
+    k = a.shape[-1]
+    packed = np.zeros(a.shape[:-1] + (8 * -(-k // 64),), dtype=np.uint8)
+    # packbits reads any nonzero entry as 1, and a & 1 is a mod 2
+    packed[..., : -(-k // 8)] = np.packbits(a & 1, axis=-1, bitorder="little")
+    return packed.view("<u8")
+
+
+def xor_rank(words: np.ndarray) -> np.ndarray:
+    """Ranks over F_2 of n matrices given as uint64 words of shape
+    (rows, w, n): word k of row i of matrix j is ``words[i, k, j]``, and
+    holds columns 64 k to 64 k + 63, column c at bit c % 64.
+
+    Eliminates in place, one row at a time: a row, once reduced, pivots
+    on its lowest set bit, in its first nonzero word, and XORs itself
+    into the rows below that have the bit."""
+    rows, w, n = words.shape
     idx = np.arange(n)
     one = np.uint64(1)
-    for c in range(k if words.shape[1] else 0):
-        w, b = divmod(c, 64)
-        col = words[:, :, w] >> np.uint64(b) & one
-        piv = col.argmax(axis=1)
-        ranks += col[idx, piv].astype(bool)
-        # as at odd p, the pivot row XORs itself to zero
-        words[:, :, w:] ^= col[:, :, None] * words[idx, piv, w:][:, None, :]
-    return ranks
+    for i in range(rows - 1 if w else 0):  # the last row clears nothing
+        row = words[i]
+        lead = (row != 0).argmax(axis=0)
+        word = row[lead, idx]
+        below = words[i + 1 :]
+        hit = np.minimum(below[:, lead, idx] & (word & -word), one)
+        below ^= hit[:, None, :] * row
+    # a row left nonzero pivoted, and a zero one lay in the span above it
+    return words.any(axis=1).sum(axis=0)
 
 
 def kernel_basis(a, p: int) -> list[np.ndarray]:

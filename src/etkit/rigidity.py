@@ -12,14 +12,18 @@ rank W_a = d, or rank W_a = d - 1 and u W_a = 0.  A scan computes these
 flags for every nonzero a in batched eliminations, chunked so that its
 working memory stays fixed, and caches them on the map:
 
-- at p = 2, W_a is built by linearity in a: its e columns are d-bit
-  words, each the XOR of the same column of the basis vectors that a
-  selects.  The words are ranked by XOR elimination
-  (``fplinear.xor_rank``), and u W_a = 0 is the parity of each word
-  masked by u.
+- at p = 2, W_a is built by linearity in a: its d rows B(a, e_j) are
+  e-bit words, each the XOR of the same row for the basis vectors that a
+  selects.  The rows are ranked by XOR elimination
+  (``fplinear.xor_rank``), and u W_a is the XOR of the rows that u
+  selects.
 - at odd p, eps = 0 and W_ca = c W_a, so the flags are constant on lines:
   only the vectors whose first nonzero coordinate is 1 are ranked, in
   int64, and each flag is spread over the p - 1 multiples.
+
+The N-subspace, the span of eps and the non-rigid vectors, is grown by
+closure over vector indices, at most dim N steps, and its RREF is read
+off its members (``_n_basis``).
 
 The report names every vector; its labels are built for all of A_1 at
 once, as a product over the coordinates (``vector_label`` names one
@@ -43,15 +47,21 @@ import numpy as np
 
 from .cohomology import GradedAlgebra, build_cohomology
 from .errors import DimensionTooLarge, NotAnExtension, ValidationError
-from .fplinear import batch_rank, row_space_basis, rref, xor_rank
+from .fplinear import batch_rank, pack_words, rref, xor_rank
 from .pairs import Ext, PairExpr, normalize
 
 # A scan lists all p^d vectors of A_1 in its output, so the bound is set by
 # output size.  Working memory is fixed by the chunk budgets whatever the
-# bound: _CHUNK_CELLS int64 entries per batched elimination at odd p and in
-# the equivalence search (larger chunks ran slower), _CHUNK_WORDS uint64
-# words of W_a per chunk of the p = 2 scan (512 KiB; 2^15 to 2^16 ran
-# fastest on the bench's p = 2 maps and at p^d = 2^16).
+# bound: _CHUNK_CELLS int64 entries per batched elimination at odd p, in
+# _keys and in the equivalence search, _CHUNK_WORDS uint64 words of W_a per
+# chunk of the p = 2 scan (512 KiB).  For the row-by-row eliminations (in
+# process, best of 3, two sweeps on a shared 2-core machine), 2^16 cells
+# against 2^14 sped up the 3^10 scan of ext(9,Z(7)) (0.41-0.44 s against
+# 0.51-0.54 s) but not the bench's equivalence rounds (0.33-0.40 against
+# 0.31-0.34 ms per item) nor its p = 3 scans (0.57-0.64 against 0.61 ms);
+# the scan of ext(15,E) took 0.15-0.19 s at 2^14 words, 0.12-0.14 s at 2^16
+# and 0.11-0.12 s at 2^17, and the bench's p = 2 maps fit one chunk from
+# 2^13 words on.
 DEFAULT_ENUM_BOUND = 2**16
 DEFAULT_PAIR_CAP = 2_000_000
 _CHUNK_CELLS = 2**14
@@ -138,18 +148,20 @@ def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
     p, d, e = bmap.p, bmap.d, bmap.e
     flags = np.empty(len(vecs), dtype=bool)
     if p == 2:
-        # Column k of W_a, as a d-bit word, is the XOR over the i that a
-        # selects of cols[i, k], whose bit j is B(e_i, e_j)_k.  Each byte of
-        # a's bits picks its XOR from a table built by doubling.
-        cols = (bmap.tensor << np.arange(d)[None, :, None]).sum(axis=1)
+        # Row j of W_a, B(a, e_j) as an e-bit word in w uint64 words, is the
+        # XOR over the i that a selects of rows[i, j], that row for e_i.
+        # Each byte of a's bits picks its XOR from a table built by
+        # doubling, whose last axis is the byte, as ``xor_rank`` reads it.
+        rows = pack_words(bmap.tensor)
+        w = rows.shape[2]
         tables = []
         for g in range(0, d, 8):
-            t = np.zeros((1, e), dtype=np.uint64)
-            for row in cols[g : g + 8].astype(np.uint64):
+            t = np.zeros((1, d, w), dtype=np.uint64)
+            for row in rows[g : g + 8]:
                 t = np.concatenate([t, t ^ row])
-            tables.append(t)
+            tables.append(np.ascontiguousarray(t.transpose(1, 2, 0)))
         bit = np.left_shift(1, np.arange(d), dtype=np.int64)
-        step = max(1, _CHUNK_WORDS // max(1, e))
+        step = max(1, _CHUNK_WORDS // max(1, d * w))
     else:
         flat = bmap.tensor.reshape(d, d * e)
         step = max(1, _CHUNK_CELLS // max(1, d * e))
@@ -158,32 +170,21 @@ def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
         u = (bmap.eps + a) % p
         if p == 2:
             x = a @ bit
-            w = np.zeros((len(a), e), dtype=np.uint64)
+            wa = np.zeros((d, w, len(a)), dtype=np.uint64)
             for g, t in enumerate(tables):
-                w ^= t[(x >> 8 * g) & 255]
-            u_bits = (u @ bit).astype(np.uint64)[:, None]
-            u_kills = ~_parity(w & u_bits, d).any(axis=1)
-            r = xor_rank(w[:, :, None], d)
+                wa ^= t.take((x >> 8 * g) & 255, axis=2)
+            # u W_a is the XOR of the rows of W_a that u selects
+            u_kills = ~np.bitwise_xor.reduce(
+                wa * u.T.astype(np.uint64)[:, None, :], axis=0).any(axis=0)
+            r = xor_rank(wa)
         else:
-            w = (a @ flat % p).reshape(len(a), d, e)
-            u_kills = ~(np.einsum("cj,cjk->ck", u, w) % p).any(axis=1)
-            r = batch_rank(w, p)
+            wa = (a @ flat).reshape(len(a), d, e)  # batch_rank reduces it
+            u_kills = ~(np.einsum("cj,cjk->ck", u, wa) % p).any(axis=1)
+            r = batch_rank(wa, p)
         flags[s : s + step] = (
             ~u.any(axis=1) | (r == d) | ((r == d - 1) & u_kills)
         )
     return flags
-
-
-def _parity(x: np.ndarray, bits: int) -> np.ndarray:
-    """Parity of the low ``bits`` bits of each uint64, by shift-folding
-    (numpy before 2.0 has no bit count); overwrites x."""
-    s = 1
-    while s < bits:
-        s *= 2
-    while s > 1:
-        s //= 2
-        x ^= x >> np.uint64(s)
-    return x & np.uint64(1)
 
 
 def _check_bound(p: int, d: int) -> None:
@@ -236,15 +237,35 @@ def _scan(bmap: AugBilinearMap):
 
 
 def _n_basis(bmap: AugBilinearMap) -> np.ndarray:
-    """The cached N-subspace basis, shared by n_subspace and the report."""
+    """The cached N-subspace basis, shared by n_subspace and the report.
+
+    N is spanned by closure over vector indices: the first wanted vector
+    (eps or a non-rigid one) outside the span so far is added with its
+    multiples, at most dim N times.  The RREF of N is then read off its
+    members: the members whose first nonzero coordinate is a 1 at c fill
+    the indices [place_c, 2 place_c), and when c is a pivot the least of
+    them is its RREF row.  They differ by the members that vanish up to c,
+    which the RREF rows of the later pivots span, and the least is 0 at
+    each of those pivots in turn."""
     vecs, flags = _scan(bmap)
     if "n" not in bmap._cache:
-        rows = vecs[~flags]
-        if len(rows):
-            # the vectors led by a 1, one per line, span the same space
-            lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-            rows = rows[lead == 1]
-        bmap._cache["n"] = row_space_basis(np.vstack([bmap.eps[None, :], rows]), bmap.p)
+        p, d = bmap.p, bmap.d
+        place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        wanted = np.concatenate([[False], ~flags])
+        wanted[bmap.eps @ place] = True
+        span = np.zeros((1, d), dtype=np.int64)
+        multiples = np.arange(p)[:, None, None]
+        members = np.zeros(1, dtype=np.int64)
+        while True:
+            wanted[members] = False
+            i = wanted.argmax()
+            if not wanted[i]:
+                break
+            span = ((span + multiples * vecs[i - 1]) % p).reshape(-1, d)
+            members = span @ place
+        members.sort()
+        least = members[np.minimum(np.searchsorted(members, place), len(members) - 1)]
+        bmap._cache["n"] = vecs[least[least // place == 1] - 1]
     return bmap._cache["n"]
 
 

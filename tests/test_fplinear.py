@@ -19,6 +19,7 @@ from etkit.fplinear import (
     row_space_basis,
     rref,
     sparse_row,
+    xor_rank,
 )
 
 
@@ -138,6 +139,36 @@ def wide_bit_stacks(draw):
 @given(wide_bit_stacks())
 def test_packed_batch_rank_across_words(stack):
     assert batch_rank(stack, 2).tolist() == [rank(m, 2) for m in stack]
+
+
+@st.composite
+def word_stacks(draw):
+    """Stacks over F_2 whose rows fill one, two or three uint64 words,
+    with more rows than columns or fewer; each matrix has a drawn rank,
+    some with their rows repeated."""
+    w = draw(st.integers(1, 3))
+    cols = draw(st.integers(64 * w - 63, 64 * w))
+    rows = draw(st.sampled_from([2, cols - 1, cols + 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, min(rows, cols)))
+        m = rng.integers(2, size=(rows, r)) @ rng.integers(2, size=(r, cols)) % 2
+        if draw(st.booleans()):
+            m = m[rng.integers(rows, size=rows)]
+        mats.append(m)
+    return w, np.array(mats, dtype=np.int64)
+
+
+@given(word_stacks())
+def test_xor_rank_matches_dense_oracle(data):
+    w, stack = data
+    n, rows, cols = stack.shape
+    # word k of row i of matrix j holds columns 64 k .. 64 k + 63
+    words = np.zeros((rows, w, n), dtype=np.uint64)
+    for j, i, c in zip(*np.nonzero(stack)):
+        words[i, c // 64, j] |= np.uint64(1) << np.uint64(c % 64)
+    assert xor_rank(words).tolist() == [dense_fp.rank(m, 2) for m in stack]
 
 
 @st.composite

@@ -204,6 +204,36 @@ def test_chunked_scan_matches_enumeration(case):
 
 
 @st.composite
+def wide_scans(draw):
+    """Maps at p = 2 with d <= 5 whose rows B(a, e_j) fill one to three
+    uint64 words (e in {63, 64, 65, 128, 129}), eps zero or not.  Every
+    B(e_i, e_j) is a combination of a few drawn vectors, so that W_a has
+    every rank up to d and rigid and non-rigid vectors both occur; the
+    vectors vanish below a drawn column, so that rows pivot in later
+    words too."""
+    d = draw(st.integers(1, 5))
+    e = draw(st.sampled_from([63, 64, 65, 128, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(0, d))
+    span = rng.integers(2, size=(r, e))
+    span[:, : draw(st.integers(0, e - 1))] = 0
+    tensor = rng.integers(2, size=(d, d, r)) @ span % 2
+    eps = [0] * d
+    if draw(st.booleans()):
+        eps = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    return _map(2, tensor, eps)
+
+
+@given(wide_scans())
+@example(_map(2, np.eye(65, dtype=np.int64)[[[0, 63], [63, 64]]], [1, 1]))
+@example(_map(2, np.eye(129, dtype=np.int64)[[[64, 128], [128, 128]]], [0, 0]))
+def test_scan_across_words_matches_enumeration(m):
+    vecs, flags = _scan(m)
+    every_b = _all_vectors(m.p, m.d)
+    assert flags.tolist() == [_rigid_one(m, a, every_b) for a in vecs]
+
+
+@st.composite
 def key_maps(draw):
     """Maps at p in {2, 3} with d <= 4 and e <= 3, eps zero or not at p = 2."""
     p = draw(st.sampled_from([2, 3]))
@@ -359,15 +389,40 @@ def test_huge_rank_refused_before_the_power(p, expr):
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("p", [3, 5])
+def _field_square(p):
+    """Multiplication in F_(p^2) = F_p[x]/(x^2 - n x - m) on coefficient
+    vectors: a map on which every nonzero vector is rigid."""
+    n, m = {2: (1, 1), 3: (0, 2), 5: (0, 2)}[p]  # x^2 - n x - m irreducible
+    t = np.zeros((2, 2, 2), dtype=np.int64)
+    t[0, 0] = [1, 0]
+    t[0, 1] = t[1, 0] = [0, 1]
+    t[1, 1] = [m, n]
+    return _map(p, t, [0, 0])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_n_subspace_from_one_vector_per_line(p):
     # the span of eps and every non-rigid vector, all multiples included
     rng = random.Random(40 + p)
-    for _ in range(30):
-        m = _random_map(rng, p, rng.randrange(1, 5), rng.randrange(0, 3))
+    eps = [1, 1] if p == 2 else [0, 0]
+    maps = [
+        _random_map(rng, p, rng.randrange(1, 5), rng.randrange(0, 3))
+        for _ in range(30)
+    ] + [
+        _map(p, np.zeros((0, 0, 2)), []),  # d = 0
+        _map(p, [[[1]]], [1 if p == 2 else 0]),  # d = 1
+        _map(p, np.ones((3, 3, 0)), eps + [0]),  # e = 0: at most a = eps is rigid
+        _field_square(p),  # no non-rigid vector
+        _map(p, _field_square(p).tensor, eps),  # the same with eps != 0 at p = 2
+    ]
+    assert _scan(maps[-2])[1].all()
+    for m in maps:
         vecs, flags = _scan(m)
         rows = np.vstack([m.eps[None, :], vecs[~flags]])
         assert np.array_equal(n_subspace(m), row_space_basis(rows, p))
+    if p == 2:
+        # some random maps have both eps != 0 and non-rigid vectors
+        assert any(m.eps.any() and not _scan(m)[1].all() for m in maps[:30])
 
 
 def test_n_subspace_inside_inflation():
