@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from itertools import product as iter_product
 
@@ -163,15 +163,16 @@ def _rational_pool():
 def _seeded_pool(seed: list):
     """The seed, then the rational pool without the seed's elements."""
     yield from seed
+    skip = set(seed)
     for f in _rational_pool():
-        if f not in seed:
+        if f not in skip:
             yield f
 
 
 def _coeff_pool(domain, limit: int = 8) -> list:
     """Small nonzero coefficients of a series domain."""
     if isinstance(domain, GF):
-        return list(domain.units())[:limit]
+        return list(domain.units()[:limit])
     out = [domain.one, domain.add(domain.one, domain.gen()), domain.gen()]
     for c in _coeff_pool(domain.base, 3):
         out.append(domain.from_const(c))
@@ -476,6 +477,13 @@ class Laurent(FieldModel):
         }
 
     def domain(self):
+        return self._ring
+
+    @cached_property
+    def _ring(self) -> LaurentRing:
+        """The model's ring, built on first use and kept in the instance
+        ``__dict__``: it is no dataclass field, so ``==``, ``hash`` and
+        ``repr`` read only the parameters."""
         return LaurentRing(self.base.domain(), self.var, self.precision)
 
     def decode(self, data):
@@ -706,8 +714,19 @@ class OVerdict(JsonRecord):
     witness: str | None = None
 
 
+def _class_code(vec, p: int) -> int:
+    """A class vector as one base-p integer, its first coordinate the
+    highest digit: one small integer per class, where a tuple of d
+    integers would cost several times the memory."""
+    code = 0
+    for c in vec:
+        code = code * p + c
+    return code
+
+
 def _parse_h(h_spec, d: int, p: int) -> set | None:
-    """H as a set of class vectors, or None for all of F_p^d."""
+    """H as a set of ``_class_code``s of its class vectors, or None for
+    all of F_p^d."""
     if h_spec == "all":
         return None
     if not isinstance(h_spec, list) or not all(
@@ -720,11 +739,12 @@ def _parse_h(h_spec, d: int, p: int) -> set | None:
         t = tuple(c % p for c in row)
         if len(t) != d:
             raise ValidationError(f"coset vector {row} should have length {d}")
-        if t not in vecs:
-            vecs.add(t)
+        code = _class_code(t, p)
+        if code not in vecs:
+            vecs.add(code)
             if len(basis) < d:
                 echelon_insert(basis, sparse_row(dict(enumerate(t)), p), p)
-    if tuple([0] * d) not in vecs:
+    if 0 not in vecs:
         raise ValidationError("H must contain the trivial coset")
     # H lies in its span, so it is the span, a subgroup, iff it is as large
     if len(vecs) != p ** len(basis):
@@ -749,7 +769,7 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     h = _parse_h(h_spec, len(model.basis(p)), p)
 
     def in_h(x) -> bool:
-        return h is None or class_of(model, p, x) in h
+        return h is None or _class_code(class_of(model, p, x), p) in h
 
     def in_o_minus(x) -> bool:
         if not in_h(x):

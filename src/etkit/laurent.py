@@ -5,17 +5,23 @@ operation tracks how much of the result is still certified, and anything
 that needs a leading coefficient the window no longer covers raises
 PrecisionExhausted rather than guessing.  The coefficient domain can be a
 GF instance or another LaurentRing, so iterated extensions nest.
+
+A ring builds its constants (zero, one, minus one) once, when it is made,
+and each field model makes its ring once.  Series are immutable, so every
+caller shares them.  Sums, differences and products read the two windows
+where they lie, with no padded copy.  An exact zero coefficient is found
+by comparison with the base's zero, by truthiness over a finite field
+(whose zero is the integer 0), not by a call to ``base.is_zero``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PrecisionExhausted, ValidationError
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """Element of F((t)): coeffs[i] is the t^(v+i) coefficient.
 
     An empty window with zero=False means only "valuation >= v" is known.
@@ -26,8 +32,9 @@ class Series:
     zero: bool = False
 
 
-def _series_nonzero(c: Series) -> bool:
-    return not c.zero
+# builds a Series from its three fields without the keyword handling of
+# Series(...); the kernel makes one per operation
+_new = tuple.__new__
 
 
 class LaurentRing:
@@ -39,53 +46,48 @@ class LaurentRing:
         self.base = base
         self.var = var
         self.T = precision
-        # the test for an exact zero coefficient: 0 in a finite field, and
-        # in a Laurent base the one series with ``zero`` set, ``self.zero``
-        self._nonzero = _series_nonzero if isinstance(base, LaurentRing) else bool
+        self._laurent_base = isinstance(base, LaurentRing)
+        self._pad = (base.zero,) * precision
+        self.zero = Series(0, (), True)
+        self.one = self.from_const(base.one)
+        self.minus_one = self.from_const(base.minus_one)
 
     # -- construction --------------------------------------------------------
 
-    @property
-    def zero(self) -> Series:
-        return Series(0, (), True)
-
-    @property
-    def one(self) -> Series:
-        return self.from_const(self.base.one)
-
-    @property
-    def minus_one(self) -> Series:
-        return self.from_int(-1)
-
     def from_const(self, c) -> Series:
         return self.from_coeffs(0, [c])
-
-    def from_int(self, n: int) -> Series:
-        return self.from_const(self.base.from_int(n))
 
     def gen(self) -> Series:
         """The uniformizer t."""
         return self.from_coeffs(1, [self.base.one])
 
     def from_coeffs(self, v: int, coeffs) -> Series:
-        """Exact element sum coeffs[i] * t^(v+i); truncated at precision."""
-        cl = list(coeffs)
+        """Exact element sum coeffs[i] * t^(v+i); truncated at precision,
+        its window reading base.zero past the given coefficients."""
+        cl = tuple(coeffs)
+        # is_zero raises PrecisionExhausted on a coefficient known only to
+        # a valuation, so the first that is not an exact zero must be known
         if all(self.base.is_zero(c) for c in cl):
             return self.zero
-        cl = cl[: self.T] + [self.base.zero] * max(0, self.T - len(cl))
-        return self._norm(v, cl)
+        return self._norm(v, cl[: self.T] + self._pad[len(cl):])
 
-    def _norm(self, v: int, coeffs: list) -> Series:
-        coeffs = coeffs[: self.T]
+    def _norm(self, v: int, coeffs) -> Series:
+        """The series with window ``coeffs[:T]`` from t^v, less its
+        leading exact zeros."""
+        n = min(len(coeffs), self.T)
         i = 0
-        try:
-            while i < len(coeffs) and self.base.is_zero(coeffs[i]):
+        if self._laurent_base:
+            try:
+                while i < n and self.base.is_zero(coeffs[i]):
+                    i += 1
+            except PrecisionExhausted:
+                # the first coefficient not known to vanish is itself known
+                # only to a valuation, so only "valuation >= v + i" is certain
+                return _new(Series, (v + i, (), False))
+        else:
+            while i < n and not coeffs[i]:
                 i += 1
-        except PrecisionExhausted:
-            # the first coefficient not known to vanish is itself known
-            # only to a valuation, so only "valuation >= v + i" is certain
-            return Series(v + i, ())
-        return Series(v + i, tuple(coeffs[i:]))
+        return _new(Series, (v + i, tuple(coeffs[i:n]), False))
 
     # -- structure queries ----------------------------------------------------
 
@@ -114,26 +116,39 @@ class LaurentRing:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, x: Series, y: Series) -> Series:
-        return y if x.zero else self._combine(x, y, self.base.add)
+        return y if x.zero else self._combine(x, y, self.base.add, None)
 
     def sub(self, x: Series, y: Series) -> Series:
-        return self.neg(y) if x.zero else self._combine(x, y, self.base.sub)
+        if x.zero:
+            return self.neg(y)
+        return self._combine(x, y, self.base.sub, self.base.neg)
 
-    def _combine(self, x: Series, y: Series, op) -> Series:
-        """x op y, x nonzero, op the base's add or sub, once per position
-        both windows cover; a window reads base.zero below its valuation."""
+    def _combine(self, x: Series, y: Series, op, lone) -> Series:
+        """x op y, x nonzero, op the base's add or sub, at every position
+        both windows cover from the lower valuation on.  Where only one
+        window reaches, the other reads base.zero, and op(a, zero) = a and
+        op(zero, b) = lone(b): b for add (lone None), -b for sub."""
         if y.zero:
             return x
-        v = min(x.v, y.v)
-        n = min(x.v + len(x.coeffs), y.v + len(y.coeffs)) - v
-        xs = [self.base.zero] * (x.v - v) + list(x.coeffs)
-        ys = [self.base.zero] * (y.v - v) + list(y.coeffs)
-        return self._norm(v, [op(a, b) for a, b in zip(xs[:n], ys[:n])])
+        xv, xc, yv, yc = x.v, x.coeffs, y.v, y.coeffs
+        v = min(xv, yv)
+        n = min(xv + len(xc), yv + len(yc)) - v
+        if xv <= yv:
+            d = yv - xv
+            if d >= n:
+                return self._norm(v, xc[:n])
+            return self._norm(v, [*xc[:d], *map(op, xc[d:n], yc)])
+        d = xv - yv
+        ys = yc[:min(d, n)]
+        head = ys if lone is None else map(lone, ys)
+        if d >= n:
+            return self._norm(v, tuple(head))
+        return self._norm(v, [*head, *map(op, xc, yc[d:n])])
 
     def neg(self, x: Series) -> Series:
         if x.zero:
             return x
-        return Series(x.v, tuple(self.base.neg(c) for c in x.coeffs), False)
+        return _new(Series, (x.v, tuple(map(self.base.neg, x.coeffs)), False))
 
     def mul(self, x: Series, y: Series) -> Series:
         if x.zero or y.zero:
@@ -141,31 +156,36 @@ class LaurentRing:
         n = min(len(x.coeffs), len(y.coeffs))
         v = x.v + y.v
         if n == 0:
-            return Series(v, ())
-        base, nonzero = self.base, self._nonzero
+            return _new(Series, (v, (), False))
+        base = self.base
+        add, times, zero = base.add, base.mul, base.zero
         # an exact zero coefficient adds nothing (base.mul(zero, c) is zero
-        # and base.add(s, zero) is s), so only nonzero pairs are multiplied;
-        # an empty window is not zero and still goes through base.mul
-        ys = [(j, c) for j, c in enumerate(y.coeffs[:n]) if nonzero(c)]
-        out = [base.zero] * n
+        # and base.add(s, zero) is s), so only nonzero pairs are multiplied.
+        # The exact zero is the one coefficient equal to base.zero: 0 in a
+        # finite field, Series(0, (), True) in a Laurent base; an empty
+        # window is not zero and still goes through base.mul
+        ys = [(j, c) for j, c in enumerate(y.coeffs[:n]) if c != zero]
+        out = [zero] * n
         for i, xi in enumerate(x.coeffs[:n]):
-            if not nonzero(xi):
+            if xi == zero:
                 continue
             for j, yj in ys:
-                if i + j >= n:
+                k = i + j
+                if k >= n:
                     break
-                out[i + j] = base.add(out[i + j], base.mul(xi, yj))
+                out[k] = add(out[k], times(xi, yj))
         return self._norm(v, out)
 
     def inv(self, x: Series) -> Series:
         c0 = self.lead(x)
-        d = [self.base.inv(c0)]
+        base = self.base
+        d = [base.inv(c0)]
         for k in range(1, len(x.coeffs)):
-            acc = self.base.zero
+            acc = base.zero
             for i in range(1, k + 1):
-                acc = self.base.add(acc, self.base.mul(x.coeffs[i], d[k - i]))
-            d.append(self.base.neg(self.base.mul(d[0], acc)))
-        return Series(-x.v, tuple(d), False)
+                acc = base.add(acc, base.mul(x.coeffs[i], d[k - i]))
+            d.append(base.neg(base.mul(d[0], acc)))
+        return _new(Series, (-x.v, tuple(d), False))
 
     def pow_(self, x: Series, n: int) -> Series:
         """x^n by left-to-right square-and-multiply: n.bit_length() - 1

@@ -1,11 +1,14 @@
 """Exact arithmetic in small finite fields GF(q).
 
 Elements are integers in [0, q) encoding coefficient vectors base the
-characteristic (low digit = constant term).  Multiplication goes through
-exp/log tables built from the generator g of least encoding, which keeps
-p-th-power tests and class-group coordinates one table lookup away.
-Addition goes through Zech logarithms, zech[k] = log(1 + g^k), so x + y
-is g^(log x + zech[log y - log x]) and no operation decodes digits.
+characteristic (low digit = constant term).  In a prime field the
+encoding is the residue itself, so addition, negation, subtraction and
+multiplication are integer arithmetic mod q.  In a proper extension,
+multiplication goes through exp/log tables built from the generator g of
+least encoding, and addition through Zech logarithms, zech[k] =
+log(1 + g^k), so x + y is g^(log x + zech[log y - log x]) and no
+operation decodes digits.  Every field keeps the tables: inverses, powers
+and p-th-power classes are one lookup away.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ class GF:
         self.modulus = None if self.deg == 1 else _find_irreducible(self.char, self.deg)
         self.zero = 0
         self.one = 1
+        self.minus_one = self.char - 1
         self._build_tables()
 
     def is_zero(self, x: int) -> bool:
@@ -113,6 +117,8 @@ class GF:
     # -- ring structure ----------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
+        if self.deg == 1:
+            return (x + y) % self.q
         if x == 0 or y == 0:
             return x or y
         lx = self.dlog[x]
@@ -120,11 +126,15 @@ class GF:
         return 0 if z is None else self.exp[(lx + z) % (self.q - 1)]
 
     def neg(self, x: int) -> int:
+        if self.deg == 1:
+            return -x % self.q
         if x == 0:
             return 0
         return self.exp[(self.dlog[x] + self._log_minus_one) % (self.q - 1)]
 
     def sub(self, x: int, y: int) -> int:
+        if self.deg == 1:
+            return (x - y) % self.q
         return self.add(x, self.neg(y))
 
     def _raw_mul(self, x: int, y: int) -> int:
@@ -167,6 +177,8 @@ class GF:
         self._log_minus_one = self.dlog[c - 1]
 
     def mul(self, x: int, y: int) -> int:
+        if self.deg == 1:
+            return x * y % self.q
         if x == 0 or y == 0:
             return 0
         return self.exp[(self.dlog[x] + self.dlog[y]) % (self.q - 1)]
@@ -182,14 +194,6 @@ class GF:
                 raise ValidationError("0 to a nonpositive power")
             return 0
         return self.exp[(self.dlog[x] * n) % (self.q - 1)]
-
-    def from_int(self, n: int) -> int:
-        """Image of the rational integer n in the prime subfield."""
-        return n % self.char
-
-    @property
-    def minus_one(self) -> int:
-        return self.char - 1
 
     # -- p-th power classes --------------------------------------------------
 

@@ -1,7 +1,7 @@
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import islice
 from itertools import product as iter_product
@@ -30,6 +30,7 @@ from etkit.field_models import (
     RealField,
     TotalRigidityVerdict,
     TrichotomyResult,
+    _class_code,
     _parse_h,
     check_pairing_match,
     class_group,
@@ -58,7 +59,7 @@ from etkit.rigidity import (
     rigidity_report,
     vector_label,
 )
-from etkit.smallfields import gf
+from etkit.smallfields import GF, gf
 from etkit.units import make_unit
 
 F7T = Laurent(FiniteField(7), "t", 8)
@@ -292,10 +293,36 @@ def test_o_membership_examples():
 def test_h_all_is_not_enumerated():
     # "all" is a sentinel, so F_2^64 is never listed; explicit H is checked
     assert _parse_h("all", 64, 2) is None
-    assert _parse_h([[0, 0], [1, 0]], 2, 2) == {(0, 0), (1, 0)}
+    # one base-p integer per class vector, the first coordinate highest
+    assert _parse_h([[0, 0], [1, 0]], 2, 2) == {0, 2}
+    assert _parse_h([[0, 0, 0], [1, 2, 0], [2, 1, 0]], 3, 3) == {0, 15, 21}
     with pytest.raises(ValidationError):
         _parse_h([[0, 0], [1, 0], [0, 1]], 2, 2)  # not closed
 
+
+
+@pytest.mark.parametrize("model,p", [(FiniteField(7), 3), (F7T, 3), (TOWER, 2),
+                                     (LocalRational(7), 3), (DyadicRational(), 2)],
+                         ids=repr)
+def test_explicit_h_matches_class_vector_membership(model, p):
+    """An explicit H holds class codes; membership must agree with the
+    class vector's membership in H kept as tuples, for spans of a few
+    drawn vectors, while "all" decides the rest of O^-."""
+    def outcome(a, h_spec):
+        try:
+            return o_membership(model, p, a, h_spec, "OMinus").verdict
+        except PrecisionExhausted:
+            return "PrecisionExhausted"
+
+    d = len(model.basis(p))
+    vecs = list(iter_product(range(p), repeat=d))
+    for gens in ([], [vecs[1]], [vecs[-1]], vecs[1:3], vecs[-2:]):
+        h = {tuple(sum(c * g[k] for c, g in zip(cs, gens)) % p for k in range(d))
+             for cs in iter_product(range(p), repeat=len(gens))}
+        h_list = [list(v) for v in sorted(h)]
+        for a in islice(model.pool(p), 40):
+            want = outcome(a, "all") if class_of(model, p, a) in h else "NonMember"
+            assert outcome(a, h_list) == want, (gens, a)
 
 def _parse_h_double_loop(h_spec, d, p):
     """``_parse_h`` on an explicit list with the closure test over every
@@ -338,11 +365,16 @@ def _parse_outcome(parse, h, d, p):
         return str(exc)
 
 
+def _coded_double_loop(h_spec, d, p):
+    """The double loop's H, each vector as its ``_class_code``."""
+    return {_class_code(v, p) for v in _parse_h_double_loop(h_spec, d, p)}
+
+
 @settings(max_examples=300)
 @given(_h_lists())
 def test_parse_h_rank_test_matches_double_loop(case):
     assert (_parse_outcome(_parse_h, *case)
-            == _parse_outcome(_parse_h_double_loop, *case))
+            == _parse_outcome(_coded_double_loop, *case))
 
 
 def test_parse_h_takes_no_pair_sums():
@@ -513,7 +545,27 @@ def test_total_rigidity_decides_every_pair_at_odd_p(model, total):
     assert v.decided_pairs == v.total_pairs == total
 
 
-def test_element_pool_deterministic():
+def _coeff_pool_listed(domain, limit: int = 8) -> list:
+    """The coefficient pool as first written: every unit of a GF listed,
+    then cut to ``limit``."""
+    if isinstance(domain, GF):
+        return list(domain.units())[:limit]
+    out = [domain.one, domain.add(domain.one, domain.gen()), domain.gen()]
+    for c in _coeff_pool_listed(domain.base, 3):
+        out.append(domain.from_const(c))
+    return out[:limit]
+
+
+def _seeded_pool_listed(seed: list):
+    """The seeded pool as first written: a rational is skipped by
+    comparing it against every element of the seed list."""
+    yield from seed
+    for f in field_models._rational_pool():
+        if f not in seed:
+            yield f
+
+
+def test_element_pool_deterministic(monkeypatch):
     first = [F7T.domain().render(x)
              for _, x in zip(range(6), F7T.pool(3))]
     second = [F7T.domain().render(x)
@@ -521,6 +573,48 @@ def test_element_pool_deterministic():
     assert first == second
     pool = list(zip(range(5), DyadicRational().pool(2)))
     assert [x for _, x in pool][:3] == [Fraction(-1), Fraction(2), Fraction(5)]
+    # the first 200 elements of each pool against the list-based generators
+    models = [(Laurent(FiniteField(65521)), 2),
+              (Laurent(Laurent(FiniteField(65521)), "u"), 2),
+              (LocalRational(7), 3), (LocalRational(7), 2), (DyadicRational(), 2)]
+    pools = [list(islice(model.pool(p), 200)) for model, p in models]
+    # a tower over a tower draws from 6 coefficients, so its pool ends early
+    assert [len(pool) for pool in pools] == [200, 172, 200, 200, 200]
+    assert field_models._coeff_pool(gf(65521)) == list(range(1, 9))
+    monkeypatch.setattr(field_models, "_coeff_pool", _coeff_pool_listed)
+    monkeypatch.setattr(field_models, "_seeded_pool", _seeded_pool_listed)
+    assert pools == [list(islice(model.pool(p), 200)) for model, p in models]
+
+
+def test_laurent_ring_built_once_per_model():
+    model = Laurent(Laurent(FiniteField(7), "t", 4), "u", 4)
+    twin = Laurent(Laurent(FiniteField(7), "t", 4), "u", 4)
+    ring = model.domain()
+    assert model.domain() is ring and model.base.domain() is ring.base
+    assert twin.domain() is not ring
+    # the ring lives beside the parameters, not among them
+    assert model == twin and hash(model) == hash(twin) and repr(model) == repr(twin)
+    assert model_to_json(model) == model_to_json(twin)
+    assert [f.name for f in fields(model)] == ["base", "var", "precision"]
+    assert {model: 1}[twin] == 1
+    # the constants are built once, shared, and immutable
+    assert ring.one is ring.one and ring.pow_(ring.gen(), 0) is ring.one
+    assert ring.one == ring.from_const(ring.base.one)
+    assert ring.minus_one == ring.from_const(ring.base.minus_one)
+    assert ring.zero == Series(0, (), True) and ring.zero.zero
+    for const in (ring.zero, ring.one, ring.minus_one):
+        with pytest.raises(AttributeError):
+            const.v = 5
+        with pytest.raises(TypeError):
+            const.coeffs[0] = ring.base.zero
+    before = ring.one
+    ring.add(ring.one, ring.gen())
+    ring.sub(ring.one, ring.one)
+    ring.mul(ring.minus_one, ring.one)
+    assert ring.one is before and ring.one == ring.from_const(ring.base.one)
+    # series keep value equality and hash
+    x, y = ring.from_coeffs(1, [ring.base.one]), ring.gen()
+    assert x == y and hash(x) == hash(y) and x is not y and len({x, y}) == 1
 
 
 # -- the tame symbol against its full-series route ------------------------
