@@ -14,8 +14,9 @@ there is an edge function z; it is invariant when z(gx, s) - z(x, s) =
 h_g(xs) - h_g(x) for each g in S and some vertex functions h_g.  These
 n*d^2 rows, with four nonzeros each, go into an ``fplinear`` echelon
 basis and cut out the space W of pairs (z, h); ``H2Space`` turns a basis
-of W into 2-cocycles.  Nothing here enumerates the (n-1)^3 cocycle
-conditions.  At order 32, ``h2_dim`` takes a few milliseconds.
+of W into 2-cocycles and reads its representatives and every coordinate
+off one reduced basis of Z^2.  Nothing here enumerates the (n-1)^3
+cocycle conditions.  At order 32, ``h2_dim`` takes a few milliseconds.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .fplinear import (
     kernel_basis,
     rref,
     sparse_row,
+    sparse_rows,
 )
 
 MAX_ORDER = 32
@@ -52,6 +54,7 @@ class FiniteGroup:
 
     table: np.ndarray
     name: str = ""
+    inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.table, dtype=np.int64)
@@ -72,14 +75,15 @@ class FiniteGroup:
             raise ValidationError("rows and columns must be permutations")
         if not np.array_equal(t[t], t[:, t]):  # t[t[i,j],k] against t[i,t[j,k]]
             raise ValidationError("the table is not associative")
+        # each row is a permutation, so it holds the identity exactly once
+        object.__setattr__(self, "inverses", np.nonzero(t == 0)[1])
 
     @property
     def order(self) -> int:
         return int(self.table.shape[0])
 
     def inverse(self, i: int) -> int:
-        row = self.table[i]
-        return int(np.nonzero(row == 0)[0][0])
+        return int(self.inverses[i])
 
     def power(self, i: int, k: int) -> int:
         acc, base = 0, i
@@ -204,7 +208,7 @@ def subgroup_closure(g: FiniteGroup, gens: list[int]) -> list[int]:
 
 
 def commutator_subgroup(g: FiniteGroup) -> list[int]:
-    t, inv = g.table, np.array([g.inverse(a) for a in range(g.order)])
+    t, inv = g.table, g.inverses
     comms = t[t, t[inv[:, None], inv[None, :]]]  # [a, b] = ab a^-1 b^-1
     return subgroup_closure(g, sorted(set(comms.ravel().tolist())))
 
@@ -217,8 +221,7 @@ def quotient(g: FiniteGroup, normal: list[int]) -> tuple[FiniteGroup, np.ndarray
     nl = sorted(nset)
     if not np.isin(g.table[np.ix_(nl, nl)], nl).all():
         raise ValidationError("not closed under multiplication")
-    inv = np.array([g.inverse(x) for x in range(g.order)])
-    if not np.isin(g.table[g.table[:, nl], inv[:, None]], nl).all():
+    if not np.isin(g.table[g.table[:, nl], g.inverses[:, None]], nl).all():
         raise ValidationError("the subgroup is not normal")
     proj = -np.ones(g.order, dtype=np.int64)
     rep_of = []
@@ -347,42 +350,56 @@ def h2_dim(g: FiniteGroup, p: int) -> int:
 
 @dataclass
 class H2Space:
-    """Explicit H^2(G, F_p): B^2 and chosen representatives in one
-    echelon basis.
+    """Explicit H^2(G, F_p): representatives and coordinates, both read
+    off one reduced basis of Z^2.
 
     Z^2 is spanned by B^2 and the transgression of each basis vector of W.
-    The representatives are picked in order from the RREF kernel basis of
-    the 2-cocycle conditions, each vector outside the span of B^2 and of
-    those picked before it.  That basis is the fully reduced echelon basis
-    of Z^2 with the columns reversed: its vector for free column f ends at
-    f and is 0 at the other free columns.  Each representative goes in
-    with its index as a tag, so reducing a cocycle reads off its coordinates.
+    ``rref`` of those rows with the columns reversed gives Z^2 one basis
+    vector z_k per pivot.  In the original column order z_k is 1 at its
+    last nonzero column L_k and 0 at every other L_j, with L_1 < ... <
+    L_r, so c -> c[L] maps Z^2 isomorphically onto F_p^r, and c = sum
+    c[L_k] z_k.
+
+    The representatives are the z_k, in order, that lie outside B^2 plus
+    the z_j kept before them.  By induction that span is B^2 + span(z_1,
+    ..., z_(k-1)), so z_k is kept exactly when no coboundary has its last
+    nonzero L-coordinate at k: the kept k are the non-pivots of the
+    echelon of B^2's rows at the columns L, with those columns reversed.
+    The reversed ``rref``'s pivots list the L in that order already.
+
+    ``coords`` reduces a cochain against Z^2's echelon; a nonzero
+    remainder means it is not a cocycle.  It then reduces c[L] by the
+    small B^2 echelon, which clears every pivot, and reads the kept
+    positions: the unique lambda with c in B^2 + sum lambda_k z_k.
     """
 
     group: FiniteGroup
     p: int
     reps: np.ndarray = field(init=False)
-    _echelon: dict = field(init=False, repr=False)
+    _cocycles: dict = field(init=False, repr=False)  # Z^2, columns reversed
+    _pivots: list = field(init=False, repr=False)  # the L, reversed
+    _coboundaries: dict = field(init=False, repr=False)  # B^2 at the L
+    _kept: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g, p = self.group, self.p
-        n, nv = g.order, (g.order - 1) ** 2
+        n = g.order
         gens, w = _invariant_space(g, p)
         z = echelon_kernel(w, 2 * n * len(gens), p)
         # each vector of W is z, then the h_g: n*d values each
         edges = np.array(z, dtype=np.int64).reshape(len(z), 2, n, len(gens))[:, 0]
         cob = _coboundaries(g)
         spanning = np.vstack([cob, _transgressions(g, gens, edges, p)])  # Z^2
-        flipped, pivots = rref(spanning[:, ::-1], p)
-        self._echelon = {}
-        for row in cob:
-            echelon_insert(self._echelon, sparse_row(row, p), p)
-        picked = []
-        for zc in flipped[len(pivots) - 1::-1, ::-1]:  # by ascending free column
-            tag = sparse_row({len(picked): 1}, p)
-            if echelon_insert(self._echelon, sparse_row(zc, p), p, tag):
-                picked.append(zc)
-        self.reps = np.array(picked, dtype=np.int64).reshape(len(picked), nv)
+        # row i of flipped is z_(r-i): it pivots at the reversed column of L_(r-i)
+        flipped, self._pivots = rref(spanning[:, ::-1], p)
+        r = len(self._pivots)
+        self._cocycles = dict(zip(self._pivots, sparse_rows(flipped[:r], p)))
+        self._coboundaries = {}
+        for row in sparse_rows(cob[:, ::-1][:, self._pivots] % p, p):
+            echelon_insert(self._coboundaries, row, p)
+        self._kept = np.array([i for i in range(r - 1, -1, -1)
+                               if i not in self._coboundaries], dtype=np.intp)
+        self.reps = flipped[self._kept, ::-1]
 
     @property
     def dim(self) -> int:
@@ -397,11 +414,12 @@ class H2Space:
     def coords(self, cvec: np.ndarray) -> np.ndarray:
         """Coordinates of a cocycle in the chosen H^2 basis."""
         p = self.p
-        rest, tag = echelon_reduce(self._echelon, sparse_row(cvec, p), p)
-        if rest:
+        flipped = np.asarray(cvec, dtype=np.int64)[::-1]
+        if echelon_reduce(self._cocycles, sparse_row(flipped, p), p):
             raise ValidationError("the cochain is not a cocycle")
-        # the reduction subtracted the basis rows that sum to the cochain
-        return (-dense_row(tag, self.dim, p)) % p
+        rest = echelon_reduce(self._coboundaries,
+                              sparse_row(flipped[self._pivots], p), p)
+        return dense_row(rest, len(self._pivots), p)[self._kept]
 
 
 def cup_h1_h1(g: FiniteGroup, p: int, f, h,
@@ -480,9 +498,10 @@ def extension_class(e: FiniteGroup, kernel: list[int], p: int,
     if space is None:
         space = H2Space(q, p)
 
+    t, inv, qt = e.table.tolist(), e.inverses.tolist(), q.table.tolist()
+    lift = sec.tolist()
+
     def factor_set(x: int, y: int) -> int:
-        lx, ly = int(sec[x]), int(sec[y])
-        lxy = int(sec[int(q.table[x, y])])
-        return dlog[int(e.table[int(e.table[lx, ly]), e.inverse(lxy)])]
+        return dlog[t[t[lift[x]][lift[y]]][inv[lift[qt[x][y]]]]]
 
     return q, space.coords(space.cochain_of_pairs(factor_set))

@@ -759,6 +759,9 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     O^- = (1-S) and H intersected; O^+ multiplies O^- into itself.  O^-
     is decided exactly; the O^+ side reports NonMember on a concrete
     refuting c, and otherwise Member only when the backend is exhaustive.
+    O^+ is taken inside H, so an a outside H (and, for ORing, outside
+    O^-) is a NonMember at once, and its witness is a itself, not a
+    refuting c.
     """
     validate_model(model, p)
     if target not in ("OMinus", "OPlus", "ORing"):

@@ -4,9 +4,9 @@ Two eliminators, one for each shape of work:
 
 - every single matrix goes into a fully reduced echelon basis
   (``echelon_insert``) one row at a time, as a bit-packed int at p = 2 and
-  a sparse dict at odd p, in Python integers.  ``rref`` and the ranks,
-  kernels and row spaces read off it are deterministic, since the reduced
-  row echelon form is unique.
+  a sparse dict at odd p, in Python integers.  ``rref`` and the kernels
+  read off it are deterministic, since the reduced row echelon form is
+  unique.  A caller that needs a rank reads ``len(rref(a, p)[1])``.
 - ``batch_rank`` ranks a stack of small matrices in one numpy pass, row
   by row: each row, once reduced, pivots on its first nonzero entry and
   clears that column from the rows below it, and every step runs over
@@ -61,17 +61,9 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     arithmetic is in Python integers, so no product overflows at large p.
     """
     m = np.asarray(a, dtype=np.int64) % p
-    n_rows, n_cols = m.shape
-    if p == 2:
-        packed = np.packbits(m, axis=1, bitorder="little")
-        rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
-    else:
-        rows = [{} for _ in range(n_rows)]
-        i, j = np.nonzero(m)
-        for r, c, v in zip(i.tolist(), j.tolist(), m[i, j].tolist()):
-            rows[r][c] = v
+    n_cols = m.shape[1]
     basis: dict = {}
-    for row in rows:
+    for row in sparse_rows(m, p):
         if len(basis) == n_cols:
             break
         echelon_insert(basis, row, p)
@@ -79,13 +71,6 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     out = np.zeros_like(m)
     out[: len(pivots)] = red
     return out, pivots
-
-
-def rank(a, p: int) -> int:
-    a = np.asarray(a, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
 
 
 def batch_rank(stack, p: int) -> np.ndarray:
@@ -189,24 +174,14 @@ def _rref_kernel(red, pivots: list[int], n_cols: int, p: int) -> list[np.ndarray
     return basis
 
 
-def row_space_basis(a, p: int) -> np.ndarray:
-    """Nonzero rows of the RREF: a deterministic basis of the row space."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.size == 0:
-        return np.zeros((0, a.shape[1] if a.ndim == 2 else 0), dtype=np.int64)
-    red, pivots = rref(a, p)
-    return red[: len(pivots)]
-
-
 # ---------------------------------------------------------------------------
 # incremental echelon of sparse rows
 #
-# A basis maps each pivot column to (row, tag).  Rows are ints read as bit
+# A basis maps each pivot column to its row.  Rows are ints read as bit
 # vectors at p = 2, reduced by XOR as in M4RI (Albrecht-Bard), and dicts
 # {column: coefficient} at odd p.  The basis stays fully reduced: each row
 # is 1 at its pivot, its lowest column, and 0 at the other pivots, so its
-# rows are those of ``rref``.  A tag (0 for none) has the form of a row and
-# is reduced alongside it, recording which inserted rows a row combines.
+# rows are those of ``rref``.
 
 
 def sparse_row(entries, p: int):
@@ -217,6 +192,19 @@ def sparse_row(entries, p: int):
     if p == 2:
         return sum(1 << c for c, v in entries.items() if v % 2)
     return {c: v % p for c, v in entries.items() if v % p}
+
+
+def sparse_rows(m: np.ndarray, p: int) -> list:
+    """The rows of a matrix with entries in [0, p), as ``sparse_row`` gives
+    each, converted in one pass over the whole matrix."""
+    if p == 2:
+        packed = np.packbits(m, axis=1, bitorder="little")
+        return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    rows = [{} for _ in range(len(m))]
+    i, j = np.nonzero(m)
+    for r, c, v in zip(i.tolist(), j.tolist(), m[i, j].tolist()):
+        rows[r][c] = v
+    return rows
 
 
 def dense_row(row, n_cols: int, p: int) -> np.ndarray:
@@ -238,9 +226,9 @@ def _axpy(x: dict, c: int, y: dict, p: int) -> None:
             x.pop(col, None)
 
 
-def echelon_reduce(basis: dict, row, p: int, tag=0):
-    """(row, tag) with every pivot column of ``basis`` cleared.  The row
-    comes back empty exactly when it lies in the span of the basis."""
+def echelon_reduce(basis: dict, row, p: int):
+    """The row with every pivot column of ``basis`` cleared.  It comes back
+    empty exactly when it lies in the span of the basis."""
     if p == 2:
         bits = row
         while bits:
@@ -248,42 +236,37 @@ def echelon_reduce(basis: dict, row, p: int, tag=0):
             bits ^= low
             hit = basis.get(low.bit_length() - 1)
             if hit is not None:
-                row ^= hit[0]
-                tag ^= hit[1]
-        return row, tag
-    row, tag = dict(row), dict(tag or {})
+                row ^= hit
+        return row
+    row = dict(row)
     for c in [c for c in row if c in basis]:
-        v = row[c]  # untouched so far: other basis rows are 0 at c
-        _axpy(row, v, basis[c][0], p)
-        _axpy(tag, v, basis[c][1], p)
-    return row, tag
+        _axpy(row, row[c], basis[c], p)  # row[c] is untouched: other rows are 0 at c
+    return row
 
 
-def echelon_insert(basis: dict, row, p: int, tag=0):
-    """Reduce (row, tag) against ``basis`` and insert what is left.
+def echelon_insert(basis: dict, row, p: int):
+    """Reduce the row against ``basis`` and insert what is left.
 
     Returns the reduced row; it is empty, and nothing is inserted, when
     the row lies in the span of the basis.
     """
-    row, tag = echelon_reduce(basis, row, p, tag)
+    row = echelon_reduce(basis, row, p)
     if not row:
         return row
     if p == 2:
         lead = (row & -row).bit_length() - 1
-        for c, (other, other_tag) in basis.items():
+        for c, other in basis.items():
             if other >> lead & 1:
-                basis[c] = (other ^ row, other_tag ^ tag)
+                basis[c] = other ^ row
     else:
         lead = min(row)
         inv = pow(row[lead], -1, p)
         row = {c: v * inv % p for c, v in row.items()}
-        tag = {c: v * inv % p for c, v in tag.items()}
-        for other, other_tag in basis.values():
+        for other in basis.values():
             v = other.get(lead)
             if v:
                 _axpy(other, v, row, p)
-                _axpy(other_tag, v, tag, p)
-    basis[lead] = (row, tag)
+    basis[lead] = row
     return row
 
 
@@ -295,6 +278,6 @@ def echelon_kernel(basis: dict, n_cols: int, p: int) -> list[np.ndarray]:
 def _basis_rows(basis: dict, n_cols: int, p: int) -> tuple[np.ndarray, list[int]]:
     """The rows of ``basis`` as a dense matrix in pivot order, and the pivots."""
     pivots = sorted(basis)
-    red = np.array([dense_row(basis[c][0], n_cols, p) for c in pivots],
+    red = np.array([dense_row(basis[c], n_cols, p) for c in pivots],
                    dtype=np.int64).reshape(len(pivots), n_cols)
     return red, pivots

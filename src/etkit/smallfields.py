@@ -7,8 +7,9 @@ multiplication are integer arithmetic mod q.  In a proper extension,
 multiplication goes through exp/log tables built from the generator g of
 least encoding, and addition through Zech logarithms, zech[k] =
 log(1 + g^k), so x + y is g^(log x + zech[log y - log x]) and no
-operation decodes digits.  Every field keeps the tables: inverses, powers
-and p-th-power classes are one lookup away.
+operation decodes digits.  Every field keeps the exp/log tables, so
+inverses, powers and p-th-power classes are one lookup away; only a proper
+extension builds the Zech table.
 """
 
 from __future__ import annotations
@@ -168,6 +169,8 @@ class GF:
         for _ in range(target - 1):
             self.exp.append(self._raw_mul(self.generator, self.exp[-1]))
         self.dlog = {v: i for i, v in enumerate(self.exp)}
+        if self.deg == 1:  # a prime field adds and negates mod q
+            return
         # zech[k] = log(1 + g^k), None where 1 + g^k = 0; adding 1 changes
         # only the constant (low) digit of the encoding
         c = self.char

@@ -32,7 +32,7 @@ from etkit.field_models import (
     predict_galois_pair,
     symbol_vector,
 )
-from etkit.fplinear import rank as fp_rank
+from dense_fp import rank as fp_rank
 from etkit.pairs import EBlock, Ext, FreeProd, PAdicBlock, ZBlock, parse, rank
 from etkit.randexpr import random_expr, random_ext_rooted, random_padic
 from etkit.rigidity import check_rigidity_criterion, from_cohomology, n_subspace

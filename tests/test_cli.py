@@ -310,6 +310,21 @@ def test_field_trichotomic_and_omember(capsys):
     assert json.loads(out)["verdict"] == "NonMember"
 
 
+@pytest.mark.parametrize("target", ["OPlus", "ORing"])
+@pytest.mark.parametrize("q,a,verdict,witness", [
+    (3, "2", "NonMember", "2"),  # a outside H = the squares is its own witness
+    (3, "1", "Member", None),
+    (7, "3", "NonMember", "3"),
+])
+def test_omember_outside_h(capsys, target, q, a, verdict, witness):
+    code, out = run(capsys, "field", "omember", "--p", "2",
+                    "--model", '{"kind":"FiniteField","params":{"q":%d}}' % q,
+                    "--a", a, "--h", "[[0]]", "--target", target)
+    assert code == 0
+    assert json.loads(out) == {"searchBound": 200, "target": target,
+                               "verdict": verdict, "witness": witness}
+
+
 @pytest.mark.parametrize("flag,cap,argv", [
     ("--max-degree", cli.MAX_DEGREE, ["logl", "--p", "2", "E"]),
     ("--bound", cli.MAX_BOUND, ["field", "trichotomic", "--p", "2",

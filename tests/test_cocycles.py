@@ -186,6 +186,17 @@ def test_cup_anticommutes_odd_p():
     assert not cup_h1_h1(g, 3, f, f, space).any()
 
 
+def test_cup_c3_c9_coordinates():
+    # index x encodes (x // 9, x mod 9); phi reads C3, psi reads C9 mod 3
+    g = direct_product(cyclic(3), cyclic(9))
+    space = H2Space(g, 3)
+    phi = np.array([x // 9 for x in range(27)])
+    psi = np.array([x % 9 % 3 for x in range(27)])
+    assert space.dim == 3
+    assert cup_h1_h1(g, 3, phi, psi, space).tolist() == [1, 2, 0]
+    assert cup_h1_h1(g, 3, psi, phi, space).tolist() == [2, 1, 0]
+
+
 def test_extension_class_values():
     q, coords = extension_class(cyclic(4), [0, 2], 2)
     assert q.order == 2
@@ -366,15 +377,22 @@ class _OracleSpace:
             z = echelon_kernel(cocycles, nv, p)
             for row in b_rows:
                 echelon_insert(echelon, sparse_row(row, p), p)
+            # the k-th pick carries a 1 in column nv + k, which the
+            # reduction carries along: it records which picks a row combines
+            width = nv + len(z)
             for v in z:
-                tag = sparse_row({len(picked): 1}, p)
-                if echelon_insert(echelon, sparse_row(v, p), p, tag):
+                tagged = np.zeros(width, dtype=np.int64)
+                tagged[:nv], tagged[nv + len(picked)] = v, 1
+                rest = echelon_reduce(echelon, sparse_row(tagged, p), p)
+                if dense_row(rest, width, p)[:nv].any():
+                    echelon_insert(echelon, rest, p)
                     picked.append(v)
             self.reps = np.array(picked, dtype=np.int64).reshape(len(picked), nv)
 
             def coords(cvec):
-                rest, tag = echelon_reduce(echelon, sparse_row(cvec, p), p)
-                return None if rest else (-dense_row(tag, len(picked), p)) % p
+                rest = dense_row(echelon_reduce(echelon, sparse_row(cvec, p), p), width, p)
+                # the reduction subtracted the rows that sum to the cochain
+                return None if rest[:nv].any() else -rest[nv:nv + len(picked)] % p
         self.z_dim = len(z)
         self.coords = coords
 

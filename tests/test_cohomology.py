@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dense_fp
 import dense_ring
 
-from etkit import cohomology, fplinear
+from etkit import cohomology
 from etkit.cohomology import (
     DemuskinVerdict,
     algebra_to_json,
@@ -250,7 +251,7 @@ def _is_demuskin_ring(e, p):
     q = inv.q_invariant
     ok = alg.dims[2] == 1 and n >= 1
     if ok:
-        ok = fplinear.rank(alg.gram_matrix(), p) == n
+        ok = dense_fp.rank(alg.gram_matrix(), p) == n
     if not ok:
         return DemuskinVerdict(False, n, q, None)
     return DemuskinVerdict(True, n, q, cohomology._classify(p, q, n, inv.square_index))

@@ -47,8 +47,8 @@ from etkit.field_models import (
     symbol_vector,
     trichotomic_search,
 )
+from dense_fp import rank as fp_rank
 from etkit.fplinear import dense_row, echelon_insert, echelon_reduce, sparse_row
-from etkit.fplinear import rank as fp_rank
 from etkit.laurent import LaurentRing, Series
 from etkit.pairs import EBlock, Ext, PAdicBlock, ZBlock, normalize, parse
 from etkit.rigidity import (
@@ -449,13 +449,12 @@ def _total_rigidity_oracle(model, p):
     for va, vb in sorted(_oracle_pair_set(model, p)):
         tens = sparse_row(np.outer(va, vb).reshape(-1), p)
         echelon_insert(st_basis, tens, p)
-        if witness is None and echelon_reduce(d_basis, tens, p)[0]:
+        if witness is None and echelon_reduce(d_basis, tens, p):
             witness = f"[{','.join(map(str, va))}] (x) [{','.join(map(str, vb))}]"
     if witness is None:
         for c in sorted(d_basis):
-            row = d_basis[c][0]
-            if echelon_reduce(st_basis, row, p)[0]:
-                witness = f"missing {dense_row(row, d * d, p).tolist()}"
+            if echelon_reduce(st_basis, d_basis[c], p):
+                witness = f"missing {dense_row(d_basis[c], d * d, p).tolist()}"
                 break
     return TotalRigidityVerdict("TotallyRigid" if witness is None else "NotTotallyRigid",
                                 witness, len(st_basis), len(d_basis), total, total)

@@ -17,8 +17,7 @@ from etkit.errors import (
     NotAnExtension,
     ValidationError,
 )
-from dense_fp import solve
-from etkit.fplinear import rank, row_space_basis
+from dense_fp import rank, row_space_basis, solve
 from etkit.pairs import parse
 from etkit.randexpr import random_ext_rooted
 from etkit import rigidity
