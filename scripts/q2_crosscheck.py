@@ -6,14 +6,18 @@ the theta image, whose [S : S^2] must equal the number of square classes
 of Z_2^x that the field backend sees, the Hilbert-symbol Gram matrix
 against the block's cup matrix, the norm-equation oracle on all 64
 square-class pairs, and the pairing equivalence search.  Everything here
-is recomputed from scratch; nothing is read from the test suite.
+is recomputed from scratch; the norm-equation search is the tests' oracle
+in ``tests/norm_oracle.py``.
 """
 
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parent.parent
+# etkit from this checkout, and the test oracles that moved out of it
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from etkit.cohomology import build_cohomology, is_demuskin, log_level_direct
 from etkit.field_models import (
@@ -23,12 +27,12 @@ from etkit.field_models import (
     class_of,
     from_field_model,
     hilbert2,
-    norm_oracle_solvable,
     predict_galois_pair,
 )
 from etkit.pairs import PAdicBlock, render, theta_generators
 from etkit.rigidity import find_equivalence, from_cohomology
 from etkit.units import subgroup_invariants
+from norm_oracle import norm_oracle_solvable
 
 
 def main() -> int:

@@ -11,8 +11,11 @@ import math
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parent.parent
+# etkit from this checkout, and the test oracles that moved out of it
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from etkit.cohomology import (
     build_cohomology,
@@ -22,8 +25,8 @@ from etkit.cohomology import (
     log_level_recursive,
 )
 from etkit.pairs import Ext, render
-from etkit.randexpr import random_expr, random_ext_rooted
 from etkit.rigidity import check_rigidity_criterion
+from randexpr import random_expr, random_ext_rooted
 
 
 def main() -> int:

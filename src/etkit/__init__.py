@@ -15,7 +15,6 @@ from .cocycles import (
     direct_product,
     extension_class,
     h1_dim,
-    h1_dim_structural,
     h2_dim,
     klein4,
 )
@@ -61,8 +60,6 @@ from .field_models import (
     hilbert2,
     is_totally_rigid_bounded,
     model_from_json,
-    model_to_json,
-    norm_oracle_solvable,
     o_membership,
     predict_galois_pair,
     symbol_vector,
@@ -81,7 +78,6 @@ from .pairs import (
     parse,
     rank,
     render,
-    structurally_isomorphic,
     theta_generators,
     to_json,
     validate,

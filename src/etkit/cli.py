@@ -125,7 +125,7 @@ def _load_structured(value: str, what: str):
 
 
 def _model_of(args):
-    if getattr(args, "model", None) is None:
+    if args.model is None:
         raise ValidationError("--model is required for field subcommands")
     return model_from_json(_load_structured(args.model, "model"), args.p)
 
@@ -305,12 +305,11 @@ _HANDLERS = {
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then reused: parsing
     keeps no state on it, and building it costs about as much as a cheap
-    verb."""
+    verb.  Each subcommand takes only the flags it reads: ``--p`` and
+    ``--format`` everywhere, ``--max-degree`` on ``cohom`` and ``logl``,
+    ``--bound`` and ``--model`` on ``field``; any other is a usage error."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=2)
-    common.add_argument("--max-degree", type=int, default=4, dest="max_degree")
-    common.add_argument("--bound", type=int, default=200)
-    common.add_argument("--model", type=str, default=None)
     common.add_argument("--format", type=str, default="json", dest="fmt",
                         choices=["json", "table"])
 
@@ -318,16 +317,22 @@ def _build_parser() -> argparse.ArgumentParser:
     exprarg.add_argument("expr", nargs="?", default=None)
     exprarg.add_argument("--file", type=str, default=None)
 
+    degree = argparse.ArgumentParser(add_help=False)
+    degree.add_argument("--max-degree", type=int, default=4, dest="max_degree")
+
     parser = argparse.ArgumentParser(prog="etkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("parse", "normalize", "invariants", "cohom", "demuskin",
                  "logl", "rigid"):
-        sub.add_parser(name, parents=[common, exprarg])
+        extra = [degree] if name in ("cohom", "logl") else []
+        sub.add_parser(name, parents=[common, exprarg, *extra])
 
     fieldp = sub.add_parser("field", parents=[common])
     fieldp.add_argument("verb", choices=list(_FIELD_VERBS))
     fieldp.add_argument("expr", nargs="?", default=None)
     fieldp.add_argument("--file", type=str, default=None)
+    fieldp.add_argument("--bound", type=int, default=200)
+    fieldp.add_argument("--model", type=str, default=None)
     fieldp.add_argument("--a", type=str, default=None)
     fieldp.add_argument("--b", type=str, default=None)
     fieldp.add_argument("--h", type=str, default=None)
@@ -349,9 +354,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not is_prime(args.p):
             raise ValidationError(f"--p must be prime, got {args.p}")
-        if not 2 <= args.max_degree <= MAX_DEGREE:
+        if "max_degree" in args and not 2 <= args.max_degree <= MAX_DEGREE:
             raise ValidationError(f"--max-degree must be between 2 and {MAX_DEGREE}")
-        if not 1 <= args.bound <= MAX_BOUND:
+        if "bound" in args and not 1 <= args.bound <= MAX_BOUND:
             raise ValidationError(f"--bound must be between 1 and {MAX_BOUND}")
         _emit(_HANDLERS[args.command](args), args.fmt)
         return 0

@@ -82,17 +82,6 @@ class FiniteGroup:
     def order(self) -> int:
         return int(self.table.shape[0])
 
-    def inverse(self, i: int) -> int:
-        return int(self.inverses[i])
-
-    def power(self, i: int, k: int) -> int:
-        acc, base = 0, i
-        if k < 0:
-            base, k = self.inverse(i), -k
-        for _ in range(k):
-            acc = int(self.table[acc, base])
-        return acc
-
 
 def _table_group(fn, n: int, name: str) -> FiniteGroup:
     if n > MAX_ORDER:  # checked before the n x n table is built
@@ -207,12 +196,6 @@ def subgroup_closure(g: FiniteGroup, gens: list[int]) -> list[int]:
     return sorted(seen)
 
 
-def commutator_subgroup(g: FiniteGroup) -> list[int]:
-    t, inv = g.table, g.inverses
-    comms = t[t, t[inv[:, None], inv[None, :]]]  # [a, b] = ab a^-1 b^-1
-    return subgroup_closure(g, sorted(set(comms.ravel().tolist())))
-
-
 def quotient(g: FiniteGroup, normal: list[int]) -> tuple[FiniteGroup, np.ndarray]:
     """Quotient by a normal subgroup; returns (G/N, projection array)."""
     nset = set(int(x) for x in normal)
@@ -272,18 +255,6 @@ def h1_basis(g: FiniteGroup, p: int) -> np.ndarray:
 
 def h1_dim(g: FiniteGroup, p: int) -> int:
     return len(h1_basis(g, p))
-
-
-def h1_dim_structural(g: FiniteGroup, p: int) -> int:
-    """Independent route: p-torsion count in the abelianization."""
-    q, _ = quotient(g, commutator_subgroup(g))
-    count = sum(1 for x in range(q.order) if q.power(x, p) == 0)
-    k = 0
-    while p ** (k + 1) <= count:
-        k += 1
-    if p ** k != count:
-        raise ValidationError("torsion count is not a p-power")
-    return k
 
 
 # ---------------------------------------------------------------------------

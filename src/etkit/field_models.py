@@ -120,28 +120,6 @@ def hilbert2(a: Fraction, b: Fraction) -> int:
     return (_eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)) % 2
 
 
-def norm_oracle_solvable(a: Fraction, b: Fraction, bits: int = 9) -> bool:
-    """Brute-force check that z^2 = a x^2 + b y^2 has a nontrivial 2-adic
-    solution: search primitive solutions modulo 2^bits with the standard
-    lifting criteria.  Independent of hilbert2 by construction."""
-    a, b = Fraction(a), Fraction(b)
-    # scale by squares to integers
-    ai = a.numerator * a.denominator
-    bi = b.numerator * b.denominator
-    m = 1 << bits
-    xs = np.arange(m, dtype=np.int64)
-    x2 = (xs * xs) % m
-    sq = np.zeros(m, dtype=bool)
-    sq[np.unique(x2)] = True
-    t = ((ai % m) * x2[:, None] + (bi % m) * x2[None, :]) % m
-    odd = (xs % 2 == 1)
-    xy_odd = odd[:, None] | odd[None, :]
-    if (sq[t] & xy_odd).any():
-        return True
-    # x, y both even: z must be odd, so t = 1 mod 8
-    return bool(((t % 8 == 1) & ~xy_odd).any())
-
-
 # ---------------------------------------------------------------------------
 # candidate pools for the bounded searches
 
@@ -179,6 +157,17 @@ def _coeff_pool(domain, limit: int = 8) -> list:
     return out[:limit]
 
 
+def _refuse_unread_keys(data: dict, keys: set, params, names: set) -> None:
+    """Refuse a model key or a params key that the decoder does not read,
+    so that a misplaced or misspelt one is not silently dropped."""
+    unread = sorted(set(data) - keys)
+    if unread:
+        raise InvalidModel(f"unknown model key {unread[0]!r}")
+    unread = sorted(set(params) - names) if isinstance(params, dict) else []
+    if unread:
+        raise InvalidModel(f"unknown model parameter {unread[0]!r} for {data['kind']}")
+
+
 # ---------------------------------------------------------------------------
 # the backends
 
@@ -197,13 +186,11 @@ class FieldModel(ABC):
     def from_json(cls, data: dict, p: int) -> FieldModel:
         """Decode ``{"kind", "params"}``; every field is an integer param."""
         params = data.get("params", {})
+        _refuse_unread_keys(data, {"kind", "params"}, params,
+                            {f.name for f in fields(cls)})
         return cls(**{f.name: int_param(params, f.name, InvalidModel,
                                         f"model parameter {f.name!r} must be an integer")
                       for f in fields(cls)})
-
-    def to_json(self) -> dict:
-        return {"kind": type(self).__name__,
-                "params": {f.name: getattr(self, f.name) for f in fields(self)}}
 
     def domain(self):
         """Element operations: a GF, a LaurentRing, or rational ops."""
@@ -461,6 +448,8 @@ class Laurent(FieldModel):
     def from_json(cls, data, p):
         """``{"kind": "Laurent", "params": {"base", "var"}, "precision"}``."""
         params = data.get("params", {})
+        _refuse_unread_keys(data, {"kind", "params", "precision"}, params,
+                            {"base", "var"})
         if not isinstance(params, dict) or "base" not in params:
             raise InvalidModel("a Laurent model needs a 'base' param")
         base = model_from_json(params["base"], p)
@@ -468,13 +457,6 @@ class Laurent(FieldModel):
                                "model parameter 'precision' must be an integer")
                      if "precision" in data else DEFAULT_SERIES_PRECISION)
         return cls(base, str(params.get("var", "t")), precision)
-
-    def to_json(self):
-        return {
-            "kind": "Laurent",
-            "params": {"base": self.base.to_json(), "var": self.var},
-            "precision": self.precision,
-        }
 
     def domain(self):
         return self._ring
@@ -555,10 +537,6 @@ def model_from_json(data, p: int) -> FieldModel:
     model = cls.from_json(data, p)
     validate_model(model, p)
     return model
-
-
-def model_to_json(model: FieldModel) -> dict:
-    return model.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -613,15 +613,6 @@ def normalize(e: PairExpr, p: int) -> PairExpr:
     return e.normalize(p)
 
 
-def structurally_isomorphic(e1: PairExpr, e2: PairExpr, p: int) -> bool:
-    """Equality of normal forms.
-
-    True means "isomorphic (structural)"; False only means "not known
-    isomorphic" — the rewrite system is sound but not complete.
-    """
-    return normalize(e1, p) == normalize(e2, p)
-
-
 # ---------------------------------------------------------------------------
 # invariants
 

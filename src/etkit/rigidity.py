@@ -111,11 +111,6 @@ class AugBilinearMap:
     def e(self) -> int:
         return self.tensor.shape[2]
 
-    def pair(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64) % self.p
-        b = np.asarray(b, dtype=np.int64) % self.p
-        return np.einsum("i,ijk,j->k", a, self.tensor, b) % self.p
-
 
 def from_cohomology(ga: GradedAlgebra) -> AugBilinearMap:
     """Cup product H^1 x H^1 -> H^2 with the epsilon class.

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import ValidationError
-from .pairs import (
+from etkit.errors import ValidationError
+from etkit.pairs import (
     EBlock,
     Ext,
     FreeProd,
@@ -17,7 +17,7 @@ from .pairs import (
     normalize,
     rank,
 )
-from .units import make_unit
+from etkit.units import make_unit
 
 
 def random_unit(rng: random.Random, p: int):

@@ -27,14 +27,14 @@ from etkit.field_models import (
     from_field_model,
     hilbert2,
     is_totally_rigid_bounded,
-    norm_oracle_solvable,
     o_membership,
     predict_galois_pair,
     symbol_vector,
 )
 from dense_fp import rank as fp_rank
+from norm_oracle import norm_oracle_solvable
 from etkit.pairs import EBlock, Ext, FreeProd, PAdicBlock, ZBlock, parse, rank
-from etkit.randexpr import random_expr, random_ext_rooted, random_padic
+from randexpr import random_expr, random_ext_rooted, random_padic
 from etkit.rigidity import check_rigidity_criterion, from_cohomology, n_subspace
 from etkit.smallfields import gf
 

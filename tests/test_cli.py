@@ -493,6 +493,19 @@ def test_oracle_errors_exit_one(capsys):
     assert json.loads(out)["kind"] == "KernelNotCentral"
 
 
+# id: (model JSON, the key in it that no decoder reads)
+UNREAD_MODEL_KEYS = {
+    "precision-in-params": (
+        '{"kind":"Laurent","params":{"base":%s,"var":"t","precision":4}}' % FF5,
+        "precision"),
+    "precision-typo": (
+        '{"kind":"Laurent","params":{"base":%s,"var":"t"},"precison":4}' % FF5,
+        "precison"),
+    "unread-param": ('{"kind":"FiniteField","params":{"q":5,"ell":3}}', "ell"),
+    "rational-precision": ('{"kind":"RealField","params":{},"precision":8}', "precision"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["classgroup", "--model", '{"kind":"FiniteField","params":{}}'],
     ["classgroup", "--model", '{"kind":"FiniteField","params":[]}'],
@@ -517,17 +530,64 @@ def test_oracle_errors_exit_one(capsys):
      '{"kind":"Laurent","params":{"base":%s},"precision":8.7}' % FF5],
     ["symbol", "--model", DYADIC, "--a", '{"num":2.5}', "--b", "2"],
     ["symbol", "--model", F5T, "--a", '{"v":1.9,"coeffs":[1]}', "--b", "2"],
+    # a key the decoder does not read is refused, not dropped
+    *(["classgroup", "--model", model] for model, _ in UNREAD_MODEL_KEYS.values()),
 ], ids=["no-q", "list-params", "q-not-int", "list-kind", "no-base",
         "precision-not-int", "zero-den", "num-not-int", "v-not-int",
         "coeffs-not-list", "bool-element", "h-int", "h-row-not-list",
         "h-bool-entry", "h-object", "q-huge-literal", "a-huge-literal",
-        "q-float", "q-string", "precision-float", "num-float", "v-float"])
+        "q-float", "q-string", "precision-float", "num-float", "v-float",
+        *UNREAD_MODEL_KEYS])
 def test_bad_field_json_exits_one(capsys, argv):
     code = main(["field", *argv[:1], "--p", "2", *argv[1:]])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert isinstance(json.loads(captured.err), dict)
+
+
+@pytest.mark.parametrize("model,key", UNREAD_MODEL_KEYS.values(), ids=UNREAD_MODEL_KEYS)
+def test_unread_model_key_is_named(capsys, model, key):
+    code, err = run(capsys, "field", "classgroup", "--p", "2", "--model", model)
+    assert code == 1
+    report = json.loads(err)
+    assert report["kind"] == "InvalidModel" and repr(key) in report["error"]
+    # the same model without that key decodes
+    data = json.loads(model)
+    data.pop(key, None)
+    data["params"].pop(key, None)
+    assert run(capsys, "field", "classgroup", "--p", "2",
+               "--model", json.dumps(data))[0] == 0
+
+
+# the flags each subcommand reads; every subcommand also reads --p and --format
+READS = {"cohom": {"--max-degree"}, "logl": {"--max-degree"},
+         "field": {"--bound", "--model"}}
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+@pytest.mark.parametrize("flag,value,dest", [
+    ("--p", "3", "p"), ("--format", "table", "fmt"), ("--max-degree", "5", "max_degree"),
+    ("--bound", "5", "bound"), ("--model", "{}", "model")])
+def test_subcommand_takes_only_the_flags_it_reads(capsys, command, flag, value, dest):
+    head = {"field": ["field", "classgroup"],
+            "oracle": ["oracle", "h1", "--group", "{}"]}.get(command, [command])
+    parser = cli._build_parser()
+    if flag in {"--p", "--format"} | READS.get(command, set()):
+        assert str(getattr(parser.parse_args([*head, flag, value]), dest)) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*head, flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unread_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--p", "2", "--bound", "5", "E"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --bound" in captured.err
 
 
 @pytest.mark.parametrize("group", [

@@ -23,7 +23,7 @@ from etkit.cohomology import (
 )
 from etkit.errors import DegreeTooSmall, DimensionTooLarge, ValidationError
 from etkit.pairs import Ext, normalize, parse, rank, theta_image
-from etkit.randexpr import random_expr, random_padic
+from randexpr import random_expr, random_padic
 
 Q2 = "padic(n=3,case=II,f=2)"
 

@@ -80,7 +80,7 @@ BAD = [
 
 def _draws() -> list[tuple[int, str]]:
     from etkit.pairs import render
-    from etkit.randexpr import random_expr, random_ext_rooted
+    from randexpr import random_expr, random_ext_rooted
 
     out = []
     for p in (2, 3):

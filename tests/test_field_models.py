@@ -40,14 +40,13 @@ from etkit.field_models import (
     is_pth_power,
     is_totally_rigid_bounded,
     model_from_json,
-    model_to_json,
-    norm_oracle_solvable,
     o_membership,
     predict_galois_pair,
     symbol_vector,
     trichotomic_search,
 )
 from dense_fp import rank as fp_rank
+from norm_oracle import norm_oracle_solvable
 from etkit.fplinear import dense_row, echelon_insert, echelon_reduce, sparse_row
 from etkit.laurent import LaurentRing, Series
 from etkit.pairs import EBlock, Ext, PAdicBlock, ZBlock, normalize, parse
@@ -88,6 +87,17 @@ def test_validate_model():
             validate_model(model, p)
 
 
+def _model_json(model) -> dict:
+    """The JSON that ``model_from_json`` decodes to ``model``: the kind and
+    the fields as params, with a Laurent model's precision beside them."""
+    if isinstance(model, Laurent):
+        return {"kind": "Laurent",
+                "params": {"base": _model_json(model.base), "var": model.var},
+                "precision": model.precision}
+    return {"kind": type(model).__name__,
+            "params": {f.name: getattr(model, f.name) for f in fields(model)}}
+
+
 def test_model_json_round_trip():
     for model, p in [
         (FiniteField(13), 3),
@@ -98,7 +108,7 @@ def test_model_json_round_trip():
         (F7T, 3),
         (TOWER, 2),
     ]:
-        assert model_from_json(model_to_json(model), p) == model
+        assert model_from_json(_model_json(model), p) == model
     with pytest.raises(InvalidModel):
         model_from_json({"kind": "Weird", "params": {}}, 2)
 
@@ -593,7 +603,7 @@ def test_laurent_ring_built_once_per_model():
     assert twin.domain() is not ring
     # the ring lives beside the parameters, not among them
     assert model == twin and hash(model) == hash(twin) and repr(model) == repr(twin)
-    assert model_to_json(model) == model_to_json(twin)
+    assert _model_json(model) == _model_json(twin)
     assert [f.name for f in fields(model)] == ["base", "var", "precision"]
     assert {model: 1}[twin] == 1
     # the constants are built once, shared, and immutable
@@ -1381,7 +1391,7 @@ def test_corrupt_backend_is_a_bug_not_no_match(monkeypatch, capsys):
         return t
 
     monkeypatch.setattr(field_models, "_symbol_tensor", corrupt)
-    model = json.dumps(model_to_json(LocalRational(5)))
+    model = json.dumps(_model_json(LocalRational(5)))
     code = cli.main(["field", "pairing", "ext(1, Z(5))", "--p", "2", "--model", model])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
