@@ -10,19 +10,20 @@ form and builds no ring: ``is_demuskin`` proves its rule from the Betti
 numbers and the pairings of the models below.  The two log-level
 computations (structural recursion vs. direct cup powers) sit on top.
 
-Below ``GradedAlgebra`` each node writes the structure tensor of a whole
-degree pair (an ``Ext`` node places a few blocks of its base at every
-pair of subsets of its b's); ``product`` keeps it dense and read-only,
-one build per degree pair, and ``gram`` and the JSON form read the
-(1, 1) tensor.  Each node's per-pair rule gives the sparse product of
-two basis classes, a map from basis index to a coefficient in 1..p-1;
-only ``cup`` and a ``product`` past ``MAX_BLOCK_CELLS`` read it, so cup
-powers pay for the pairs they touch and build no block.  Both rules of
-an ``Ext`` node read one memo of its base's products times powers of
-epsilon, and find place, sign and epsilon power by bit operations on
-its subsets of b's, held as int bitmasks.  A product into a degree of
-dimension 0 is zero: ``product`` and ``cup`` return the length-0 vector
-without asking the model.
+Below ``GradedAlgebra`` each node has one product rule: a writer of the
+structure tensor of a degree pair, restricted to the rows a caller
+marks (an ``Ext`` node places a few blocks of its base at every pair of
+subsets of its b's).  ``product`` has it write whole degree pairs and
+keeps each dense and read-only, one build per degree pair, and ``gram``
+and the JSON form read the (1, 1) tensor.  ``cup`` marks the rows of its
+first vector's support and adds each entry into the result as it is
+written, so cup powers pay for the rows they touch and keep no block; a
+``product`` past ``MAX_BLOCK_CELLS`` is the cup of two unit vectors.  An
+``Ext`` node's writer reads one memo of its base's products times
+powers of epsilon, and finds place, sign and epsilon power by bit
+operations on its subsets of b's, held as int bitmasks.  A product into
+a degree of dimension 0 is zero: ``product`` and ``cup`` return the
+length-0 vector without asking the model.
 """
 
 from __future__ import annotations
@@ -69,56 +70,31 @@ def _indices(*values) -> list[int]:
                           + ", ".join(type(v).__name__ for v in values))
 
 
-def _with_unit(core):
-    """Extend a product defined in positive degrees by the H^0 unit."""
-
-    def mul(d1: int, i: int, d2: int, j: int) -> dict[int, int]:
-        if d1 == 0 or d2 == 0:
-            return {j if d1 == 0 else i: 1}
-        return core(d1, i, d2, j)
-
-    return mul
-
-
 def _with_unit_block(labels: list[list[str]], core):
-    """Extend a block defined in positive degrees by the H^0 unit."""
+    """Extend a writer defined in positive degrees by the H^0 unit."""
 
-    def block(d1: int, d2: int, out, o1: int, o2: int, o3: int) -> None:
+    def block(d1: int, d2: int, out, o1: int, o2: int, o3: int, rows=None) -> None:
         if d1 and d2:
-            core(d1, d2, out, o1, o2, o3)
+            core(d1, d2, out, o1, o2, o3, rows)
         elif d1 == 0:
-            for j in range(len(labels[d2])):
-                out[o1, o2 + j, o3 + j] = 1
+            if rows is None or rows[0]:
+                for j in range(len(labels[d2])):
+                    out[o1, o2 + j, o3 + j] = 1
         else:
             for i in range(len(labels[d1])):
-                out[o1 + i, o2, o3 + i] = 1
+                if rows is None or rows[i]:
+                    out[o1 + i, o2, o3 + i] = 1
 
     return block
 
 
-def _dense(labels: list[list[str]], block):
-    """The int64 structure tensor of a degree pair, written by its block."""
-
-    def dense(d1: int, d2: int) -> np.ndarray:
-        out = np.zeros((len(labels[d1]), len(labels[d2]), len(labels[d1 + d2])),
-                       dtype=np.int64)
-        block(d1, d2, out, 0, 0, 0)
-        return out
-
-    return dense
-
-
-def _no_product(d1: int, i: int, d2: int, j: int) -> dict[int, int]:
+def _no_block(d1: int, d2: int, out, o1: int, o2: int, o3: int, rows=None) -> None:
     """Trivial and Z blocks: every product in positive degrees is zero."""
-    return {}
 
 
-def _no_block(d1: int, d2: int, out, o1: int, o2: int, o3: int) -> None:
-    pass
-
-
-def _e_block(d1: int, d2: int, out, o1: int, o2: int, o3: int) -> None:
-    out[o1, o2, o3] = 1
+def _e_block(d1: int, d2: int, out, o1: int, o2: int, o3: int, rows=None) -> None:
+    if rows is None or rows[0]:
+        out[o1, o2, o3] = 1
 
 
 def _demuskin_gram(n: int, case: str, p: int) -> dict[tuple[int, int], int]:
@@ -141,22 +117,25 @@ def _demuskin_eps(n: int, case: str, p: int) -> list[int]:
 
 
 def _build(e: PairExpr, p: int, D: int):
-    """Ring model ``(labels, eps, mul, block)`` of a validated node up to
+    """Ring model ``(labels, eps, block)`` of a validated node up to
     degree ``D``, of dimension ``len(labels[d])`` in degree d: one dispatch
     on kind.
 
-    ``mul(d1, i, d2, j)``, the per-pair rule, is the sparse product of two
-    basis classes of positive degree (an ``Ext`` reads only its base's
-    blocks).  ``block(d1, d2, out, o1, o2, o3)`` writes the structure
-    tensor of all of them, of shape (n_d1, n_d2, n_(d1+d2)), into ``out``
-    shifted by the offsets: each nonzero entry c in 1..p-1 at
-    (i, j, r) goes to ``out[o1 + i, o2 + j, o3 + r]``, and nothing else
-    is written.  ``out`` is the dense int64 tensor (see ``_dense``), or a
-    dict when an ``Ext`` node collects its base's entries.
-    ``_with_unit`` and ``_with_unit_block`` add the unit where a caller
-    needs it.  A free product shifts its factor's indices to the factor's
-    block, so its blocks sit on the diagonal of its own, and products
-    across factors vanish.  ``Ext(m, base)`` has the basis b_S * i(x), S
+    ``block(d1, d2, out, o1, o2, o3, rows=None)`` is the node's one
+    product rule.  It writes the structure tensor of two positive
+    degrees, of shape (n_d1, n_d2, n_(d1+d2)), into ``out`` shifted by
+    the offsets: each nonzero entry c in 1..p-1 at (i, j, r) goes to
+    ``out[o1 + i, o2 + j, o3 + r]``, and nothing else is written.
+    ``rows``, the row mark, is a sequence over the degree-d1 classes, and
+    only the rows i with ``rows[i]`` nonzero are written (None: every
+    row).  ``out`` is the dense int64 tensor (see
+    ``GradedAlgebra._dense``), a dict when an ``Ext`` node collects its
+    base's entries, or the sink of ``cup``.  ``_with_unit_block`` adds
+    the unit where a caller needs it.  A free product shifts its
+    factors' indices to the factor's block, so its blocks sit on the
+    diagonal of its own and products across factors vanish; it hands
+    each factor its slice of the mark and skips a factor with no marked
+    row.  ``Ext(m, base)`` has the basis b_S * i(x), S
     a subset of {1..m} and x a base class; S is an int bitmask whose bit
     k-1 stands for b_k, listed by ``combinations`` so the basis order and
     labels are those of sorted tuples.  At odd p,
@@ -164,24 +143,25 @@ def _build(e: PairExpr, p: int, D: int):
     which is zero when S & T != 0; inv(S, T), the pairs s > t, is the sum
     over s in S of popcount(T & (the bits below s)).  At p = 2 the square
     rule b_k^2 = b_k i(eps) makes it b_(S|T) i(x y eps^popcount(S&T)).
-    Both rules read one memo, ``twisted[a, b][k]``: for each pair (x, y)
-    of base classes of degrees (a, b), the nonzero entries (r, c) of
-    x y eps^k, made from the base's blocks.  ``core`` looks up one pair, with
-    k = popcount(S & T), and ``block`` places all of them at every pair
-    (S, T) of given sizes that meets in k elements; ``twist`` gives the
-    sign and where S | T starts.
+    The writer reads one memo, ``twisted[a, b][k]``: for each pair
+    (x, y) of base classes of degrees (a, b), the nonzero entries (r, c)
+    of x y eps^k, made from the base's blocks.  It places all of them at
+    every pair (S, T) of given sizes that meets in k = popcount(S & T)
+    elements; ``twist`` gives the sign and where S | T starts.  A mask S
+    none of whose classes is marked is skipped, and for the others only
+    the marked x are placed.
     """
     if isinstance(e, Trivial):
-        return [["1"]] + [[] for _ in range(D)], [], _no_product, _no_block
+        return [["1"]] + [[] for _ in range(D)], [], _no_block
 
     if isinstance(e, ZBlock):
         labels = [["1"], ["x"]] + [[] for _ in range(D - 1)]
         eps = [epsilon_of(e.alpha) if p == 2 else 0]
-        return labels, eps, _no_product, _no_block
+        return labels, eps, _no_block
 
     if isinstance(e, EBlock):
         labels = [["1"], ["x"]] + [[f"x^{d}"] for d in range(2, D + 1)]
-        return labels, [1], lambda d1, i, d2, j: {0: 1}, _e_block
+        return labels, [1], _e_block
 
     if isinstance(e, PAdicBlock):
         n = e.n
@@ -189,16 +169,13 @@ def _build(e: PairExpr, p: int, D: int):
         labels += [[] for _ in range(D - 2)]
         gram = _demuskin_gram(n, e.case, p)
 
-        def core(d1, i, d2, j):
-            c = gram.get((i, j)) if d1 == d2 == 1 else None
-            return {0: c} if c else {}
-
-        def block(d1, d2, out, o1, o2, o3):
+        def block(d1, d2, out, o1, o2, o3, rows=None):
             if d1 == d2 == 1:
                 for (a, b), c in gram.items():
-                    out[o1 + a, o2 + b, o3] = c
+                    if rows is None or rows[a]:
+                        out[o1 + a, o2 + b, o3] = c
 
-        return labels, _demuskin_eps(n, e.case, p), core, block
+        return labels, _demuskin_eps(n, e.case, p), block
 
     if isinstance(e, FreeProd):
         return _build_free(e, p, D)
@@ -212,56 +189,46 @@ def _build_free(e: FreeProd, p: int, D: int):
     of ``_build``: a call creates the cells of every closure in its
     function, so each leaf would pay for theirs."""
     kids = [_build(f, p, D) for f in e.factors]
-    muls = [kid[2] for kid in kids]
+    writers = [kid[2] for kid in kids]
     labels: list[list[str]] = [["1"]]
-    owner: list[list[tuple[int, int]]] = [[]]
-    start: list[list[int]] = [[0] * len(kids)]
+    # start[d][k]: where factor k's degree-d classes begin; start[d][-1]
+    # is the dimension
+    start: list[list[int]] = [[0] * (len(kids) + 1)]
     for d in range(1, D + 1):
         row: list[str] = []
-        own: list[tuple[int, int]] = []
         st: list[int] = []
-        for k, (klabels, _, _, _) in enumerate(kids):
+        for k, (klabels, _, _) in enumerate(kids):
             st.append(len(row))
             row.extend(f"g{k + 1}.{lbl}" for lbl in klabels[d])
-            own.extend((k, li) for li in range(len(klabels[d])))
+        st.append(len(row))
         labels.append(row)
-        owner.append(own)
         start.append(st)
 
-    def core(d1, i, d2, j):
-        k1, li = owner[d1][i]
-        k2, lj = owner[d2][j]
-        if k1 != k2:
-            # cross-factor cup products vanish in a free product
-            return {}
-        off = start[d1 + d2][k1]
-        return {off + r: c for r, c in muls[k1](d1, li, d2, lj).items()}
-
-    def block(d1, d2, out, o1, o2, o3):
+    def block(d1, d2, out, o1, o2, o3, rows=None):
         s1, s2, s3 = start[d1], start[d2], start[d1 + d2]
-        for k, kid in enumerate(kids):
-            kid[3](d1, d2, out, o1 + s1[k], o2 + s2[k], o3 + s3[k])
+        for k, write in enumerate(writers):
+            mark = None if rows is None else rows[s1[k]:s1[k + 1]]
+            if mark is None or any(mark):
+                write(d1, d2, out, o1 + s1[k], o2 + s2[k], o3 + s3[k], mark)
 
-    return labels, [c for kid in kids for c in kid[1]], core, block
+    return labels, [c for kid in kids for c in kid[1]], block
 
 
 def _build_ext(e: Ext, p: int, D: int):
     """``_build`` of an extension ``Ext(m, base)``."""
-    blabels, beps, _, bblock = _build(e.base, p, D)
+    blabels, beps, bblock = _build(e.base, p, D)
     bblock = _with_unit_block(blabels, bblock)
     m = e.m
-    # monos[d][i] = (S, b) is the i-th class of degree d, S a bitmask whose
-    # bit k-1 stands for b_k; the classes of one S are consecutive, and
-    # first[d][S] is the index of the first; sized[d][s] lists the masks of
-    # s bits that have classes in degree d, in basis order
-    monos: list[list[tuple[int, int]]] = []
+    # the classes b_S i(x) of one mask S, whose bit k-1 stands for b_k, are
+    # consecutive in each degree d, and first[d][S] is the index of the
+    # first; sized[d][s] lists the masks of s bits that have classes in
+    # degree d, in basis order
     first: list[dict[int, int]] = []
     sized: list[dict[int, list[int]]] = []
     labels = []
     # the one-bit masks in ascending order, with their labels
     bname = {1 << k: f"b{k + 1}" for k in range(m)}
     for d in range(D + 1):
-        row: list[tuple[int, int]] = []
         fst: dict[int, int] = {}
         sz: dict[int, list[int]] = {}
         lab: list[str] = []
@@ -273,12 +240,10 @@ def _build_ext(e: Ext, p: int, D: int):
             for ks in combinations(bname, j):
                 S = sum(ks)
                 masks.append(S)
-                fst[S] = len(row)
-                row.extend((S, b) for b in range(len(base)))
+                fst[S] = len(lab)
                 bs = [bname[q] for q in ks]
                 for bl in base:
                     lab.append("*".join(bs if bl == "1" else bs + [f"i({bl})"]) or "1")
-        monos.append(row)
         first.append(fst)
         sized.append(sz)
         labels.append(lab)
@@ -338,34 +303,33 @@ def _build_ext(e: Ext, p: int, D: int):
             powers.append(part)
         return powers[k]
 
-    def core(d1, i, d2, j):
-        S, b1 = monos[d1][i]
-        T, b2 = monos[d2][j]
-        if p != 2 and S & T:
-            return {}
-        bd1, bd2 = d1 - S.bit_count(), d2 - T.bit_count()
-        rcs = base_part(bd1, bd2, (S & T).bit_count()).get((b1, b2))
-        if not rcs:
-            return {}
-        sign, off = twist(S, T, bd2, d1 + d2)
-        return {off + r: sign * c % p for r, c in rcs}
-
-    def block(d1, d2, out, o1, o2, o3):
+    def block(d1, d2, out, o1, o2, o3, rows=None):
         d = d1 + d2
         for s, Ss in sized[d1].items():
+            a = d1 - s
+            # marks[S]: the row mark of the classes of S (None: every row);
+            # a mask with no marked row is left out
+            marks = dict.fromkeys(Ss)
+            if rows is not None:
+                n = len(blabels[a])
+                marks = {S: mark for S in Ss
+                         if any(mark := rows[first[d1][S]:first[d1][S] + n])}
             for t, Ts in sized[d2].items():
-                a, b = d1 - s, d2 - t
+                b = d2 - t
                 # parts[k]: the base's (a, b) block times eps^k, nonzero;
                 # |S | T| <= m, and at odd p only k = 0 (S & T = 0) survives
                 ks = range(max(0, s + t - m), (min(s, t) if p == 2 else 0) + 1)
                 parts = {k: part for k in ks if (part := base_part(a, b, k))}
                 if not parts:
                     continue
-                for S in Ss:
+                for S, mark in marks.items():
                     row = o1 + first[d1][S]
+                    mine = parts if mark is None else {
+                        k: {xy: rcs for xy, rcs in part.items() if mark[xy[0]]}
+                        for k, part in parts.items()}
                     for T in Ts:
-                        part = parts.get((S & T).bit_count())
-                        if part is None:
+                        part = mine.get((S & T).bit_count())
+                        if not part:
                             continue
                         sign, off = twist(S, T, b, d)
                         col, tgt = o2 + first[d2][T], o3 + off
@@ -378,7 +342,21 @@ def _build_ext(e: Ext, p: int, D: int):
                                 for r, c in rcs:
                                     out[row + x, col + y, tgt + r] = p - c
 
-    return labels, beps + [0] * m, core, block
+    return labels, beps + [0] * m, block
+
+
+class _Contract:
+    """The sink of ``cup``: the entry c that a writer puts at (i, j, r)
+    adds v1[i] v2[j] c to ``acc[r]``, and no entry is kept."""
+
+    __slots__ = ("v1", "v2", "acc")
+
+    def __init__(self, v1: list[int], v2: list[int], n: int):
+        self.v1, self.v2, self.acc = v1, v2, [0] * n
+
+    def __setitem__(self, key: tuple[int, int, int], c: int) -> None:
+        i, j, r = key
+        self.acc[r] += self.v1[i] * self.v2[j] * c
 
 
 @dataclass
@@ -392,13 +370,16 @@ class GradedAlgebra:
     ``block[i, j]``, a read-only view.  Once (d2, d1) is kept, (d1, d2)
     is read off it by graded commutativity, x y = (-1)^(d1 d2) y x: a
     transposed view, negated mod p when p is odd and d1 d2 is.  A block
-    past ``MAX_BLOCK_CELLS`` entries is not built: such a product is
-    read off ``_mul`` alone.
+    past ``MAX_BLOCK_CELLS`` entries is not built: such a product is the
+    ``cup`` of two unit vectors, which writes one row.
 
-    ``gram`` is the (1, 1) tensor built fresh by ``_block``, writable and
-    not kept; ``cup`` reads the per-pair rule ``_mul``, which pays only
-    for the pairs it touches.  Into a degree of dimension 0 ``product``
-    and ``cup`` return a length-0 int64 vector at once.  A bad degree,
+    ``_block`` is the ring's one product rule, the root node's writer
+    with the unit (see ``_build``).  ``gram`` is the (1, 1) tensor it
+    writes in full, fresh, writable and not kept.  ``cup`` marks the rows
+    where v1 is nonzero mod p and sums v1[i] v2[j] c over the entries as
+    the writer makes them, keeping none, so it pays only for the rows
+    it touches.  Into a degree of dimension 0 ``product`` and ``cup``
+    return a length-0 int64 vector at once.  A bad degree,
     class index (a bool or a float too) or vector raises
     ``ValidationError``.
 
@@ -413,8 +394,7 @@ class GradedAlgebra:
     max_degree: int
     basis: tuple[tuple[str, ...], ...]
     eps: np.ndarray
-    _mul: Callable[[int, int, int, int], dict[int, int]]
-    _block: Callable[[int, int], np.ndarray]
+    _block: Callable[..., None]
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
     _map: object = field(default=None, init=False, repr=False)
@@ -451,7 +431,7 @@ class GradedAlgebra:
         elif n1 * n2 * n3 > MAX_BLOCK_CELLS:
             return None
         else:
-            block = self._block(d1, d2)
+            block = self._dense(d1, d2)
         block.setflags(write=False)
         self._cache[d1, d2] = block
         return block
@@ -474,9 +454,10 @@ class GradedAlgebra:
                 f"no basis class pair ({i}, {j}) in degrees ({d1}, {d2}), "
                 f"of dimensions {len(self.basis[d1])} and {len(self.basis[d2])}"
             )
-        out = np.zeros(len(self.basis[d1 + d2]), dtype=np.int64)
-        for r, c in self._mul(d1, i, d2, j).items():
-            out[r] = c
+        # past the cap: the cup of two unit vectors, which reads row i alone
+        v1, v2 = [0] * len(self.basis[d1]), [0] * len(self.basis[d2])
+        v1[i] = v2[j] = 1
+        out = self.cup(v1, d1, v2, d2)
         out.setflags(write=False)
         return out
 
@@ -494,19 +475,21 @@ class GradedAlgebra:
             )
         if not self.basis[d]:
             return np.zeros(0, dtype=np.int64)
-        a1, a2 = (a1 % self.p).tolist(), (a2 % self.p).tolist()
-        support2 = [(j, b) for j, b in enumerate(a2) if b]
-        out = [0] * len(self.basis[d])
-        for i, a in enumerate(a1):
-            if a:
-                for j, b in support2:
-                    for r, c in self._mul(d1, i, d2, j).items():
-                        out[r] += a * b * c
-        return np.array(out, dtype=np.int64) % self.p
+        a1 = (a1 % self.p).tolist()
+        sink = _Contract(a1, (a2 % self.p).tolist(), len(self.basis[d]))
+        self._block(d1, d2, sink, 0, 0, 0, a1)
+        return np.array(sink.acc, dtype=np.int64) % self.p
+
+    def _dense(self, d1: int, d2: int) -> np.ndarray:
+        """The int64 structure tensor of a degree pair, written in full."""
+        out = np.zeros((len(self.basis[d1]), len(self.basis[d2]),
+                        len(self.basis[d1 + d2])), dtype=np.int64)
+        self._block(d1, d2, out, 0, 0, 0)
+        return out
 
     def gram(self) -> np.ndarray:
         """Degree-(1,1) structure tensor, shape (d1, d1, d2), built fresh."""
-        return self._block(1, 1)
+        return self._dense(1, 1)
 
     def gram_matrix(self) -> np.ndarray:
         if self.dims[2] != 1:
@@ -547,7 +530,7 @@ def build_cohomology(e: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
 @lru_cache(maxsize=1)
 def _ring(ne: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
     """The ring of a checked normal form; ``build_cohomology`` memoizes it."""
-    labels, eps, mul, block = _build(ne, p, max_degree)
+    labels, eps, block = _build(ne, p, max_degree)
     eps = np.array(eps, dtype=np.int64) % p
     eps.setflags(write=False)
     return GradedAlgebra(
@@ -555,8 +538,7 @@ def _ring(ne: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
         max_degree=max_degree,
         basis=tuple(tuple(row) for row in labels),
         eps=eps,
-        _mul=_with_unit(mul),
-        _block=_dense(labels, _with_unit_block(labels, block)),
+        _block=_with_unit_block(labels, block),
         meta={"ext_inflation_dim": rank(ne.base) if isinstance(ne, Ext) else None},
     )
 

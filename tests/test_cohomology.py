@@ -345,8 +345,9 @@ def _assert_matches_dense(e, p, D):
     """Every part of the ring model of ``e`` equals the dense oracle's.
 
     The products are compared twice: read off the degree-pair blocks, and
-    with ``MAX_BLOCK_CELLS`` at 0, read off the per-pair rule on a fresh
-    ring (the memo could hand back a ring whose blocks are already built).
+    with ``MAX_BLOCK_CELLS`` at 0, read off one marked row of the writer
+    on a fresh ring (the memo could hand back a ring whose blocks are
+    already built).
     Hypothesis refuses function-scoped fixtures, hence the patch here."""
     alg = build_cohomology(e, p, D)
     want = dense_ring._build(normalize(e, p), p, D)
@@ -397,7 +398,7 @@ def test_products_into_empty_degrees_skip_the_model():
     def refuse(*args):
         raise AssertionError("the ring model was consulted")
 
-    alg._mul = alg._block = refuse
+    alg._block = refuse
     for got in (alg.product(1, 0, 3, 0), alg.product(2, 0, 2, 0),
                 alg.cup([1] * alg.dims[1], 1, [1] * alg.dims[3], 3)):
         assert got.dtype == np.int64
@@ -410,7 +411,7 @@ def _assert_blocks_match_dense(e, p, D):
     want = dense_ring._build(normalize(e, p), p, D)
     for d1 in range(D + 1):
         for d2 in range(D + 1 - d1):
-            block = alg._block(d1, d2)
+            block = alg._dense(d1, d2)
             assert block.dtype == np.int64
             assert block.shape == (want.dims[d1], want.dims[d2], want.dims[d1 + d2]), \
                 (e, d1, d2)
@@ -474,7 +475,7 @@ def test_product_results_are_read_only():
     lambda alg: alg.cup([1] * alg.dims[1], 1, [1] * alg.dims[1], True),
 ])
 def test_product_and_cup_refuse_bad_classes_and_vectors(call, monkeypatch):
-    # through the blocks, and past the cap through the per-pair rule
+    # through the blocks, and past the cap through a marked row
     alg = build_cohomology(parse("ext(2, Z(5))", 2), 2, 4)
     with pytest.raises(ValidationError):
         call(alg)
@@ -552,8 +553,13 @@ def test_oversized_block_is_not_built(monkeypatch):
     alg = build_cohomology(e, 2, 4)
     want = dense_ring._build(normalize(e, 2), 2, 4)
 
-    def refuse(*args):
-        raise AssertionError("a block was built")
+    write = alg._block
+
+    def refuse(d1, d2, out, o1, o2, o3, rows=None):
+        # a marked row is read; an unmarked call would build the block
+        if rows is None:
+            raise AssertionError("a block was built")
+        write(d1, d2, out, o1, o2, o3, rows)
 
     alg._block = refuse
     for i in range(alg.dims[1]):
@@ -590,8 +596,8 @@ def test_gram_is_the_fresh_degree_one_block(text, p):
 @given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 4))
 def test_gram_cup_and_json_match_product(seed, p, D):
     # ``product`` reads the blocks and is the oracle of ``gram`` (the
-    # (1, 1) block, built fresh), of ``cup`` (the per-pair rule) and of
-    # the JSON form
+    # (1, 1) block, built fresh), of ``cup`` (the writer on the rows of
+    # v1's support) and of the JSON form
     rng = random.Random(seed)
     alg = build_cohomology(random_expr(rng, p, max_rank=6), p, D)
     n, e2 = alg.dims[1], alg.dims[2]
@@ -619,3 +625,65 @@ def test_gram_cup_and_json_match_product(seed, p, D):
         want_json = [[[int(c) for c in alg.product(1, i, 1, j)] for j in range(n)]
                      for i in range(n)]
     assert algebra_to_json(alg)["gram"] == want_json
+
+
+@given(st.integers(0, 2**32), st.sampled_from([2, 3]), st.integers(2, 5))
+def test_cup_of_one_or_two_rows_matches_product(seed, p, D):
+    # ``cup`` hands the writer v1 mod p as its row mark: with one or two
+    # rows marked, in every degree pair (degree 0 too), it is the sum of
+    # those rows of ``product``
+    rng = random.Random(seed)
+    alg = build_cohomology(random_expr(rng, p, max_rank=6), p, D)
+    for d1 in range(D + 1):
+        for d2 in range(D + 1 - d1):
+            n1, n2 = alg.dims[d1], alg.dims[d2]
+            if not n1:
+                continue
+            v2 = [rng.randrange(-p, 2 * p) for _ in range(n2)]
+            for hot in (1, 2):
+                v1 = [0] * n1
+                for i in rng.sample(range(n1), min(hot, n1)):
+                    # nonzero mod p, and sometimes outside 0..p-1
+                    v1[i] = rng.randrange(1, p) + p * rng.randrange(-1, 2)
+                want = np.zeros(alg.dims[d1 + d2], dtype=np.int64)
+                for i, a in enumerate(v1):
+                    if a:
+                        for j, b in enumerate(v2):
+                            want += a * b * alg.product(d1, i, d2, j)
+                got = alg.cup(v1, d1, v2, d2)
+                assert got.tolist() == (want % p).tolist(), (d1, d2, v1, v2)
+
+
+def test_cup_writes_only_the_marked_rows(monkeypatch):
+    # v1 on one factor of a free product: the other factors' writers are
+    # skipped, and in the marked factor only v1's rows are written
+    alg = build_cohomology(parse("E * E * ext(2, Z(5))", 2), 2, 4)
+    written = []
+
+    class Spy(cohomology._Contract):
+        __slots__ = ()
+
+        def __setitem__(self, key, c):
+            written.append(key[0])
+            super().__setitem__(key, c)
+
+    monkeypatch.setattr(cohomology, "_Contract", Spy)
+    for d1 in range(1, 5):
+        for d2 in range(5 - d1):
+            for factor in ("g1.", "g2.", "g3."):
+                rows = [i for i, label in enumerate(alg.basis[d1])
+                        if label.startswith(factor)]
+                if not rows:
+                    continue
+                for support in ({rows[0]}, {rows[0], rows[-1]}):
+                    v1 = [int(i in support) for i in range(alg.dims[d1])]
+                    v2 = [1] * alg.dims[d2]
+                    written.clear()
+                    got = alg.cup(v1, d1, v2, d2)
+                    assert set(written) <= support, (d1, d2, factor, written)
+                    if d2 == 0:
+                        # the unit writes every marked row
+                        assert set(written) == support
+                    want = sum(alg.product(d1, i, d2, j) for i in support
+                               for j in range(alg.dims[d2])) % 2
+                    assert got.tolist() == want.tolist()
