@@ -58,8 +58,6 @@ ALLOWED = {
                            "field backend)",
     "field_models._FracOps.inv": "an element operation of every domain() (README, Adding "
                                  "a field backend)",
-    "rigidity.vector_label": "names the counterexamples of a failing rigidity criterion; "
-                             "tests pin it as the oracle of _all_labels",
 }
 
 

@@ -70,12 +70,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return _jsonable(obj.tolist())
     if isinstance(obj, float) and obj == math.inf:
         return "inf"
-    if hasattr(obj, "item"):
-        return obj.item()
     return obj
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .errors import (
 from .fplinear import echelon_insert, is_prime, sparse_row
 from .laurent import LaurentRing
 from .pairs import EBlock, Ext, PAdicBlock, PairExpr, Trivial, ZBlock, normalize, rank
-from .rigidity import AugBilinearMap, _q_finder, find_equivalence, from_cohomology
+from .rigidity import AugBilinearMap, _all_vectors, _q_finder, find_equivalence, from_cohomology
 from .smallfields import GF, gf
 from .units import make_unit, valuation
 
@@ -253,7 +252,7 @@ class FieldModel(ABC):
         iff {a, b} = 0.  It is never asked of a tame backend: total
         rigidity reads the pairs of the bottom residue field."""
         t = _symbol_tensor(self, p)
-        vecs = np.array(list(iter_product(range(p), repeat=t.shape[0])), dtype=np.int64)
+        vecs = _all_vectors(p, t.shape[0])
         zero = ~(np.einsum("ai,ijk,bj->abk", vecs, t, vecs) % p).any(axis=2)
         rows = [tuple(v) for v in vecs.tolist()]
         return {(rows[i], rows[j]) for i, j in np.argwhere(zero).tolist()}

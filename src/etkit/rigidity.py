@@ -25,17 +25,22 @@ The N-subspace, the span of eps and the non-rigid vectors, is grown by
 closure over vector indices, at most dim N steps, and its RREF is read
 off its members (``_n_basis``).
 
-The report names every vector; its labels are built for all of A_1 at
-once, as a product over the coordinates (``vector_label`` names one
-vector, and is the oracle of that product).  The brute-force test
-``_rigid_one``, which enumerates every b, is kept in
-``tests/test_rigidity.py`` as the oracle for the rank test.
+A vector v of A_1 has index v @ ``_place(p, d)``, the number its
+coordinates spell in base p, and ``_all_vectors`` lists A_1 in that
+order.  The report names every vector, and a failing criterion the ones
+it breaks on; the labels are built for all of A_1 at once, as a product
+over the coordinates (``_all_labels``; ``tests/label_oracle.py`` names
+one vector at a time and is its oracle).  The brute-force test ``_rigid_one``, which
+enumerates every b, is kept in ``tests/test_rigidity.py`` as the oracle
+for the rank test.
 
 Equivalence of two maps is decided by a search over the columns of the
 change of basis, restricted and pruned by rank invariants of every vector
 (see ``find_equivalence``), so that each leaf's P is already invertible
-with P eps1 = eps2; the enumeration of all p^(d^2) matrices,
-``_find_equivalence_brute``, tests P itself and is kept there as its oracle.
+with P eps1 = eps2.  The keys and the prune both read the ranks of A, B
+and [A | B] off one stacked elimination (``_side_by_side_ranks``).  The
+enumeration of all p^(d^2) matrices, ``_find_equivalence_brute``, tests P
+itself and is kept in ``tests/test_rigidity.py`` as its oracle.
 """
 
 from __future__ import annotations
@@ -132,10 +137,14 @@ def from_cohomology(ga: GradedAlgebra) -> AugBilinearMap:
     return ga._map
 
 
+def _place(p: int, d: int) -> np.ndarray:
+    """Digit weights of F_p^d: vector v sits at index v @ _place(p, d)."""
+    return p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
 def _all_vectors(p: int, d: int) -> np.ndarray:
     """All p^d vectors of F_p^d, in lexicographic order."""
-    place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    return np.arange(p**d, dtype=np.int64)[:, None] // place % p
+    return np.arange(p**d, dtype=np.int64)[:, None] // _place(p, d) % p
 
 
 def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
@@ -220,7 +229,7 @@ def _scan(bmap: AugBilinearMap):
             flags = _rank_flags(bmap, vecs)
         else:
             # the vectors led by a 1 at coordinate i fill [place_i, 2 place_i)
-            place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+            place = _place(p, d)
             lead = vecs[np.concatenate([np.arange(q, 2 * q) for q in place]) - 1]
             lead_flags = _rank_flags(bmap, lead)
             flags = np.empty(len(vecs), dtype=bool)
@@ -245,7 +254,7 @@ def _n_basis(bmap: AugBilinearMap) -> np.ndarray:
     vecs, flags = _scan(bmap)
     if "n" not in bmap._cache:
         p, d = bmap.p, bmap.d
-        place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        place = _place(p, d)
         wanted = np.concatenate([[False], ~flags])
         wanted[bmap.eps @ place] = True
         span = np.zeros((1, d), dtype=np.int64)
@@ -264,28 +273,15 @@ def _n_basis(bmap: AugBilinearMap) -> np.ndarray:
     return bmap._cache["n"]
 
 
-def vector_label(bmap: AugBilinearMap, v) -> str:
-    """Human-readable name of a coefficient vector in the map's basis.  A
-    multiplicative label with a "+" is put in parentheses unless it
-    stands alone."""
-    terms = [(int(c), lbl) for c, lbl in zip(np.asarray(v) % bmap.p, bmap.labels) if c]
-    if not terms:
-        return "1" if bmap.multiplicative else "0"
-    if not bmap.multiplicative:
-        return "+".join(lbl if c == 1 else f"{c}*{lbl}" for c, lbl in terms)
-    if len(terms) > 1 or terms[0][0] != 1:
-        terms = [(c, f"({lbl})" if "+" in lbl else lbl) for c, lbl in terms]
-    return "*".join(lbl if c == 1 else f"{lbl}^{c}" for c, lbl in terms)
-
-
 def n_subspace(bmap: AugBilinearMap) -> np.ndarray:
     """Basis of the span of eps and all non-rigid nonzero vectors."""
     return _n_basis(bmap).copy()
 
 
 def _all_labels(bmap: AugBilinearMap) -> list[str]:
-    """``vector_label`` of every vector of ``_all_vectors``, in its order,
-    built as a product over the coordinates."""
+    """The name of every vector of ``_all_vectors``, in its order, built as
+    a product over the coordinates; ``tests/label_oracle.py`` names one
+    vector at a time and is its oracle."""
     sep = "*" if bmap.multiplicative else "+"
     labels = [""]
     for lbl in bmap.labels:
@@ -329,7 +325,10 @@ def check_rigidity_criterion(e: PairExpr, p: int) -> RigidityCriterionReport:
     t = alg.meta["ext_inflation_dim"]
     vecs, flags = _scan(bmap)
     outside = np.flatnonzero(vecs[:, t:].any(axis=1))
-    counter = tuple(vector_label(bmap, v) for v in vecs[outside[~flags[outside]]])
+    bad = outside[~flags[outside]].tolist()
+    # scan row i is vector i + 1; a correct ring has no label to build
+    labels = _all_labels(bmap) if bad else []
+    counter = tuple(labels[i + 1] for i in bad)
     return RigidityCriterionReport(not counter, len(outside), counter)
 
 
@@ -338,7 +337,7 @@ def _keys(bmap: AugBilinearMap) -> np.ndarray:
 
     The key packs rank(b -> B(a, b)), rank(b -> B(b, a)), the rank of the
     two together, whether B(a, a) = 0 and whether a = eps.  The three ranks
-    of a chunk come from one batched elimination; computed once per map.
+    of a chunk come from one ``_side_by_side_ranks``; computed once per map.
     """
     _check_bound(bmap.p, bmap.d)
     if "keys" not in bmap._cache:
@@ -351,12 +350,8 @@ def _keys(bmap: AugBilinearMap) -> np.ndarray:
         for s in range(0, len(vecs), step):
             a = vecs[s : s + step]
             left = (a @ left_flat % p).reshape(len(a), d, e)
-            stack = np.zeros((3, len(a), d, 2 * e), dtype=np.int64)
-            stack[0, ..., :e] = stack[2, ..., :e] = left
-            stack[1, ..., :e] = stack[2, ..., e:] = (a @ right_flat % p).reshape(
-                len(a), d, e
-            )
-            r = batch_rank(stack.reshape(3 * len(a), d, 2 * e), p).reshape(3, len(a))
+            right = (a @ right_flat % p).reshape(len(a), d, e)
+            r = _side_by_side_ranks(left, right, p)
             iso = ~(np.einsum("cj,cjk->ck", a, left) % p).any(axis=1)
             is_eps = (a == bmap.eps).all(axis=1)
             keys[s : s + step] = (
@@ -365,6 +360,18 @@ def _keys(bmap: AugBilinearMap) -> np.ndarray:
         keys.flags.writeable = False
         bmap._cache["keys"] = keys
     return bmap._cache["keys"]
+
+
+def _side_by_side_ranks(a: np.ndarray, b: np.ndarray, p: int):
+    """Ranks of each A, each B and each [A | B], for two stacks of matrices
+    with as many rows, from one ``batch_rank`` call.  A stack holding one
+    matrix pairs with every matrix of the other."""
+    na, nb, ea, eb = len(a), len(b), a.shape[2], b.shape[2]
+    stack = np.zeros((na + nb + max(na, nb), a.shape[1], ea + eb), dtype=np.int64)
+    stack[:na, :, :ea] = stack[na + nb :, :, :ea] = a
+    stack[na : na + nb, :, :eb] = stack[na + nb :, :, ea:] = b
+    r = batch_rank(stack, p)
+    return r[:na], r[na : na + nb], r[na + nb :]
 
 
 def _basis(rows: np.ndarray, p: int):
@@ -429,7 +436,8 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     invertible Q fits the pairs of chosen basis vectors: with columns
     X1 = B1(e_a, e_b) and X2 = B2(Pe_a, Pe_b), an invertible Q with
     Q X1 = X2 exists exactly when rank X1 = rank X2 = rank [X1; X2].  A
-    leaf only builds Q (see ``_q_finder``).  Its P has P eps1 = eps2: each
+    leaf, where all d columns are chosen (at the root when d = 0), only
+    builds Q (see ``_q_finder``).  Its P has P eps1 = eps2: each
     nonzero a keeps its key, whose last bit is a = eps, and for eps1 = 0
     the keys of the zero vectors agree only when eps2 = 0.  And P is
     invertible, by the same bit: were Px = 0 for some x != 0, then at
@@ -444,13 +452,11 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     if not _same_shape(m1, m2):
         return None
     p, d, e = m1.p, m1.d, m1.e
-    if d == 0:
-        return np.zeros((0, 0), dtype=np.int64), np.eye(e, dtype=np.int64)
     k1, k2 = _keys(m1), _keys(m2)
     if k1[0] != k2[0] or not np.array_equal(np.bincount(k1), np.bincount(k2)):
         return None
     vecs = _all_vectors(p, d)
-    place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    place = _place(p, d)
     cands = [vecs[np.flatnonzero(k2[1:] == k1[place[j]]) + 1] for j in range(d)]
     order = sorted(range(d), key=lambda j: len(cands[j]))
     levels = []
@@ -469,6 +475,11 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     def extend(chosen: np.ndarray):
         nonlocal nodes
         j = len(chosen)
+        if j == d:
+            pm = np.empty((d, d), dtype=np.int64)
+            pm[:, order] = chosen.T
+            q = try_p(pm)
+            return None if q is None else (pm, q)
         lam, target, x1, step = levels[j]
         base = lam[:, :j] @ chosen
         for s in range(0, len(cands[order[j]]), step):
@@ -490,24 +501,13 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
             if j:  # for one column, the B(a, a) = 0 part of the key decides
                 # ranks of X1, of each X2 and of each [X1; X2], as rows
                 half = (full @ flat2 % p).reshape(n, j + 1, d, e)
-                stack = np.zeros((2 * n + 1, len(x1), 2 * e), dtype=np.int64)
-                stack[0, :, :e] = stack[n + 1 :, :, :e] = x1
-                stack[1 : n + 1, :, :e] = stack[n + 1 :, :, e:] = (
-                    full[:, None] @ half % p
-                ).reshape(n, len(x1), e)
-                r = batch_rank(stack, p)
-                full = full[(r[1 : n + 1] == r[0]) & (r[n + 1 :] == r[0])]
+                x2 = (full[:, None] @ half % p).reshape(n, len(x1), e)
+                r1, r2, r12 = _side_by_side_ranks(x1[None], x2, p)
+                full = full[(r2 == r1) & (r12 == r1)]
             for cols in full:
-                if j + 1 < d:
-                    got = extend(cols)
-                    if got is not None:
-                        return got
-                    continue
-                pm = np.empty((d, d), dtype=np.int64)
-                pm[:, order] = cols.T
-                q = try_p(pm)
-                if q is not None:
-                    return pm, q
+                got = extend(cols)
+                if got is not None:
+                    return got
         return None
 
     return extend(np.zeros((0, d), dtype=np.int64))

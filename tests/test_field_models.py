@@ -56,8 +56,8 @@ from etkit.rigidity import (
     find_equivalence,
     from_cohomology,
     rigidity_report,
-    vector_label,
 )
+from label_oracle import vector_label
 from etkit.smallfields import GF, gf
 from etkit.units import make_unit
 

@@ -20,7 +20,7 @@ from etkit.errors import (
 from dense_fp import rank, row_space_basis, solve
 from etkit.pairs import parse
 from randexpr import random_ext_rooted
-from etkit import rigidity
+from etkit import cohomology, rigidity
 from etkit.rigidity import (
     DEFAULT_PAIR_CAP,
     AugBilinearMap,
@@ -36,8 +36,8 @@ from etkit.rigidity import (
     is_rigid,
     n_subspace,
     rigidity_report,
-    vector_label,
 )
+from label_oracle import vector_label
 
 
 # the brute-force oracles of the rank scan and the key-guided search
@@ -334,6 +334,25 @@ def test_criterion_and_report_share_one_scan(monkeypatch, text, p):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("text, p", [("ext(2, Z(5) * E)", 2), ("ext(2, Z(4))", 3)])
+def test_failing_criterion_names_its_counterexamples(monkeypatch, text, p):
+    # no correct ring breaks the criterion, so the scan is made to call
+    # every vector non-rigid, on a fresh ring with no cached scan
+    e = parse(text, p)
+    checked = check_rigidity_criterion(e, p).checked
+    cohomology._ring.cache_clear()
+    monkeypatch.setattr(rigidity, "_rank_flags",
+                        lambda bmap, vecs: np.zeros(len(vecs), dtype=bool))
+    rep = check_rigidity_criterion(e, p)
+    alg = build_cohomology(e, p, 2)
+    bmap = from_cohomology(alg)
+    t = alg.meta["ext_inflation_dim"]
+    outside = [v for v in _all_vectors(p, bmap.d) if v[t:].any()]
+    assert not rep.holds
+    assert rep.checked == checked == len(outside)
+    assert rep.counterexamples == tuple(vector_label(bmap, v) for v in outside)
+
+
 def test_scalar_invariance_odd_p():
     rng = random.Random(21)
     for _ in range(30):
@@ -457,11 +476,14 @@ def test_vector_label():
 
 def test_find_equivalence_self():
     rng = random.Random(25)
-    for p, d, e in ((2, 3, 1), (3, 2, 2)):
-        m = _random_map(rng, p, d, e)
+    for p, d, e in ((2, 3, 1), (3, 2, 2), (2, 0, 2), (3, 0, 0)):
+        m = _random_map(rng, p, d, e) if d else _map(p, np.zeros((0, 0, e)), [])
         got = find_equivalence(m, m)
         assert got is not None
         pm, qm = got
+        if not d:  # the root is the leaf
+            assert pm.shape == (0, 0)
+            assert qm.dtype == np.int64 and np.array_equal(qm, np.eye(e))
         for _ in range(10):
             a = np.array([rng.randrange(p) for _ in range(d)])
             b = np.array([rng.randrange(p) for _ in range(d)])
