@@ -10,7 +10,9 @@ then runs:
   ``cli.main``;
 - one seeded round of each bench workload through its ``run``, ``check``
   and ``digest`` (``bench/`` is only imported);
-- ``EXTRA_ARGV`` below, for inputs that neither holds.
+- ``EXTRA_ARGV`` below, for inputs that neither holds;
+- ``FALLBACK_ARGV`` below, well-formed inputs that the CLI's direct
+  reader declines, so that the argparse parser reads them.
 
 Every ``def`` under ``src/etkit`` whose code never ran is then compared
 with ``ALLOWED``, where each kept function gives its reason.  The script
@@ -42,6 +44,10 @@ EXTRA_ARGV = [
      '{"kind":"product","factors":[{"kind":"cyclic","n":2},{"kind":"cyclic","n":4}]}'],
     # a free product sorts an extension of the trivial pair by its base
     ["normalize", "--p", "2", "ext(2,triv) * E"],
+]
+# an abbreviated flag and --flag=value, which only argparse reads
+FALLBACK_ARGV = [
+    ["cohom", "--p=2", "--max", "3", "E*E"],
 ]
 
 # function -> why it stays although no run above calls it
@@ -106,7 +112,7 @@ def exercise() -> list[str]:
         for case in json.loads((ROOT / "tests" / "data" / corpus).read_text()):
             if _quiet(etkit.cli.main, case["argv"]) != case["code"]:
                 failures.append(f"{corpus}: {case['argv']}")
-    for argv in EXTRA_ARGV:
+    for argv in EXTRA_ARGV + FALLBACK_ARGV:
         if _quiet(etkit.cli.main, argv) != 0:
             failures.append(f"extra: {argv}")
 

@@ -5,6 +5,12 @@ closed stdout included), 2 on internal failures or usage errors.  Results
 go to standard output as compact JSON with sorted keys, so identical
 invocations are byte-identical; errors go to standard error as one JSON
 object, with a "where" entry for internal failures.
+
+Each subcommand's flags and positionals are declared once, in
+``_COMMANDS``.  ``_read_argv`` reads a well-formed argv straight off
+that table; on anything it is not sure of it declines, and the argparse
+parser built from the same table decides, so usage errors and help
+come from argparse alone.
 """
 
 from __future__ import annotations
@@ -14,9 +20,11 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from pathlib import Path
+from typing import NamedTuple
 
 from .cocycles import (
     H2Space,
@@ -75,13 +83,22 @@ def _jsonable(obj):
     return obj
 
 
+def _dumps(obj) -> str:
+    """Compact JSON with sorted keys.  Only a value holding a non-finite
+    float takes the ``_jsonable`` walk, which writes inf as "inf"; json
+    already writes tuples as arrays, so both paths give the same bytes."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+
+
 def _emit(obj, fmt: str) -> None:
-    obj = _jsonable(obj)
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(_dumps(obj))
         return
     for key in sorted(obj):
-        print(f"{key}: {json.dumps(obj[key], sort_keys=True, separators=(',', ':'))}")
+        print(f"{key}: {_dumps(obj[key])}")
 
 
 def _expr_text(args) -> str:
@@ -240,7 +257,7 @@ def _field_rigidity(args, model):
     return report
 
 
-# the `field` verbs: argparse's choices and the dispatch both read this
+# the `field` verbs: the flag table's choices and the dispatch both read this
 _FIELD_VERBS = {
     "classgroup": _field_classgroup,
     "symbol": _field_symbol,
@@ -270,7 +287,7 @@ def _oracle_extclass(args, group):
     return {"coords": coords.tolist(), "quotientOrder": quotient_group.order}
 
 
-# the `oracle` verbs: argparse's choices and the dispatch both read this
+# the `oracle` verbs: the flag table's choices and the dispatch both read this
 _ORACLE_VERBS = {
     "h1": lambda args, group: {"dim": h1_dim(group, args.p)},
     "h2": lambda args, group: {"dim": h2_dim(group, args.p)},
@@ -297,57 +314,157 @@ _HANDLERS = {
 }
 
 
+class _Arg(NamedTuple):
+    """One flag (``name`` starts with ``-``) or positional of a
+    subcommand.  A positional ``required`` is its verb; one that is not
+    is an optional expression (``nargs="?"``)."""
+
+    name: str
+    dest: str
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+
+
+_COMMON = (_Arg("--p", "p", int, 2),
+           _Arg("--format", "fmt", default="json", choices=("json", "table")))
+_EXPR = (_Arg("expr", "expr"), _Arg("--file", "file"))
+_DEGREE = (_Arg("--max-degree", "max_degree", int, 4),)
+
+# Each subcommand's flags and positionals, in help order: the direct
+# reader and the argparse parser are both built from this table.  Each
+# subcommand takes only the flags it reads: ``--p`` and ``--format``
+# everywhere, ``--max-degree`` on ``cohom`` and ``logl``, ``--bound`` and
+# ``--model`` on ``field``.
+_COMMANDS = {
+    "parse": _COMMON + _EXPR,
+    "normalize": _COMMON + _EXPR,
+    "invariants": _COMMON + _EXPR,
+    "cohom": _COMMON + _EXPR + _DEGREE,
+    "demuskin": _COMMON + _EXPR,
+    "logl": _COMMON + _EXPR + _DEGREE,
+    "rigid": _COMMON + _EXPR,
+    "field": _COMMON + (
+        _Arg("verb", "verb", choices=tuple(_FIELD_VERBS), required=True),
+        *_EXPR,
+        _Arg("--bound", "bound", int, 200),
+        _Arg("--model", "model"),
+        _Arg("--a", "a"),
+        _Arg("--b", "b"),
+        _Arg("--h", "h"),
+        _Arg("--target", "target", default="OMinus",
+             choices=("OMinus", "OPlus", "ORing")),
+    ),
+    "oracle": _COMMON + (
+        _Arg("verb", "verb", choices=tuple(_ORACLE_VERBS), required=True),
+        _Arg("--group", "group", required=True),
+        _Arg("--phi", "phi"),
+        _Arg("--psi", "psi"),
+        _Arg("--kernel", "kernel"),
+    ),
+}
+
+# what the reader looks up per subcommand: flags by name, positionals in
+# order, defaults by dest, and the dests that must be given
+_LOOKUP = {
+    command: ({arg.name: arg for arg in table if arg.name.startswith("-")},
+              [arg for arg in table if not arg.name.startswith("-")],
+              {arg.dest: arg.default for arg in table},
+              [arg.dest for arg in table if arg.required])
+    for command, table in _COMMANDS.items()
+}
+# argparse reads a token that matches this as a value, not as an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(token: str) -> bool:
+    return token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The Namespace that ``parse_args(argv)`` gives, read straight off
+    ``_COMMANDS``; None wherever argparse might decide otherwise or
+    report a usage error: an unknown subcommand; a token that starts
+    with ``-`` and is neither an exact flag of the subcommand nor a
+    negative number (so abbreviations, ``--flag=value``, ``-h`` and
+    ``--``); a flag without a value; a failed type or choice; a missing
+    verb or required flag; too many positionals; or positionals in more
+    than one run, since argparse gives an optional expression that an
+    option cuts off from the verb an empty value."""
+    if not argv or argv[0] not in _LOOKUP:
+        return None
+    flags, positionals, defaults, required = _LOOKUP[argv[0]]
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(defaults, command=argv[0])
+    words, run_ended = [], False
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        if not _is_option(token):
+            if run_ended:
+                return None
+            words.append(token)
+            i += 1
+            continue
+        arg = flags.get(token)
+        if arg is None or i + 1 == len(argv) or _is_option(argv[i + 1]):
+            return None
+        if not _store(values, arg, argv[i + 1]):
+            return None
+        run_ended = bool(words)
+        i += 2
+    if len(words) > len(positionals):
+        return None
+    for arg, word in zip(positionals, words):
+        if not _store(values, arg, word):
+            return None
+    if any(values[dest] is None for dest in required):
+        return None
+    return args
+
+
+def _store(values: dict, arg: _Arg, text: str) -> bool:
+    """Convert and check ``text`` as argparse does; False on a failure."""
+    try:
+        value = arg.type(text)
+    except ValueError:
+        return False
+    if arg.choices is not None and value not in arg.choices:
+        return False
+    values[arg.dest] = value
+    return True
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then reused: parsing
-    keeps no state on it, and building it costs about as much as a cheap
-    verb.  Each subcommand takes only the flags it reads: ``--p`` and
-    ``--format`` everywhere, ``--max-degree`` on ``cohom`` and ``logl``,
-    ``--bound`` and ``--model`` on ``field``; any other is a usage error."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=2)
-    common.add_argument("--format", type=str, default="json", dest="fmt",
-                        choices=["json", "table"])
-
-    exprarg = argparse.ArgumentParser(add_help=False)
-    exprarg.add_argument("expr", nargs="?", default=None)
-    exprarg.add_argument("--file", type=str, default=None)
-
-    degree = argparse.ArgumentParser(add_help=False)
-    degree.add_argument("--max-degree", type=int, default=4, dest="max_degree")
-
+    """The argparse parser of ``_COMMANDS``, built on the first argv
+    that ``_read_argv`` declines and then reused (parsing keeps no state
+    on it).  It alone reports usage errors and help, and it is the
+    reader's test oracle."""
     parser = argparse.ArgumentParser(prog="etkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("parse", "normalize", "invariants", "cohom", "demuskin",
-                 "logl", "rigid"):
-        extra = [degree] if name in ("cohom", "logl") else []
-        sub.add_parser(name, parents=[common, exprarg, *extra])
-
-    fieldp = sub.add_parser("field", parents=[common])
-    fieldp.add_argument("verb", choices=list(_FIELD_VERBS))
-    fieldp.add_argument("expr", nargs="?", default=None)
-    fieldp.add_argument("--file", type=str, default=None)
-    fieldp.add_argument("--bound", type=int, default=200)
-    fieldp.add_argument("--model", type=str, default=None)
-    fieldp.add_argument("--a", type=str, default=None)
-    fieldp.add_argument("--b", type=str, default=None)
-    fieldp.add_argument("--h", type=str, default=None)
-    fieldp.add_argument("--target", type=str, default="OMinus",
-                        choices=["OMinus", "OPlus", "ORing"])
-
-    oraclep = sub.add_parser("oracle", parents=[common])
-    oraclep.add_argument("verb", choices=list(_ORACLE_VERBS))
-    oraclep.add_argument("--group", type=str, required=True)
-    oraclep.add_argument("--phi", type=str, default=None)
-    oraclep.add_argument("--psi", type=str, default=None)
-    oraclep.add_argument("--kernel", type=str, default=None)
+    for command, table in _COMMANDS.items():
+        subparser = sub.add_parser(command)
+        for arg in table:
+            if arg.name.startswith("-"):
+                subparser.add_argument(arg.name, dest=arg.dest, type=arg.type,
+                                       default=arg.default, choices=arg.choices,
+                                       required=arg.required)
+            else:
+                subparser.add_argument(arg.name, type=arg.type, default=arg.default,
+                                       choices=arg.choices,
+                                       nargs=None if arg.required else "?")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         if not is_prime(args.p):
             raise ValidationError(f"--p must be prime, got {args.p}")
         if "max_degree" in args and not 2 <= args.max_degree <= MAX_DEGREE:

@@ -1,9 +1,18 @@
+import contextlib
+import importlib.util
+import io
 import json
+import math
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etkit import cli, field_models
 from etkit.cli import main
@@ -14,6 +23,7 @@ FF5 = '{"kind":"FiniteField","params":{"q":5}}'
 F5T = '{"kind":"Laurent","params":{"base":%s},"precision":8}' % FF5
 # an integer literal past Python's 4300-digit int-to-str limit
 HUGE = "1" * 5000
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -428,11 +438,21 @@ def _fresh_process(argv):
 def test_parser_reused_across_calls(capsys):
     omember = ["field", "omember", "--p", "2", "--model", FF5, "--a", "2",
                "--h", "all"]
+    symbol = ["field", "symbol", "--p", "2", "--model", DYADIC, "--b", "2",
+              "--a", "-1"]
     calls = [
         ["field", "bogus"],
         [*omember, "--target", "OPlus"],
         omember,
         ["invariants", "--p", "2", "ext(1,E)"],
+        # an abbreviated flag, --flag=value, a negative value, an option
+        # between the verb and the expression, and help
+        ["cohom", "--p", "2", "--max", "3", "E*E"],
+        ["cohom", "--p", "2", "--max-degree", "3", "E*E"],
+        ["parse", "--p=3", "ext(2,triv)"],
+        symbol,
+        ["field", "pairing", "--p", "2", "--model", DYADIC, "E"],
+        ["--help"],
     ]
     outputs = []
     for argv in calls:
@@ -447,6 +467,14 @@ def test_parser_reused_across_calls(capsys):
     # the default comes back once --target is left out
     assert json.loads(outputs[2][1])["target"] == "OMinus"
     assert outputs[3][1] == '{"abelianization":[2,2],"logl":"inf","rank":2}\n'
+    # an abbreviated flag reads as the full one
+    assert outputs[4] == outputs[5] and outputs[4][0] == 0
+    assert outputs[6][0] == 0 and json.loads(outputs[6][1])["expr"] == "ext(2, triv)"
+    # a negative number is a value, on the direct path
+    assert cli._read_argv(symbol) is not None and outputs[7][0] == 0
+    # an option between the verb and the expression leaves it unread
+    assert outputs[8][0] == 2 and "unrecognized arguments: E" in outputs[8][2]
+    assert outputs[9][0] == 0 and outputs[9][1].startswith("usage: etkit")
     assert outputs == [_fresh_process(argv) for argv in calls]
 
 
@@ -573,11 +601,14 @@ def test_subcommand_takes_only_the_flags_it_reads(capsys, command, flag, value, 
     head = {"field": ["field", "classgroup"],
             "oracle": ["oracle", "h1", "--group", "{}"]}.get(command, [command])
     parser = cli._build_parser()
+    argv = [*head, flag, value]
     if flag in {"--p", "--format"} | READS.get(command, set()):
-        assert str(getattr(parser.parse_args([*head, flag, value]), dest)) == value
+        assert str(getattr(parser.parse_args(argv), dest)) == value
+        assert vars(cli._read_argv(argv)) == vars(parser.parse_args(argv))
     else:
+        assert cli._read_argv(argv) is None
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args([*head, flag, value])
+            parser.parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -588,6 +619,119 @@ def test_unread_flag_is_a_usage_error(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --bound" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the direct argv reader against its oracle, the argparse parser
+
+FLAGS = sorted({arg.name for table in cli._COMMANDS.values() for arg in table
+                if arg.name.startswith("-")})
+# what the reader must decline or read as a value: abbreviations,
+# --flag=value, help, the end-of-options marker, unknown flags, negative
+# numbers, a lone dash, empty strings, bad choices and bad ints
+ODD_FLAGS = ["--max", "--mod", "--form", "--ta", "--p=3", "--format=table",
+             "-h", "--help", "--", "--bogus", "-x", "-p"]
+VERBS = [*cli._FIELD_VERBS, *cli._ORACLE_VERBS, "bogus"]
+TOKEN = st.sampled_from([
+    "E", "ext(1,E)", "{}", "all", "xml", "omicron", "x", "1.5", "-1", "-2.5",
+    "-.5", "-1e3", "-", "", "a b"]) | st.text(max_size=3)
+INT = st.sampled_from(["2", "3", "5", "+5", " 7", "-1", "0x3", "1_0", "x", ""])
+
+
+def _value(arg):
+    """Mostly a value the flag takes, sometimes one it refuses."""
+    if arg.type is int:
+        return INT
+    if arg.choices is not None:
+        return st.sampled_from([*arg.choices, "xml"])
+    return TOKEN
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, often a verb, then flags with values and words:
+    mostly the subcommand's own flags, sometimes another's, a bare or an
+    odd one."""
+    command = draw(st.sampled_from([*cli._COMMANDS, *cli._COMMANDS, "bogus", "-h", ""]))
+    table = cli._COMMANDS.get(command, ())
+    own = [arg for arg in table if arg.name.startswith("-")]
+    argv = [command]
+    verbs = [word for arg in table if arg.name == "verb" for word in arg.choices]
+    if draw(st.integers(0, 3)):
+        argv.append(draw(st.sampled_from(verbs + ["bogus"])))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind < 5 and own:
+            arg = draw(st.sampled_from(own))
+            argv += [arg.name, draw(_value(arg))]
+        elif kind < 8:
+            argv.append(draw(st.sampled_from(VERBS) | TOKEN))
+        elif kind == 8:
+            argv += [draw(st.sampled_from(FLAGS)), draw(TOKEN)]
+        else:
+            argv.append(draw(st.sampled_from(ODD_FLAGS + FLAGS)))
+    return argv
+
+
+@settings(max_examples=1000)
+@given(argvs())
+@example(["field", "pairing", "--p", "2", "E"])
+@example(["field", "--p", "2", "pairing", "E", "--model", "{}"])
+@example(["parse", "--p", "-1", "-2.5"])
+@example(["oracle", "h1", "--p", "2"])
+def test_reader_matches_argparse(argv):
+    args = cli._read_argv(argv)
+    if args is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            parsed = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse exits on {argv}: {out.getvalue()}{err.getvalue()}")
+    assert vars(args) == vars(parsed)
+
+
+def _readme_argvs():
+    text = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("etkit "):
+                yield shlex.split(line)[1:]
+
+
+def _reach_script():
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    return reach
+
+
+def test_every_corpus_argv_takes_the_direct_path():
+    inputs = [case["argv"] for corpus in ("expr_golden.json", "field_golden.json")
+              for case in json.loads((ROOT / "tests" / "data" / corpus).read_text())]
+    readme = list(_readme_argvs())
+    assert len(readme) >= 15
+    reach = _reach_script()
+    inputs += readme + reach.EXTRA_ARGV
+    assert [argv for argv in inputs if cli._read_argv(argv) is None] == []
+    # the inputs that keep the argparse parser reached do reach it
+    assert all(cli._read_argv(argv) is None for argv in reach.FALLBACK_ARGV)
+
+
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300)
+@given(VALUES)
+def test_dumps_matches_the_jsonable_walk(obj):
+    assert cli._dumps(obj) == json.dumps(cli._jsonable(obj), sort_keys=True,
+                                         separators=(",", ":"))
 
 
 @pytest.mark.parametrize("group", [
