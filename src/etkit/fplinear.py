@@ -12,8 +12,10 @@ Two eliminators, one for each shape of work:
   clears that column from the rows below it, and every step runs over
   the whole stack at once.  At p = 2 the rows are packed into uint64
   words and reduced by XOR (``xor_rank``, which the p = 2 rigidity scan
-  also feeds with the rows it builds itself), at odd p in int64.  It
-  gives ranks only.
+  also feeds with the rows it builds itself; rows of one word pivot on
+  row & -row with no gather), at odd p in int64.  It gives ranks only.
+  Small stacks cost numpy's fixed cost per call more than elimination,
+  so callers rank as many matrices per call as their chunk allows.
 """
 
 from __future__ import annotations
@@ -143,8 +145,20 @@ def xor_rank(words: np.ndarray) -> np.ndarray:
 
     Eliminates in place, one row at a time: a row, once reduced, pivots
     on its lowest set bit, in its first nonzero word, and XORs itself
-    into the rows below that have the bit."""
+    into the rows below that have the bit.
+
+    Rows of one word (w = 1) take their own loop: the pivot is row & -row
+    itself, with no first nonzero word to find and no gather of the pivot
+    word and of the bit below it, which cost most on small stacks.  A
+    zero row has no bit, and clears nothing."""
     rows, w, n = words.shape
+    if w == 1:
+        flat = words[:, 0]
+        for i in range(rows - 1):  # the last row clears nothing
+            row = flat[i]
+            below = flat[i + 1 :]
+            below ^= ((below & (row & -row)) != 0) * row
+        return (flat != 0).sum(axis=0)
     idx = np.arange(n)
     one = np.uint64(1)
     for i in range(rows - 1 if w else 0):  # the last row clears nothing

@@ -37,8 +37,11 @@ for the rank test.
 Equivalence of two maps is decided by a search over the columns of the
 change of basis, restricted and pruned by rank invariants of every vector
 (see ``find_equivalence``), so that each leaf's P is already invertible
-with P eps1 = eps2.  The keys and the prune both read the ranks of A, B
-and [A | B] off one stacked elimination (``_side_by_side_ranks``).  The
+with P eps1 = eps2.  Maps of which exactly one has eps = 0 are refused
+before any vector is keyed.  The keys and the prune both read the ranks
+of A, B and [A | B] off one stacked elimination (``_side_by_side_ranks``),
+and ``_keys`` keys both maps in the same pass: each chunk of vectors goes
+through one product with both tensors and one elimination.  The
 enumeration of all p^(d^2) matrices, ``_find_equivalence_brute``, tests P
 itself and is kept in ``tests/test_rigidity.py`` as its oracle.
 """
@@ -57,16 +60,20 @@ from .pairs import Ext, PairExpr, normalize
 
 # A scan lists all p^d vectors of A_1 in its output, so the bound is set by
 # output size.  Working memory is fixed by the chunk budgets whatever the
-# bound: _CHUNK_CELLS int64 entries per batched elimination at odd p, in
-# _keys and in the equivalence search, _CHUNK_WORDS uint64 words of W_a per
-# chunk of the p = 2 scan (512 KiB).  For the row-by-row eliminations (in
-# process, best of 3, two sweeps on a shared 2-core machine), 2^16 cells
-# against 2^14 sped up the 3^10 scan of ext(9,Z(7)) (0.41-0.44 s against
-# 0.51-0.54 s) but not the bench's equivalence rounds (0.33-0.40 against
-# 0.31-0.34 ms per item) nor its p = 3 scans (0.57-0.64 against 0.61 ms);
-# the scan of ext(15,E) took 0.15-0.19 s at 2^14 words, 0.12-0.14 s at 2^16
-# and 0.11-0.12 s at 2^17, and the bench's p = 2 maps fit one chunk from
-# 2^13 words on.
+# bound: _CHUNK_CELLS int64 entries per batched elimination at odd p and in
+# the equivalence search, and per map in _keys, which keys a chunk of
+# _CHUNK_CELLS // (6 d e) vectors in both maps at once; _CHUNK_WORDS uint64
+# words of W_a per chunk of the p = 2 scan (512 KiB).  A budget shared by
+# the two maps of _keys would cut the step at d = 12, e = 66 from 3 vectors
+# to 1: the pairing fallback's yes answer on the 11-level tower then took
+# 1.15-1.21 s against 0.74-0.83 s (in process, first call, 2-core machine).
+# For the row-by-row eliminations (in process, best of 3, two sweeps on a
+# shared 2-core machine), 2^16 cells against 2^14 sped up the 3^10 scan of
+# ext(9,Z(7)) (0.41-0.44 s against 0.51-0.54 s) but not the bench's
+# equivalence rounds (0.33-0.40 against 0.31-0.34 ms per item) nor its p = 3
+# scans (0.57-0.64 against 0.61 ms); the scan of ext(15,E) took 0.15-0.19 s
+# at 2^14 words, 0.12-0.14 s at 2^16 and 0.11-0.12 s at 2^17, and the
+# bench's p = 2 maps fit one chunk from 2^13 words on.
 DEFAULT_ENUM_BOUND = 2**16
 DEFAULT_PAIR_CAP = 2_000_000
 _CHUNK_CELLS = 2**14
@@ -332,34 +339,45 @@ def check_rigidity_criterion(e: PairExpr, p: int) -> RigidityCriterionReport:
     return RigidityCriterionReport(not counter, len(outside), counter)
 
 
-def _keys(bmap: AugBilinearMap) -> np.ndarray:
-    """Invariant key of every vector a of A_1, indexed like ``_all_vectors``.
+def _keys(*maps: AugBilinearMap) -> list[np.ndarray]:
+    """Invariant key of every vector a of A_1, indexed like ``_all_vectors``,
+    for each of ``maps``, which share p, d and e and whose p^d the caller
+    has checked against the bound.
 
     The key packs rank(b -> B(a, b)), rank(b -> B(b, a)), the rank of the
-    two together, whether B(a, a) = 0 and whether a = eps.  The three ranks
-    of a chunk come from one ``_side_by_side_ranks``; computed once per map.
+    two together, whether B(a, a) = 0 and whether a = eps.  The maps not
+    keyed yet, each once however often it is passed, are keyed together,
+    and their keys cached on them: for each chunk of vectors, one product
+    with the stacked tensors gives both sides of every map, and one
+    ``_side_by_side_ranks`` gives the three ranks of every map.
     """
-    _check_bound(bmap.p, bmap.d)
-    if "keys" not in bmap._cache:
-        p, d, e = bmap.p, bmap.d, bmap.e
+    todo = list({id(m): m for m in maps if "keys" not in m._cache}.values())
+    if todo:
+        p, d, e, k = todo[0].p, todo[0].d, todo[0].e, len(todo)
         vecs = _all_vectors(p, d)
-        keys = np.empty(len(vecs), dtype=np.int64)
-        left_flat = bmap.tensor.reshape(d, d * e)
-        right_flat = bmap.tensor.transpose(1, 0, 2).reshape(d, d * e)
+        keys = np.empty((k, len(vecs)), dtype=np.int64)
+        # row i of flat holds, for each map, B(e_i, e_j) and then B(e_j, e_i)
+        # for every j, so a @ flat holds B(a, e_j) and B(e_j, a); batch_rank
+        # reduces them mod p
+        flat = np.concatenate(
+            [t for m in todo for t in (m.tensor, m.tensor.transpose(1, 0, 2))],
+            axis=1).reshape(d, 2 * k * d * e)
         step = max(1, _CHUNK_CELLS // max(1, 6 * d * e))
         for s in range(0, len(vecs), step):
             a = vecs[s : s + step]
-            left = (a @ left_flat % p).reshape(len(a), d, e)
-            right = (a @ right_flat % p).reshape(len(a), d, e)
-            r = _side_by_side_ranks(left, right, p)
-            iso = ~(np.einsum("cj,cjk->ck", a, left) % p).any(axis=1)
-            is_eps = (a == bmap.eps).all(axis=1)
-            keys[s : s + step] = (
-                ((r[0] * (d + 1) + r[1]) * (d + 1) + r[2]) * 2 + iso
-            ) * 2 + is_eps
+            sides = (a @ flat).reshape(len(a), k, 2, d, e)
+            left = sides[:, :, 0]
+            n = len(a) * k
+            r = _side_by_side_ranks(left.reshape(n, d, e),
+                                    sides[:, :, 1].reshape(n, d, e), p)
+            ranks = ((r[0] * (d + 1) + r[1]) * (d + 1) + r[2]).reshape(len(a), k)
+            iso = ~(np.einsum("cj,cmjk->cmk", a, left) % p).any(axis=2)
+            keys[:, s : s + step] = ((ranks * 2 + iso) * 2).T
+        keys[np.arange(k), np.array([m.eps for m in todo]) @ _place(p, d)] += 1
         keys.flags.writeable = False
-        bmap._cache["keys"] = keys
-    return bmap._cache["keys"]
+        for m, row in zip(todo, keys):
+            m._cache["keys"] = row
+    return [m._cache["keys"] for m in maps]
 
 
 def _side_by_side_ranks(a: np.ndarray, b: np.ndarray, p: int):
@@ -425,8 +443,10 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     the same holds for b -> B2(b, Pa) and for the two together.
     B2(Pa, Pa) = Q B1(a, a) vanishes exactly when B1(a, a) does, and
     Pa = eps2 exactly when a = eps1.  So a -> Pa is a key-preserving
-    bijection of A_1 that fixes 0: when the key counts of the two maps
-    differ, or the keys of their zero vectors do, the answer is None.
+    bijection of A_1 that fixes 0.  The key of 0 says whether eps = 0, so
+    when one of eps1 and eps2 is zero and the other is not, the answer is
+    None before any key is computed; otherwise it is None when the key
+    counts of the two maps differ.
 
     Otherwise the columns of P are chosen one basis vector at a time, the
     basis vectors with the fewest candidates first.  The image of e_j
@@ -437,23 +457,26 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     X1 = B1(e_a, e_b) and X2 = B2(Pe_a, Pe_b), an invertible Q with
     Q X1 = X2 exists exactly when rank X1 = rank X2 = rank [X1; X2].  A
     leaf, where all d columns are chosen (at the root when d = 0), only
-    builds Q (see ``_q_finder``).  Its P has P eps1 = eps2: each
-    nonzero a keeps its key, whose last bit is a = eps, and for eps1 = 0
-    the keys of the zero vectors agree only when eps2 = 0.  And P is
-    invertible, by the same bit: were Px = 0 for some x != 0, then at
-    eps1 = 0 the key of x would say x != eps1 while Px = 0 = eps2; at
-    eps1 != 0 either x = -eps1, and P eps1 = 0 != eps2, or eps1 + x is
-    nonzero, differs from eps1 and still maps to eps2.
+    builds Q (see ``_q_finder``).  Its P has P eps1 = eps2: each nonzero
+    a keeps its key, whose last bit is a = eps, and eps1 = 0 only when
+    eps2 = 0, by the test on eps.  And P is invertible, by the same bit:
+    were Px = 0 for some x != 0, then at eps1 = 0 the key of x would say
+    x != eps1 while Px = 0 = eps2; at eps1 != 0 either x = -eps1, and
+    P eps1 = 0 != eps2, or eps1 + x is nonzero, differs from eps1 and
+    still maps to eps2.
 
     Raises ``DimensionTooLarge`` when p^d exceeds ``DEFAULT_ENUM_BOUND``
-    (the keys enumerate A_1) or when the search tries more than
-    ``DEFAULT_PAIR_CAP`` candidate columns.
+    (the keys enumerate A_1), before the test on eps, or when the search
+    tries more than ``DEFAULT_PAIR_CAP`` candidate columns.
     """
     if not _same_shape(m1, m2):
         return None
     p, d, e = m1.p, m1.d, m1.e
-    k1, k2 = _keys(m1), _keys(m2)
-    if k1[0] != k2[0] or not np.array_equal(np.bincount(k1), np.bincount(k2)):
+    _check_bound(p, d)
+    if m1.eps.any() != m2.eps.any():
+        return None
+    k1, k2 = _keys(m1, m2)
+    if not np.array_equal(np.bincount(k1), np.bincount(k2)):
         return None
     vecs = _all_vectors(p, d)
     place = _place(p, d)

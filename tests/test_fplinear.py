@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dense_fp
@@ -162,7 +162,17 @@ def word_stacks(draw):
     return w, np.array(mats, dtype=np.int64)
 
 
+# one-word edge shapes: no rows, one row, one matrix, an all-zero stack,
+# and rows whose lowest set bit is bit 63, where -row wraps in uint64
+_E0, _E63 = np.eye(64, dtype=np.int64)[[0, 63]]
+
+
 @given(word_stacks())
+@example((1, np.zeros((2, 0, 5), dtype=np.int64)))
+@example((1, np.array([[[1, 0, 1]], [[0, 0, 0]]])))
+@example((1, np.array([[[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]])))
+@example((1, np.zeros((3, 4, 4), dtype=np.int64)))
+@example((1, np.array([[_E63, _E63], [_E63, _E63 | _E0], [_E0, _E63]])))
 def test_xor_rank_matches_dense_oracle(data):
     w, stack = data
     n, rows, cols = stack.shape

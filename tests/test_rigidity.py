@@ -240,25 +240,26 @@ def test_scan_across_words_matches_enumeration(m):
 
 @st.composite
 def key_maps(draw):
-    """Maps at p in {2, 3} with d <= 4 and e <= 3, eps zero or not at p = 2."""
+    """Two maps of one shape at p in {2, 3} with d <= 4 and e <= 3, eps
+    zero or not at p = 2."""
     p = draw(st.sampled_from([2, 3]))
     d = draw(st.integers(1, 4))
     e = draw(st.integers(0, 3))
-    cells = draw(st.lists(st.integers(0, p - 1), min_size=d * d * e,
-                          max_size=d * d * e))
-    eps = [0] * d
-    if p == 2:
-        eps = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
-    return _map(p, np.reshape(cells, (d, d, e)), eps)
+
+    def one():
+        cells = draw(st.lists(st.integers(0, p - 1), min_size=d * d * e,
+                              max_size=d * d * e))
+        eps = [0] * d
+        if p == 2:
+            eps = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+        return _map(p, np.reshape(cells, (d, d, e)), eps)
+
+    return one(), one()
 
 
-@given(key_maps(), st.sampled_from([1, 2**14]))
-@example(_map(2, np.zeros((3, 3, 0)), [1, 0, 1]), 1)  # e = 0
-def test_keys_match_per_vector_ranks(m, cells):
+def _dense_keys(m: AugBilinearMap) -> list[int]:
+    """The key of every vector, from the dense rank of each of its maps."""
     p, d = m.p, m.d
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rigidity, "_CHUNK_CELLS", cells)
-        keys = _keys(m)
     want = []
     for a in _all_vectors(p, d):
         left = np.einsum("i,ijk->jk", a, m.tensor) % p  # row j is B(a, e_j)
@@ -270,7 +271,37 @@ def test_keys_match_per_vector_ranks(m, cells):
             (((ranks[0] * (d + 1) + ranks[1]) * (d + 1) + ranks[2]) * 2 + iso) * 2
             + is_eps
         )
-    assert keys.tolist() == want
+    return want
+
+
+@given(key_maps(), st.sampled_from([1, 2**14]))
+@example((_map(2, np.zeros((3, 3, 0)), [1, 0, 1]),
+          _map(2, np.zeros((3, 3, 0)), [0, 0, 0])), 1)  # e = 0
+def test_keys_match_per_vector_ranks(maps, cells):
+    m1, m2 = maps
+    m3, m4 = (_map(m.p, m.tensor, m.eps) for m in maps)  # fresh, uncached copies
+    real, ranked = rigidity._side_by_side_ranks, []
+
+    def counted(a, b, p):
+        ranked.append(len(a))
+        return real(a, b, p)
+
+    def keyed(*args):
+        """The keys of ``args``, and how many maps were keyed for them."""
+        ranked.clear()
+        return _keys(*args), sum(ranked) // m1.p ** m1.d
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity, "_CHUNK_CELLS", cells)
+        mp.setattr(rigidity, "_side_by_side_ranks", counted)
+        (k1, k2), both = keyed(m1, m2)
+        (k3, k3_again), once = keyed(m3, m3)
+        (k3_cached, k4), cached_once = keyed(m3, m4)
+    assert (both, once, cached_once) == (2, 1, 1)
+    assert k3_again is k3 and k3_cached is k3
+    want1, want2 = _dense_keys(m1), _dense_keys(m2)
+    for keys, want in [(k1, want1), (k2, want2), (k3, want1), (k4, want2)]:
+        assert keys.tolist() == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -617,7 +648,7 @@ SAME_KEYS = [
 def test_equal_keys_inequivalent(t1, eps1, t2, eps2):
     m1 = _map(2, np.reshape(t1, (3, 3, 1)), eps1)
     m2 = _map(2, np.reshape(t2, (3, 3, 1)), eps2)
-    k1, k2 = _keys(m1), _keys(m2)
+    k1, k2 = _keys(m1, m2)
     assert k1[0] == k2[0] and sorted(k1) == sorted(k2)
     assert _find_equivalence_brute(m1, m2) is None
     assert find_equivalence(m1, m2) is None
@@ -629,7 +660,8 @@ def test_search_at_dimension_four():
                              [0, 0, 0, 0]], (4, 4, 1)), [0] * 4)
     m2 = _map(2, np.reshape([[0, 1, 0, 0], [0, 1, 0, 1], [0, 1, 1, 1],
                              [0, 0, 1, 1]], (4, 4, 1)), [0] * 4)
-    assert sorted(_keys(m1)) == sorted(_keys(m2))
+    k1, k2 = _keys(m1, m2)
+    assert sorted(k1) == sorted(k2)
     assert find_equivalence(m1, m2) is None
     # p^(d^2) = 3^16 lies far above the brute-force cap
     rng = random.Random(28)
@@ -699,3 +731,23 @@ def test_search_bounds_raise(monkeypatch):
     big = _map(2, np.zeros((17, 17, 1), dtype=np.int64), np.zeros(17))
     with pytest.raises(DimensionTooLarge):
         find_equivalence(big, big)  # the keys would enumerate 2^17 vectors
+
+
+def test_eps_refused_before_keys(monkeypatch):
+    """One eps zero and the other not: refused with no key computed, and
+    after the p^d bound.  Equal eps, zero or not, still take the keys."""
+    def no_keys(*maps):
+        raise AssertionError("keyed")
+
+    monkeypatch.setattr(rigidity, "_keys", no_keys)
+    zero = _map(2, np.zeros((3, 3, 1)), [0, 0, 0])
+    nonzero = _map(2, np.zeros((3, 3, 1)), [1, 0, 0])
+    assert find_equivalence(zero, nonzero) is None
+    assert find_equivalence(nonzero, zero) is None
+    for m1, m2 in [(zero, zero), (nonzero, _map(2, np.zeros((3, 3, 1)), [0, 1, 1]))]:
+        with pytest.raises(AssertionError, match="keyed"):
+            find_equivalence(m1, m2)
+    big = _map(2, np.zeros((17, 17, 1)), np.zeros(17))
+    big_eps = _map(2, np.zeros((17, 17, 1)), np.eye(17)[0])
+    with pytest.raises(DimensionTooLarge):
+        find_equivalence(big, big_eps)
