@@ -121,10 +121,12 @@ def _load_structured(value: str, what: str):
     if value is None:
         raise ValidationError(f"--{what} is required")
     text = value
-    candidate = Path(value)
     try:
-        if candidate.is_file():
-            text = candidate.read_text()
+        # a value with no '/' is one path component, which pathlib leaves as
+        # it is (but for ''), so only a '/' can make the two tests differ,
+        # as on 'f.json/', which pathlib reads as the file f.json
+        if os.path.isfile(value) or ("/" in value and Path(value).is_file()):
+            text = Path(value).read_text()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"could not read --{what}: {exc}") from exc
     except OSError:

@@ -500,12 +500,14 @@ class GradedAlgebra:
 def build_cohomology(e: PairExpr, p: int, max_degree: int) -> GradedAlgebra:
     """Cohomology model of the normal form of ``e`` up to ``max_degree``.
 
-    The checks run on every call: the degree, ``normalize`` and the basis
-    bound.  The ring then comes from a one-entry memo keyed by (normal
-    form, p, max_degree), so a caller that asks again for the ring it
-    just had, such as ``rigidity.check_rigidity_criterion`` followed by
-    a report on the same pair, gets the same read-only object back, with
-    the blocks and the map already built on it.  One entry holds the
+    The degree and the basis bound are checked on every call; the normal
+    form is read from the expression's memo (see ``pairs``), so a normal
+    form, or an expression normalized before, is not walked again.  The
+    ring then comes from a one-entry memo keyed by (normal form, p,
+    max_degree), so a caller that asks again for the ring it just had,
+    such as ``rigidity.check_rigidity_criterion`` followed by a report on
+    the same pair, gets the same read-only object back, with the blocks
+    and the map already built on it.  One entry holds the
     repeats, which come back to back; the last ring and its blocks stay
     alive until the next build.
 

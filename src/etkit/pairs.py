@@ -9,6 +9,17 @@ the sort key and normalize rewrite, rank, theta generators,
 abelianization, closed-form Betti numbers and the recursive log level);
 the module-level functions of the same names delegate to them.  A small
 textual grammar and the theta-image invariants live here too.
+
+``validate``, ``normalize`` and ``theta_image`` remember their answers
+on the expression object, so each walks a tree once per prime.  The
+memo is a dict by p in the instance ``__dict__``, as
+``functools.cached_property`` keeps its values: it is no dataclass field,
+so equality, hash, repr and JSON never see it.  It is keyed by p because
+validity is: E is valid at p = 2 only, and a p-adic block's default
+level is filled at p = 2 only.  A failed validation is not remembered.
+The normal form that ``normalize`` returns is remembered as valid and
+as its own normal form, by a flag rather than a reference to itself, so
+the memo makes no reference cycle.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     DenominatorNotInvertible,
@@ -54,6 +66,10 @@ class PairExpr:
     ``dims_closed_form(max_degree)`` and ``log_level_recursive()``, and
     overrides the two defaults below where they do not fit.
     """
+
+    # the read-only default of the per-object memo; ``_remember`` puts an
+    # object's own dict, by prime, into its instance ``__dict__``
+    _memo = MappingProxyType({})
 
     def validate(self, p: int) -> None:
         """Raise ValidationError unless the subtree is well formed at p."""
@@ -387,9 +403,40 @@ def default_level(case: str) -> int:
 
 def validate(e: PairExpr, p: int) -> None:
     """Check the structural invariants of ``e`` for the ambient prime."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    _validate(e, p)
+    _memo_at(e, p)
+
+
+class _Memo:
+    """What one expression object has shown at one prime.  The entry
+    exists once the object validated there; ``normal`` is its normal form,
+    or True when the object is one, and ``theta`` its theta image, each
+    None until first asked for."""
+
+    __slots__ = ("normal", "theta")
+
+    def __init__(self):
+        self.normal = self.theta = None
+
+
+def _memo_at(e: PairExpr, p: int) -> _Memo:
+    """The memo entry of ``e`` at p.  The first call at p validates e and
+    makes the entry; later calls return it and walk no node."""
+    entry = e._memo.get(p) if isinstance(e, PairExpr) else None
+    if entry is None:
+        if not is_prime(p):
+            raise ValidationError(f"{p} is not prime")
+        _validate(e, p)
+        entry = _remember(e, p)
+    return entry
+
+
+def _remember(e: PairExpr, p: int) -> _Memo:
+    """The memo entry of ``e`` at p, made if missing; e is valid at p."""
+    memo = e.__dict__.setdefault("_memo", {})
+    entry = memo.get(p)
+    if entry is None:
+        entry = memo[p] = _Memo()
+    return entry
 
 
 def _validate(e: PairExpr, p: int) -> None:
@@ -402,156 +449,160 @@ def _validate(e: PairExpr, p: int) -> None:
 # grammar
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>-?[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[*(),=/]))")
+# A token is an integer literal, an ASCII name or one punctuation mark;
+# whitespace separates tokens and is dropped.  Every other character, and
+# a '-' that no digit follows, starts no token: ``_BAD_RE`` finds the
+# first such character, and the text is sound if there is none.  A
+# sound text is tokens and whitespace only, so one ``findall`` splits it
+# with the same leftmost longest-alternative choice a match per token
+# makes, and a token's kind shows in its characters: a literal ends in a
+# digit, a name is letters, anything else is punctuation.
+_TOKEN_RE = re.compile(r"-?[0-9]+|[A-Za-z]+|[*(),=/]")
+_BAD_RE = re.compile(r"[^\s0-9A-Za-z*(),=/-]|-(?![0-9])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, or a ParseError at its first bad character."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    return _TOKEN_RE.findall(text)
 
 
-def _int_token(tok) -> int:
-    """The value of a "num" token; a literal past Python's int-to-str
-    digit limit is a grammar error at the token."""
-    try:
-        return int(tok[1])
-    except ValueError as exc:
-        raise ParseError(f"integer literal of {len(tok[1])} characters is too long",
-                         tok[2]) from exc
+def _token_starts(text: str) -> list[int]:
+    """The position of each token of a sound ``text``, for error messages."""
+    return [m.start() for m in _TOKEN_RE.finditer(text)]
 
 
 class _Parser:
+    """Recursive descent over the token strings.  An empty string ends the
+    list, so reading never runs off it; positions are looked up only when
+    an error is raised."""
+
     def __init__(self, text: str, p: int):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _tokenize(text) + [""]
         self.i = 0
         self.depth = 0
         self.p = p
-        self.length = len(text)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def at(self, i: int) -> int:
+        """Position of token i in the text; the text's length past the last."""
+        starts = _token_starts(self.text)
+        return starts[i] if i < len(starts) else len(self.text)
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
+    def fail(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.at(i))
+
+    def next(self) -> str:
+        tok = self.tokens[self.i]
+        if not tok:
+            raise ParseError("unexpected end of input", len(self.text))
         self.i += 1
         return tok
 
-    def expect(self, text: str):
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok[1] != text:
-            raise ParseError(f"expected {text!r}, found {tok[1]!r}", tok[2])
-        return tok
+        if tok != text:
+            raise self.fail(f"expected {text!r}, found {tok!r}", self.i - 1)
+
+    def integer(self, i: int, expects: str = "expected an integer") -> int:
+        """The value of token i, which must be a literal; a literal past
+        Python's int-to-str digit limit is a grammar error at the token."""
+        tok = self.tokens[i]
+        if not tok[-1].isdigit():
+            raise self.fail(f"{expects}, found {tok!r}", i)
+        try:
+            return int(tok)
+        except ValueError as exc:
+            raise self.fail(f"integer literal of {len(tok)} characters is too long",
+                            i) from exc
+
+    def next_integer(self) -> int:
+        self.next()
+        return self.integer(self.i - 1)
 
     def expr(self) -> PairExpr:
         if self.depth > MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError(f"expression nested more than {MAX_DEPTH} deep",
-                             tok[2] if tok else self.length)
+            raise self.fail(f"expression nested more than {MAX_DEPTH} deep", self.i)
         self.depth += 1
         factors = [self.term()]
-        while self.peek() and self.peek()[1] == "*":
-            self.next()
+        while self.tokens[self.i] == "*":
+            self.i += 1
             factors.append(self.term())
         self.depth -= 1
         if len(factors) == 1:
             return factors[0]
         return FreeProd(tuple(factors))
 
-    def integer(self) -> int:
-        tok = self.next()
-        if tok[0] != "num":
-            raise ParseError(f"expected an integer, found {tok[1]!r}", tok[2])
-        return _int_token(tok)
-
-    def rational(self) -> tuple[int, int]:
-        num = self.integer()
-        if self.peek() and self.peek()[1] == "/":
-            self.next()
-            return num, self.integer()
-        return num, 1
-
     def term(self) -> PairExpr:
         tok = self.next()
-        kind, text, pos = tok
-        if text == "(":
+        at = self.i - 1
+        if tok == "(":
             inner = self.expr()
             self.expect(")")
             return inner
-        if kind != "name":
-            raise ParseError(f"expected a term, found {text!r}", pos)
-        if text == "triv":
+        if not tok.isalpha():
+            raise self.fail(f"expected a term, found {tok!r}", at)
+        if tok == "triv":
             return Trivial()
-        if text == "E":
+        if tok == "E":
             return EBlock()
-        if text == "Z":
+        if tok == "Z":
             self.expect("(")
-            num, den = self.rational()
+            num = self.next_integer()
+            den = 1
+            if self.tokens[self.i] == "/":
+                self.i += 1
+                den = self.next_integer()
             self.expect(")")
             try:
                 alpha = make_unit(self.p, num, den)
             except (NotAUnit, DenominatorNotInvertible) as exc:
-                raise ValidationError(f"Z-block at position {pos}: {exc}") from exc
+                raise ValidationError(f"Z-block at position {self.at(at)}: {exc}") from exc
             return ZBlock(alpha)
-        if text == "ext":
+        if tok == "ext":
             self.expect("(")
-            m = self.integer()
+            m = self.next_integer()
             self.expect(",")
             base = self.expr()
             self.expect(")")
             return Ext(m, base)
-        if text == "padic":
+        if tok == "padic":
             self.expect("(")
             fields = self.keyvals()
             self.expect(")")
-            return self.block_from(fields, pos)
-        raise ParseError(f"unknown term {text!r}", pos)
+            return self.block_from(fields)
+        raise self.fail(f"unknown term {tok!r}", at)
 
-    def keyvals(self) -> dict:
-        fields: dict = {}
+    def keyvals(self) -> dict[str, int]:
+        """The block's keys, each to the index of its value token."""
+        fields: dict[str, int] = {}
         while True:
             key = self.next()
-            if key[0] != "name":
-                raise ParseError(f"expected a key, found {key[1]!r}", key[2])
+            if not key.isalpha():
+                raise self.fail(f"expected a key, found {key!r}", self.i - 1)
             self.expect("=")
-            val = self.next()
-            if key[1] in fields:
-                raise ParseError(f"duplicate key {key[1]!r}", key[2])
-            fields[key[1]] = val
-            nxt = self.peek()
-            if nxt and nxt[1] == ",":
-                self.next()
-                continue
-            return fields
+            self.next()
+            if key in fields:
+                raise self.fail(f"duplicate key {key!r}", self.i - 3)
+            fields[key] = self.i - 1
+            if self.tokens[self.i] != ",":
+                return fields
+            self.i += 1
 
-    def block_from(self, fields: dict, pos: int) -> PAdicBlock:
+    def block_from(self, fields: dict[str, int]) -> PAdicBlock:
         def intval(key):
-            tok = fields.pop(key, None)
-            if tok is None:
-                return None
-            if tok[0] != "num":
-                raise ParseError(f"{key} expects an integer, found {tok[1]!r}", tok[2])
-            return _int_token(tok)
+            i = fields.pop(key, None)
+            return None if i is None else self.integer(i, f"{key} expects an integer")
 
         n = intval("n")
         if n is None:
             raise ValidationError("padic block requires n")
-        case_tok = fields.pop("case", None)
-        if case_tok is None:
+        if "case" not in fields:
             raise ValidationError("padic block requires case")
-        case = case_tok[1]
-        if "f" in fields and fields["f"][1] == "inf":
+        case = self.tokens[fields.pop("case")]
+        if "f" in fields and self.tokens[fields["f"]] == "inf":
             del fields["f"]
             f = INF
         else:
@@ -565,8 +616,8 @@ class _Parser:
         if s is None and self.p == 2 and case in _DEFAULT_S:
             s = default_level(case)
         if fields:
-            key, tok = next(iter(fields.items()))
-            raise ParseError(f"unknown block key {key!r}", tok[2])
+            key, i = next(iter(fields.items()))
+            raise self.fail(f"unknown block key {key!r}", i)
         return PAdicBlock(n=n, q=q, case=case, f=f, s=s)
 
 
@@ -574,9 +625,9 @@ def parse(text: str, p: int) -> PairExpr:
     """Parse and validate an expression in the textual grammar."""
     parser = _Parser(text, p)
     e = parser.expr()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    tok = parser.tokens[parser.i]
+    if tok:
+        raise parser.fail(f"trailing input {tok!r}", parser.i)
     validate(e, p)
     return e
 
@@ -608,9 +659,21 @@ def sort_key(e: PairExpr):
 
 def normalize(e: PairExpr, p: int) -> PairExpr:
     """Canonical form: flatten and sort free products, drop trivial factors,
-    merge nested extensions, rewrite Ext(1,Trivial) and Ext(m,E)."""
-    validate(e, p)
-    return e.normalize(p)
+    merge nested extensions, rewrite Ext(1,Trivial) and Ext(m,E).
+
+    Computed once per object and prime.  The normal form of a valid tree
+    is valid at p and is its own normal form, so it is remembered as both
+    and ``normalize(normalize(e, p), p)`` returns its argument."""
+    entry = _memo_at(e, p)
+    ne = entry.normal
+    if ne is True:
+        return e
+    if ne is None:
+        ne = e.normalize(p)
+        _remember(ne, p).normal = True
+        if ne is not e:
+            entry.normal = ne
+    return ne
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +691,12 @@ def theta_generators(e: PairExpr, p: int) -> list[PAdicUnit]:
 
 
 def theta_image(e: PairExpr, p: int) -> UnitSubgroupInvariants:
-    """Invariants of the subgroup of units generated by the theta-values."""
-    validate(e, p)
-    return subgroup_invariants(p, theta_generators(e, p))
+    """Invariants of the subgroup of units generated by the theta-values,
+    computed once per object and prime."""
+    entry = _memo_at(e, p)
+    if entry.theta is None:
+        entry.theta = subgroup_invariants(p, theta_generators(e, p))
+    return entry.theta
 
 
 def abelianization(e: PairExpr, p: int) -> list[int]:

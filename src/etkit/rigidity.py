@@ -339,10 +339,10 @@ def check_rigidity_criterion(e: PairExpr, p: int) -> RigidityCriterionReport:
     return RigidityCriterionReport(not counter, len(outside), counter)
 
 
-def _keys(*maps: AugBilinearMap) -> list[np.ndarray]:
-    """Invariant key of every vector a of A_1, indexed like ``_all_vectors``,
-    for each of ``maps``, which share p, d and e and whose p^d the caller
-    has checked against the bound.
+def _keys(vecs: np.ndarray, *maps: AugBilinearMap) -> list[np.ndarray]:
+    """Invariant key of every vector a of A_1, indexed like ``vecs``, which
+    is ``_all_vectors(p, d)``, for each of ``maps``, which share p, d and
+    e and whose p^d the caller has checked against the bound.
 
     The key packs rank(b -> B(a, b)), rank(b -> B(b, a)), the rank of the
     two together, whether B(a, a) = 0 and whether a = eps.  The maps not
@@ -354,7 +354,6 @@ def _keys(*maps: AugBilinearMap) -> list[np.ndarray]:
     todo = list({id(m): m for m in maps if "keys" not in m._cache}.values())
     if todo:
         p, d, e, k = todo[0].p, todo[0].d, todo[0].e, len(todo)
-        vecs = _all_vectors(p, d)
         keys = np.empty((k, len(vecs)), dtype=np.int64)
         # row i of flat holds, for each map, B(e_i, e_j) and then B(e_j, e_i)
         # for every j, so a @ flat holds B(a, e_j) and B(e_j, a); batch_rank
@@ -475,10 +474,10 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
     _check_bound(p, d)
     if m1.eps.any() != m2.eps.any():
         return None
-    k1, k2 = _keys(m1, m2)
+    vecs = _all_vectors(p, d)
+    k1, k2 = _keys(vecs, m1, m2)
     if not np.array_equal(np.bincount(k1), np.bincount(k2)):
         return None
-    vecs = _all_vectors(p, d)
     place = _place(p, d)
     cands = [vecs[np.flatnonzero(k2[1:] == k1[place[j]]) + 1] for j in range(d)]
     order = sorted(range(d), key=lambda j: len(cands[j]))

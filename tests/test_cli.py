@@ -494,6 +494,36 @@ def test_field_model_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["dim"] == 3
 
 
+@pytest.mark.parametrize("spelling", ["f.json", "f.json/", "./f.json/."])
+def test_json_argument_path_spellings(tmp_path, monkeypatch, capsys, spelling):
+    # a trailing '/' or '/.' still names the file, as pathlib reads it
+    (tmp_path / "f.json").write_text(DYADIC)
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "field", "classgroup", "--p", "2", "--model", spelling)
+    assert code == 0 and json.loads(out)["dim"] == 3
+
+
+def test_json_argument_inline_and_missing_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli._load_structured(DYADIC, "model") == json.loads(DYADIC)
+    for missing in ("f.json", "f.json/", "./missing/f.json", str(tmp_path / "f.json")):
+        code, err = run(capsys, "field", "classgroup", "--p", "2", "--model", missing)
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "could not parse --model: Expecting value: line 1 column 1 (char 0)",
+            "kind": "ValidationError"}
+
+
+@pytest.mark.parametrize("text, char, position",
+                         [("ext(1, E) # note", "#", 10), ("E  $", "$", 3)])
+def test_bad_character_after_whitespace_is_named(capsys, text, char, position):
+    code, err = run(capsys, "parse", "--p", "2", text)
+    assert code == 1
+    assert json.loads(err) == {
+        "error": f"unexpected character {char!r} (at position {position})",
+        "kind": "ParseError"}
+
+
 def test_oracle_verbs(capsys):
     d4 = '{"kind":"dihedral","order":8}'
     code, out = run(capsys, "oracle", "h2", "--group", d4, "--p", "2")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from etkit import pairs
 from etkit.errors import ParseError, ValidationError
 from etkit.pairs import (
     EBlock,
@@ -25,6 +26,7 @@ from etkit.pairs import (
     validate,
 )
 from randexpr import random_expr, random_padic
+from token_oracle import tokenize as oracle_tokenize
 from etkit.units import make_unit
 from unit_closure import closure_invariants, depth
 
@@ -86,6 +88,50 @@ def test_parse_errors_carry_position():
         parse("Z(4)", 2)
     with pytest.raises(ValidationError):
         parse("E", 3)
+
+
+# ASCII, the whitespace \s reads (no-break, file separator, em space) and
+# characters no token holds (an Arabic-Indic digit, a letter outside ASCII)
+_TEXT = st.text(st.one_of(
+    st.sampled_from(list("0123456789-*(),=/ \t\nEZtrivextpadicnqs#$")
+                    + ["\xa0", "\x1c", "\u2003", "\u0663", "\xe9"]),
+    st.characters()), max_size=40)
+
+
+@given(_TEXT)
+@example("ext(1, E) # note")
+@example("E  $")
+@example("Z(- 3)")
+@example("5-5 -x")
+@example("Z(\u0663) \xa0")
+def test_tokenizer_matches_match_loop_oracle(text):
+    """The same tokens, kinds and positions as one match per token, and
+    the same error, but at the bad character rather than the whitespace
+    before it."""
+    try:
+        want = oracle_tokenize(text)
+    except ParseError as exc:
+        pos = exc.position
+        while text[pos].isspace():
+            pos += 1
+        with pytest.raises(ParseError) as info:
+            pairs._tokenize(text)
+        assert str(info.value) == f"unexpected character {text[pos]!r} (at position {pos})"
+        assert info.value.position == pos
+        return
+    got = pairs._tokenize(text)
+    # the parser's kind of a token: a literal ends in a digit, a name is letters
+    kinds = ["num" if t[-1].isdigit() else "name" if t.isalpha() else "punct"
+             for t in got]
+    assert list(zip(kinds, got, pairs._token_starts(text))) == want
+
+
+def test_bad_character_is_named_after_whitespace():
+    for text, char, pos in (("ext(1, E) # note", "#", 10), ("E  $", "$", 3),
+                            ("Z(- 3)", "-", 2), ("E\u2003\u0663", "\u0663", 2)):
+        with pytest.raises(ParseError) as info:
+            parse(text, 2)
+        assert str(info.value) == f"unexpected character {char!r} (at position {pos})"
 
 
 def test_validation_rules():
@@ -258,6 +304,7 @@ def test_random_exprs_stay_valid_after_normalize(seed):
     rng = random.Random(seed)
     p = rng.choice([2, 3])
     e = random_expr(rng, p, max_rank=8)
-    validate(e, p)
-    # normalization is idempotent
-    assert normalize(e, p) == e
+    # the node walks, since normalize and validate answer a normal form
+    # from its memo: a normal form is valid and normalization idempotent
+    e.validate(p)
+    assert e.normalize(p) == e

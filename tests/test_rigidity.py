@@ -289,7 +289,7 @@ def test_keys_match_per_vector_ranks(maps, cells):
     def keyed(*args):
         """The keys of ``args``, and how many maps were keyed for them."""
         ranked.clear()
-        return _keys(*args), sum(ranked) // m1.p ** m1.d
+        return _keys(_all_vectors(m1.p, m1.d), *args), sum(ranked) // m1.p ** m1.d
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rigidity, "_CHUNK_CELLS", cells)
@@ -648,7 +648,7 @@ SAME_KEYS = [
 def test_equal_keys_inequivalent(t1, eps1, t2, eps2):
     m1 = _map(2, np.reshape(t1, (3, 3, 1)), eps1)
     m2 = _map(2, np.reshape(t2, (3, 3, 1)), eps2)
-    k1, k2 = _keys(m1, m2)
+    k1, k2 = _keys(_all_vectors(m1.p, m1.d), m1, m2)
     assert k1[0] == k2[0] and sorted(k1) == sorted(k2)
     assert _find_equivalence_brute(m1, m2) is None
     assert find_equivalence(m1, m2) is None
@@ -660,7 +660,7 @@ def test_search_at_dimension_four():
                              [0, 0, 0, 0]], (4, 4, 1)), [0] * 4)
     m2 = _map(2, np.reshape([[0, 1, 0, 0], [0, 1, 0, 1], [0, 1, 1, 1],
                              [0, 0, 1, 1]], (4, 4, 1)), [0] * 4)
-    k1, k2 = _keys(m1, m2)
+    k1, k2 = _keys(_all_vectors(m1.p, m1.d), m1, m2)
     assert sorted(k1) == sorted(k2)
     assert find_equivalence(m1, m2) is None
     # p^(d^2) = 3^16 lies far above the brute-force cap
@@ -736,7 +736,7 @@ def test_search_bounds_raise(monkeypatch):
 def test_eps_refused_before_keys(monkeypatch):
     """One eps zero and the other not: refused with no key computed, and
     after the p^d bound.  Equal eps, zero or not, still take the keys."""
-    def no_keys(*maps):
+    def no_keys(*args):
         raise AssertionError("keyed")
 
     monkeypatch.setattr(rigidity, "_keys", no_keys)
