@@ -582,6 +582,16 @@ def symbol_vector(model: FieldModel, p: int, a, b) -> np.ndarray:
     return np.einsum("i,ijk,j->k", x, _symbol_tensor(model, p), y) % p
 
 
+def _symbols_of(model: FieldModel, p: int, a):
+    """y -> {a, y}, as ``symbol_vector`` gives it for a nonzero y, with
+    M = class(a)^T T mod p, a d x e matrix, built once: {a, y} is then
+    class(y) M mod p.  Raises PrecisionExhausted where ``symbol_vector``
+    does, from ``class_of``."""
+    x = np.array(model.class_of(p, a), dtype=np.int64)
+    m = np.einsum("i,ijk->jk", x, _symbol_tensor(model, p)) % p
+    return lambda y: np.array(model.class_of(p, y), dtype=np.int64) @ m % p
+
+
 # ---------------------------------------------------------------------------
 # Galois-pair prediction and the pairing match
 
@@ -665,12 +675,13 @@ def trichotomic_search(model: FieldModel, p: int, a,
     ops = model.domain()
     candidates = islice(model.pool(p), bound)
     searched = 0
-    if not symbol_vector(model, p, a, ops.minus_one).any():
+    symbol = _symbols_of(model, p, a)  # every pool candidate is nonzero
+    if not symbol(ops.minus_one).any():
         for searched, b in enumerate(candidates, 1):
             try:
                 one_minus_b = ops.sub(ops.one, b)
-                if (ops.is_zero(one_minus_b) or symbol_vector(model, p, a, b).any()
-                        or symbol_vector(model, p, a, one_minus_b).any()):
+                if (ops.is_zero(one_minus_b) or symbol(b).any()
+                        or symbol(one_minus_b).any()):
                     continue
             except PrecisionExhausted:
                 continue

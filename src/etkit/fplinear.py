@@ -13,9 +13,16 @@ Two eliminators, one for each shape of work:
   the whole stack at once.  At p = 2 the rows are packed into uint64
   words and reduced by XOR (``xor_rank``, which the p = 2 rigidity scan
   also feeds with the rows it builds itself; rows of one word pivot on
-  row & -row with no gather), at odd p in int64.  It gives ranks only.
-  Small stacks cost numpy's fixed cost per call more than elimination,
-  so callers rank as many matrices per call as their chunk allows.
+  row & -row with no gather), at odd p in the narrowest of int16, int32
+  and int64 that holds every entry its lazy reduction can reach
+  (``lane``), or in the stack's own type when that is wider.  An int64
+  stack stays int64: narrowing it inside ``batch_rank`` costs a
+  reduction and a cast pass more, which made the equivalence search's
+  p = 3 queries 1-6% slower in process, so a caller that wants a narrow
+  lane builds its stack in one, as the odd-p rigidity scan does.  It
+  gives ranks only.  Small stacks cost numpy's fixed cost per call more
+  than elimination, so callers rank as many matrices per call as their
+  chunk allows.
 """
 
 from __future__ import annotations
@@ -76,36 +83,42 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def batch_rank(stack, p: int) -> np.ndarray:
-    """Ranks over F_p of a stack of matrices of shape (n, rows, cols).
+    """Ranks over F_p of a stack of matrices of shape (n, rows, cols),
+    with entries of a signed integer type.
 
     The matrices are transposed when rows > cols, so the elimination runs
-    over min(rows, cols) rows, one at a time: a row, once reduced, pivots
-    on its first nonzero entry and clears that column from the rows below
-    it.  The stack axis goes last, so that each step runs over all n
-    matrices in numpy's inner loop.  At p = 2 each row is packed into
-    words and eliminated by XOR (``xor_rank``); at odd p the whole stack
-    is eliminated at once in int64.
+    over k = min(rows, cols) rows, one at a time: a row, once reduced,
+    pivots on its first nonzero entry and clears that column from the
+    rows below it.  The stack axis goes last, so that each step runs over
+    all n matrices in numpy's inner loop.  At p = 2 each row is packed
+    into words and eliminated by XOR (``xor_rank``); at odd p the whole
+    stack is eliminated at once.
 
     At odd p the block is reduced mod p lazily: a row is reduced only when
     it pivots, and each row below only at the pivot column, where its
     entry times the pivot's inverse gives its factor.  A step subtracts
     (factor) x (pivot row entry), both in 0..p-1, and a row takes at most
-    min(rows, cols) - 1 steps before it pivots, so every entry stays below
-    (p - 1) + (min(rows, cols) - 1) (p - 1)^2 in absolute value, and an
-    entry times an inverse below p times that.  Every caller ranks
-    matrices with min(rows, cols) <= d^2 under the scan bound
-    p^d <= 2^16 (``rigidity.DEFAULT_ENUM_BOUND``), which keeps the entries
-    below 2^32 and their products with an inverse below 2^48, far inside
-    int64.
+    k - 1 steps before it pivots, so every entry stays at most
+    B = (p - 1) + (k - 1) (p - 1)^2 in absolute value, an entry times an
+    inverse below p B, and so does the x // p * p of its reduction, which
+    lies between x - p + 1 and x.  So the elimination runs in
+    ``lane(p, k)``, the narrowest signed type that holds p B, or in the
+    stack's own type when that is wider: the type conversion rides on the
+    one transposing copy that puts the stack axis last, so an int64 stack
+    stays int64 and pays no extra pass, and a narrow stack is widened,
+    never wrapped.  Every caller ranks matrices with k <= d^2 under the
+    scan bound p^d <= 2^16 (``rigidity.DEFAULT_ENUM_BOUND``), so p B
+    stays below 2^48.
     """
-    m = np.asarray(stack, dtype=np.int64)
+    m = np.asarray(stack)
     if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)
     n, rows, cols = m.shape
     if p == 2:
         return xor_rank(np.ascontiguousarray(pack_words(m).transpose(1, 2, 0)))
-    m = _mod(np.ascontiguousarray(m.transpose(1, 2, 0)), p)
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    dtype = np.promote_types(m.dtype, lane(p, rows))
+    m = _mod(np.ascontiguousarray(m.transpose(1, 2, 0), dtype=dtype), p)
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype)
     ranks = np.zeros(n, dtype=np.int64)
     idx = np.arange(n)
     for i in range(rows if cols else 0):
@@ -118,6 +131,16 @@ def batch_rank(stack, p: int) -> np.ndarray:
         factor = _mod(below[:, lead, idx] * inverse[piv], p)
         below -= factor[:, None, :] * row
     return ranks
+
+
+def lane(p: int, k: int, held: int = 0) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds every entry of
+    an odd-p ``batch_rank`` of matrices whose smaller side is k, at most
+    p ((p - 1) + (k - 1) (p - 1)^2) in absolute value, and every integer
+    up to ``held`` in absolute value."""
+    bound = max(p * ((p - 1) + (k - 1) * (p - 1) ** 2), held)
+    return np.dtype(np.int16 if bound < 2**15 else np.int32 if bound < 2**31
+                    else np.int64)
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:

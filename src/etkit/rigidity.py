@@ -18,8 +18,13 @@ working memory stays fixed, and caches them on the map:
   (``fplinear.xor_rank``), and u W_a is the XOR of the rows that u
   selects.
 - at odd p, eps = 0 and W_ca = c W_a, so the flags are constant on lines:
-  only the vectors whose first nonzero coordinate is 1 are ranked, in
-  int64, and each flag is spread over the p - 1 multiples.
+  only the vectors whose first nonzero coordinate is 1 are ranked, and
+  each flag is spread over the p - 1 multiples.  W_a and u W_a are built
+  by ``einsum`` (numpy has no BLAS for integers) in the narrowest signed
+  type that holds them unreduced and also holds ``batch_rank``'s
+  elimination (``fplinear.lane``), so that the elimination runs in that
+  type with no wider copy: int16 at p = 3, where the budget of a chunk,
+  counted in bytes, then holds four times the matrices of int64.
 
 The N-subspace, the span of eps and the non-rigid vectors, is grown by
 closure over vector indices, at most dim N steps, and its RREF is read
@@ -55,28 +60,33 @@ import numpy as np
 
 from .cohomology import GradedAlgebra, build_cohomology
 from .errors import DimensionTooLarge, NotAnExtension, ValidationError
-from .fplinear import batch_rank, pack_words, rref, xor_rank
+from .fplinear import batch_rank, lane, pack_words, rref, xor_rank
 from .pairs import Ext, PairExpr, normalize
 
 # A scan lists all p^d vectors of A_1 in its output, so the bound is set by
 # output size.  Working memory is fixed by the chunk budgets whatever the
-# bound: _CHUNK_CELLS int64 entries per batched elimination at odd p and in
-# the equivalence search, and per map in _keys, which keys a chunk of
-# _CHUNK_CELLS // (6 d e) vectors in both maps at once; _CHUNK_WORDS uint64
+# bound, and they are counted in bytes: _CHUNK_BYTES (128 KiB) per batched
+# elimination at odd p, in the scan's lane (2^16 int16 entries at p = 3,
+# four times the matrices of an int64 chunk) and in int64 in the
+# equivalence search, and per map in _keys, which keys a chunk of
+# _CHUNK_BYTES // (48 d e) vectors in both maps at once; _CHUNK_WORDS uint64
 # words of W_a per chunk of the p = 2 scan (512 KiB).  A budget shared by
 # the two maps of _keys would cut the step at d = 12, e = 66 from 3 vectors
 # to 1: the pairing fallback's yes answer on the 11-level tower then took
 # 1.15-1.21 s against 0.74-0.83 s (in process, first call, 2-core machine).
-# For the row-by-row eliminations (in process, best of 3, two sweeps on a
-# shared 2-core machine), 2^16 cells against 2^14 sped up the 3^10 scan of
-# ext(9,Z(7)) (0.41-0.44 s against 0.51-0.54 s) but not the bench's
-# equivalence rounds (0.33-0.40 against 0.31-0.34 ms per item) nor its p = 3
-# scans (0.57-0.64 against 0.61 ms); the scan of ext(15,E) took 0.15-0.19 s
-# at 2^14 words, 0.12-0.14 s at 2^16 and 0.11-0.12 s at 2^17, and the
-# bench's p = 2 maps fit one chunk from 2^13 words on.
+# For the row-by-row int64 eliminations (in process, best of 3, two sweeps
+# on a shared 2-core machine), 512 KiB against 128 KiB sped up the 3^10
+# scan of ext(9,Z(7)) (0.41-0.44 s against 0.51-0.54 s) but not the bench's
+# equivalence rounds (0.33-0.40 against 0.31-0.34 ms per item) nor its
+# p = 3 scans (0.57-0.64 against 0.61 ms); the scan of ext(15,E) took
+# 0.15-0.19 s at 2^14 words, 0.12-0.14 s at 2^16 and 0.11-0.12 s at 2^17,
+# and the bench's p = 2 maps fit one chunk from 2^13 words on.  The int16
+# lane in the same 128 KiB took the bench's p = 3, d = 6 scans from 1.23 to
+# 0.95 ms per item (median, min of 3 runs), ranking their 364 lines in one
+# chunk instead of two, and the 3^10 scan from 0.49-0.52 s to 0.23-0.25 s.
 DEFAULT_ENUM_BOUND = 2**16
 DEFAULT_PAIR_CAP = 2_000_000
-_CHUNK_CELLS = 2**14
+_CHUNK_BYTES = 2**17
 _CHUNK_WORDS = 2**16
 
 
@@ -174,12 +184,17 @@ def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
         bit = np.left_shift(1, np.arange(d), dtype=np.int64)
         step = max(1, _CHUNK_WORDS // max(1, d * w))
     else:
-        flat = bmap.tensor.reshape(d, d * e)
-        step = max(1, _CHUNK_CELLS // max(1, d * e))
+        # W_a = a @ flat, unreduced, has entries up to d (p - 1)^2, and
+        # u W_a up to d (p - 1) times that; both are built in a lane that
+        # also holds batch_rank's elimination, so that it ranks them as
+        # they are, with no wider copy
+        dtype = lane(p, min(d, e), d * d * (p - 1) ** 3)
+        flat = bmap.tensor.reshape(d, d * e).astype(dtype)
+        step = max(1, _CHUNK_BYTES // max(1, dtype.itemsize * d * e))
     for s in range(0, len(vecs), step):
         a = vecs[s : s + step]
-        u = (bmap.eps + a) % p
         if p == 2:
+            u = (bmap.eps + a) % p
             x = a @ bit
             wa = np.zeros((d, w, len(a)), dtype=np.uint64)
             for g, t in enumerate(tables):
@@ -189,7 +204,9 @@ def _rank_flags(bmap: AugBilinearMap, vecs: np.ndarray) -> np.ndarray:
                 wa * u.T.astype(np.uint64)[:, None, :], axis=0).any(axis=0)
             r = xor_rank(wa)
         else:
-            wa = (a @ flat).reshape(len(a), d, e)  # batch_rank reduces it
+            u = a = a.astype(dtype)  # eps = 0 at odd p
+            # numpy has no BLAS for integers, and einsum beats @ on them
+            wa = np.einsum("ci,ij->cj", a, flat).reshape(len(a), d, e)
             u_kills = ~(np.einsum("cj,cjk->ck", u, wa) % p).any(axis=1)
             r = batch_rank(wa, p)
         flags[s : s + step] = (
@@ -361,7 +378,7 @@ def _keys(vecs: np.ndarray, *maps: AugBilinearMap) -> list[np.ndarray]:
         flat = np.concatenate(
             [t for m in todo for t in (m.tensor, m.tensor.transpose(1, 0, 2))],
             axis=1).reshape(d, 2 * k * d * e)
-        step = max(1, _CHUNK_CELLS // max(1, 6 * d * e))
+        step = max(1, _CHUNK_BYTES // max(1, 8 * 6 * d * e))
         for s in range(0, len(vecs), step):
             a = vecs[s : s + step]
             sides = (a @ flat).reshape(len(a), k, 2, d, e)
@@ -489,7 +506,7 @@ def find_equivalence(m1: AugBilinearMap, m2: AugBilinearMap):
         x1 = m1.tensor[s][:, s].reshape((j + 1) ** 2, e)
         cells = max(len(lam) * d, 4 * len(x1) * e, 1)
         levels.append((lam, k1[lam @ place[s]], x1,
-                       max(1, _CHUNK_CELLS // cells)))
+                       max(1, _CHUNK_BYTES // (8 * cells))))
     flat2 = m2.tensor.reshape(d, d * e)
     try_p = _q_finder(m1, m2)
     nodes = 0

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import time
@@ -270,6 +271,51 @@ def test_trichotomic_examples():
         trichotomic_search(DyadicRational(), 2, Fraction(4))
     j = r.to_json()
     assert set(j) == {"verdict", "witness", "searched", "searchBound"}
+
+
+@st.composite
+def _symbol_rows(draw):
+    """(model, p, i): a backend at p in {2, 3}, towers up to depth two
+    included, and the index of an element a among the head of its pool."""
+    p = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["finite", "local", "tower", "complex"]
+                                + (["dyadic", "real"] if p == 2 else [])))
+    if kind == "local":
+        model = LocalRational(draw(st.sampled_from(
+            [ell for ell in (3, 5, 7, 13, 19) if (ell - 1) % p == 0])))
+    elif kind in ("dyadic", "real", "complex"):
+        model = {"dyadic": DyadicRational(), "real": RealField(),
+                 "complex": ComplexField()}[kind]
+    else:
+        model = FiniteField(draw(st.sampled_from(
+            [q for q in (3, 4, 5, 7, 9, 13, 16, 25) if (q - 1) % p == 0])))
+        if kind == "tower":
+            for var in "tu"[: draw(st.integers(1, 2))]:
+                model = Laurent(model, var, draw(st.integers(2, 4)))
+    return model, p, draw(st.integers(0, 39))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symbol_rows())
+def test_hoisted_symbols_match_symbol_vector(case):
+    """``trichotomic_search`` reads {a, y} as class(y) M with M built once;
+    it must give ``symbol_vector`` for -1, each pool candidate b and 1 - b,
+    and raise PrecisionExhausted where it does."""
+    model, p, i = case
+    ops = model.domain()
+    pool = list(islice(model.pool(p), 40))
+    a = pool[i % len(pool)]
+    symbol = field_models._symbols_of(model, p, a)
+    ys = [ops.minus_one] + pool  # nonzero
+    for b in pool:
+        # the search tries 1 - b only once it is known to be nonzero
+        with contextlib.suppress(PrecisionExhausted):
+            y = ops.sub(ops.one, b)
+            if not ops.is_zero(y):
+                ys.append(y)
+    for y in ys:
+        assert (_outcome(lambda *_: symbol(y), model, p, a, y)
+                == _outcome(symbol_vector, model, p, a, y))
 
 
 def test_o_membership_examples():

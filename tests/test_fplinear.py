@@ -15,6 +15,7 @@ from etkit.fplinear import (
     echelon_reduce,
     is_prime,
     kernel_basis,
+    lane,
     rref,
     sparse_row,
     xor_rank,
@@ -201,10 +202,55 @@ def odd_prime_stacks(draw):
     return p, np.array(mats, dtype=np.int64).reshape(len(mats), rows, cols)
 
 
+def _ranked_stack(p, rows, cols):
+    """Three seeded matrices over F_p, of full rank, of rank one less and
+    zero."""
+    rng = np.random.default_rng(p * 1000 + rows)
+    k = min(rows, cols)
+    return p, np.array([rng.integers(p, size=(rows, r)) @ rng.integers(p, size=(r, cols)) % p
+                        for r in (k, k - 1, 0)], dtype=np.int64)
+
+
 @given(odd_prime_stacks())
+@example(_ranked_stack(181, 1, 5))  # int16 at k = 1
+@example(_ranked_stack(191, 1, 5))  # int32
+@example(_ranked_stack(46337, 5, 1))  # int32, transposed to k = 1
+@example(_ranked_stack(46349, 1, 5))  # int64
+@example(_ranked_stack(13, 18, 20))  # int16 by the (k - 1)(p - 1)^2 term
+@example(_ranked_stack(13, 20, 19))  # int32 by that term
 def test_batch_rank_matches_dense_oracle_at_odd_p(data):
+    """Each stack as drawn, in int64, and in the narrowest signed type that
+    holds its entries, from which the elimination widens to its lane."""
     p, stack = data
-    assert batch_rank(stack, p).tolist() == [dense_fp.rank(m, p) for m in stack]
+    want = [dense_fp.rank(m, p) for m in stack]
+    assert batch_rank(stack, p).tolist() == want
+    assert batch_rank(stack.astype(np.min_scalar_type(-p)), p).tolist() == want
+
+
+def test_lane_boundaries():
+    """The lane holds p ((p - 1) + (k - 1) (p - 1)^2), which crosses 2^15 - 1
+    between p = 181 and 191 at k = 1, and between k = 18 and 19 at p = 13;
+    and 2^31 - 1 between p = 46337 and 46349 at k = 1."""
+    got = [lane(p, k) for p, k in [(181, 1), (191, 1), (13, 18), (13, 19),
+                                     (46337, 1), (46349, 1)]]
+    assert got == [np.dtype(t) for t in (np.int16, np.int32, np.int16, np.int32,
+                                         np.int32, np.int64)]
+    assert lane(3, 1, held=2**15) == np.dtype(np.int32)
+
+
+def test_narrow_stack_widens_to_its_lane():
+    """An int16 stack at p = 181 with k = 3 needs int32 (the bound is
+    p (180 + 2 * 180^2), past 2^15): its products with an inverse reach
+    millions, so an int16 elimination would wrap.  It is widened, and
+    ranks as it does in int64."""
+    rng = np.random.default_rng(181)
+    p = 181
+    stack = np.array([rng.integers(p, size=(3, r)) @ rng.integers(p, size=(r, 4)) % p
+                      for r in [3, 2, 1] * 20], dtype=np.int16)
+    assert lane(p, 3) == np.dtype(np.int32)
+    want = [dense_fp.rank(m, p) for m in stack]
+    assert batch_rank(stack, p).tolist() == want
+    assert batch_rank(stack.astype(np.int64), p).tolist() == want
 
 
 def test_solve_reports_inconsistency():

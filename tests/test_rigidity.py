@@ -190,7 +190,7 @@ def chunked_scans(draw):
     if p == 2:
         eps = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
     return (_map(p, np.reshape(cells, (d, d, e)), eps),
-            draw(st.integers(1, 3 * max(1, d * e))),
+            draw(st.integers(1, 6 * max(1, d * e))),
             draw(st.integers(1, 3 * max(1, e))))
 
 
@@ -198,9 +198,9 @@ def chunked_scans(draw):
 @example((_map(3, np.zeros((0, 0, 2)), []), 1, 1))  # d = 0
 @example((_map(2, np.ones((7, 7, 0)), [1] * 7), 1, 1))  # e = 0, eps != 0
 def test_chunked_scan_matches_enumeration(case):
-    m, cells, words = case
+    m, chunk_bytes, words = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rigidity, "_CHUNK_CELLS", cells)
+        mp.setattr(rigidity, "_CHUNK_BYTES", chunk_bytes)
         mp.setattr(rigidity, "_CHUNK_WORDS", words)
         vecs, flags = _scan(m)
     every_b = _all_vectors(m.p, m.d)
@@ -236,6 +236,53 @@ def test_scan_across_words_matches_enumeration(m):
     vecs, flags = _scan(m)
     every_b = _all_vectors(m.p, m.d)
     assert flags.tolist() == [_rigid_one(m, a, every_b) for a in vecs]
+
+
+def _rank_rule(m: AugBilinearMap, a) -> bool:
+    """Rigidity of a nonzero a at odd p from dense ranks: rank W_a = d, or
+    rank W_a = d - 1 and a W_a = 0."""
+    w = np.einsum("i,ijk->jk", a, m.tensor) % m.p
+    r = rank(w, m.p)
+    return r == m.d or (r == m.d - 1 and not (a @ w % m.p).any())
+
+
+def _lane_maps(p: int) -> list[AugBilinearMap]:
+    """Maps at d = 2 over F_p.  The first is C (x) (1, 1) with
+    C = [[0, -1], [-1, -1]]: every W_a has rank at most one, and the line
+    of (1, p - 2) is rigid, its unreduced a W_a (p - 2)(p - 1)p, near the
+    (p - 1) p^2 that bounds a line's representative.  The others are
+    seeded, of rank at most one and of any rank."""
+    rng = np.random.default_rng(p)
+    c = np.array([[0, p - 1], [p - 1, p - 1]])
+    return [_map(p, c[:, :, None] * np.ones(2, dtype=np.int64), [0, 0]),
+            _map(p, rng.integers(p, size=(2, 2, 1)) * rng.integers(p, size=3), [0, 0]),
+            _map(p, rng.integers(p, size=(2, 2, 3)), [0, 0])]
+
+
+@pytest.mark.parametrize("p", [19, 23, 31, 37, 251])
+def test_odd_scan_lanes_match_dense_ranks(p):
+    """A scan at d = 2 builds W_a and a W_a in the lane that holds
+    d^2 (p - 1)^3: int16 at p = 19, int32 from p = 23 on.  A scan ranks
+    line representatives only, whose a W_a stays below (p - 1) p^2, past
+    2^15 between p = 31 and 37; at p = 251 an int16 product would wrap.
+    Every vector is checked up to p = 37; at p = 251 the 252 that the scan
+    ranks, those whose first nonzero coordinate is 1 (the spread over
+    their multiples is the same code at every p)."""
+    for m in _lane_maps(p):
+        vecs, flags = _scan(m)
+        check = (vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] == 1) | (p < 100)
+        assert flags[check].tolist() == [_rank_rule(m, a) for a in vecs[check]]
+
+
+@pytest.mark.parametrize("p", [19, 23, 31])
+def test_is_rigid_lanes_match_dense_ranks(p):
+    """``is_rigid`` takes any vector, not only a line's representative, so
+    a W_a reaches d^2 (p - 1)^3.  On the first map at p = 31, a = (16, 30)
+    lies on the rigid line, and its unreduced a W_a is 55,800, past 2^15
+    in a lane that held only W_a's d (p - 1)^2."""
+    for m in _lane_maps(p):
+        vecs = _all_vectors(p, 2)[1:]
+        assert [is_rigid(m, a) for a in vecs] == [_rank_rule(m, a) for a in vecs]
 
 
 @st.composite
@@ -274,10 +321,10 @@ def _dense_keys(m: AugBilinearMap) -> list[int]:
     return want
 
 
-@given(key_maps(), st.sampled_from([1, 2**14]))
+@given(key_maps(), st.sampled_from([1, 2**17]))
 @example((_map(2, np.zeros((3, 3, 0)), [1, 0, 1]),
           _map(2, np.zeros((3, 3, 0)), [0, 0, 0])), 1)  # e = 0
-def test_keys_match_per_vector_ranks(maps, cells):
+def test_keys_match_per_vector_ranks(maps, chunk_bytes):
     m1, m2 = maps
     m3, m4 = (_map(m.p, m.tensor, m.eps) for m in maps)  # fresh, uncached copies
     real, ranked = rigidity._side_by_side_ranks, []
@@ -292,7 +339,7 @@ def test_keys_match_per_vector_ranks(maps, cells):
         return _keys(_all_vectors(m1.p, m1.d), *args), sum(ranked) // m1.p ** m1.d
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rigidity, "_CHUNK_CELLS", cells)
+        mp.setattr(rigidity, "_CHUNK_BYTES", chunk_bytes)
         mp.setattr(rigidity, "_side_by_side_ranks", counted)
         (k1, k2), both = keyed(m1, m2)
         (k3, k3_again), once = keyed(m3, m3)
