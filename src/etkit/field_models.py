@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
+from math import gcd
 
 import numpy as np
 
@@ -124,16 +125,17 @@ def hilbert2(a: Fraction, b: Fraction) -> int:
 
 
 def _rational_pool():
-    seen = {Fraction(0), Fraction(1)}
-    h = 2
+    """Every nonzero rational but 1, by height |num| + den, then by den,
+    num before -num.  A reduced num/den is the one spelling of its
+    value, so the gcd test alone keeps each value once, with no set."""
+    yield Fraction(-1)  # height 2: 1 itself is left out
+    h = 3
     while True:
         for den in range(1, h):
             num_abs = h - den
-            for num in (num_abs, -num_abs):
-                f = Fraction(num, den)
-                if f.denominator == den and f not in seen:
-                    seen.add(f)
-                    yield f
+            if gcd(num_abs, den) == 1:
+                yield Fraction(num_abs, den)
+                yield Fraction(-num_abs, den)
         h += 1
 
 
@@ -220,7 +222,8 @@ class FieldModel(ABC):
     def residue(self) -> FieldModel | None:
         """The residue field of a backend complete for a discrete
         valuation and tame for p, whose uniformizer is its last class;
-        None for a backend without one."""
+        None for a backend without one.  A backend that names one also
+        gives ``val(x)``, the valuation of a nonzero x."""
         return None
 
     def symbol_tensor(self, p: int) -> np.ndarray:
@@ -340,6 +343,9 @@ class LocalRational(FieldModel):
 
     def residue(self):
         return FiniteField(self.ell)
+
+    def val(self, x):
+        return _val_unit(x, self.ell)[0]
 
     def predict(self, p):
         return Ext(1, ZBlock(make_unit(p, self.ell)))
@@ -491,6 +497,9 @@ class Laurent(FieldModel):
 
     def residue(self):
         return self.base
+
+    def val(self, x):
+        return self._ring.val(x)
 
     def predict(self, p):
         return Ext(1, self.base.predict(p))
@@ -747,6 +756,10 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     O^- = (1-S) and H intersected; O^+ multiplies O^- into itself.  O^-
     is decided exactly; the O^+ side reports NonMember on a concrete
     refuting c, and otherwise Member only when the backend is exhaustive.
+    Off finite fields it walks the pool for c = 1 - sigma^p; on a backend
+    with a residue field, ``_tame_rule`` decides most candidates from
+    valuations and classes, and series arithmetic runs only for the rest
+    and for the refuting c, with the same verdict and witness.
     O^+ is taken inside H, so an a outside H (and, for ORing, outside
     O^-) is a NonMember at once, and its witness is a itself, not a
     refuting c.
@@ -786,18 +799,95 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
                 return OVerdict(target, "NonMember", bound, ops.render(c))
         return OVerdict(target, "Member", bound)
 
+    rule = _tame_rule(model, p, a, h) if model.residue() is not None else None
     for sigma in islice(model.pool(p), bound):
         try:
-            s = ops.pow_(sigma, p)
-            c = ops.sub(ops.one, s)
-            if ops.is_zero(c) or not in_h(c):
+            # refutes is True or False where the rule decides, and None
+            # where the series path below decides
+            refutes = rule(sigma) if rule else None
+            if refutes is False:
                 continue
-            # c = 1 - s is certified to lie in O^-
-            if not in_o_minus(ops.mul(a, c)):
+            c = ops.sub(ops.one, ops.pow_(sigma, p))
+            if refutes is None and (ops.is_zero(c) or not in_h(c)):
+                continue
+            # c = 1 - sigma^p is certified to lie in O^-
+            if refutes or not in_o_minus(ops.mul(a, c)):
                 return OVerdict(target, "NonMember", bound, ops.render(c))
         except PrecisionExhausted:
             continue
     return OVerdict(target, "UnknownWithinBound", bound)
+
+
+def _tame_rule(model: FieldModel, p: int, a, h: set | None):
+    """sigma -> refutes for the O^+ pool search on a backend with a
+    residue field: whether c = 1 - sigma^p refutes a, that is c lies in
+    O^- and x = a c does not, read off valuations and classes; or None
+    where they do not decide, left to the series path.  No rule when
+    ``class_of(a)`` cannot be read.
+
+    The rule.  The field is complete for v and tame for p, so by Hensel
+    1 + m lies in S = (F^x)^p, and a class of F^x/S is read off the
+    valuation mod p and the leading coefficient.  The search has put a
+    in H, and H is a subgroup (``_parse_h``), so once c lies in H so
+    does x: c refutes iff 1 - x is no nonzero p-th power.  With v(x) =
+    v(a) + v(c) and cl(x) = cl(a) + cl(c):
+
+    - v(x) > 0: 1 - x lies in 1 + m, so c does not refute.
+    - v(x) < 0: 1 - x = -x (1 - 1/x) with 1 - 1/x in 1 + m, so cl(1 - x)
+      = cl(-1) + cl(x), and c refutes iff that is not 0.
+    - v(x) = 0: the residue of x decides, and the series path runs.
+    - v(sigma) > 0: c lies in 1 + m, so v(c) = 0, cl(c) = 0, and c lies
+      in H.
+    - v(sigma) < 0: c = -sigma^p (1 - sigma^-p), so v(c) = p v(sigma)
+      and cl(c) = cl(-1); c is skipped when cl(-1) is not in H.
+    - v(sigma) = 0: v(c) >= 0.  When v(a) >= 1, then v(x) >= 1 and c
+      does not refute, whatever H is.  Otherwise the series path runs.
+
+    The series path gives the same answer on every candidate the rule
+    decides, and raises no PrecisionExhausted there.  On rationals
+    (Q_ell) the arithmetic is exact.  On a Laurent model, ``_norm``
+    leads a nonempty window with a coefficient that is no exact zero,
+    and leaves the window empty where that coefficient is unknown, so at
+    every level down the leading coefficient of a pool element, and of
+    any sum, difference or product of such elements, is known; that
+    ``class_of(a)`` could be read says the same of a.  Then ``mul``
+    keeps a window of min(len, len) >= 1 coefficients led by the product
+    of the leading ones, and ``sub(one, y)`` keeps a window of at least
+    one coefficient led by ``one``'s 1 when v(y) > 0 and by -lead(y)
+    when v(y) < 0.  So sigma^p, c, x and 1 - x each keep a known leading
+    coefficient, and the valuations and classes that the series path
+    reads are those the rule reads.  Where the window does not certify
+    v(sigma), that candidate goes to the series path."""
+    try:
+        va, ca = model.val(a), model.class_of(p, a)
+    except PrecisionExhausted:
+        return None
+    ops = model.domain()
+    minus = class_of(model, p, ops.minus_one)
+    unit = (0,) * len(minus)
+
+    def in_h(vec) -> bool:
+        return h is None or _class_code(vec, p) in h
+
+    def refutes(vc: int, cc) -> bool | None:
+        """For c in H with v(c) = vc and cl(c) = cc; None when v(a c) = 0."""
+        vx = va + vc
+        if vx == 0:
+            return None
+        return vx < 0 and any((i + j + k) % p for i, j, k in zip(minus, ca, cc))
+
+    def rule(sigma) -> bool | None:
+        try:
+            vs = model.val(sigma)
+        except PrecisionExhausted:
+            return None
+        if vs > 0:
+            return refutes(0, unit)
+        if vs < 0:
+            return in_h(minus) and refutes(p * vs, minus)
+        return False if va >= 1 else None
+
+    return rule
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ Two eliminators, one for each shape of work:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -118,7 +120,7 @@ def batch_rank(stack, p: int) -> np.ndarray:
         return xor_rank(np.ascontiguousarray(pack_words(m).transpose(1, 2, 0)))
     dtype = np.promote_types(m.dtype, lane(p, rows))
     m = _mod(np.ascontiguousarray(m.transpose(1, 2, 0), dtype=dtype), p)
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype)
+    inverse = _inverses(p, dtype)
     ranks = np.zeros(n, dtype=np.int64)
     idx = np.arange(n)
     for i in range(rows if cols else 0):
@@ -131,6 +133,15 @@ def batch_rank(stack, p: int) -> np.ndarray:
         factor = _mod(below[:, lead, idx] * inverse[piv], p)
         below -= factor[:, None, :] * row
     return ranks
+
+
+@lru_cache(maxsize=8)
+def _inverses(p: int, dtype: np.dtype) -> np.ndarray:
+    """The table x -> x^-1 mod p over 0..p-1 at odd p, 0 -> 0, read-only
+    and built once per (p, lane)."""
+    table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype)
+    table.flags.writeable = False
+    return table
 
 
 def lane(p: int, k: int, held: int = 0) -> np.dtype:

@@ -620,6 +620,31 @@ def _seeded_pool_listed(seed: list):
             yield f
 
 
+def _rational_pool_with_seen():
+    """The rational pool as first written: every num/den built as a
+    Fraction and checked against a set of the values already given."""
+    seen = {Fraction(0), Fraction(1)}
+    h = 2
+    while True:
+        for den in range(1, h):
+            num_abs = h - den
+            for num in (num_abs, -num_abs):
+                f = Fraction(num, den)
+                if f.denominator == den and f not in seen:
+                    seen.add(f)
+                    yield f
+        h += 1
+
+
+def test_rational_pool_matches_set_generator():
+    """The gcd test gives the sequence that the set of seen values gave,
+    for its first 5,000 elements, up to height |num| + den = 91."""
+    got = list(islice(field_models._rational_pool(), 5000))
+    assert got == list(islice(_rational_pool_with_seen(), 5000))
+    assert got[:7] == [Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2),
+                       Fraction(-1, 2), Fraction(3), Fraction(-3)]
+
+
 def test_element_pool_deterministic(monkeypatch):
     first = [F7T.domain().render(x)
              for _, x in zip(range(6), F7T.pool(3))]

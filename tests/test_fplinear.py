@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dense_fp
 from dense_fp import in_span, solve
 from etkit.fplinear import (
+    _inverses,
     batch_rank,
     dense_row,
     echelon_insert,
@@ -225,6 +226,21 @@ def test_batch_rank_matches_dense_oracle_at_odd_p(data):
     want = [dense_fp.rank(m, p) for m in stack]
     assert batch_rank(stack, p).tolist() == want
     assert batch_rank(stack.astype(np.min_scalar_type(-p)), p).tolist() == want
+
+
+def test_batch_rank_at_65521_builds_its_inverse_table_once():
+    """Ranks at p = 65521, the largest prime p with p^d <= 2^16, against
+    the dense oracle, from two stacks of two shapes: both eliminate in the
+    int64 lane, so they share one table, whose every entry inverts its
+    index."""
+    p = 65521
+    _inverses.cache_clear()
+    for stack in (_ranked_stack(p, 6, 5)[1], _ranked_stack(p, 1, 4)[1]):
+        assert batch_rank(stack, p).tolist() == [dense_fp.rank(m, p) for m in stack]
+    assert _inverses.cache_info().misses == 1
+    table = _inverses(p, lane(p, 1))
+    assert table[0] == 0 and not table.flags.writeable
+    assert (table[1:].astype(np.int64) * np.arange(1, p) % p == 1).all()
 
 
 def test_lane_boundaries():
