@@ -41,7 +41,6 @@ from .errors import (
     NotAUnit,
     OrderBound,
     ParseError,
-    PrecisionExhausted,
     ValidationError,
 )
 from .field_models import (

@@ -40,8 +40,11 @@ class DenominatorNotInvertible(ValidationError):
 
 
 class PrecisionExhausted(EtkitError):
-    """A truncated Laurent series cannot decide the request: a leading
-    coefficient or a cancellation lies past its window."""
+    """Never raised.  It was the refusal of truncated Laurent series, whose
+    window could end before a leading coefficient or a cancellation; the
+    Laurent kernel is exact now.  The class stays because code outside the
+    package imports it: the bench's tracer counts it when a symbol raises
+    it (``bench/tracing.py``)."""
 
 
 class DegreeTooSmall(ValidationError):

@@ -1,7 +1,8 @@
 """Concrete fields with computable p-th-power class groups and symbols.
 
 Six backends: finite fields, Q_ell for odd ell (tame), Q_2, R, C, and
-truncated Laurent extensions of the finite/Laurent backends.  Each is a
+Laurent extensions F((t)) of the finite/Laurent backends, whose elements
+are exact Laurent polynomials.  Each is a
 frozen dataclass subclassing :class:`FieldModel` and answers for itself:
 a labeled basis of F^x/(F^x)^p with class coordinates, the symbol tensor
 on that basis, a predicted Galois pair, an element codec and a candidate
@@ -32,7 +33,6 @@ from .errors import (
     InvalidModel,
     JsonRecord,
     ModelUnsupported,
-    PrecisionExhausted,
     ValidationError,
     int_param,
     is_int,
@@ -44,9 +44,6 @@ from .rigidity import AugBilinearMap, _all_vectors, _q_finder, find_equivalence,
 from .smallfields import GF, gf
 from .units import make_unit, valuation
 
-DEFAULT_SERIES_PRECISION = 16
-# README "Limits": the most coefficients a Laurent model keeps per series
-MAX_SERIES_PRECISION = 32
 # README "Limits": the most Laurent levels in a tower
 MAX_TOWER_DEPTH = 16
 
@@ -423,22 +420,20 @@ class ComplexField(FieldModel):
 
 @dataclass(frozen=True)
 class Laurent(FieldModel):
-    """F((var)) over a finite or Laurent base, with series kept to
-    ``precision`` coefficients."""
+    """F((var)) over a finite or Laurent base.  Its elements are the
+    Laurent polynomials F[var, 1/var], which is all that a finite
+    coefficient list decodes to; its symbols read only valuations and
+    leading coefficients, so it has the class group and symbols of the
+    complete field."""
 
     base: FieldModel
     var: str = "t"
-    precision: int = DEFAULT_SERIES_PRECISION
 
     def check(self, p):
         if not isinstance(self.base, (FiniteField, Laurent)):
             raise InvalidModel(
                 "Laurent models are supported over finite fields and "
                 "Laurent models only"
-            )
-        if not 2 <= self.precision <= MAX_SERIES_PRECISION:
-            raise InvalidModel(
-                f"series precision must be in 2..{MAX_SERIES_PRECISION}"
             )
         inner, depth = self.base, 1
         while isinstance(inner, Laurent):
@@ -451,17 +446,19 @@ class Laurent(FieldModel):
 
     @classmethod
     def from_json(cls, data, p):
-        """``{"kind": "Laurent", "params": {"base", "var"}, "precision"}``."""
+        """``{"kind": "Laurent", "params": {"base", "var"}}``.  An integer
+        ``precision`` key beside them is accepted and not read: it sized
+        a truncation window that exact polynomials do not have."""
         params = data.get("params", {})
         _refuse_unread_keys(data, {"kind", "params", "precision"}, params,
                             {"base", "var"})
         if not isinstance(params, dict) or "base" not in params:
             raise InvalidModel("a Laurent model needs a 'base' param")
         base = model_from_json(params["base"], p)
-        precision = (int_param(data, "precision", InvalidModel,
-                               "model parameter 'precision' must be an integer")
-                     if "precision" in data else DEFAULT_SERIES_PRECISION)
-        return cls(base, str(params.get("var", "t")), precision)
+        if "precision" in data:
+            int_param(data, "precision", InvalidModel,
+                      "model parameter 'precision' must be an integer")
+        return cls(base, str(params.get("var", "t")))
 
     def domain(self):
         return self._ring
@@ -471,7 +468,7 @@ class Laurent(FieldModel):
         """The model's ring, built on first use and kept in the instance
         ``__dict__``: it is no dataclass field, so ``==``, ``hash`` and
         ``repr`` read only the parameters."""
-        return LaurentRing(self.base.domain(), self.var, self.precision)
+        return LaurentRing(self.base.domain(), self.var)
 
     def decode(self, data):
         """{"v": valuation, "coeffs": [...]}, coefficients in the base."""
@@ -510,9 +507,7 @@ class Laurent(FieldModel):
         yield ring.add(ring.one, ring.gen())
         yield ring.gen()
         for c in units:
-            # value equality here, exact subtraction of equal series
-            # would exhaust the precision window
-            if c != ring.base.one:
+            if c != ring.base.one:  # the pool leaves out 1
                 yield ring.from_const(c)
         for v in (0, 1, -1, 2):
             for c0 in units:
@@ -578,11 +573,7 @@ def _symbol_tensor(model: FieldModel, p: int) -> np.ndarray:
 
 def symbol_vector(model: FieldModel, p: int, a, b) -> np.ndarray:
     """Degree-2 symbol of {a, b} in the model's F_p^e target, as
-    class(a)^T T class(b) mod p for the symbol tensor T.
-
-    Raises PrecisionExhausted when a leading coefficient of a or b is
-    unknown at some level of a tower, because ``class_of`` reads only
-    valuations and leading coefficients."""
+    class(a)^T T class(b) mod p for the symbol tensor T."""
     ops = model.domain()
     if ops.is_zero(a) or ops.is_zero(b):
         raise ValidationError("symbols take nonzero arguments")
@@ -594,8 +585,7 @@ def symbol_vector(model: FieldModel, p: int, a, b) -> np.ndarray:
 def _symbols_of(model: FieldModel, p: int, a):
     """y -> {a, y}, as ``symbol_vector`` gives it for a nonzero y, with
     M = class(a)^T T mod p, a d x e matrix, built once: {a, y} is then
-    class(y) M mod p.  Raises PrecisionExhausted where ``symbol_vector``
-    does, from ``class_of``."""
+    class(y) M mod p."""
     x = np.array(model.class_of(p, a), dtype=np.int64)
     m = np.einsum("i,ijk->jk", x, _symbol_tensor(model, p)) % p
     return lambda y: np.array(model.class_of(p, y), dtype=np.int64) @ m % p
@@ -687,12 +677,9 @@ def trichotomic_search(model: FieldModel, p: int, a,
     symbol = _symbols_of(model, p, a)  # every pool candidate is nonzero
     if not symbol(ops.minus_one).any():
         for searched, b in enumerate(candidates, 1):
-            try:
-                one_minus_b = ops.sub(ops.one, b)
-                if (ops.is_zero(one_minus_b) or symbol(b).any()
-                        or symbol(one_minus_b).any()):
-                    continue
-            except PrecisionExhausted:
+            one_minus_b = ops.sub(ops.one, b)
+            if (ops.is_zero(one_minus_b) or symbol(b).any()
+                    or symbol(one_minus_b).any()):
                 continue
             return TrichotomyResult("Witness", ops.render(b), searched, bound)
     searched += sum(1 for _ in candidates)
@@ -801,20 +788,17 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
 
     rule = _tame_rule(model, p, a, h) if model.residue() is not None else None
     for sigma in islice(model.pool(p), bound):
-        try:
-            # refutes is True or False where the rule decides, and None
-            # where the series path below decides
-            refutes = rule(sigma) if rule else None
-            if refutes is False:
-                continue
-            c = ops.sub(ops.one, ops.pow_(sigma, p))
-            if refutes is None and (ops.is_zero(c) or not in_h(c)):
-                continue
-            # c = 1 - sigma^p is certified to lie in O^-
-            if refutes or not in_o_minus(ops.mul(a, c)):
-                return OVerdict(target, "NonMember", bound, ops.render(c))
-        except PrecisionExhausted:
+        # refutes is True or False where the rule decides, and None where
+        # the series path below decides
+        refutes = rule(sigma) if rule else None
+        if refutes is False:
             continue
+        c = ops.sub(ops.one, ops.pow_(sigma, p))
+        if refutes is None and (ops.is_zero(c) or not in_h(c)):
+            continue
+        # c = 1 - sigma^p is certified to lie in O^-
+        if refutes or not in_o_minus(ops.mul(a, c)):
+            return OVerdict(target, "NonMember", bound, ops.render(c))
     return OVerdict(target, "UnknownWithinBound", bound)
 
 
@@ -822,8 +806,7 @@ def _tame_rule(model: FieldModel, p: int, a, h: set | None):
     """sigma -> refutes for the O^+ pool search on a backend with a
     residue field: whether c = 1 - sigma^p refutes a, that is c lies in
     O^- and x = a c does not, read off valuations and classes; or None
-    where they do not decide, left to the series path.  No rule when
-    ``class_of(a)`` cannot be read.
+    where they do not decide, left to the series path.
 
     The rule.  The field is complete for v and tame for p, so by Hensel
     1 + m lies in S = (F^x)^p, and a class of F^x/S is read off the
@@ -844,24 +827,10 @@ def _tame_rule(model: FieldModel, p: int, a, h: set | None):
       does not refute, whatever H is.  Otherwise the series path runs.
 
     The series path gives the same answer on every candidate the rule
-    decides, and raises no PrecisionExhausted there.  On rationals
-    (Q_ell) the arithmetic is exact.  On a Laurent model, ``_norm``
-    leads a nonempty window with a coefficient that is no exact zero,
-    and leaves the window empty where that coefficient is unknown, so at
-    every level down the leading coefficient of a pool element, and of
-    any sum, difference or product of such elements, is known; that
-    ``class_of(a)`` could be read says the same of a.  Then ``mul``
-    keeps a window of min(len, len) >= 1 coefficients led by the product
-    of the leading ones, and ``sub(one, y)`` keeps a window of at least
-    one coefficient led by ``one``'s 1 when v(y) > 0 and by -lead(y)
-    when v(y) < 0.  So sigma^p, c, x and 1 - x each keep a known leading
-    coefficient, and the valuations and classes that the series path
-    reads are those the rule reads.  Where the window does not certify
-    v(sigma), that candidate goes to the series path."""
-    try:
-        va, ca = model.val(a), model.class_of(p, a)
-    except PrecisionExhausted:
-        return None
+    decides: its arithmetic is exact, on rationals (Q_ell) and on
+    Laurent polynomials, so the valuations and classes it reads are
+    those the rule reads."""
+    va, ca = model.val(a), model.class_of(p, a)
     ops = model.domain()
     minus = class_of(model, p, ops.minus_one)
     unit = (0,) * len(minus)
@@ -877,10 +846,7 @@ def _tame_rule(model: FieldModel, p: int, a, h: set | None):
         return vx < 0 and any((i + j + k) % p for i, j, k in zip(minus, ca, cc))
 
     def rule(sigma) -> bool | None:
-        try:
-            vs = model.val(sigma)
-        except PrecisionExhausted:
-            return None
+        vs = model.val(sigma)
         if vs > 0:
             return refutes(0, unit)
         if vs < 0:

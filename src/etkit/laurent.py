@@ -1,112 +1,111 @@
-"""Truncated Laurent series over an exact coefficient domain.
+"""Exact Laurent polynomials over an exact coefficient domain.
 
-A series carries its valuation and a window of known coefficients; every
-operation tracks how much of the result is still certified, and anything
-that needs a leading coefficient the window no longer covers raises
-PrecisionExhausted rather than guessing.  The coefficient domain can be a
-GF instance or another LaurentRing, so iterated extensions nest.
+An element of F[t, 1/t] is a valuation v and a coefficient tuple c, the
+sum of c[i] * t^(v+i), trimmed at both ends: c[0] and c[-1] are nonzero,
+and zero is the empty tuple at v = 0.  So ``is_zero``, ``add``, ``sub``,
+``mul`` and ``pow_`` are exact, and ``val`` and ``lead`` read c[0].  Every
+element the verbs see is one: it is decoded from a finite coefficient
+list, and the verbs combine elements by sums, differences and products
+alone.  The coefficient domain can be a GF instance or another
+LaurentRing, so iterated extensions nest.  Each level is an integral
+domain, so the product of two leading (or two last) coefficients is
+nonzero, and a product needs no trimming.
+
+An element holds at most ``MAX_TERMS`` coefficients, counted over every
+level of its tower: its own, from its lowest power of the variable to
+its highest, and in a tower each of theirs in turn.  A decoded list, a
+sum or a product that would hold more is refused with ValidationError.
+So a product of two elements costs at most MAX_TERMS^2 products of
+coefficients at any depth, where a cap on each level alone would let a
+tower's products grow with the product of its levels' lengths.  A
+product whose top level alone passes the cap is refused before it is
+computed: that level's length is the sum of its factors' less one.
 
 A ring builds its constants (zero, one, minus one) once, when it is made,
-and each field model makes its ring once.  Series are immutable, so every
-caller shares them.  Sums, differences and products read the two windows
-where they lie, with no padded copy.  An exact zero coefficient is found
-by comparison with the base's zero, by truthiness over a finite field
-(whose zero is the integer 0), not by a call to ``base.is_zero``.
+and each field model makes its ring once.  Elements are immutable, so
+every caller shares them.  An exact zero coefficient is found by
+comparison with the base's zero: the integer 0 in a finite field, the
+empty element in a Laurent base.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import PrecisionExhausted, ValidationError
+from .errors import ValidationError
+
+# README "Limits": the most coefficients a Laurent element holds, over every level
+MAX_TERMS = 1024
 
 
 class Series(NamedTuple):
-    """Element of F((t)): coeffs[i] is the t^(v+i) coefficient.
-
-    An empty window with zero=False means only "valuation >= v" is known.
-    """
+    """Element of F[t, 1/t]: coeffs[i] is the t^(v+i) coefficient."""
 
     v: int
     coeffs: tuple
-    zero: bool = False
 
 
-# builds a Series from its three fields without the keyword handling of
+# builds a Series from its two fields without the keyword handling of
 # Series(...); the kernel makes one per operation
 _new = tuple.__new__
 
 
 class LaurentRing:
-    def __init__(self, base, var: str, precision: int):
-        if precision < 1:
-            raise ValidationError("series precision must be >= 1")
+    def __init__(self, base, var: str):
         if not var or not var.isalpha():
             raise ValidationError("variable name must be alphabetic")
         self.base = base
         self.var = var
-        self.T = precision
-        self._laurent_base = isinstance(base, LaurentRing)
-        self._pad = (base.zero,) * precision
-        self.zero = Series(0, (), True)
+        self._nested = isinstance(base, LaurentRing)
+        self.zero = Series(0, ())
         self.one = self.from_const(base.one)
         self.minus_one = self.from_const(base.minus_one)
+
+    def _size(self, coeffs) -> int:
+        """The coefficients that a coefficient tuple holds over every level:
+        its own, and in a tower those of each of them."""
+        if self._nested:
+            size = self.base._size
+            return len(coeffs) + sum(size(c.coeffs) for c in coeffs)
+        return len(coeffs)
+
+    def _check_terms(self, n: int) -> None:
+        if n > MAX_TERMS:
+            raise ValidationError(
+                f"a Laurent polynomial in {self.var} holds at most {MAX_TERMS} "
+                "coefficients, counted over every level of its tower")
 
     # -- construction --------------------------------------------------------
 
     def from_const(self, c) -> Series:
-        return self.from_coeffs(0, [c])
+        return self.from_coeffs(0, (c,))
 
     def gen(self) -> Series:
         """The uniformizer t."""
-        return self.from_coeffs(1, [self.base.one])
+        return self.from_coeffs(1, (self.base.one,))
 
     def from_coeffs(self, v: int, coeffs) -> Series:
-        """Exact element sum coeffs[i] * t^(v+i); truncated at precision,
-        its window reading base.zero past the given coefficients."""
-        cl = tuple(coeffs)
-        # is_zero raises PrecisionExhausted on a coefficient known only to
-        # a valuation, so the first that is not an exact zero must be known
-        if all(self.base.is_zero(c) for c in cl):
+        """The element sum coeffs[i] * t^(v+i), trimmed at both ends."""
+        zero = self.base.zero
+        lo, hi = 0, len(coeffs)
+        while lo < hi and coeffs[lo] == zero:
+            lo += 1
+        if lo == hi:
             return self.zero
-        return self._norm(v, cl[: self.T] + self._pad[len(cl):])
-
-    def _norm(self, v: int, coeffs) -> Series:
-        """The series with window ``coeffs[:T]`` from t^v, less its
-        leading exact zeros."""
-        n = min(len(coeffs), self.T)
-        i = 0
-        if self._laurent_base:
-            try:
-                while i < n and self.base.is_zero(coeffs[i]):
-                    i += 1
-            except PrecisionExhausted:
-                # the first coefficient not known to vanish is itself known
-                # only to a valuation, so only "valuation >= v + i" is certain
-                return _new(Series, (v + i, (), False))
-        else:
-            while i < n and not coeffs[i]:
-                i += 1
-        return _new(Series, (v + i, tuple(coeffs[i:n]), False))
+        while coeffs[hi - 1] == zero:
+            hi -= 1
+        kept = tuple(coeffs[lo:hi])
+        self._check_terms(self._size(kept))
+        return _new(Series, (v + lo, kept))
 
     # -- structure queries ----------------------------------------------------
 
     def is_zero(self, x: Series) -> bool:
-        if x.zero:
-            return True
-        if x.coeffs:
-            return False
-        raise PrecisionExhausted(
-            f"window exhausted: only v >= {x.v} known in {self.var}-series"
-        )
+        return not x.coeffs
 
     def val(self, x: Series) -> int:
-        if x.zero:
-            raise ValidationError("the zero series has no valuation")
         if not x.coeffs:
-            raise PrecisionExhausted(
-                f"valuation undecidable beyond {self.var}^{x.v}"
-            )
+            raise ValidationError("the zero series has no valuation")
         return x.v
 
     def lead(self, x: Series):
@@ -116,76 +115,62 @@ class LaurentRing:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, x: Series, y: Series) -> Series:
-        return y if x.zero else self._combine(x, y, self.base.add, None)
+        return self._combine(x, y, self.base.add)
 
     def sub(self, x: Series, y: Series) -> Series:
-        if x.zero:
-            return self.neg(y)
-        return self._combine(x, y, self.base.sub, self.base.neg)
+        return self._combine(x, y, self.base.sub)
 
-    def _combine(self, x: Series, y: Series, op, lone) -> Series:
-        """x op y, x nonzero, op the base's add or sub, at every position
-        both windows cover from the lower valuation on.  Where only one
-        window reaches, the other reads base.zero, and op(a, zero) = a and
-        op(zero, b) = lone(b): b for add (lone None), -b for sub."""
-        if y.zero:
+    def _combine(self, x: Series, y: Series, op) -> Series:
+        """x op y, op the base's add or sub: x's coefficients laid out over
+        the span of both, then op applied with y's where they lie, which
+        reads op(zero, b), that is b for add and -b for sub, where only y
+        reaches."""
+        yv, yc = y.v, y.coeffs
+        if not yc:
             return x
-        xv, xc, yv, yc = x.v, x.coeffs, y.v, y.coeffs
-        v = min(xv, yv)
-        n = min(xv + len(xc), yv + len(yc)) - v
-        if xv <= yv:
-            d = yv - xv
-            if d >= n:
-                return self._norm(v, xc[:n])
-            return self._norm(v, [*xc[:d], *map(op, xc[d:n], yc)])
-        d = xv - yv
-        ys = yc[:min(d, n)]
-        head = ys if lone is None else map(lone, ys)
-        if d >= n:
-            return self._norm(v, tuple(head))
-        return self._norm(v, [*head, *map(op, xc, yc[d:n])])
+        xv, xc = x.v, x.coeffs
+        v = min(xv, yv) if xc else yv
+        out = [self.base.zero] * (max(xv + len(xc), yv + len(yc)) - v)
+        if xc:
+            out[xv - v:xv - v + len(xc)] = xc
+        k = yv - v
+        out[k:k + len(yc)] = map(op, out[k:k + len(yc)], yc)
+        return self.from_coeffs(v, out)
 
     def neg(self, x: Series) -> Series:
-        if x.zero:
-            return x
-        return _new(Series, (x.v, tuple(map(self.base.neg, x.coeffs)), False))
+        return _new(Series, (x.v, tuple(map(self.base.neg, x.coeffs))))
 
     def mul(self, x: Series, y: Series) -> Series:
-        if x.zero or y.zero:
+        xc, yc = x.coeffs, y.coeffs
+        if not xc or not yc:
             return self.zero
-        n = min(len(x.coeffs), len(y.coeffs))
-        v = x.v + y.v
-        if n == 0:
-            return _new(Series, (v, (), False))
+        n = len(xc) + len(yc) - 1
+        self._check_terms(n)  # the top level alone, before the work
         base = self.base
         add, times, zero = base.add, base.mul, base.zero
         # an exact zero coefficient adds nothing (base.mul(zero, c) is zero
-        # and base.add(s, zero) is s), so only nonzero pairs are multiplied.
-        # The exact zero is the one coefficient equal to base.zero: 0 in a
-        # finite field, Series(0, (), True) in a Laurent base; an empty
-        # window is not zero and still goes through base.mul
-        ys = [(j, c) for j, c in enumerate(y.coeffs[:n]) if c != zero]
+        # and base.add(s, zero) is s), so only nonzero pairs are multiplied
+        ys = [(j, c) for j, c in enumerate(yc) if c != zero]
         out = [zero] * n
-        for i, xi in enumerate(x.coeffs[:n]):
+        for i, xi in enumerate(xc):
             if xi == zero:
                 continue
             for j, yj in ys:
-                k = i + j
-                if k >= n:
-                    break
-                out[k] = add(out[k], times(xi, yj))
-        return self._norm(v, out)
+                out[i + j] = add(out[i + j], times(xi, yj))
+        # the first and last entries are products of nonzero coefficients
+        # of a domain, so the result is already trimmed
+        out = tuple(out)
+        self._check_terms(self._size(out))
+        return _new(Series, (x.v + y.v, out))
 
     def inv(self, x: Series) -> Series:
-        c0 = self.lead(x)
-        base = self.base
-        d = [base.inv(c0)]
-        for k in range(1, len(x.coeffs)):
-            acc = base.zero
-            for i in range(1, k + 1):
-                acc = base.add(acc, base.mul(x.coeffs[i], d[k - i]))
-            d.append(base.neg(base.mul(d[0], acc)))
-        return _new(Series, (-x.v, tuple(d), False))
+        """The inverse of a unit of the polynomial ring, c * t^v with c a
+        unit of the base; the inverse of anything else is no Laurent
+        polynomial, and is refused."""
+        if len(x.coeffs) != 1:
+            raise ValidationError(
+                f"only a monomial c*{self.var}^v is invertible among Laurent polynomials")
+        return _new(Series, (-x.v, (self.base.inv(x.coeffs[0]),)))
 
     def pow_(self, x: Series, n: int) -> Series:
         """x^n by left-to-right square-and-multiply: n.bit_length() - 1
@@ -213,14 +198,8 @@ class LaurentRing:
         return tv if cs == "1" else f"{cs}*{tv}"
 
     def render(self, x: Series) -> str:
-        if x.zero:
-            return "0"
         if not x.coeffs:
-            return f"O({self.var}^{x.v})"
-        parts = [
-            self._term(c, x.v + i)
-            for i, c in enumerate(x.coeffs)
-            if not self.base.is_zero(c)
-        ]
-        tail = f"O({self.var}^{x.v + len(x.coeffs)})"
-        return " + ".join(parts + [tail])
+            return "0"
+        zero = self.base.zero
+        return " + ".join(self._term(c, x.v + i)
+                          for i, c in enumerate(x.coeffs) if c != zero)

@@ -37,6 +37,7 @@ from etkit.pairs import EBlock, Ext, FreeProd, PAdicBlock, ZBlock, parse, rank
 from randexpr import random_expr, random_ext_rooted, random_padic
 from etkit.rigidity import check_rigidity_criterion, from_cohomology, n_subspace
 from etkit.smallfields import gf
+from windowed_laurent import to_window, windowed_ring
 
 
 def _report(num, label, budget, fn):
@@ -79,20 +80,24 @@ def test_criterion_02_hilbert_and_tame_symbols():
 
         sampled = 0
         for q in (3, 5, 7, 9, 13):
-            model = Laurent(FiniteField(q), "t", 8)
+            model = Laurent(FiniteField(q), "t")
             ring = model.domain()
+            # the series route inverts b^va, no monomial in general, so it
+            # runs in the windowed oracle ring of tests/windowed_laurent.py
+            window = windowed_ring(model, 8)
             f = gf(q)
             rng = random.Random(200 + q)
             for _ in range(110):
                 a = _series(rng, ring, f)
                 b = _series(rng, ring, f)
                 va, vb = ring.val(a), ring.val(b)
+                wa, wb = to_window(window, a), to_window(window, b)
                 # direct residue route through series arithmetic
-                c = ring.mul(ring.pow_(a, vb), ring.inv(ring.pow_(b, va)))
+                c = window.mul(window.pow_(wa, vb), window.inv(window.pow_(wb, va)))
                 if (va * vb) % 2:
-                    c = ring.neg(c)
-                assert ring.val(c) == 0
-                expect = list(f.class_of(ring.lead(c), 2))
+                    c = window.neg(c)
+                assert window.val(c) == 0
+                expect = list(f.class_of(window.lead(c), 2))
                 assert symbol_vector(model, 2, a, b).tolist() == expect
                 sampled += 1
         assert sampled >= 500
@@ -288,10 +293,10 @@ def test_criterion_09_field_predictions():
             (LocalRational(5), 2),
             (LocalRational(7), 3),
             (DyadicRational(), 2),
-            (Laurent(FiniteField(3), "t", 8), 2),
-            (Laurent(FiniteField(5), "t", 8), 2),
-            (Laurent(Laurent(FiniteField(3), "t", 8), "u", 8), 2),
-            (Laurent(Laurent(FiniteField(5), "t", 8), "u", 8), 2),
+            (Laurent(FiniteField(3), "t"), 2),
+            (Laurent(FiniteField(5), "t"), 2),
+            (Laurent(Laurent(FiniteField(3), "t"), "u"), 2),
+            (Laurent(Laurent(FiniteField(5), "t"), "u"), 2),
         ]
         assert len(models) == 12
         for model, p in models:
@@ -303,7 +308,7 @@ def test_criterion_09_field_predictions():
 
 def test_criterion_10_valuation_probes():
     def body():
-        tower = Laurent(Laurent(FiniteField(3), "t", 8), "u", 8)
+        tower = Laurent(Laurent(FiniteField(3), "t"), "u")
         ring = tower.domain()
         u = ring.gen()
         assert o_membership(tower, 2, u, "all", "OMinus").verdict == "Member"

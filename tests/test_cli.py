@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from etkit import cli, field_models
 from etkit.cli import main
-from etkit.laurent import LaurentRing
+from etkit.laurent import MAX_TERMS, LaurentRing
+from etkit.smallfields import gf
 
 DYADIC = '{"kind":"DyadicRational","params":{}}'
 FF5 = '{"kind":"FiniteField","params":{"q":5}}'
@@ -221,22 +222,63 @@ def test_huge_field_size_exits_one_fast(capsys):
         assert code == 1 and json.loads(err)["kind"] == "InvalidModel"
 
 
-def test_laurent_precision_cap(capsys):
-    cap = field_models.MAX_SERIES_PRECISION
+def test_laurent_term_cap(capsys):
+    """A Laurent element holds at most MAX_TERMS coefficients over every
+    level: a decoded list at the cap is read, one more is refused, and so
+    is a product past the cap, here sigma^p of the first O^+ candidate
+    sigma = 1 + t at p = 2003 over F_4007, where 1 + t has p + 1 > cap
+    coefficients once raised to the p-th power."""
+    cap = MAX_TERMS
 
-    def omember(precision):
-        model = ('{"kind":"Laurent","params":{"base":%s},"precision":%d}'
-                 % (FF5, precision))
-        return run(capsys, "field", "omember", "--p", "2", "--model", model,
-                   "--a", '{"v":1,"coeffs":[1]}', "--h", "all",
-                   "--target", "OPlus", "--bound", "20")
+    def symbol(n):
+        a = json.dumps({"v": 0, "coeffs": [1] * n})
+        return run(capsys, "field", "symbol", "--p", "2", "--model", F5T,
+                   "--a", a, "--b", '{"v":1,"coeffs":[1]}')
 
-    assert omember(cap)[0] == 0
-    for precision in (cap + 1, 10**9):
-        start = time.perf_counter()
-        code, err = omember(precision)
-        assert time.perf_counter() - start < 2
-        assert code == 1 and json.loads(err)["kind"] == "InvalidModel"
+    assert symbol(cap)[0] == 0
+    code, err = symbol(cap + 1)
+    assert code == 1 and json.loads(err)["kind"] == "ValidationError"
+    model = '{"kind":"Laurent","params":{"base":{"kind":"FiniteField","params":{"q":4007}}}}'
+    a = '{"v":0,"coeffs":[%d]}' % gf(4007).generator
+    start = time.perf_counter()
+    code, err = run(capsys, "field", "omember", "--p", "2003", "--model", model,
+                    "--a", a, "--h", "all", "--target", "OPlus", "--bound", "20")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": f"a Laurent polynomial in t holds at most {cap} coefficients, "
+                 "counted over every level of its tower",
+        "kind": "ValidationError"}
+
+
+# a Laurent model without the precision key, and (verb, arguments) pairs
+F5T_PLAIN = '{"kind":"Laurent","params":{"base":%s}}' % FF5
+F5TU_PLAIN = '{"kind":"Laurent","params":{"base":%s,"var":"u"}}' % F5T_PLAIN
+ONE_T = '{"v":0,"coeffs":[1]}'
+PRECISION_KEY_CASES = [
+    (F5T_PLAIN,
+     [("symbol", ["--a", '{"v":-1,"coeffs":[2,1]}', "--b", '{"v":1,"coeffs":[3]}']),
+      ("trichotomic", ["--a", '{"v":1,"coeffs":[1]}']),
+      ("omember", ["--a", '{"v":1,"coeffs":[1]}', "--h", "all", "--target", "OPlus"])]),
+    (F5TU_PLAIN,
+     [("symbol", ["--a", '{"v":0,"coeffs":[{"v":0,"coeffs":[2]},%s]}' % ONE_T,
+                  "--b", '{"v":1,"coeffs":[{"v":1,"coeffs":[1]}]}']),
+      ("trichotomic", ["--a", '{"v":1,"coeffs":[%s]}' % ONE_T]),
+      ("omember", ["--a", '{"v":0,"coeffs":[{"v":1,"coeffs":[1]}]}', "--h", "all",
+                   "--target", "OPlus"])]),
+]
+
+
+@pytest.mark.parametrize("plain,verbs", PRECISION_KEY_CASES, ids=["F_5((t))", "tower"])
+def test_precision_key_is_accepted_and_not_read(capsys, plain, verbs):
+    """Laurent models written for the truncated series carry an integer
+    ``precision`` key (the bench writes 8 into every one); it is checked
+    to be an integer and changes no output."""
+    keyed = plain[:-1] + ',"precision":8}'
+    for verb, args in [("classgroup", []), *verbs]:
+        outs = [run(capsys, "field", verb, "--p", "2", "--model", model, *args)
+                for model in (plain, keyed)]
+        assert outs[0][0] == 0 and outs[0] == outs[1], (verb, outs)
 
 
 def _tower(depth: int) -> tuple[str, str]:
