@@ -58,7 +58,7 @@ ALLOWED = {
     "field_models.FieldModel.predict": "abstract method",
     "rigidity.is_rigid": "the bench wraps it (bench/tracing.py SCAN_FUNCS)",
     "laurent.LaurentRing.inv": "the bench wraps it (bench/tracing.py); pow_ takes it "
-                               "for n < 0",
+                               "for n < 0; it inverts the units c*t^v alone",
     "smallfields.GF.inv": "the base step of LaurentRing.inv",
     "smallfields.GF.pow_": "an element operation of every domain() (README, Adding a "
                            "field backend)",

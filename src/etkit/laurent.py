@@ -137,9 +137,6 @@ class LaurentRing:
         out[k:k + len(yc)] = map(op, out[k:k + len(yc)], yc)
         return self.from_coeffs(v, out)
 
-    def neg(self, x: Series) -> Series:
-        return _new(Series, (x.v, tuple(map(self.base.neg, x.coeffs))))
-
     def mul(self, x: Series, y: Series) -> Series:
         xc, yc = x.coeffs, y.coeffs
         if not xc or not yc:

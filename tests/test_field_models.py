@@ -1112,9 +1112,16 @@ def _add_per_position(ring, x, y):
     return ring.from_coeffs(v, out)
 
 
+def _negated(ring, y):
+    """-y, each coefficient negated at every level of the tower."""
+    base = ring.base
+    neg = (lambda c: _negated(base, c)) if isinstance(base, LaurentRing) else base.neg
+    return ring.from_coeffs(y.v, [neg(c) for c in y.coeffs])
+
+
 def _sub_by_negation(ring, x, y):
     """x - y as a sum with the negated copy of y."""
-    return _add_per_position(ring, x, ring.neg(y))
+    return _add_per_position(ring, x, _negated(ring, y))
 
 
 @settings(max_examples=300)
