@@ -2,7 +2,9 @@
 
 An element of F[t, 1/t] is a valuation v and a coefficient tuple c, the
 sum of c[i] * t^(v+i), trimmed at both ends: c[0] and c[-1] are nonzero,
-and zero is the empty tuple at v = 0.  So ``is_zero``, ``add``, ``sub``,
+and zero is the empty tuple at v = 0.  It also carries its size, the
+number of coefficients it holds over every level of its tower, which
+follows from c.  So ``is_zero``, ``add``, ``sub``,
 ``mul`` and ``pow_`` are exact, and ``val`` and ``lead`` read c[0].  Every
 element the verbs see is one: it is decoded from a finite coefficient
 list, and the verbs combine elements by sums, differences and products
@@ -19,7 +21,9 @@ So a product of two elements costs at most MAX_TERMS^2 products of
 coefficients at any depth, where a cap on each level alone would let a
 tower's products grow with the product of its levels' lengths.  A
 product whose top level alone passes the cap is refused before it is
-computed: that level's length is the sum of its factors' less one.
+computed: that level's length is the sum of its factors' less one.  The
+size is kept in the element, so that the cap costs one sum over the
+coefficients of each new element, not a walk down its tower.
 
 A ring builds its constants (zero, one, minus one) once, when it is made,
 and each field model makes its ring once.  Elements are immutable, so
@@ -39,13 +43,15 @@ MAX_TERMS = 1024
 
 
 class Series(NamedTuple):
-    """Element of F[t, 1/t]: coeffs[i] is the t^(v+i) coefficient."""
+    """Element of F[t, 1/t]: coeffs[i] is the t^(v+i) coefficient, and
+    size is the number of coefficients held over every level."""
 
     v: int
     coeffs: tuple
+    size: int
 
 
-# builds a Series from its two fields without the keyword handling of
+# builds a Series from its three fields without the keyword handling of
 # Series(...); the kernel makes one per operation
 _new = tuple.__new__
 
@@ -57,17 +63,19 @@ class LaurentRing:
         self.base = base
         self.var = var
         self._nested = isinstance(base, LaurentRing)
-        self.zero = Series(0, ())
+        self.zero = Series(0, (), 0)
         self.one = self.from_const(base.one)
         self.minus_one = self.from_const(base.minus_one)
 
-    def _size(self, coeffs) -> int:
-        """The coefficients that a coefficient tuple holds over every level:
-        its own, and in a tower those of each of them."""
+    def _sized(self, v: int, coeffs: tuple) -> Series:
+        """The element of trimmed ``coeffs`` from t^v, with its size:
+        its own coefficients, and in a tower those of each of them;
+        refused past ``MAX_TERMS``."""
+        n = len(coeffs)
         if self._nested:
-            size = self.base._size
-            return len(coeffs) + sum(size(c.coeffs) for c in coeffs)
-        return len(coeffs)
+            n += sum(c.size for c in coeffs)
+        self._check_terms(n)
+        return _new(Series, (v, coeffs, n))
 
     def _check_terms(self, n: int) -> None:
         if n > MAX_TERMS:
@@ -94,9 +102,7 @@ class LaurentRing:
             return self.zero
         while coeffs[hi - 1] == zero:
             hi -= 1
-        kept = tuple(coeffs[lo:hi])
-        self._check_terms(self._size(kept))
-        return _new(Series, (v + lo, kept))
+        return self._sized(v + lo, tuple(coeffs[lo:hi]))
 
     # -- structure queries ----------------------------------------------------
 
@@ -156,9 +162,7 @@ class LaurentRing:
                 out[i + j] = add(out[i + j], times(xi, yj))
         # the first and last entries are products of nonzero coefficients
         # of a domain, so the result is already trimmed
-        out = tuple(out)
-        self._check_terms(self._size(out))
-        return _new(Series, (x.v + y.v, out))
+        return self._sized(x.v + y.v, tuple(out))
 
     def inv(self, x: Series) -> Series:
         """The inverse of a unit of the polynomial ring, c * t^v with c a
@@ -167,7 +171,7 @@ class LaurentRing:
         if len(x.coeffs) != 1:
             raise ValidationError(
                 f"only a monomial c*{self.var}^v is invertible among Laurent polynomials")
-        return _new(Series, (-x.v, (self.base.inv(x.coeffs[0]),)))
+        return _new(Series, (-x.v, (self.base.inv(x.coeffs[0]),), x.size))
 
     def pow_(self, x: Series, n: int) -> Series:
         """x^n by left-to-right square-and-multiply: n.bit_length() - 1

@@ -678,7 +678,7 @@ def test_laurent_ring_built_once_per_model():
     assert ring.one is ring.one and ring.pow_(ring.gen(), 0) is ring.one
     assert ring.one == ring.from_const(ring.base.one)
     assert ring.minus_one == ring.from_const(ring.base.minus_one)
-    assert ring.zero == Series(0, ()) and ring.is_zero(ring.zero)
+    assert ring.zero == Series(0, (), 0) and ring.is_zero(ring.zero)
     for const in (ring.zero, ring.one, ring.minus_one):
         with pytest.raises(AttributeError):
             const.v = 5
