@@ -829,7 +829,8 @@ def _tame_rule(model: FieldModel, p: int, a, h: set | None):
     The series path gives the same answer on every candidate the rule
     decides: its arithmetic is exact, on rationals (Q_ell) and on
     Laurent polynomials, so the valuations and classes it reads are
-    those the rule reads."""
+    those the rule reads.  It may only refuse first, where a product
+    passes the Laurent term cap (``laurent.MAX_TERMS``)."""
     va, ca = model.val(a), model.class_of(p, a)
     ops = model.domain()
     minus = class_of(model, p, ops.minus_one)
