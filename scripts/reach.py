@@ -60,8 +60,6 @@ ALLOWED = {
     "laurent.LaurentRing.inv": "the bench wraps it (bench/tracing.py); pow_ takes it "
                                "for n < 0; it inverts the units c*t^v alone",
     "smallfields.GF.inv": "the base step of LaurentRing.inv",
-    "smallfields.GF.pow_": "an element operation of every domain() (README, Adding a "
-                           "field backend)",
     "field_models._FracOps.inv": "an element operation of every domain() (README, Adding "
                                  "a field backend)",
 }

@@ -13,8 +13,9 @@ methods; the bounded searches (the trichotomy probe, O(S,H) membership)
 and total rigidity are written once on top of them.  A backend complete
 for a discrete valuation, tame for p (Q_ell, Laurent), names its residue
 field in ``residue()``: its symbol tensor is the tame rule over that
-field, and total rigidity reads the enumerated pair set of the bottom
-residue field only.
+field, the O^+ search reads its candidates off valuations and residues
+in that field, and total rigidity reads the enumerated pair set of the
+bottom residue field only.
 """
 
 from __future__ import annotations
@@ -220,7 +221,12 @@ class FieldModel(ABC):
         """The residue field of a backend complete for a discrete
         valuation and tame for p, whose uniformizer is its last class;
         None for a backend without one.  A backend that names one also
-        gives ``val(x)``, the valuation of a nonzero x."""
+        gives ``val(x)``, the valuation of a nonzero x, ``lead(x)``, the
+        residue of x over the uniformizer's v(x)-th power, an element of
+        the residue field's domain, and ``lift(r)``, the constant r where
+        the residue field lies in the field as its constants (Laurent),
+        None where it does not (Q_ell); a class is the residue field's
+        class of ``lead(x)`` and v(x) mod p."""
         return None
 
     def symbol_tensor(self, p: int) -> np.ndarray:
@@ -343,6 +349,12 @@ class LocalRational(FieldModel):
 
     def val(self, x):
         return _val_unit(x, self.ell)[0]
+
+    def lead(self, x):
+        return _residue(_val_unit(x, self.ell)[1], self.ell)
+
+    def lift(self, r):
+        return None  # F_ell is no subfield of Q_ell
 
     def predict(self, p):
         return Ext(1, ZBlock(make_unit(p, self.ell)))
@@ -497,6 +509,12 @@ class Laurent(FieldModel):
 
     def val(self, x):
         return self._ring.val(x)
+
+    def lead(self, x):
+        return self._ring.lead(x)
+
+    def lift(self, r):
+        return self._ring.from_const(r)
 
     def predict(self, p):
         return Ext(1, self.base.predict(p))
@@ -745,8 +763,10 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     refuting c, and otherwise Member only when the backend is exhaustive.
     Off finite fields it walks the pool for c = 1 - sigma^p; on a backend
     with a residue field, ``_tame_rule`` decides most candidates from
-    valuations and classes, and series arithmetic runs only for the rest
-    and for the refuting c, with the same verdict and witness.
+    valuations and leading coefficients, and series arithmetic runs only
+    for the rest and for the refuting c, with the same verdict and
+    witness.  There an x of nonzero valuation is put in O^- or not by
+    its valuation and class.
     O^+ is taken inside H, so an a outside H (and, for ORing, outside
     O^-) is a NonMember at once, and its witness is a itself, not a
     refuting c.
@@ -758,6 +778,7 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     if ops.is_zero(a):
         raise ValidationError("membership is about nonzero elements")
     h = _parse_h(h_spec, len(model.basis(p)), p)
+    tame = model.residue() is not None
 
     def in_h(x) -> bool:
         return h is None or _class_code(class_of(model, p, x), p) in h
@@ -765,6 +786,10 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     def in_o_minus(x) -> bool:
         if not in_h(x):
             return False
+        if tame and model.val(x):
+            # 1 - x lies in 1 + m, in S by Hensel, or is -x (1 - 1/x) with
+            # 1 - 1/x in 1 + m, so no 1 - x is built
+            return model.val(x) > 0 or is_pth_power(model, p, ops.mul(ops.minus_one, x))
         s = ops.sub(ops.one, x)
         if ops.is_zero(s):
             return False
@@ -786,7 +811,7 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
                 return OVerdict(target, "NonMember", bound, ops.render(c))
         return OVerdict(target, "Member", bound)
 
-    rule = _tame_rule(model, p, a, h) if model.residue() is not None else None
+    rule = _tame_rule(model, p, a, h) if tame else None
     for sigma in islice(model.pool(p), bound):
         # refutes is True or False where the rule decides, and None where
         # the series path below decides
@@ -802,57 +827,100 @@ def o_membership(model: FieldModel, p: int, a, h_spec, target: str,
     return OVerdict(target, "UnknownWithinBound", bound)
 
 
+def _times(ops, n: int, x):
+    """n x for an integer n >= 1, by doubling."""
+    out = ops.zero
+    for bit in bin(n)[2:]:
+        out = ops.add(out, out)
+        if bit == "1":
+            out = ops.add(out, x)
+    return out
+
+
 def _tame_rule(model: FieldModel, p: int, a, h: set | None):
     """sigma -> refutes for the O^+ pool search on a backend with a
-    residue field: whether c = 1 - sigma^p refutes a, that is c lies in
-    O^- and x = a c does not, read off valuations and classes; or None
-    where they do not decide, left to the series path.
+    residue field k: whether c = 1 - sigma^p refutes a, that is c lies in
+    O^- and x = a c does not, read off valuations and leading
+    coefficients; or None where they do not decide, left to the series
+    path.
 
     The rule.  The field is complete for v and tame for p, so by Hensel
-    1 + m lies in S = (F^x)^p, and a class of F^x/S is read off the
-    valuation mod p and the leading coefficient.  The search has put a
-    in H, and H is a subgroup (``_parse_h``), so once c lies in H so
+    1 + m lies in S = (F^x)^p, and the class of a nonzero y is the class
+    of lead(y) in k and v(y) mod p.  The search has put a in H, and H is
+    a subgroup (``_parse_h``), so once c is nonzero and lies in H, so
     does x: c refutes iff 1 - x is no nonzero p-th power.  With v(x) =
-    v(a) + v(c) and cl(x) = cl(a) + cl(c):
+    v(a) + v(c) and lead(x) = lead(a) lead(c):
 
     - v(x) > 0: 1 - x lies in 1 + m, so c does not refute.
     - v(x) < 0: 1 - x = -x (1 - 1/x) with 1 - 1/x in 1 + m, so cl(1 - x)
       = cl(-1) + cl(x), and c refutes iff that is not 0.
-    - v(x) = 0: the residue of x decides, and the series path runs.
-    - v(sigma) > 0: c lies in 1 + m, so v(c) = 0, cl(c) = 0, and c lies
-      in H.
-    - v(sigma) < 0: c = -sigma^p (1 - sigma^-p), so v(c) = p v(sigma)
-      and cl(c) = cl(-1); c is skipped when cl(-1) is not in H.
-    - v(sigma) = 0: v(c) >= 0.  When v(a) >= 1, then v(x) >= 1 and c
-      does not refute, whatever H is.  Otherwise the series path runs.
+    - v(x) = 0: 1 - x has residue y = 1 - lead(x), and c refutes iff y
+      is no p-th power of k.  When y = 0 the series path runs.
+
+    v(c) and lead(c) follow from sigma:
+
+    - v(sigma) > 0: c lies in 1 + m, so v(c) = 0 and lead(c) = 1.
+    - v(sigma) < 0: c = -sigma^p (1 - sigma^-p), so v(c) = p v(sigma),
+      lead(c) = -lead(sigma)^p and cl(c) = cl(-1).
+    - v(sigma) = 0, with residue r: if r^p != 1, then v(c) = 0 and
+      lead(c) = 1 - r^p.  If r^p = 1 and k lies in the field as its
+      constants (``lift``), write sigma = r + d; d = 0 gives c = 0, which
+      is skipped, and otherwise c = -p r^(p-1) d plus terms of valuation
+      at least 2 v(d), so v(c) = v(d) and lead(c) = -p r^(p-1) lead(d),
+      nonzero as p is a unit of k (tame).  If r^p = 1 and k does not
+      (Q_ell), the series path runs.
+
+    When v(a) >= 1, a candidate of valuation >= 0 gives v(x) >= 1 and is
+    skipped at once.  The rule multiplies only in k, and raises sigma's
+    residue to the p-th power, never sigma itself.
 
     The series path gives the same answer on every candidate the rule
     decides: its arithmetic is exact, on rationals (Q_ell) and on
-    Laurent polynomials, so the valuations and classes it reads are
-    those the rule reads.  It may only refuse first, where a product
-    passes the Laurent term cap (``laurent.MAX_TERMS``)."""
-    va, ca = model.val(a), model.class_of(p, a)
-    ops = model.domain()
+    Laurent polynomials, so the valuations and leading coefficients it
+    reads are those the rule reads.  It may only refuse first, where a
+    product passes the Laurent term cap (``laurent.MAX_TERMS``)."""
+    va, ca, la = model.val(a), model.class_of(p, a), model.lead(a)
+    ops, res = model.domain(), model.residue()
+    k = res.domain()
     minus = class_of(model, p, ops.minus_one)
-    unit = (0,) * len(minus)
 
     def in_h(vec) -> bool:
         return h is None or _class_code(vec, p) in h
 
-    def refutes(vc: int, cc) -> bool | None:
-        """For c in H with v(c) = vc and cl(c) = cc; None when v(a c) = 0."""
-        vx = va + vc
-        if vx == 0:
-            return None
-        return vx < 0 and any((i + j + k) % p for i, j, k in zip(minus, ca, cc))
-
     def rule(sigma) -> bool | None:
         vs = model.val(sigma)
+        if vs >= 0 and va >= 1:
+            return False
         if vs > 0:
-            return refutes(0, unit)
-        if vs < 0:
-            return in_h(minus) and refutes(p * vs, minus)
-        return False if va >= 1 else None
+            vc, lc = 0, k.one
+        elif vs < 0:
+            vc, lc = p * vs, None  # -lead(sigma)^p, built only if v(x) = 0
+        else:
+            r = model.lead(sigma)
+            rp = k.pow_(r, p)
+            if rp != k.one:
+                vc, lc = 0, k.sub(k.one, rp)
+            else:
+                r_const = model.lift(r)
+                if r_const is None:
+                    return None
+                d = ops.sub(sigma, r_const)
+                if ops.is_zero(d):
+                    return False
+                vc = model.val(d)
+                lc = k.sub(k.zero, _times(k, p, k.mul(k.pow_(r, p - 1), model.lead(d))))
+        cc = minus if lc is None else res.class_of(p, lc) + (vc % p,)
+        if not in_h(cc):
+            return False
+        vx = va + vc
+        if vx:
+            return vx < 0 and any((i + j + l) % p for i, j, l in zip(minus, ca, cc))
+        if lc is None:
+            lc = k.sub(k.zero, k.pow_(model.lead(sigma), p))
+        y = k.sub(k.one, k.mul(la, lc))
+        if k.is_zero(y):
+            return None
+        return not is_pth_power(res, p, y)
 
     return rule
 

@@ -2,9 +2,7 @@
 
 An element of F[t, 1/t] is a valuation v and a coefficient tuple c, the
 sum of c[i] * t^(v+i), trimmed at both ends: c[0] and c[-1] are nonzero,
-and zero is the empty tuple at v = 0.  It also carries its size, the
-number of coefficients it holds over every level of its tower, which
-follows from c.  So ``is_zero``, ``add``, ``sub``,
+and zero is the empty tuple at v = 0.  So ``is_zero``, ``add``, ``sub``,
 ``mul`` and ``pow_`` are exact, and ``val`` and ``lead`` read c[0].  Every
 element the verbs see is one: it is decoded from a finite coefficient
 list, and the verbs combine elements by sums, differences and products
@@ -19,11 +17,11 @@ its highest, and in a tower each of theirs in turn.  A decoded list, a
 sum or a product that would hold more is refused with ValidationError.
 So a product of two elements costs at most MAX_TERMS^2 products of
 coefficients at any depth, where a cap on each level alone would let a
-tower's products grow with the product of its levels' lengths.  A
-product whose top level alone passes the cap is refused before it is
-computed: that level's length is the sum of its factors' less one.  The
-size is kept in the element, so that the cap costs one sum over the
-coefficients of each new element, not a walk down its tower.
+product at depth d cost up to MAX_TERMS^(2d).  A sum or a product whose
+top level alone spans more than the cap is refused before it is laid
+out: a product's top level is as long as its factors' together less
+one, and a sum's is the union of its operands' spans, whose two ends
+cannot cancel once it is longer than either.
 
 A ring builds its constants (zero, one, minus one) once, when it is made,
 and each field model makes its ring once.  Elements are immutable, so
@@ -43,15 +41,13 @@ MAX_TERMS = 1024
 
 
 class Series(NamedTuple):
-    """Element of F[t, 1/t]: coeffs[i] is the t^(v+i) coefficient, and
-    size is the number of coefficients held over every level."""
+    """Element of F[t, 1/t]: coeffs[i] is the t^(v+i) coefficient."""
 
     v: int
     coeffs: tuple
-    size: int
 
 
-# builds a Series from its three fields without the keyword handling of
+# builds a Series from its two fields without the keyword handling of
 # Series(...); the kernel makes one per operation
 _new = tuple.__new__
 
@@ -63,19 +59,25 @@ class LaurentRing:
         self.base = base
         self.var = var
         self._nested = isinstance(base, LaurentRing)
-        self.zero = Series(0, (), 0)
+        self.zero = Series(0, ())
         self.one = self.from_const(base.one)
         self.minus_one = self.from_const(base.minus_one)
 
-    def _sized(self, v: int, coeffs: tuple) -> Series:
-        """The element of trimmed ``coeffs`` from t^v, with its size:
-        its own coefficients, and in a tower those of each of them;
-        refused past ``MAX_TERMS``."""
+    def _capped(self, v: int, coeffs: tuple) -> Series:
+        """The element of trimmed ``coeffs`` from t^v, refused when it
+        holds more than ``MAX_TERMS`` coefficients over every level."""
+        self._check_terms(self._terms(coeffs))
+        return _new(Series, (v, coeffs))
+
+    def _terms(self, coeffs) -> int:
+        """The coefficients in ``coeffs``, and in a tower those of each
+        of them in turn."""
         n = len(coeffs)
         if self._nested:
-            n += sum(c.size for c in coeffs)
-        self._check_terms(n)
-        return _new(Series, (v, coeffs, n))
+            terms = self.base._terms
+            for c in coeffs:
+                n += terms(c.coeffs)
+        return n
 
     def _check_terms(self, n: int) -> None:
         if n > MAX_TERMS:
@@ -102,7 +104,7 @@ class LaurentRing:
             return self.zero
         while coeffs[hi - 1] == zero:
             hi -= 1
-        return self._sized(v + lo, tuple(coeffs[lo:hi]))
+        return self._capped(v + lo, tuple(coeffs[lo:hi]))
 
     # -- structure queries ----------------------------------------------------
 
@@ -130,18 +132,22 @@ class LaurentRing:
         """x op y, op the base's add or sub: x's coefficients laid out over
         the span of both, then op applied with y's where they lie, which
         reads op(zero, b), that is b for add and -b for sub, where only y
-        reaches."""
+        reaches.  The span is checked against the cap before it is laid
+        out."""
         yv, yc = y.v, y.coeffs
         if not yc:
             return x
         xv, xc = x.v, x.coeffs
-        v = min(xv, yv) if xc else yv
-        out = [self.base.zero] * (max(xv + len(xc), yv + len(yc)) - v)
+        lo, hi = yv, yv + len(yc)
         if xc:
-            out[xv - v:xv - v + len(xc)] = xc
-        k = yv - v
+            lo, hi = min(lo, xv), max(hi, xv + len(xc))
+        self._check_terms(hi - lo)
+        out = [self.base.zero] * (hi - lo)
+        if xc:
+            out[xv - lo:xv - lo + len(xc)] = xc
+        k = yv - lo
         out[k:k + len(yc)] = map(op, out[k:k + len(yc)], yc)
-        return self.from_coeffs(v, out)
+        return self.from_coeffs(lo, out)
 
     def mul(self, x: Series, y: Series) -> Series:
         xc, yc = x.coeffs, y.coeffs
@@ -162,7 +168,7 @@ class LaurentRing:
                 out[i + j] = add(out[i + j], times(xi, yj))
         # the first and last entries are products of nonzero coefficients
         # of a domain, so the result is already trimmed
-        return self._sized(x.v + y.v, tuple(out))
+        return self._capped(x.v + y.v, tuple(out))
 
     def inv(self, x: Series) -> Series:
         """The inverse of a unit of the polynomial ring, c * t^v with c a
@@ -171,7 +177,7 @@ class LaurentRing:
         if len(x.coeffs) != 1:
             raise ValidationError(
                 f"only a monomial c*{self.var}^v is invertible among Laurent polynomials")
-        return _new(Series, (-x.v, (self.base.inv(x.coeffs[0]),), x.size))
+        return _new(Series, (-x.v, (self.base.inv(x.coeffs[0]),)))
 
     def pow_(self, x: Series, n: int) -> Series:
         """x^n by left-to-right square-and-multiply: n.bit_length() - 1
@@ -201,6 +207,8 @@ class LaurentRing:
     def render(self, x: Series) -> str:
         if not x.coeffs:
             return "0"
+        if x.v == 0 and len(x.coeffs) == 1:  # a constant: no term to set it off from
+            return self.base.render(x.coeffs[0])
         zero = self.base.zero
         return " + ".join(self._term(c, x.v + i)
                           for i, c in enumerate(x.coeffs) if c != zero)

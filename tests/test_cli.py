@@ -227,7 +227,9 @@ def test_laurent_term_cap(capsys):
     level: a decoded list at the cap is read, one more is refused, and so
     is a product past the cap, here sigma^p of the first O^+ candidate
     sigma = 1 + t at p = 2003 over F_4007, where 1 + t has p + 1 > cap
-    coefficients once raised to the p-th power."""
+    coefficients once raised to the p-th power.  With v(a) = -1 that
+    candidate refutes a (its c has valuation 1 and residue -p, and
+    1 - p a is no p-th power), so its c is built as the witness."""
     cap = MAX_TERMS
 
     def symbol(n):
@@ -239,16 +241,52 @@ def test_laurent_term_cap(capsys):
     code, err = symbol(cap + 1)
     assert code == 1 and json.loads(err)["kind"] == "ValidationError"
     model = '{"kind":"Laurent","params":{"base":{"kind":"FiniteField","params":{"q":4007}}}}'
-    a = '{"v":0,"coeffs":[%d]}' % gf(4007).generator
     start = time.perf_counter()
     code, err = run(capsys, "field", "omember", "--p", "2003", "--model", model,
-                    "--a", a, "--h", "all", "--target", "OPlus", "--bound", "20")
+                    "--a", '{"v":-1,"coeffs":[1]}', "--h", "all", "--target", "OPlus",
+                    "--bound", "20")
     assert time.perf_counter() - start < 2
     assert code == 1 and err.count("\n") == 1
     assert json.loads(err) == {
         "error": f"a Laurent polynomial in t holds at most {cap} coefficients, "
                  "counted over every level of its tower",
         "kind": "ValidationError"}
+
+
+@pytest.mark.parametrize("target", ["OMinus", "ORing", "OPlus"])
+def test_far_valuations_are_read_off_their_class(capsys, target):
+    """An a of valuation +-10^9 is decided from its valuation and class,
+    as one of valuation +-2 is at p = 2: 1 - a is never built, and no
+    list spans the powers between."""
+    outs = {}
+    for v in (2, -2, 10**9, -10**9):
+        start = time.perf_counter()
+        outs[v] = run(capsys, "field", "omember", "--p", "2", "--model", F5T,
+                      "--a", '{"v":%d,"coeffs":[3]}' % v, "--h", "all",
+                      "--target", target)
+        assert time.perf_counter() - start < 1
+        assert outs[v][0] == 0, outs[v]
+    assert outs[-10**9] == outs[-2]
+    if target != "OPlus":  # the O^+ search reads v(a c) = 0 at v(a) = 2 only
+        assert outs[10**9] == outs[2]
+        assert json.loads(outs[10**9][1])["verdict"] == "Member"
+
+
+def test_depth_two_search_reads_residues(capsys):
+    """On F_311((t))((u)) at p = 31, sigma^p of a two-level candidate
+    holds about p^2 / 2 coefficients over the tower, past the cap; the
+    O^+ rule reads those candidates off their residues in F_311((t))
+    instead, and the refuting c comes from sigma = u^-1."""
+    model = ('{"kind":"Laurent","params":{"base":{"kind":"Laurent","params":'
+             '{"base":{"kind":"FiniteField","params":{"q":311}},"var":"t"}},"var":"u"}}')
+    start = time.perf_counter()
+    code, out = run(capsys, "field", "omember", "--p", "31", "--model", model,
+                    "--a", '{"v":0,"coeffs":[{"v":1,"coeffs":[1]}]}', "--h", "all",
+                    "--target", "OPlus")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out) == {
+        "searchBound": 200, "target": "OPlus", "verdict": "NonMember",
+        "witness": "310*u^-31 + 1"}
 
 
 # a Laurent model without the precision key, and (verb, arguments) pairs

@@ -677,7 +677,7 @@ def test_laurent_ring_built_once_per_model():
     assert ring.one is ring.one and ring.pow_(ring.gen(), 0) is ring.one
     assert ring.one == ring.from_const(ring.base.one)
     assert ring.minus_one == ring.from_const(ring.base.minus_one)
-    assert ring.zero == Series(0, (), 0) and ring.is_zero(ring.zero)
+    assert ring.zero == Series(0, ()) and ring.is_zero(ring.zero)
     for const in (ring.zero, ring.one, ring.minus_one):
         with pytest.raises(AttributeError):
             const.v = 5
@@ -729,10 +729,28 @@ def _outcome(symbol, model, p, a, b):
         return type(exc).__name__
 
 
-def _agrees_with_window(exact, windowed) -> bool:
-    """The windowed route certifies nothing where it ran out of window;
-    everywhere else it must give the exact answer."""
-    return windowed in (exact, "PrecisionExhausted")
+def _symbols_against_window(depths, max_examples: int) -> tuple[int, int]:
+    """Draws towers of a depth in ``depths`` and two of their elements,
+    and checks the exact symbol against the windowed full-series route.
+    That route certifies nothing where it runs out of window; everywhere
+    else it must give the exact answer.  Returns how many draws had a
+    symbol (neither element zero) and in how many of those the windowed
+    route answered too, so that a test can hold a floor on the draws
+    that compared anything."""
+    answered = []
+
+    @settings(max_examples=max_examples, database=None)
+    @given(_tower_symbol_inputs(depths))
+    def check(case):
+        model, p, a, b = case
+        exact = _outcome(symbol_vector, model, p, a, b)
+        windowed = _outcome(_full_series_symbol, model, p, a, b)
+        assert windowed in (exact, "PrecisionExhausted")
+        if isinstance(exact, tuple):
+            answered.append(isinstance(windowed, tuple))
+
+    check()
+    return len(answered), sum(answered)
 
 
 @st.composite
@@ -781,23 +799,21 @@ def _tower_symbol_inputs(draw, depths):
     return model, p, draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
 
 
-@settings(max_examples=400)
-@given(_tower_symbol_inputs([1, 2, 3]))
-def test_leading_term_symbol_matches_full_series(case):
-    model, p, a, b = case
-    assert _agrees_with_window(_outcome(symbol_vector, model, p, a, b),
-                               _outcome(_full_series_symbol, model, p, a, b))
+def test_leading_term_symbol_matches_full_series():
+    # a draw where a or b is zero (both routes refuse) or where the window
+    # ran out compares no symbol; most draws have a symbol, and the window
+    # answers for each of them
+    symbols, compared = _symbols_against_window([1, 2, 3], 400)
+    assert symbols >= 200 and compared >= 0.9 * symbols
 
 
-@settings(max_examples=50)
-@given(_tower_symbol_inputs([4]))
-def test_leading_term_symbol_refines_full_series_at_depth_four(case):
+def test_leading_term_symbol_refines_full_series_at_depth_four():
     # From depth 4 on, a nested cancellation in the windowed route can
     # leave a coefficient known only to a valuation; the exact symbol
     # still answers, and wherever the window does, both agree.
-    model, p, a, b = case
-    assert _agrees_with_window(_outcome(symbol_vector, model, p, a, b),
-                               _outcome(_full_series_symbol, model, p, a, b))
+    # here too most draws have a symbol, and the window answers for each
+    symbols, compared = _symbols_against_window([4], 50)
+    assert symbols >= 25 and compared >= 0.9 * symbols
 
 
 # -- the symbol tensors against per-element rules ---------------------------

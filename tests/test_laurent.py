@@ -1,14 +1,16 @@
 """The exact Laurent kernel against the windowed one it replaced, kept in
 ``tests/windowed_laurent.py``, and exact cancellation in towers."""
 
+import time
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etkit.errors import PrecisionExhausted
+from etkit.errors import PrecisionExhausted, ValidationError
 from etkit.field_models import FiniteField, Laurent
+from etkit.laurent import MAX_TERMS
 from windowed_laurent import certifies, to_window, windowed_ring
 
 # residue fields per p: q - 1 divisible by p, prime powers among them
@@ -83,3 +85,40 @@ def test_pool_elements_less_themselves_are_zero(depth):
     ring = model.domain()
     pool = list(islice(model.pool(2), 200))
     assert pool and all(ring.is_zero(ring.sub(x, x)) for x in pool)
+
+
+def test_sum_span_is_checked_before_it_is_laid_out():
+    """1 - t^(10^9) spans 10^9 + 1 powers of t: it is refused at once,
+    with no list of that length made.  A sum whose one term is zero
+    spans only the other, wherever it lies."""
+    ring = _tower(5, 1).domain()
+    far = ring.from_coeffs(10**9, [1])
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"at most {MAX_TERMS} coefficients"):
+        ring.sub(ring.one, far)
+    assert time.perf_counter() - start < 0.1
+    low = ring.from_coeffs(-5000, [1] * MAX_TERMS)
+    assert ring.sub(ring.zero, low) == ring.from_coeffs(-5000, [4] * MAX_TERMS)
+    assert ring.add(ring.zero, low) == low
+
+
+def test_tower_cap_counts_every_level():
+    """The cap counts the coefficients of every level: on a depth-2
+    tower, one u-coefficient of MAX_TERMS t-terms and one more
+    u-coefficient pass it."""
+    ring = _tower(5, 2).domain()
+    wide = ring.base.from_coeffs(0, [1] * (MAX_TERMS - 1))
+    assert ring.val(ring.from_coeffs(0, [wide])) == 0
+    with pytest.raises(ValidationError):
+        ring.from_coeffs(0, [wide, ring.base.one])
+
+
+def test_lone_constant_renders_bare():
+    """A constant of a tower level prints as its coefficient, with no
+    parentheses; beside other terms it keeps them."""
+    ring = _tower(7, 2).domain()
+    one_plus_t = ring.base.add(ring.base.one, ring.base.gen())
+    constant = ring.from_const(one_plus_t)
+    assert ring.render(constant) == "1 + t"
+    assert ring.render(ring.add(constant, ring.gen())) == "(1 + t) + u"
+    assert ring.render(ring.from_const(ring.base.inv(ring.base.gen()))) == "t^-1"
